@@ -53,14 +53,16 @@ panicImpl(const char *file, int line, const char *fmt, ...)
     std::string message = vformat(fmt, args);
     va_end(args);
 
-    std::string where = std::string(file) + ":" + std::to_string(line);
     if (abortOnPanic()) {
         // Debugger mode: stop at the site with the stack intact.
-        std::fprintf(stderr, "panic: %s: %s\n", where.c_str(),
+        std::fprintf(stderr, "panic: %s:%d: %s\n", file, line,
                      message.c_str());
         std::abort();
     }
-    throw InvariantError(where + ": " + message);
+    // The message carries no source location: it reaches cell errors,
+    // journals and store entries, which must be the same bytes in
+    // every checkout and after any edit that moves a line.
+    throw InvariantError(message);
 }
 
 void

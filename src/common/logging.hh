@@ -3,8 +3,10 @@
  * Error and status reporting in the gem5 idiom.
  *
  * panic():  an internal simulator bug — something that must never happen
- *           regardless of user input; throws InvariantError (or aborts
- *           when SIMALPHA_ABORT_ON_PANIC=1 is set, for debugger use).
+ *           regardless of user input; throws InvariantError whose
+ *           message has no source location (or prints the location
+ *           and aborts when SIMALPHA_ABORT_ON_PANIC=1 is set, for
+ *           debugger use).
  * fatal():  a user error (bad configuration, invalid argument); throws
  *           ConfigError.
  * warn():   functionality that may not be modeled exactly right.

@@ -60,7 +60,9 @@ slotAssignment(const Instruction &inst, int packet_slot)
 } // namespace
 
 AlphaCore::AlphaCore(const AlphaCoreParams &params)
-    : _p(params), _stats(params.name), _c(_stats)
+    : _p(params), _stats(params.name), _c(_stats),
+      _fetchQueue(std::size_t(std::max(params.fetchQueueEntries, 1))),
+      _rob(std::size_t(std::max(params.robEntries, 1)))
 {
 }
 
@@ -123,6 +125,11 @@ AlphaCore::resetMachine(const Program &program)
             std::make_unique<IssueQueue>(_p.intIqEntries, removal_delay);
         _fpIq =
             std::make_unique<IssueQueue>(_p.fpIqEntries, removal_delay);
+        for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
+            bool fp = _fuPool->pipeIsFp(pipe);
+            _clusterPipes[fp ? 0 : _fuPool->pipeCluster(pipe)] |=
+                std::uint8_t(1u << pipe);
+        }
     } else {
         _mem->reset();
         _rename->reset();
@@ -162,6 +169,12 @@ AlphaCore::resetMachine(const Program &program)
     _nextLoadUseVerify = kNoCycle;
     _issuedStores.clear();
     _issuedLoads.clear();
+    _cands[0].clear();
+    _cands[1].clear();
+    _selectEpoch = 1;
+    _cacheReadiness = true;
+    _waiters.assign(std::size_t(_p.physIntRegs + _p.physFpRegs), nullptr);
+    _unresolvedStores.clear();
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
     _ffCheckUntil = 0;
@@ -349,36 +362,14 @@ AlphaCore::cycleTick()
 // ---------------------------------------------------------------------
 
 Cycle
-AlphaCore::entryIssueLB(const DynInst &inst, bool fp_queue) const
-{
-    Cycle lb = inst.mapCycle + Cycle(_p.mapToIssueCycles);
-    lb = std::max(lb, inst.replayBlockedUntil);
-    if (!inst.wrongPath) {
-        // Wrong-path slots issue whenever a pipe frees; correct-path
-        // entries additionally wait for operands on some cluster.
-        Cycle r;
-        if (fp_queue) {
-            r = operandReadyCycle(inst, 0);
-        } else {
-            Cycle r0 = operandReadyCycle(inst, 0);
-            Cycle r1 = operandReadyCycle(inst, 1);
-            r = std::min(r0, r1);
-        }
-        if (r == kNoCycle)
-            return kNoCycle;
-        lb = std::max(lb, r);
-    }
-    return lb;
-}
-
-Cycle
-AlphaCore::recomputeWakeAt(const IssueQueue &queue, bool fp_queue) const
+AlphaCore::recomputeWakeAt(int q)
 {
     Cycle wake = kNoCycle;
-    for (const DynInst *inst : queue.entries()) {
+    for (DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
         if (inst->issued || inst->retiredEarly)
             continue;
-        Cycle lb = entryIssueLB(*inst, fp_queue);
+        const Cycle *at = issueCycles(*inst, q);
+        Cycle lb = std::min(at[0], at[1]);
         if (lb <= _cycle) {
             // Blocked only by per-cycle arbitration (pipe busy,
             // store-wait): must rescan every cycle.
@@ -598,6 +589,10 @@ AlphaCore::doRetire()
             _mem->dataAccess(head.effAddr, true, _cycle);
             _sqUsed--;
             removeIssuedRef(_issuedStores, head.seq);
+            // Only a flipped memIssued retires a store unresolved.
+            if (!_unresolvedStores.empty() &&
+                _unresolvedStores.front() == head.seq)
+                _unresolvedStores.erase(_unresolvedStores.begin());
         }
         if (head.inst.isLoad()) {
             _lqUsed--;
@@ -627,8 +622,8 @@ AlphaCore::doRetire()
         _activity = true;
 
         // Make sure no issue-queue pointer survives the pop.
-        _intIq->remove(&head);
-        _fpIq->remove(&head);
+        _intIq->retire(&head);
+        _fpIq->retire(&head);
         if (head.halt) {
             _finished = true;
             _rob.pop_front();
@@ -795,10 +790,15 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
     };
     chop(_issuedStores);
     chop(_issuedLoads);
+    _unresolvedStores.erase(std::lower_bound(_unresolvedStores.begin(),
+                                             _unresolvedStores.end(), seq),
+                            _unresolvedStores.end());
 
     // setReadyNow during the unwind can expose past ready cycles to
-    // surviving consumers; re-arm both issue-queue wakeups.
+    // surviving consumers; re-arm both issue-queue wakeups. Squashed
+    // entries may sit on wake-up lists: drop them all.
     noteSetReady(_cycle);
+    invalidateSelect();
 }
 
 void
@@ -847,11 +847,171 @@ AlphaCore::operandReadyCycle(const DynInst &inst, int cluster) const
     return ready;
 }
 
-bool
-AlphaCore::operandsReady(const DynInst &inst, int cluster) const
+void
+AlphaCore::invalidateSelect()
 {
-    Cycle r = operandReadyCycle(inst, cluster);
-    return r != kNoCycle && r <= _cycle;
+    ++_selectEpoch;
+    std::fill(_waiters.begin(), _waiters.end(), nullptr);
+}
+
+void
+AlphaCore::scheduleResult(PhysReg dst, Cycle ready, int cluster)
+{
+    bool was_pending = _scoreboard->pending(dst);
+    _scoreboard->setReady(dst, ready, cluster);
+    noteSetReady(ready);
+    if (!was_pending || ready <= _cycle) {
+        // A consumer may have cached the old ready cycle, or may now
+        // issue in this very cycle on a later pipe.
+        invalidateSelect();
+        return;
+    }
+    for (DynInst *w = _waiters[std::size_t(dst)]; w; w = w->nextWaiter)
+        w->readyEpoch = 0;
+    _waiters[std::size_t(dst)] = nullptr;
+}
+
+PhysReg
+AlphaCore::computeIssueCycles(const DynInst &inst, int q,
+                              Cycle at[2]) const
+{
+    Cycle base = std::max(inst.mapCycle + Cycle(_p.mapToIssueCycles),
+                          inst.replayBlockedUntil);
+    at[0] = base;
+    at[1] = q ? kNoCycle : base;
+    if (inst.wrongPath)
+        return kNoPhys;     // wrong-path slots wait for no operand
+    // operandReadyCycle for both clusters in one pass.
+    bool merged = _p.approxBypassLatency || _p.bugAggressiveCluster;
+    Cycle exposed = (!_p.fullBypass && _p.regreadCycles > 1)
+                        ? Cycle(_p.regreadCycles - 1)
+                        : 0;
+    for (int i = 0; i < inst.numSrcs; i++) {
+        PhysReg src = inst.srcPhys[i];
+        const Cycle *r = _scoreboard->readyCycles(src);
+        if (!r) {
+            at[0] = at[1] = kNoCycle;
+            return src;
+        }
+        Cycle r0 = r[0];
+        Cycle r1 = r[1];
+        if (merged)
+            r0 = r1 = std::min(r0, r1);
+        at[0] = std::max(at[0], r0 + exposed);
+        if (!q)
+            at[1] = std::max(at[1], r1 + exposed);
+    }
+    return kNoPhys;
+}
+
+const Cycle *
+AlphaCore::refreshIssueCycles(DynInst &inst, int q)
+{
+    PhysReg pending = computeIssueCycles(inst, q, inst.issueAt);
+    if (pending != kNoPhys && _cacheReadiness) {
+        // Park until this source is scheduled.
+        inst.nextWaiter = _waiters[std::size_t(pending)];
+        _waiters[std::size_t(pending)] = &inst;
+    }
+    inst.readyEpoch = _selectEpoch;
+    return inst.issueAt;
+}
+
+void
+AlphaCore::verifySelectState() const
+{
+    for (int q = 0; q < 2; q++) {
+        for (const DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
+            if (!_cacheReadiness || inst->readyEpoch != _selectEpoch)
+                continue;
+            Cycle at[2];
+            computeIssueCycles(*inst, q, at);
+            sim_assert(at[0] == inst->issueAt[0] &&
+                       at[1] == inst->issueAt[1]);
+        }
+    }
+    std::vector<InstSeq> unresolved;
+    for (const DynInst &d : _rob)
+        if (!d.wrongPath && d.inst.isStore() && !d.memIssued)
+            unresolved.push_back(d.seq);
+    sim_assert(unresolved == _unresolvedStores);
+}
+
+void
+AlphaCore::gatherCandidates(int q, std::uint8_t free)
+{
+    std::vector<Candidate> &out = _cands[q];
+    out.clear();
+    for (DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
+        if (inst->issued || inst->retiredEarly)
+            continue;
+        std::uint8_t pipes = inst->fitMask & free;
+        if (!pipes)
+            continue;
+        const Cycle *at = issueCycles(*inst, q);
+        if (at[0] > _cycle)
+            pipes &= std::uint8_t(~_clusterPipes[0]);
+        if (at[1] > _cycle)
+            pipes &= std::uint8_t(~_clusterPipes[1]);
+        if (pipes)
+            out.push_back({inst, pipes});
+    }
+}
+
+DynInst *
+AlphaCore::selectFor(int pipe, int *consults)
+{
+    // Store-wait is judged here, at the pipe's turn, never at gather
+    // time: a store issued on an earlier pipe this cycle can release a
+    // younger load, and the predictor's periodic clear happens on its
+    // first consult.
+    bool store_wait = _p.mboxTraps && _p.storeWaitTable;
+    for (Candidate &c : _cands[_fuPool->pipeIsFp(pipe)]) {
+        if (!(c.pipes >> pipe & 1u))
+            continue;
+        if (store_wait && !c.inst->wrongPath && c.inst->inst.isLoad()) {
+            ++*consults;
+            if (!storeWaitClear(*c.inst))
+                continue;
+        }
+        c.pipes = 0;    // it issues: no later pipe may take it
+        return c.inst;
+    }
+    return nullptr;
+}
+
+DynInst *
+AlphaCore::referenceScan(int pipe, int *consults) const
+{
+    bool fp_pipe = _fuPool->pipeIsFp(pipe);
+    int rc = fp_pipe ? 0 : _fuPool->pipeCluster(pipe);
+    for (DynInst *inst : (fp_pipe ? *_fpIq : *_intIq).entries()) {
+        if (inst->issued || inst->retiredEarly)
+            continue;
+        if (inst->replayBlockedUntil > _cycle)
+            continue;
+        if (inst->mapCycle + Cycle(_p.mapToIssueCycles) > _cycle)
+            continue;
+        if (!_fuPool->pipeCanIssue(pipe, inst->inst.opClass(),
+                                   inst->slottedUpper != 0,
+                                   _p.slotRestrict, _cycle))
+            continue;
+        if (!inst->wrongPath) {
+            // Operands must have reached this pipe's cluster.
+            Cycle r = operandReadyCycle(*inst, rc);
+            if (r == kNoCycle || r > _cycle)
+                continue;
+            if (inst->inst.isLoad() && _p.mboxTraps &&
+                _p.storeWaitTable) {
+                ++*consults;
+                if (_storeWait->wouldWait(inst->pc, _cycle) &&
+                    olderStoreUnresolved(*inst))
+                    continue;
+            }
+        }
+        return inst;
+    }
+    return nullptr;
 }
 
 void
@@ -861,57 +1021,54 @@ AlphaCore::doIssue()
     _activity = _fpIq->compact(_cycle) || _activity;
 
     // A queue whose wake-up lower bound lies in the future holds no
-    // entry that can pass the issue gates, so its scan (and every
+    // entry that can pass the issue gates, so its select (and every
     // stateful call inside it, e.g. the store-wait predictor's
     // shouldWait) is skipped wholesale.
-    Cycle int_wake0 = _intWakeAt;
-    Cycle fp_wake0 = _fpWakeAt;
-    bool int_issued = false;
-    bool fp_issued = false;
+    const Cycle wake0[2] = {_intWakeAt, _fpWakeAt};
+    const bool scan[2] = {_slowpath || wake0[0] <= _cycle,
+                          _slowpath || wake0[1] <= _cycle};
+    bool issued[2] = {false, false};
 
-    // Per-pipe arbitration: each execution pipe issues the oldest queue
-    // entry that can use it this cycle and whose operands have reached
-    // its cluster — the collapsible-queue oldest-first policy of the
-    // 21264, one winner per pipe.
-    for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
-        bool fp_pipe = _fuPool->pipeIsFp(pipe);
-        Cycle wake0 = fp_pipe ? fp_wake0 : int_wake0;
-        if (!_slowpath && wake0 > _cycle)
-            continue;
-        IssueQueue &queue = fp_pipe ? *_fpIq : *_intIq;
-        int cluster = fp_pipe ? -1 : _fuPool->pipeCluster(pipe);
-
-        for (DynInst *inst : queue.entries()) {
-            if (inst->issued || inst->retiredEarly)
+    if (_slowpath)
+        verifySelectState();
+    if (scan[0] || scan[1]) {
+        // Per-pipe arbitration: each execution pipe, in index order,
+        // issues the oldest queue entry that can use it this cycle and
+        // whose operands have reached its cluster — the collapsible-
+        // queue oldest-first policy of the 21264, one winner per pipe.
+        std::uint8_t free = _fuPool->freeMask(_cycle);
+        std::uint64_t epoch = 0;
+        for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
+            int q = _fuPool->pipeIsFp(pipe);
+            if (!scan[q])
                 continue;
-            if (inst->replayBlockedUntil > _cycle)
-                continue;
-            if (inst->mapCycle + Cycle(_p.mapToIssueCycles) > _cycle)
-                continue;
-
-            OpClass cls = inst->inst.opClass();
-            if (!_fuPool->pipeCanIssue(pipe, cls,
-                                       inst->slottedUpper != 0,
-                                       _p.slotRestrict, _cycle))
-                continue;
-
-            if (!inst->wrongPath) {
-                // Operands must have reached this pipe's cluster.
-                int rc = cluster < 0 ? 0 : cluster;
-                if (!operandsReady(*inst, rc))
-                    continue;
-                if (inst->inst.isLoad() && !storeWaitClear(*inst))
-                    continue;
+            if (epoch != _selectEpoch) {
+                // First pipe, or an issue invalidated cached readiness.
+                epoch = _selectEpoch;
+                for (int k = 0; k < 2; k++)
+                    if (scan[k])
+                        gatherCandidates(k, free);
             }
-
-            _fuPool->reservePipe(pipe, cls, _cycle);
+            int consults = 0;
+            DynInst *inst = (free >> pipe & 1u)
+                                ? selectFor(pipe, &consults)
+                                : nullptr;
+            if (_slowpath) {
+                int ref_consults = 0;
+                sim_assert(referenceScan(pipe, &ref_consults) == inst);
+                sim_assert(ref_consults == consults);
+                sim_assert(!consults || wake0[q] <= _cycle);
+            }
+            if (!inst)
+                continue;
+            int cluster = q ? -1 : _fuPool->pipeCluster(pipe);
+            _fuPool->reservePipe(pipe, inst->cls, _cycle);
             performIssue(*inst, cluster);
-            queue.noteIssued(_cycle);
-            (fp_pipe ? fp_issued : int_issued) = true;
+            (q ? *_fpIq : *_intIq).noteIssued(_cycle);
+            issued[q] = true;
             _activity = true;
             if (_slowpath)
-                sim_assert(wake0 <= _cycle);
-            break;      // this pipe is consumed for the cycle
+                sim_assert(wake0[q] <= _cycle);
         }
     }
 
@@ -919,16 +1076,10 @@ AlphaCore::doIssue()
     // was scanned fruitlessly gets an exact recomputed bound; a queue
     // that was skipped keeps its bound (clamped by noteSetReady as
     // operands get scheduled).
-    _intWakeAt = int_issued
-                     ? _cycle + 1
-                     : ((int_wake0 <= _cycle || _slowpath)
-                            ? recomputeWakeAt(*_intIq, false)
-                            : _intWakeAt);
-    _fpWakeAt = fp_issued
-                    ? _cycle + 1
-                    : ((fp_wake0 <= _cycle || _slowpath)
-                           ? recomputeWakeAt(*_fpIq, true)
-                           : _fpWakeAt);
+    _intWakeAt = issued[0] ? _cycle + 1
+                           : (scan[0] ? recomputeWakeAt(0) : _intWakeAt);
+    _fpWakeAt = issued[1] ? _cycle + 1
+                          : (scan[1] ? recomputeWakeAt(1) : _fpWakeAt);
 }
 
 bool
@@ -936,17 +1087,25 @@ AlphaCore::storeWaitClear(const DynInst &ld)
 {
     // A load flagged by the store-wait table waits for every earlier
     // store to resolve its address.
-    if (!_p.mboxTraps || !_p.storeWaitTable)
-        return true;
     if (!_storeWait->shouldWait(ld.pc, _cycle))
         return true;
+    bool clear = _unresolvedStores.empty() ||
+                 _unresolvedStores.front() > ld.seq;
+    if (_slowpath)
+        sim_assert(clear == !olderStoreUnresolved(ld));
+    return clear;
+}
+
+bool
+AlphaCore::olderStoreUnresolved(const DynInst &ld) const
+{
     for (const DynInst &older : _rob) {
         if (older.seq >= ld.seq)
             break;
         if (older.inst.isStore() && !older.memIssued)
-            return false;
+            return true;
     }
-    return true;
+    return false;
 }
 
 void
@@ -956,8 +1115,6 @@ AlphaCore::performIssue(DynInst &inst, int cluster)
     inst.issueCycle = _cycle;
     inst.cluster = cluster < 0 ? 0 : cluster;
     ++_c.instsIssued;
-
-    OpClass cls = inst.inst.opClass();
 
     if (inst.wrongPath) {
         inst.doneCycle = _cycle + Cycle(inst.inst.latency());
@@ -975,13 +1132,11 @@ AlphaCore::performIssue(DynInst &inst, int cluster)
     }
 
     int latency = inst.inst.latency();
-    if (_p.bugShortMulLatency && cls == OpClass::IntMul)
+    if (_p.bugShortMulLatency && inst.cls == OpClass::IntMul)
         latency = 1;
     Cycle done = _cycle + Cycle(latency);
-    if (inst.dstPhys != kNoPhys) {
-        _scoreboard->setReady(inst.dstPhys, done, cluster);
-        noteSetReady(done);
-    }
+    if (inst.dstPhys != kNoPhys)
+        scheduleResult(inst.dstPhys, done, cluster);
     inst.doneCycle = done;
     inst.completed = true;
 
@@ -1068,10 +1223,8 @@ AlphaCore::issueLoad(DynInst &ld)
 
     if (_p.loadUseSpec && pred_hit) {
         // Consumers wake as if the load hits; a miss replays the window.
-        if (ld.dstPhys != kNoPhys) {
-            _scoreboard->setReady(ld.dstPhys, hit_done, ld.cluster);
-            noteSetReady(hit_done);
-        }
+        if (ld.dstPhys != kNoPhys)
+            scheduleResult(ld.dstPhys, hit_done, ld.cluster);
         if (!hit) {
             LoadUseCheck check;
             check.loadSeq = ld.seq;
@@ -1089,10 +1242,8 @@ AlphaCore::issueLoad(DynInst &ld)
         Cycle ready = hit ? hit_done + 2 : real_done;
         if (_p.loadUseSpec && !pred_hit && !hit)
             ready = real_done;
-        if (ld.dstPhys != kNoPhys) {
-            _scoreboard->setReady(ld.dstPhys, ready, ld.cluster);
-            noteSetReady(ready);
-        }
+        if (ld.dstPhys != kNoPhys)
+            scheduleResult(ld.dstPhys, ready, ld.cluster);
     }
 
     ld.dcacheHit = hit;
@@ -1185,6 +1336,10 @@ AlphaCore::issueStore(DynInst &st)
     st.doneCycle = _cycle + 1;
     st.completed = true;
     addIssuedRef(_issuedStores, st);
+    auto unresolved = std::lower_bound(_unresolvedStores.begin(),
+                                       _unresolvedStores.end(), st.seq);
+    if (unresolved != _unresolvedStores.end() && *unresolved == st.seq)
+        _unresolvedStores.erase(unresolved);
 
     if (!_p.mboxTraps)
         return;
@@ -1277,10 +1432,16 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
         di.completed = false;
         di.memIssued = false;
         di.replayBlockedUntil = check.verifyAt + recovery_cycles;
-        if (di.inst.isLoad())
+        if (di.inst.isLoad()) {
             removeIssuedRef(_issuedLoads, di.seq);
-        else if (di.inst.isStore())
+        } else if (di.inst.isStore()) {
             removeIssuedRef(_issuedStores, di.seq);
+            auto it = std::lower_bound(_unresolvedStores.begin(),
+                                       _unresolvedStores.end(), di.seq);
+            if (!di.wrongPath && (it == _unresolvedStores.end() ||
+                                  *it != di.seq))
+                _unresolvedStores.insert(it, di.seq);
+        }
         if (di.dstPhys != kNoPhys) {
             _scoreboard->setPending(di.dstPhys);
             poisoned[std::size_t(di.dstPhys)] = true;
@@ -1296,6 +1457,8 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
     }
     if (any)
         ++_c.loadUseViolations;
+    // The load's result moved and replayed entries re-pend theirs.
+    invalidateSelect();
 }
 
 // ---------------------------------------------------------------------
@@ -1353,8 +1516,9 @@ AlphaCore::doMap()
         }
 
         // Commit the dequeue.
-        DynInst di = std::move(front);
+        _rob.push_back(std::move(front));
         _fetchQueue.pop_front();
+        DynInst &di = _rob.back();
         di.mapCycle = _cycle;
 
         if (!di.wrongPath) {
@@ -1379,24 +1543,27 @@ AlphaCore::doMap()
             }
             if (di.inst.isLoad())
                 _lqUsed++;
-            if (di.inst.isStore())
+            if (di.inst.isStore()) {
                 _sqUsed++;
+                _unresolvedStores.push_back(di.seq);
+            }
         }
-
-        _rob.push_back(std::move(di));
-        DynInst &placed = _rob.back();
 
         if (remove_early) {
             // Unops vanish at map: they hold a ROB slot but never issue.
-            placed.retiredEarly = true;
-            placed.issued = true;
-            placed.completed = true;
-            placed.issueCycle = _cycle;
-            placed.doneCycle = _cycle;
+            di.retiredEarly = true;
+            di.issued = true;
+            di.completed = true;
+            di.issueCycle = _cycle;
+            di.doneCycle = _cycle;
             ++_c.unopsRemoved;
         } else {
-            bool fp_queue = placed.inst.isFp() && !placed.inst.isMem();
-            (fp_queue ? *_fpIq : *_intIq).insert(&placed);
+            bool fp_queue = di.inst.isFp() && !di.inst.isMem();
+            di.cls = di.inst.opClass();
+            // Op classes of one queue fit only that queue's pipes.
+            di.fitMask = _fuPool->fitMask(di.cls, di.slottedUpper != 0,
+                                          _p.slotRestrict);
+            (fp_queue ? *_fpIq : *_intIq).insert(&di);
             Cycle &wake = fp_queue ? _fpWakeAt : _intWakeAt;
             wake = std::min(wake,
                             _cycle + Cycle(_p.mapToIssueCycles));
@@ -1468,15 +1635,16 @@ AlphaCore::predictControl(DynInst &di, Addr lp_next)
     return lp_next;
 }
 
-void
-AlphaCore::enqueuePacket(std::vector<DynInst> &packet, Cycle fetch_done)
+DynInst &
+AlphaCore::fetchSlot(Cycle fetch_done)
 {
-    for (DynInst &di : packet) {
-        di.fetchCycle = _cycle;
-        di.readyForMap = fetch_done + Cycle(_p.fetchToMapCycles);
-        _fetchQueue.push_back(std::move(di));
-    }
-    packet.clear();
+    // doFetch guarantees room for a whole packet, so the fetch queue
+    // never grows and the returned slot stays put until mapped.
+    DynInst &di = _fetchQueue.emplace_back();
+    di.seq = nextSeq();
+    di.fetchCycle = _cycle;
+    di.readyForMap = fetch_done + Cycle(_p.fetchToMapCycles);
+    return di;
 }
 
 void
@@ -1517,22 +1685,21 @@ AlphaCore::fetchCorrectPath()
     Addr oct_end = octawordEnd(packet_pc);
     Addr lp_next = _linePred->predict(packet_pc);
 
-    std::vector<DynInst> packet;
-    packet.reserve(4);
-
+    // The packet is built in place at the fetch queue's tail.
+    int n = 0;
     Addr pc_cur = packet_pc;
     DynInst *cut_inst = nullptr;     // control inst that ends the packet
     bool cut_predicted_taken = false;
     bool nt_mispredict = false;      // predicted NT, actually taken
     bool ends_halt = false;
 
-    while (pc_cur < oct_end && int(packet.size()) < _p.fetchWidth &&
+    while (pc_cur < oct_end && n < _p.fetchWidth &&
            !_oracle->exhausted()) {
         const ExecutedInst &rec = _oracle->next();
         sim_assert(rec.pc == pc_cur);
 
-        DynInst di;
-        di.seq = nextSeq();
+        DynInst &di = fetchSlot(fdone);
+        int slot = n++;
         di.oracleSeq = rec.seq;
         di.pc = rec.pc;
         di.inst = rec.inst;
@@ -1540,7 +1707,7 @@ AlphaCore::fetchCorrectPath()
         di.taken = rec.taken;
         di.effAddr = rec.effAddr;
         di.halt = rec.halted;
-        di.slottedUpper = slotAssignment(di.inst, int(packet.size()));
+        di.slottedUpper = slotAssignment(di.inst, slot);
 
         if (di.inst.isControl()) {
             // Direction prediction (conditional) / always-taken.
@@ -1559,8 +1726,7 @@ AlphaCore::fetchCorrectPath()
             di.predTaken = pred_taken;
 
             if (pred_taken) {
-                packet.push_back(std::move(di));
-                cut_inst = &packet.back();
+                cut_inst = &di;
                 cut_predicted_taken = true;
                 break;
             }
@@ -1569,25 +1735,19 @@ AlphaCore::fetchCorrectPath()
                 // mispredict. Fetch believes nothing happened and keeps
                 // streaming sequentially (wrong path).
                 di.mispredicted = true;
-                packet.push_back(std::move(di));
-                cut_inst = &packet.back();
+                cut_inst = &di;
                 nt_mispredict = true;
                 break;
             }
             // Correctly predicted not-taken: the packet continues.
-            packet.push_back(std::move(di));
-        } else {
-            bool halted = rec.halted;
-            packet.push_back(std::move(di));
-            if (halted) {
-                ends_halt = true;
-                break;
-            }
+        } else if (rec.halted) {
+            ends_halt = true;
+            break;
         }
         pc_cur += 4;
     }
 
-    if (packet.empty()) {
+    if (n == 0) {
         // Nothing fetched (oracle exhausted at packet start).
         return;
     }
@@ -1596,7 +1756,6 @@ AlphaCore::fetchCorrectPath()
 
     if (ends_halt) {
         _haltFetched = true;
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone;
         return;
     }
@@ -1605,26 +1764,18 @@ AlphaCore::fetchCorrectPath()
         // Fill the rest of the octaword with wrong-path slots and keep
         // fetching sequentially until the branch resolves.
         Addr wp = cut_inst->pc + 4;
-        while (wp < oct_end && int(packet.size()) < _p.fetchWidth) {
-            DynInst wdi;
-            wdi.seq = nextSeq();
+        while (wp < oct_end && n < _p.fetchWidth) {
+            DynInst &wdi = fetchSlot(fdone);
             wdi.pc = wp;
             wdi.inst = _prog->fetch(wp);
             wdi.wrongPath = true;
-            wdi.slottedUpper = slotAssignment(wdi.inst,
-                                              int(packet.size()));
-            packet.push_back(std::move(wdi));
+            wdi.slottedUpper = slotAssignment(wdi.inst, n++);
             wp += 4;
         }
-        // push_back may have reallocated; re-find the mispredicted inst.
-        for (DynInst &d : packet)
-            if (d.mispredicted)
-                cut_inst = &d;
         cut_inst->predNextFetch = oct_end;
         _wrongPathMode = true;
         _fetchPc = oct_end;
         ++_c.directionMispredicts;
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone;
         return;
     }
@@ -1684,7 +1835,6 @@ AlphaCore::fetchCorrectPath()
             ++(cut_inst->inst.isCondBranch() ? _c.directionMispredicts
                                               : _c.targetMispredicts);
         }
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone + bubbles;
         return;
     }
@@ -1708,7 +1858,6 @@ AlphaCore::fetchCorrectPath()
         _fetchResumeAt = fdone + bubble;
     }
     _linePred->train(packet_pc, actual_next);
-    enqueuePacket(packet, fdone);
 }
 
 void
@@ -1719,20 +1868,17 @@ AlphaCore::fetchWrongPath()
     Addr oct_end = octawordEnd(packet_pc);
     Addr lp_next = _linePred->predict(packet_pc);
 
-    std::vector<DynInst> packet;
-    packet.reserve(4);
-
+    int n = 0;
     Addr pc_cur = packet_pc;
     Addr next_fetch = oct_end;
     Cycle bubbles = 0;
 
-    while (pc_cur < oct_end && int(packet.size()) < _p.fetchWidth) {
-        DynInst di;
-        di.seq = nextSeq();
+    while (pc_cur < oct_end && n < _p.fetchWidth) {
+        DynInst &di = fetchSlot(fdone);
         di.pc = pc_cur;
         di.inst = _prog->fetch(pc_cur);
         di.wrongPath = true;
-        di.slottedUpper = slotAssignment(di.inst, int(packet.size()));
+        di.slottedUpper = slotAssignment(di.inst, n++);
 
         if (di.inst.isControl()) {
             bool pred_taken = true;
@@ -1751,11 +1897,9 @@ AlphaCore::fetchWrongPath()
 
             if (pred_taken) {
                 next_fetch = predictControl(di, lp_next);
-                packet.push_back(std::move(di));
                 break;
             }
         }
-        packet.push_back(std::move(di));
         pc_cur += 4;
     }
 
@@ -1763,7 +1907,6 @@ AlphaCore::fetchWrongPath()
         next_fetch = lp_next;   // line predictor steers the wrong path
 
     _fetchPc = next_fetch;
-    enqueuePacket(packet, fdone);
     _fetchResumeAt = fdone + bubbles;
     ++_c.wrongPathPackets;
 }

@@ -16,12 +16,12 @@
 #ifndef SIMALPHA_CORE_CORE_HH
 #define SIMALPHA_CORE_CORE_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 #include "core/fu_pool.hh"
 #include "inject/inject.hh"
 #include "core/issue_queue.hh"
@@ -110,24 +110,65 @@ class AlphaCore : public Machine
     /** Direction/target prediction for a control instruction at fetch.
      *  @return the front end's next fetch PC if the packet cuts here */
     Addr predictControl(DynInst &di, Addr lp_next);
-    void enqueuePacket(std::vector<DynInst> &packet, Cycle fetch_done);
+    /** Append a fresh instruction at the fetch queue's tail: the
+     *  packet under assembly is built in place. */
+    DynInst &fetchSlot(Cycle fetch_done);
 
     // Issue helpers.
     void performIssue(DynInst &inst, int cluster);
+    /** Store-wait gate of a correct-path load (table enabled). */
     bool storeWaitClear(const DynInst &ld);
-    bool operandsReady(const DynInst &inst, int cluster) const;
+    /** The original ROB walk behind the store-wait gate: an older
+     *  store has not resolved its address (slowpath reference). */
+    bool olderStoreUnresolved(const DynInst &ld) const;
     Cycle operandReadyCycle(const DynInst &inst, int cluster) const;
     void issueLoad(DynInst &inst);
     void issueStore(DynInst &inst);
     void scheduleRecovery(const Recovery &rec);
 
+    // ---- Issue select (DESIGN.md section 5.9) -----------------------
+    /** An entry that could take a pipe this cycle, and which pipes. */
+    struct Candidate
+    {
+        DynInst *inst;
+        std::uint8_t pipes;
+    };
+    /** @p inst's per-cluster issue cycles from the scoreboard, into
+     *  @p at. @p q: 0 int, 1 fp queue. @return a pending source
+     *  (both cycles kNoCycle), or kNoPhys. */
+    PhysReg computeIssueCycles(const DynInst &inst, int q,
+                               Cycle at[2]) const;
+    /** computeIssueCycles, cached until an event invalidates it; an
+     *  entry with a pending source parks on its wake-up list. */
+    const Cycle *
+    issueCycles(DynInst &inst, int q)
+    {
+        if (_cacheReadiness && inst.readyEpoch == _selectEpoch)
+            return inst.issueAt;
+        return refreshIssueCycles(inst, q);
+    }
+    const Cycle *refreshIssueCycles(DynInst &inst, int q);
+    /** Slowpath: every cached readiness and the unresolved-store
+     *  record equal a full recomputation. */
+    void verifySelectState() const;
+    /** Collect queue @p q's candidates for the @p free pipes. */
+    void gatherCandidates(int q, std::uint8_t free);
+    /** Oldest candidate for @p pipe; counts store-wait consults. */
+    DynInst *selectFor(int pipe, int *consults);
+    /** The original per-pipe queue scan, side-effect free: the
+     *  SIMALPHA_SLOWPATH=1 reference each selectFor must match. */
+    DynInst *referenceScan(int pipe, int *consults) const;
+    /** Scoreboard a result: wakes the entries parked on @p dst, or
+     *  invalidates every cached readiness if the write was not the
+     *  pending -> scheduled transition the cache assumes. */
+    void scheduleResult(PhysReg dst, Cycle ready, int cluster);
+    /** Drop every cached readiness and wake-up list. */
+    void invalidateSelect();
+
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
-    /** Earliest cycle @p inst could possibly pass the issue gates
-     *  (kNoCycle while an operand has no scheduled ready time). */
-    Cycle entryIssueLB(const DynInst &inst, bool fp_queue) const;
-    /** Scan @p queue for the earliest possible issue; _cycle + 1 if
-     *  an entry is blocked only by per-cycle arbitration. */
-    Cycle recomputeWakeAt(const IssueQueue &queue, bool fp_queue) const;
+    /** Earliest possible issue from queue @p q; _cycle + 1 if an
+     *  entry is blocked only by per-cycle arbitration. */
+    Cycle recomputeWakeAt(int q);
     /** A register acquired a scheduled ready time: cap both queues'
      *  wake-up cycles (over-early is safe, over-late never happens). */
     void
@@ -239,8 +280,10 @@ class AlphaCore : public Machine
     int _sqUsed = 0;
     Cycle _lastCommitCycle = 0;
 
-    std::deque<DynInst> _fetchQueue;
-    std::deque<DynInst> _rob;
+    Ring<DynInst> _fetchQueue;
+    /** Sized for robEntries and never grows: the issue queues, the
+     *  select candidates and the wake-up lists point into it. */
+    Ring<DynInst> _rob;
     std::optional<Recovery> _recovery;
     std::vector<LoadUseCheck> _loadUseChecks;
 
@@ -253,6 +296,22 @@ class AlphaCore : public Machine
     Cycle _nextLoadUseVerify = kNoCycle; ///< min pending verifyAt
     std::vector<IssuedMemRef> _issuedStores; ///< seq-sorted, issued
     std::vector<IssuedMemRef> _issuedLoads;  ///< seq-sorted, issued
+
+    // ---- Issue-select state (derived; rebuilt by invalidateSelect
+    // and after every strike) ------------------------------------------
+    std::vector<Candidate> _cands[2];   ///< this cycle's, per queue
+    std::uint64_t _selectEpoch = 1;     ///< matches current caches
+    /** False once a flip has struck: readiness is then re-evaluated
+     *  every cycle, since corrupted rename state can re-pend a
+     *  register that a cached consumer already counted as ready. */
+    bool _cacheReadiness = true;
+    std::vector<DynInst *> _waiters;    ///< per phys reg: parked list
+    /** Seq-sorted correct-path stores in the ROB whose address is
+     *  unresolved (!memIssued): the store-wait gate's record. */
+    std::vector<InstSeq> _unresolvedStores;
+    /** Pipes whose operand readiness is judged on cluster 0 / 1
+     *  (the fp pipes read cluster 0). */
+    std::uint8_t _clusterPipes[2] = {};
     /** SIMALPHA_SLOWPATH=1: run the original scans, maintain the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

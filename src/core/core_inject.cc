@@ -237,6 +237,16 @@ AlphaCore::applyInjection()
     // state; the flip can make events earlier, so force a rescan.
     _intWakeAt = _cycle;
     _fpWakeAt = _cycle;
+    // Every derived select structure is rebuilt from the struck
+    // state: readiness is re-evaluated each cycle from here on, and
+    // the unresolved-store record rescans the ROB (an lsq flip can
+    // toggle memIssued).
+    _cacheReadiness = false;
+    invalidateSelect();
+    _unresolvedStores.clear();
+    for (const DynInst &d : _rob)
+        if (!d.wrongPath && d.inst.isStore() && !d.memIssued)
+            _unresolvedStores.push_back(d.seq);
 }
 
 } // namespace simalpha

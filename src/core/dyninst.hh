@@ -19,10 +19,26 @@ constexpr PhysReg kNoPhys = -1;
 struct DynInst
 {
     InstSeq seq = 0;            ///< dynamic (fetch-order) number
+    bool wrongPath = false;
+    bool issued = false;
+    bool completed = false;
+    bool retiredEarly = false;      ///< unop removed at map (eret)
+
+    // Issue-select state (AlphaCore::doIssue; DESIGN.md section 5.9),
+    // kept with the flags above in the first cache line: the select
+    // reads these for every queue entry each active cycle.
+    OpClass cls = OpClass::Nop;     ///< inst.opClass(), cached at map
+    std::uint8_t fitMask = 0;       ///< pipes able to execute it
+    std::uint64_t readyEpoch = 0;
+    /** Earliest issue cycle on cluster 0 / 1 (fp-queue entries use
+     *  [0]), kNoCycle while a source is pending. Cached while
+     *  readyEpoch equals the core's select epoch (0 = stale). */
+    Cycle issueAt[2] = {kNoCycle, kNoCycle};
+    DynInst *nextWaiter = nullptr;  ///< wake-up list link while parked
+
     InstSeq oracleSeq = 0;      ///< emulator sequence (correct path only)
     Addr pc = 0;
     Instruction inst;
-    bool wrongPath = false;
 
     // Oracle outcome (meaningless on the wrong path).
     Addr nextPc = 0;
@@ -55,9 +71,6 @@ struct DynInst
     Cycle issueCycle = kNoCycle;
     /** Cycle at which same-cluster consumers may issue. */
     Cycle doneCycle = kNoCycle;
-    bool issued = false;
-    bool completed = false;
-    bool retiredEarly = false;      ///< unop removed at map (eret)
 
     // Execution placement.
     int cluster = -1;               ///< resolved at issue

@@ -41,6 +41,17 @@ FuPool::FuPool(bool wrong_mix)
     fmul.cluster = -1;
     fmul.canFpMul = true;
     _pipes.push_back(fmul);
+
+    // Pipe sets are 8-bit masks (fitMask, freeMask).
+    sim_assert(_pipes.size() <= 8);
+    for (int restrict_slot = 0; restrict_slot < 2; restrict_slot++)
+        for (int upper = 0; upper < 2; upper++)
+            for (std::size_t cls = 0; cls < kOpClasses; cls++)
+                for (std::size_t i = 0; i < _pipes.size(); i++)
+                    if (pipeFits(_pipes[i], OpClass(cls), upper != 0,
+                                 restrict_slot != 0))
+                        _fit[restrict_slot][upper][cls] |=
+                            std::uint8_t(1u << i);
 }
 
 bool
@@ -68,8 +79,8 @@ FuPool::occupancy(OpClass cls)
 }
 
 bool
-FuPool::pipeFits(const Pipe &p, OpClass cls, int cluster,
-                 bool slotted_upper, bool slot_restrict) const
+FuPool::pipeFits(const Pipe &p, OpClass cls, bool slotted_upper,
+                 bool slot_restrict) const
 {
     switch (cls) {
       case OpClass::FpAdd: case OpClass::FpDivS: case OpClass::FpDivD:
@@ -79,22 +90,20 @@ FuPool::pipeFits(const Pipe &p, OpClass cls, int cluster,
         return p.canFpMul;
       case OpClass::FpLoad: case OpClass::FpStore:
       case OpClass::IntLoad: case OpClass::IntStore:
-        // Memory ops use the lower pipes of the requested cluster.
-        return p.canMem && p.cluster == cluster;
+        // Memory ops use the lower pipes.
+        return p.canMem;
       case OpClass::IntMul:
-        return p.canMul && p.cluster == cluster;
+        return p.canMul;
       case OpClass::CondBranch: case OpClass::UncondBranch:
       case OpClass::Call: case OpClass::IndirectJump:
       case OpClass::Return:
         // Branches resolve in the upper pipes.
         if (!p.canAlu && !p.canMul)
             return false;
-        return p.upper && p.cluster == cluster;
+        return p.upper;
       default:
         // Plain ALU (and nop/halt placeholders).
         if (!p.canAlu)
-            return false;
-        if (p.cluster != cluster)
             return false;
         // The buggy mix treats units as generic resources, so the
         // subcluster assignment does not constrain them.
@@ -104,36 +113,12 @@ FuPool::pipeFits(const Pipe &p, OpClass cls, int cluster,
     }
 }
 
-int
-FuPool::findPipe(OpClass cls, int cluster, bool slotted_upper,
-                 bool slot_restrict, Cycle now) const
-{
-    for (std::size_t i = 0; i < _pipes.size(); i++) {
-        const Pipe &p = _pipes[i];
-        if (!pipeFits(p, cls, cluster, slotted_upper, slot_restrict))
-            continue;
-        if (p.lastIssue == now)
-            continue;
-        if (p.busyUntil > now)
-            continue;
-        return int(i);
-    }
-    return -1;
-}
-
-bool
-FuPool::available(OpClass cls, int cluster, bool slotted_upper,
-                  bool slot_restrict, Cycle now) const
-{
-    return findPipe(cls, cluster, slotted_upper, slot_restrict, now) >= 0;
-}
-
 bool
 FuPool::pipeCanIssue(int pipe, OpClass cls, bool slotted_upper,
                      bool slot_restrict, Cycle now) const
 {
     const Pipe &p = _pipes[std::size_t(pipe)];
-    if (!pipeFits(p, cls, p.cluster, slotted_upper, slot_restrict))
+    if (!pipeFits(p, cls, slotted_upper, slot_restrict))
         return false;
     return p.lastIssue != now && p.busyUntil <= now;
 }
@@ -145,20 +130,6 @@ FuPool::reservePipe(int pipe, OpClass cls, Cycle now)
     p.lastIssue = now;
     if (unpipelined(cls))
         p.busyUntil = now + Cycle(occupancy(cls));
-}
-
-bool
-FuPool::acquire(OpClass cls, int cluster, bool slotted_upper,
-                bool slot_restrict, Cycle now)
-{
-    int idx = findPipe(cls, cluster, slotted_upper, slot_restrict, now);
-    if (idx < 0)
-        return false;
-    Pipe &p = _pipes[std::size_t(idx)];
-    p.lastIssue = now;
-    if (unpipelined(cls))
-        p.busyUntil = now + Cycle(occupancy(cls));
-    return true;
 }
 
 } // namespace simalpha

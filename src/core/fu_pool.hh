@@ -13,6 +13,7 @@
 #ifndef SIMALPHA_CORE_FU_POOL_HH
 #define SIMALPHA_CORE_FU_POOL_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -28,30 +29,37 @@ class FuPool
      */
     explicit FuPool(bool wrong_mix);
 
-    /**
-     * Try to reserve a pipe for one instruction this cycle.
-     * @param cls operation class
-     * @param cluster required cluster (0/1) for integer ops; ignored for
-     *        fp classes
-     * @param slotted_upper the slot-stage subcluster assignment
-     * @param slot_restrict honour the subcluster assignment
-     * @param now current cycle
-     * @return true if a pipe was reserved
-     */
-    bool acquire(OpClass cls, int cluster, bool slotted_upper,
-                 bool slot_restrict, Cycle now);
-
-    /** Probe without reserving. */
-    bool available(OpClass cls, int cluster, bool slotted_upper,
-                   bool slot_restrict, Cycle now) const;
-
     // ---- Per-pipe arbitration interface (the issue stage walks the
     // ---- pipes and gives each to its oldest ready requester) --------
     int numPipes() const { return int(_pipes.size()); }
     int pipeCluster(int pipe) const { return _pipes[pipe].cluster; }
     bool pipeIsFp(int pipe) const { return _pipes[pipe].cluster < 0; }
 
-    /** Can this pipe execute `cls` this cycle (capability + busy)? */
+    /**
+     * Pipes (bit i = pipe i) whose capability and subcluster rules
+     * admit an op of class @p cls with the given slot assignment: the
+     * static half of pipeCanIssue, tabulated once at construction.
+     */
+    std::uint8_t
+    fitMask(OpClass cls, bool slotted_upper, bool slot_restrict) const
+    {
+        return _fit[slot_restrict][slotted_upper][std::size_t(cls)];
+    }
+
+    /** Pipes that can accept an op this cycle (the dynamic half). */
+    std::uint8_t
+    freeMask(Cycle now) const
+    {
+        std::uint8_t mask = 0;
+        for (std::size_t i = 0; i < _pipes.size(); i++)
+            if (_pipes[i].lastIssue != now && _pipes[i].busyUntil <= now)
+                mask |= std::uint8_t(1u << i);
+        return mask;
+    }
+
+    /** Can this pipe execute `cls` this cycle (capability + busy)?
+     *  Evaluates the capability rules directly, not the fitMask
+     *  table, so the issue stage's reference scan checks the table. */
     bool pipeCanIssue(int pipe, OpClass cls, bool slotted_upper,
                       bool slot_restrict, Cycle now) const;
 
@@ -83,15 +91,18 @@ class FuPool
         Cycle busyUntil = 0;         ///< unpipelined occupancy
     };
 
-    bool pipeFits(const Pipe &p, OpClass cls, int cluster,
-                  bool slotted_upper, bool slot_restrict) const;
-    int findPipe(OpClass cls, int cluster, bool slotted_upper,
-                 bool slot_restrict, Cycle now) const;
+    bool pipeFits(const Pipe &p, OpClass cls, bool slotted_upper,
+                  bool slot_restrict) const;
     static bool unpipelined(OpClass cls);
     static int occupancy(OpClass cls);
 
+    static constexpr std::size_t kOpClasses =
+        std::size_t(OpClass::Halt) + 1;
+
     std::vector<Pipe> _pipes;
     bool _wrongMix;
+    /** fitMask table: [slot_restrict][slotted_upper][op class]. */
+    std::uint8_t _fit[2][2][kOpClasses] = {};
 };
 
 } // namespace simalpha

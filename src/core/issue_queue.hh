@@ -72,18 +72,22 @@ class IssueQueue
     {
         if (_nextRemoval > now)
             return false;
-        std::size_t removed = std::erase_if(
-            _entries, [&](const DynInst *inst) {
-                return inst->issued &&
-                       now >= inst->issueCycle + Cycle(_removalDelay);
-            });
+        // One pass: drop the due entries, and find the next removal
+        // among the survivors.
         _nextRemoval = kNoCycle;
-        for (const DynInst *inst : _entries)
-            if (inst->issued)
-                _nextRemoval =
-                    std::min(_nextRemoval,
-                             inst->issueCycle + Cycle(_removalDelay));
-        return removed != 0;
+        auto kept = _entries.begin();
+        for (DynInst *inst : _entries) {
+            if (inst->issued) {
+                Cycle due = inst->issueCycle + Cycle(_removalDelay);
+                if (now >= due)
+                    continue;
+                _nextRemoval = std::min(_nextRemoval, due);
+            }
+            *kept++ = inst;
+        }
+        bool removed = kept != _entries.end();
+        _entries.erase(kept, _entries.end());
+        return removed;
     }
 
     /** An entry of this queue issued at @p at: schedule its removal.
@@ -109,12 +113,14 @@ class IssueQueue
         });
     }
 
-    /** Remove one specific instruction (eager removal at issue). */
+    /** Drop @p inst if it is still resident (retirement). Entries are
+     *  age-ordered and a retiring instruction is older than every
+     *  other in-flight one, so it can only be the first entry. */
     void
-    remove(const DynInst *inst)
+    retire(const DynInst *inst)
     {
-        std::erase_if(_entries,
-                      [inst](const DynInst *e) { return e == inst; });
+        if (!_entries.empty() && _entries.front() == inst)
+            _entries.erase(_entries.begin());
     }
 
     /** Age-ordered scan access. */

@@ -12,8 +12,7 @@
 #ifndef SIMALPHA_CORE_ORACLE_HH
 #define SIMALPHA_CORE_ORACLE_HH
 
-#include <deque>
-
+#include "common/ring.hh"
 #include "isa/emulator.hh"
 
 namespace simalpha {
@@ -53,7 +52,7 @@ class OracleStream
 
   private:
     Emulator _emu;
-    std::deque<ExecutedInst> _buffer;   ///< records not yet retired
+    Ring<ExecutedInst> _buffer;         ///< records not yet retired
     std::size_t _cursor = 0;            ///< next index into _buffer
     InstSeq _baseSeq = 0;               ///< seq of _buffer.front()
 };

@@ -142,10 +142,4 @@ Scoreboard::setReadyNow(PhysReg phys)
     _state[phys].ready[1] = 0;
 }
 
-bool
-Scoreboard::pending(PhysReg phys) const
-{
-    return _state[phys].isPending;
-}
-
 } // namespace simalpha

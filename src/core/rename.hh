@@ -79,6 +79,15 @@ class Scoreboard
     /** Earliest issue cycle of a consumer of `phys` in `cluster`. */
     Cycle readyAt(PhysReg phys, int cluster) const;
 
+    /** readyAt for both clusters at once ({cluster 0, cluster 1}), or
+     *  nullptr while pending: the issue select's per-source read. */
+    const Cycle *
+    readyCycles(PhysReg phys) const
+    {
+        const State &s = _state[std::size_t(phys)];
+        return s.isPending ? nullptr : s.ready;
+    }
+
     /**
      * Record a result: same-cluster consumers may issue at `ready`,
      * cross-cluster consumers one cycle later. A producing cluster of -1
@@ -92,7 +101,7 @@ class Scoreboard
     /** Mark ready-now (initial state / squash restore). */
     void setReadyNow(PhysReg phys);
 
-    bool pending(PhysReg phys) const;
+    bool pending(PhysReg phys) const { return _state[phys].isPending; }
 
     /** Restore freshly-constructed state (campaign core reuse). */
     void

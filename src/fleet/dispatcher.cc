@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -358,12 +360,19 @@ Dispatcher::execute(const serve::JobWork &work)
     // Cancel monitor: the server only flips work.cancel; someone has
     // to tell the workers. Forward protocol cancels for every shard
     // identity so their streams settle as "cancelled" promptly.
-    std::atomic<bool> finishing{false};
+    // The cancel flag is polled (its setter does not notify us), but
+    // the end of the shards wakes the monitor at once: joining it
+    // must not add a poll period to every job.
+    std::mutex finishMu;
+    std::condition_variable finishCv;
+    bool finishing = false;
     std::thread cancelMonitor;
     if (work.cancel) {
         cancelMonitor = std::thread([&]() {
-            while (!finishing.load()) {
+            std::unique_lock<std::mutex> lock(finishMu);
+            while (!finishing) {
                 if (work.cancel->load()) {
+                    lock.unlock();
                     for (std::size_t w : _registry.liveWorkers()) {
                         serve::ClientOptions copts =
                             _registry.clientFor(w);
@@ -380,8 +389,8 @@ Dispatcher::execute(const serve::JobWork &work)
                     }
                     return;
                 }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
+                finishCv.wait_for(lock, std::chrono::milliseconds(50),
+                                  [&] { return finishing; });
             }
         });
     }
@@ -392,7 +401,11 @@ Dispatcher::execute(const serve::JobWork &work)
         threads.emplace_back(runShard, i);
     for (std::thread &t : threads)
         t.join();
-    finishing.store(true);
+    {
+        std::lock_guard<std::mutex> lock(finishMu);
+        finishing = true;
+    }
+    finishCv.notify_all();
     if (cancelMonitor.joinable())
         cancelMonitor.join();
 

@@ -25,7 +25,9 @@ RuuCoreParams::simOutorder()
 }
 
 RuuCore::RuuCore(const RuuCoreParams &params)
-    : _p(params), _stats(params.name), _c(_stats)
+    : _p(params), _stats(params.name), _c(_stats),
+      _fetchBuf(std::size_t(std::max(4 * params.fetchWidth, 1))),
+      _ruu(std::size_t(std::max(params.ruuEntries, 1)))
 {
 }
 
@@ -72,8 +74,12 @@ RuuCore::resetMachine(const Program &program)
     _wrongPathMode = false;
     _haltFetched = false;
     _regWriter.assign(kNumIntRegs + kNumFpRegs, kNoCycle);
+    _regWriterPos.assign(kNumIntRegs + kNumFpRegs, kNoPos);
     _fetchBuf.clear();
     _ruu.clear();
+    _ruuHeadPos = 0;
+    _issuedBefore = 0;
+    _storeByWord.clear();
     _recovery.reset();
     _fuCycle = kNoCycle;
     _lastCommitCycle = 0;
@@ -267,6 +273,7 @@ RuuCore::doRecovery()
             _lsqUsed--;
         _ruu.pop_back();
     }
+    _issuedBefore = std::min(_issuedBefore, _ruuHeadPos + _ruu.size());
     _fetchPc = rec.resumePc;
     _fetchResumeAt =
         std::max(_fetchResumeAt, _cycle + Cycle(_p.mispredictExtra));
@@ -291,8 +298,12 @@ RuuCore::doCommit()
             _recovery->seq == head.seq)
             break;
 
-        if (head.inst.isStore())
+        if (head.inst.isStore()) {
             _mem->dataAccess(head.effAddr, true, _cycle);
+            auto it = _storeByWord.find(head.effAddr >> 3);
+            if (it != _storeByWord.end() && it->second == _ruuHeadPos)
+                _storeByWord.erase(it);
+        }
         if (head.inst.isCondBranch() && head.hasBpSnap)
             _branchPred->update(head.pc, head.taken, head.bpSnap);
         if (head.inst.isControl() && head.taken)
@@ -314,11 +325,30 @@ RuuCore::doCommit()
         if (head.dst != kNoReg && !head.wrongPath)
             _inflightDst--;
         _ruu.pop_front();
+        _ruuHeadPos++;
     }
 }
 
 Cycle
 RuuCore::srcReady(const RuuInst &inst) const
+{
+    Cycle ready = 0;
+    for (int i = 0; i < inst.numSrcs; i++) {
+        RuuPos pos = inst.producerPos[i];
+        if (pos == kNoPos || pos < _ruuHeadPos)
+            continue;   // ready at dispatch, or the producer committed
+        // A producer is older than its consumer, so it cannot have
+        // been squashed while the consumer survives.
+        const RuuInst &producer = _ruu[std::size_t(pos - _ruuHeadPos)];
+        if (!producer.issued)
+            return kNoCycle;
+        ready = std::max(ready, producer.doneCycle);
+    }
+    return ready;
+}
+
+Cycle
+RuuCore::srcReadyBySeq(const RuuInst &inst) const
 {
     Cycle ready = 0;
     for (int i = 0; i < inst.numSrcs; i++) {
@@ -336,6 +366,74 @@ RuuCore::srcReady(const RuuInst &inst) const
         ready = std::max(ready, it->doneCycle);
     }
     return ready;
+}
+
+RuuCore::RuuPos
+RuuCore::positionOf(InstSeq seq, RuuPos hint) const
+{
+    if (hint != kNoPos && hint >= _ruuHeadPos &&
+        hint - _ruuHeadPos < _ruu.size() &&
+        _ruu[std::size_t(hint - _ruuHeadPos)].seq == seq)
+        return hint;
+    // Only a flipped _regWriter gets here: search as srcReadyBySeq.
+    auto it = std::lower_bound(
+        _ruu.begin(), _ruu.end(), seq,
+        [](const RuuInst &a, InstSeq s) { return a.seq < s; });
+    if (it == _ruu.end() || it->seq != seq)
+        return kNoPos;
+    return _ruuHeadPos + RuuPos(it - _ruu.begin());
+}
+
+void
+RuuCore::indexMemOp(RuuInst &inst, RuuPos pos)
+{
+    if (inst.wrongPath || !inst.inst.isMem())
+        return;
+    Addr word = inst.effAddr >> 3;
+    if (inst.inst.isStore()) {
+        _storeByWord[word] = pos;
+    } else {
+        auto it = _storeByWord.find(word);
+        inst.forwardPos = it == _storeByWord.end() ? kNoPos : it->second;
+    }
+}
+
+void
+RuuCore::rebuildStoreIndex()
+{
+    _storeByWord.clear();
+    RuuPos pos = _ruuHeadPos;
+    for (RuuInst &inst : _ruu) {
+        inst.forwardPos = kNoPos;
+        indexMemOp(inst, pos++);
+    }
+}
+
+void
+RuuCore::verifyStoreIndex() const
+{
+    // Replay dispatch-time indexing over the current RUU; a load's
+    // recorded store only counts while it is still in flight.
+    std::unordered_map<Addr, RuuPos> by_word;
+    RuuPos pos = _ruuHeadPos;
+    for (const RuuInst &inst : _ruu) {
+        if (!inst.wrongPath && inst.inst.isMem()) {
+            Addr word = inst.effAddr >> 3;
+            if (inst.inst.isStore()) {
+                by_word[word] = pos;
+            } else {
+                auto it = by_word.find(word);
+                RuuPos expect = it == by_word.end() ? kNoPos : it->second;
+                RuuPos live = inst.forwardPos != kNoPos &&
+                                      inst.forwardPos >= _ruuHeadPos
+                                  ? inst.forwardPos
+                                  : kNoPos;
+                sim_assert(live == expect);
+            }
+        }
+        pos++;
+    }
+    sim_assert(by_word == _storeByWord);
 }
 
 bool
@@ -406,8 +504,8 @@ Cycle
 RuuCore::recomputeIssueWake() const
 {
     Cycle wake = kNoCycle;
-    for (const RuuInst &inst : _ruu) {
-        Cycle lb = issueEntryLB(inst);
+    for (std::size_t i = firstUnissued(); i < _ruu.size(); i++) {
+        Cycle lb = issueEntryLB(_ruu[i]);
         if (lb <= _cycle) {
             // Held back only by FU or issue-width arbitration: the
             // scan must rerun every cycle.
@@ -482,11 +580,19 @@ void
 RuuCore::doIssue()
 {
     Cycle wake0 = _issueWakeAt;
-    if (!_slowpath && wake0 > _cycle)
+    if (_slowpath)
+        verifyStoreIndex();
+    else if (wake0 > _cycle)
         return;     // no entry can pass the issue gates yet
 
     int issued = 0;
-    for (RuuInst &inst : _ruu) {
+    std::size_t first = firstUnissued();
+    if (_slowpath) {
+        for (std::size_t i = 0; i < first; i++)
+            sim_assert(_ruu[i].issued);
+    }
+    for (std::size_t i = first; i < _ruu.size(); i++) {
+        RuuInst &inst = _ruu[i];
         if (issued >= _p.issueWidth)
             break;
         if (inst.issued || !inst.dispatched)
@@ -495,6 +601,8 @@ RuuCore::doIssue()
             continue;
         if (!inst.wrongPath) {
             Cycle r = srcReady(inst);
+            if (_slowpath)
+                sim_assert(r == srcReadyBySeq(inst));
             if (r == kNoCycle || r > _cycle)
                 continue;
         }
@@ -516,16 +624,23 @@ RuuCore::doIssue()
             done = _cycle + Cycle(inst.inst.latency());
         } else if (inst.inst.isLoad()) {
             // Perfect disambiguation: forward from any older in-flight
-            // store to the same word, else access the cache.
-            bool forwarded = false;
-            for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
-                if (it->seq >= inst.seq || it->wrongPath)
-                    continue;
-                if (it->inst.isStore() &&
-                    (it->effAddr >> 3) == (inst.effAddr >> 3)) {
-                    forwarded = true;
-                    break;
+            // store to the same word, else access the cache. Stores
+            // commit in order, so one is in flight iff the youngest
+            // older one recorded at dispatch has not committed.
+            bool forwarded = inst.forwardPos != kNoPos &&
+                             inst.forwardPos >= _ruuHeadPos;
+            if (_slowpath) {
+                bool scan_forwarded = false;
+                for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
+                    if (it->seq >= inst.seq || it->wrongPath)
+                        continue;
+                    if (it->inst.isStore() &&
+                        (it->effAddr >> 3) == (inst.effAddr >> 3)) {
+                        scan_forwarded = true;
+                        break;
+                    }
                 }
+                sim_assert(scan_forwarded == forwarded);
             }
             if (forwarded) {
                 done = _cycle + Cycle(inst.inst.latency());
@@ -560,6 +675,10 @@ RuuCore::doIssue()
             inst.doneCycle = std::max(inst.doneCycle, resolve);
         }
     }
+
+    while (first < _ruu.size() && _ruu[first].issued)
+        first++;
+    _issuedBefore = _ruuHeadPos + first;
 
     // An issue schedules new done cycles for consumers: rescan next
     // cycle. A fruitless scan earns an exact recomputed bound.
@@ -600,24 +719,34 @@ RuuCore::doDispatch()
                 break;
         }
 
-        RuuInst inst = std::move(front);
+        RuuPos pos = _ruuHeadPos + _ruu.size();
+        _ruu.push_back(std::move(front));
         _fetchBuf.pop_front();
+        RuuInst &inst = _ruu.back();
         inst.dispatched = true;
         inst.dispatchCycle = _cycle;
         if (!inst.wrongPath) {
             for (int i = 0; i < inst.numSrcs; i++) {
-                InstSeq writer = _regWriter[inst.srcs[i]];
-                if (writer != kNoCycle && writer < inst.seq)
+                RegIndex src = inst.srcs[i];
+                InstSeq writer = _regWriter[src];
+                if (writer != kNoCycle && writer < inst.seq) {
+                    // Seqs only grow, so a writer missing from the RUU
+                    // now never enters it: one lookup is final.
                     inst.producers[i] = writer;
+                    inst.producerPos[i] =
+                        positionOf(writer, _regWriterPos[src]);
+                }
             }
-            if (inst.dst != kNoReg)
+            if (inst.dst != kNoReg) {
                 _regWriter[inst.dst] = inst.seq;
+                _regWriterPos[inst.dst] = pos;
+            }
+            indexMemOp(inst, pos);
         }
         if (inst.inst.isMem())
             _lsqUsed++;
         if (inst.dst != kNoReg && !inst.wrongPath)
             _inflightDst++;
-        _ruu.push_back(std::move(inst));
         dispatched++;
         ++_c.instsDispatched;
     }

@@ -15,11 +15,12 @@
 #ifndef SIMALPHA_OUTORDER_RUU_CORE_HH
 #define SIMALPHA_OUTORDER_RUU_CORE_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 #include "core/oracle.hh"
 #include "inject/inject.hh"
 #include "isa/machine.hh"
@@ -95,6 +96,16 @@ class RuuCore : public Machine
     bool architecturalState(Checkpoint *out) const override;
 
   private:
+    /**
+     * Position id of an RUU entry: the head entry's id is _ruuHeadPos
+     * and ids run contiguously to the tail. Commit advances the head;
+     * recovery pops the tail, so the next dispatch reuses the ids of
+     * the squashed entries. An id below the head names a committed
+     * entry.
+     */
+    using RuuPos = std::uint64_t;
+    static constexpr RuuPos kNoPos = ~RuuPos(0);
+
     struct RuuInst
     {
         InstSeq seq = 0;
@@ -122,8 +133,14 @@ class RuuCore : public Machine
 
         RegIndex srcs[3] = {kNoReg, kNoReg, kNoReg};
         /** In-flight producer of each source, captured at dispatch
-         *  (kNoCycle = value already architecturally available). */
+         *  (kNoCycle = value already architecturally available); the
+         *  slowpath reference searches the RUU for these seqs. */
         InstSeq producers[3] = {kNoCycle, kNoCycle, kNoCycle};
+        /** The same producers as RUU position ids (kNoPos = none). */
+        RuuPos producerPos[3] = {kNoPos, kNoPos, kNoPos};
+        /** Correct-path loads: the youngest older correct-path store
+         *  to the same word at dispatch (kNoPos = none). */
+        RuuPos forwardPos = kNoPos;
         int numSrcs = 0;
         RegIndex dst = kNoReg;
     };
@@ -144,6 +161,29 @@ class RuuCore : public Machine
     bool fuAvailable(OpClass cls) const;
     void consumeFu(OpClass cls);
     Cycle srcReady(const RuuInst &inst) const;
+    /** srcReady by a seq search of the RUU for every source: the
+     *  SIMALPHA_SLOWPATH=1 reference for the position ids. */
+    Cycle srcReadyBySeq(const RuuInst &inst) const;
+    /** Position id of the RUU entry with @p seq (kNoPos if none);
+     *  @p hint is checked first. */
+    RuuPos positionOf(InstSeq seq, RuuPos hint) const;
+    /** Dispatch-time store-forwarding bookkeeping for @p inst, the
+     *  entry at @p pos: a load records its forwarding store, a store
+     *  becomes its word's youngest. */
+    void indexMemOp(RuuInst &inst, RuuPos pos);
+    /** Rebuild _storeByWord and every load's forwardPos from the RUU
+     *  (after a flip that may have moved an address). */
+    void rebuildStoreIndex();
+    /** Slowpath: the store index equals a rebuild from the RUU. */
+    void verifyStoreIndex() const;
+    /** RUU index where the issue scan starts (see _issuedBefore). */
+    std::size_t
+    firstUnissued() const
+    {
+        return _issuedBefore > _ruuHeadPos
+                   ? std::size_t(_issuedBefore - _ruuHeadPos)
+                   : 0;
+    }
 
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
     /** Earliest cycle @p inst could pass the issue gates (kNoCycle if
@@ -199,9 +239,19 @@ class RuuCore : public Machine
      *  (kNoCycle = none); consumers capture their producer at
      *  dispatch. */
     std::vector<InstSeq> _regWriter;
+    /** Position id of each _regWriter entry when it was recorded: a
+     *  hint that a flipped _regWriter simply misses. */
+    std::vector<RuuPos> _regWriterPos;
 
-    std::deque<RuuInst> _fetchBuf;
-    std::deque<RuuInst> _ruu;
+    Ring<RuuInst> _fetchBuf;
+    Ring<RuuInst> _ruu;
+    RuuPos _ruuHeadPos = 0;     ///< position id of _ruu.front()
+    /** Every entry below this position id has issued (RUU entries
+     *  issue once; only a flip un-issues one, and a strike resets
+     *  this to the head). The issue scan starts here. */
+    RuuPos _issuedBefore = 0;
+    /** Youngest in-flight correct-path store to each word address. */
+    std::unordered_map<Addr, RuuPos> _storeByWord;
 
     struct PendingRecovery
     {

@@ -201,6 +201,11 @@ RuuCore::applyInjection()
     // The cached issue bound is a lower bound computed from pre-flip
     // state; the flip can make issue possible earlier.
     _issueWakeAt = _cycle;
+    _issuedBefore = _ruuHeadPos;    // a flip can un-issue an entry
+    // A window or lsq flip can move an address. (Position ids need no
+    // rebuild: no flip moves an entry, and a flipped _regWriter is
+    // resolved at the consumer's dispatch.)
+    rebuildStoreIndex();
 }
 
 } // namespace simalpha

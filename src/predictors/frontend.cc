@@ -101,6 +101,14 @@ StoreWaitPredictor::shouldWait(Addr load_pc, Cycle now)
     return _bits[std::size_t((load_pc >> 2) & Addr(_bits.size() - 1))];
 }
 
+bool
+StoreWaitPredictor::wouldWait(Addr load_pc, Cycle now) const
+{
+    if (_clearInterval != 0 && now - _lastClear >= _clearInterval)
+        return false;
+    return _bits[std::size_t((load_pc >> 2) & Addr(_bits.size() - 1))];
+}
+
 void
 StoreWaitPredictor::markConflict(Addr load_pc)
 {

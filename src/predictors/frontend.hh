@@ -139,8 +139,12 @@ class StoreWaitPredictor
     explicit StoreWaitPredictor(int entries = 1024,
                                 Cycle clear_interval = 32768);
 
-    /** Should this load wait for earlier stores? */
+    /** Should this load wait for earlier stores? The first consult
+     *  of each clear interval clears the table. */
     bool shouldWait(Addr load_pc, Cycle now);
+
+    /** What shouldWait would answer now, without clearing anything. */
+    bool wouldWait(Addr load_pc, Cycle now) const;
 
     /** Mark a load that caused a store replay trap. */
     void markConflict(Addr load_pc);

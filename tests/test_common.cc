@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the common foundation: statistics, configuration,
- * deterministic RNG, and logging counters.
+ * deterministic RNG, logging counters, and the Ring window container.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 
 using namespace simalpha;
@@ -250,4 +253,47 @@ TEST(Logging, WarnCountIncrements)
     std::uint64_t before = warnCount();
     warn("test warning %d", 1);
     EXPECT_EQ(warnCount(), before + 1);
+}
+
+TEST(Ring, DequeOperationsAcrossTheWrap)
+{
+    Ring<int> r(4);
+    for (int i = 0; i < 3; i++)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    r.push_back(3);
+    r.push_back(4);         // slots wrap past the array's end
+    r.emplace_back() = 5;
+    ASSERT_EQ(r.size(), 4u);
+    EXPECT_EQ(r.front(), 2);
+    EXPECT_EQ(r.back(), 5);
+    EXPECT_EQ(r[1], 3);
+    r.pop_back();
+    EXPECT_EQ(r.back(), 4);
+    std::vector<int> fwd(r.begin(), r.end());
+    std::vector<int> rev(r.rbegin(), r.rend());
+    EXPECT_EQ(fwd, (std::vector<int>{2, 3, 4}));
+    EXPECT_EQ(rev, (std::vector<int>{4, 3, 2}));
+    EXPECT_EQ(*std::lower_bound(r.begin(), r.end(), 3), 3);
+    EXPECT_EQ(std::lower_bound(r.begin(), r.end(), 9) - r.begin(), 3);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, ElementsStayPutUntilTheRingGrows)
+{
+    Ring<int> r(4);
+    r.push_back(7);
+    r.push_back(8);
+    const int *eight = &r[1];
+    r.pop_front();
+    r.push_back(9);
+    r.push_back(10);
+    r.push_back(11);        // full, wrapped, and nothing moved
+    EXPECT_EQ(&r.front(), eight);
+    EXPECT_EQ(*eight, 8);
+    r.push_back(12);        // a push onto a full ring doubles it
+    std::vector<int> all(r.begin(), r.end());
+    EXPECT_EQ(all, (std::vector<int>{8, 9, 10, 11, 12}));
 }

@@ -237,43 +237,67 @@ TEST(IssueQueue, ReinsertKeepsAgeOrderAndDeduplicates)
     EXPECT_EQ(q.size(), 4);
 }
 
+namespace {
+
+/** Reserve the lowest-numbered free pipe of @p cluster that fits an
+ *  op (fp ops ignore the cluster): the FU-mix question, answered
+ *  through the fit table and pipe reservation the issue stage uses. */
+bool
+acquire(FuPool &fu, OpClass cls, int cluster, bool slotted_upper,
+        bool slot_restrict, Cycle now)
+{
+    unsigned mask = fu.fitMask(cls, slotted_upper, slot_restrict) &
+                    fu.freeMask(now);
+    for (int p = 0; p < fu.numPipes(); p++) {
+        if (!(mask >> p & 1u))
+            continue;
+        if (!fu.pipeIsFp(p) && fu.pipeCluster(p) != cluster)
+            continue;
+        fu.reservePipe(p, cls, now);
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
 TEST(FuPool, FourAluPipesPerCycle)
 {
     FuPool fu(false);
     int granted = 0;
     for (int i = 0; i < 8; i++)
-        if (fu.acquire(OpClass::IntAlu, i % 2, (i / 2) % 2, true, 0))
+        if (acquire(fu, OpClass::IntAlu, i % 2, (i / 2) % 2, true, 0))
             granted++;
     EXPECT_EQ(granted, 4);
     // Next cycle they free up.
-    EXPECT_TRUE(fu.acquire(OpClass::IntAlu, 0, true, true, 1));
+    EXPECT_TRUE(acquire(fu, OpClass::IntAlu, 0, true, true, 1));
 }
 
 TEST(FuPool, OnlyOneMultiplier)
 {
     FuPool fu(false);
-    EXPECT_TRUE(fu.acquire(OpClass::IntMul, 1, true, true, 0));
-    EXPECT_FALSE(fu.acquire(OpClass::IntMul, 1, true, true, 0));
-    EXPECT_FALSE(fu.acquire(OpClass::IntMul, 0, true, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntMul, 1, true, true, 0));
+    EXPECT_FALSE(acquire(fu, OpClass::IntMul, 1, true, true, 0));
+    EXPECT_FALSE(acquire(fu, OpClass::IntMul, 0, true, true, 0));
 }
 
 TEST(FuPool, MemoryUsesLowerPipes)
 {
     FuPool fu(false);
-    EXPECT_TRUE(fu.acquire(OpClass::IntLoad, 0, false, true, 0));
-    EXPECT_TRUE(fu.acquire(OpClass::IntLoad, 1, false, true, 0));
-    EXPECT_FALSE(fu.acquire(OpClass::IntLoad, 0, false, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntLoad, 0, false, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntLoad, 1, false, true, 0));
+    EXPECT_FALSE(acquire(fu, OpClass::IntLoad, 0, false, true, 0));
 }
 
 TEST(FuPool, FpDivideBlocksThePipe)
 {
     FuPool fu(false);
-    EXPECT_TRUE(fu.acquire(OpClass::FpDivD, 0, false, false, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::FpDivD, 0, false, false, 0));
     // The divide occupies the add pipe for its full latency (15).
-    EXPECT_FALSE(fu.acquire(OpClass::FpAdd, 0, false, false, 5));
-    EXPECT_TRUE(fu.acquire(OpClass::FpAdd, 0, false, false, 15));
+    EXPECT_FALSE(acquire(fu, OpClass::FpAdd, 0, false, false, 5));
+    EXPECT_TRUE(acquire(fu, OpClass::FpAdd, 0, false, false, 15));
     // The multiply pipe is unaffected.
-    EXPECT_TRUE(fu.acquire(OpClass::FpMul, 0, false, false, 5));
+    EXPECT_TRUE(acquire(fu, OpClass::FpMul, 0, false, false, 5));
 }
 
 TEST(FuPool, WrongMixHalvesAluThroughput)
@@ -281,12 +305,12 @@ TEST(FuPool, WrongMixHalvesAluThroughput)
     FuPool fu(true);
     int granted = 0;
     for (int i = 0; i < 8; i++)
-        if (fu.acquire(OpClass::IntAlu, i % 2, (i / 2) % 2, true, 0))
+        if (acquire(fu, OpClass::IntAlu, i % 2, (i / 2) % 2, true, 0))
             granted++;
     EXPECT_EQ(granted, 2);      // only the two "adders" remain
     // But it has two multipliers.
-    EXPECT_TRUE(fu.acquire(OpClass::IntMul, 0, true, true, 0));
-    EXPECT_TRUE(fu.acquire(OpClass::IntMul, 1, true, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntMul, 0, true, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntMul, 1, true, true, 0));
 }
 
 TEST(FuPool, SlotRestrictionBindsAluToSubcluster)
@@ -294,10 +318,10 @@ TEST(FuPool, SlotRestrictionBindsAluToSubcluster)
     FuPool fu(false);
     // Upper-slotted ALU consumes the upper pipe of its cluster; a second
     // upper-slotted ALU in the same cluster must wait.
-    EXPECT_TRUE(fu.acquire(OpClass::IntAlu, 0, true, true, 0));
-    EXPECT_FALSE(fu.acquire(OpClass::IntAlu, 0, true, true, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntAlu, 0, true, true, 0));
+    EXPECT_FALSE(acquire(fu, OpClass::IntAlu, 0, true, true, 0));
     // Without the restriction it may use the lower pipe.
-    EXPECT_TRUE(fu.acquire(OpClass::IntAlu, 0, true, false, 0));
+    EXPECT_TRUE(acquire(fu, OpClass::IntAlu, 0, true, false, 0));
 }
 
 TEST(FuPool, PerPipeInterface)
@@ -321,5 +345,27 @@ TEST(FuPool, PerPipeInterface)
                                         true, 6));
             break;
         }
+    }
+}
+
+TEST(FuPool, FitMaskAgreesWithPipeCanIssue)
+{
+    for (bool wrong_mix : {false, true}) {
+        FuPool fu(wrong_mix);
+        for (int c = 0; c <= int(OpClass::Halt); c++)
+            for (bool upper : {false, true})
+                for (bool restrict_slot : {false, true})
+                    for (int p = 0; p < fu.numPipes(); p++)
+                        EXPECT_EQ(
+                            bool(fu.fitMask(OpClass(c), upper,
+                                            restrict_slot) >> p & 1u),
+                            fu.pipeCanIssue(p, OpClass(c), upper,
+                                            restrict_slot, 0))
+                            << "class " << c << " pipe " << p;
+        EXPECT_EQ(fu.freeMask(0), 0x3f);
+        fu.reservePipe(4, OpClass::FpDivD, 0);
+        EXPECT_EQ(fu.freeMask(0), 0x2f);
+        EXPECT_EQ(fu.freeMask(14), 0x2f);
+        EXPECT_EQ(fu.freeMask(15), 0x3f);
     }
 }

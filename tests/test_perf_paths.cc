@@ -4,11 +4,14 @@
  * (`ctest -L perf`; also run under -DSIMALPHA_SANITIZE=address and
  * =thread).
  *
- * Two equivalences are pinned:
+ * Three equivalences are pinned:
  *  - SIMALPHA_SLOWPATH=1 (the dual-run debug mode: original per-cycle
  *    scans executed alongside the event-driven bookkeeping, with
- *    asserts that they agree) produces byte-identical stats dumps to
+ *    asserts that they agree — for the issue select, on every pipe's
+ *    winner in every cycle) produces byte-identical stats dumps to
  *    the default fast path over a mixed micro/macro cell set;
+ *  - the same holds for a vulnerability campaign, whose flips strike
+ *    the structures the select derives its state from;
  *  - core reuse via reset() is invisible: N runs on one reused core
  *    produce byte-identical dumps to N runs on N fresh cores.
  */
@@ -21,7 +24,9 @@
 #include <vector>
 
 #include "isa/machine.hh"
+#include "runner/artifacts.hh"
 #include "runner/campaign.hh"
+#include "runner/runner.hh"
 #include "validate/machines.hh"
 
 using namespace simalpha;
@@ -36,7 +41,11 @@ struct CellSpec
 };
 
 /** A mixed micro/macro grid over every core type: detailed golden,
- *  sim-alpha, the stripped ablation, and the abstract comparator. */
+ *  sim-alpha, the stripped ablation, and the abstract comparator —
+ *  plus capped Table-3 cells (art's replay-trap storm, mesa's L2
+ *  misses, eon, gcc) and the configurations whose pipe-fit masks and
+ *  store-wait paths differ: sim-initial's wrong FU mix and aggressive
+ *  cluster, and the no-slot and no-store-wait ablations. */
 const std::vector<CellSpec> &
 mixedCells()
 {
@@ -45,6 +54,16 @@ mixedCells()
         {"sim-alpha", "C-S1", 4000},    {"sim-alpha", "E-I", 4000},
         {"sim-stripped", "C-R", 4000},  {"sim-outorder", "C-O", 4000},
         {"sim-outorder", "E-D1", 4000},
+        {"ds10l", "art", 20000},        {"ds10l", "mesa", 20000},
+        {"ds10l", "eon", 20000},        {"ds10l", "gcc", 20000},
+        {"sim-alpha", "art", 20000},    {"sim-alpha", "mesa", 20000},
+        {"sim-alpha", "eon", 20000},    {"sim-alpha", "gcc", 20000},
+        {"sim-outorder", "art", 20000}, {"sim-outorder", "mesa", 20000},
+        {"sim-outorder", "eon", 20000}, {"sim-outorder", "gcc", 20000},
+        {"sim-initial", "E-I", 4000},   {"sim-initial", "gcc", 20000},
+        {"sim-alpha-no-slot", "C-S1", 4000},
+        {"sim-alpha-no-slot", "gcc", 20000},
+        {"sim-alpha-no-stwt", "art", 20000},
     };
     return cells;
 }
@@ -102,6 +121,54 @@ TEST(PerfPaths, SlowpathDualRunMatchesFastPathByteForByte)
     }
     ASSERT_FALSE(fast.empty());
     EXPECT_EQ(fast, slow);
+}
+
+TEST(PerfPaths, SlowpathVulnDrillMatchesFastPathByteForByte)
+{
+    // Rename-map, issue-queue, LSQ and window flips corrupt what the
+    // select derives its state from (cached readiness, the unresolved-
+    // store record, the store-forwarding index, producer positions).
+    // The slowpath checks that state against a full rebuild
+    // and the select against the original scans in every cycle after
+    // the strike, so identical output means the derived state was
+    // rebuilt from the struck machine. C-R keeps stores and loads in
+    // flight; this seed's plan flips a store's memIssued on sim-alpha
+    // and a memory op's address on sim-outorder, and fails if either
+    // rebuild is skipped.
+    for (const char *machine : {"sim-alpha", "sim-outorder"}) {
+        runner::VulnSpec vs;
+        vs.machine = machine;
+        vs.workload = "C-R";
+        vs.maxInsts = 600000;
+        vs.cells = 64;
+        vs.seed = 3;
+        vs.targets = {inject::Target::RenameMap, inject::Target::Iq,
+                      inject::Target::Lsq, inject::Target::Rob};
+        runner::CampaignSpec spec = runner::vulnCampaign(vs);
+        auto render = [&spec] {
+            runner::RunnerOptions options;
+            options.jobs = 2;
+            runner::ExperimentRunner runner(options);
+            runner::CampaignResult result = runner.run(spec);
+            return runner::toJson(result) + runner::toCsv(result);
+        };
+        std::string fast = render();
+        std::string slow;
+        {
+            ScopedSlowpath guard;
+            slow = render();
+        }
+        ASSERT_FALSE(fast.empty());
+        if (fast != slow) {
+            // Report the first differing line, not two whole artifacts.
+            std::istringstream f(fast), s(slow);
+            std::string fl, sl;
+            while (std::getline(f, fl) && std::getline(s, sl) && fl == sl) {
+            }
+            ADD_FAILURE() << machine << " diverged:\n  fast: " << fl
+                          << "\n  slow: " << sl;
+        }
+    }
 }
 
 TEST(PerfPaths, ReusedCoreMatchesFreshCoresByteForByte)

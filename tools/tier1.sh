@@ -65,6 +65,20 @@ wait "$W0_PID" "$W1_PID"
 cmp "$FLEET_DIR/ref.jsonl" "$FLEET_DIR/fleet.jsonl"
 echo "fleet smoke: OK (2-worker stream byte-identical)"
 
+# Slowpath reference: SIMALPHA_SLOWPATH=1 runs the original per-pipe
+# issue scans and ROB walks beside the event-driven select and indexes,
+# asserting they agree every cycle; the capped Table 3 must come out
+# byte-identical to the fast path.
+SLOW_DIR=$(mktemp -d /tmp/simalpha-tier1-slow-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$SLOW_DIR"' EXIT
+./tools/simalpha --campaign table3 --max-insts 20000 --jobs 2 \
+    --no-journal --out "$SLOW_DIR/fast.csv" > /dev/null
+SIMALPHA_SLOWPATH=1 ./tools/simalpha --campaign table3 \
+    --max-insts 20000 --jobs 2 --no-journal \
+    --out "$SLOW_DIR/slow.csv" > /dev/null
+cmp "$SLOW_DIR/fast.csv" "$SLOW_DIR/slow.csv"
+echo "slowpath table3: OK (byte-identical to the fast path)"
+
 # Bench smoke: re-measure the detailed and emulator rows against the
 # pinned baseline in BENCH_perf.json at the repo root and fail on a
 # >20% ips regression. When the local build type differs from the
