@@ -14,7 +14,6 @@
 #include <unordered_set>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/journal.hh"
 #include "serve/client.hh"
@@ -22,25 +21,6 @@
 
 namespace simalpha {
 namespace fleet {
-
-namespace {
-
-std::string
-cancelRequestLine(const std::string &campaign, std::uint64_t maxInsts,
-                  const std::string &sample)
-{
-    std::ostringstream os;
-    os << "{\"op\":\"cancel\",\"campaign\":\""
-       << runner::jsonEscape(campaign) << "\"";
-    if (maxInsts)
-        os << ",\"max_insts\":" << maxInsts;
-    if (!sample.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sample) << "\"";
-    os << "}";
-    return os.str();
-}
-
-} // namespace
 
 Dispatcher::Dispatcher(FleetOptions options)
     : _opts(std::move(options)),
@@ -379,12 +359,15 @@ Dispatcher::execute(const serve::JobWork &work)
                         if (copts.timeoutSeconds <= 0.0)
                             copts.timeoutSeconds = 10.0;
                         for (const std::string &name : shardNames) {
+                            serve::Request req;
+                            req.op = "cancel";
+                            req.campaign = name;
+                            req.maxInsts = work.maxInsts;
+                            req.sample = sampleText;
                             std::string reply, cerror;
-                            serve::requestOnce(
-                                copts,
-                                cancelRequestLine(name, work.maxInsts,
-                                                  sampleText),
-                                &reply, &cerror);
+                            serve::requestOnce(copts,
+                                               serve::requestLine(req),
+                                               &reply, &cerror);
                         }
                     }
                     return;

@@ -6,46 +6,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "validate/metrics.hh"
 
 namespace simalpha {
 namespace runner {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-namespace {
-
-/** Fixed-precision double: deterministic for equal values. */
 std::string
 fixed6(double v)
 {
@@ -53,6 +19,8 @@ fixed6(double v)
     std::snprintf(buf, sizeof(buf), "%.6f", v);
     return buf;
 }
+
+namespace {
 
 std::string
 displayMachine(const CellResult &r)
@@ -81,24 +49,24 @@ toJson(const CampaignResult &result)
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"campaign\": \"" << jsonEscape(result.campaign)
+    os << "  \"campaign\": \"" << json::escape(result.campaign)
        << "\",\n";
     os << "  \"cells\": [";
     for (std::size_t i = 0; i < result.cells.size(); i++) {
         const CellResult &r = result.cells[i];
         os << (i ? ",\n" : "\n");
         os << "    {\n";
-        os << "      \"machine\": \"" << jsonEscape(r.cell.machine)
+        os << "      \"machine\": \"" << json::escape(r.cell.machine)
            << "\",\n";
         os << "      \"optimization\": \""
            << validate::optimizationName(r.cell.opt) << "\",\n";
-        os << "      \"workload\": \"" << jsonEscape(r.cell.workload)
+        os << "      \"workload\": \"" << json::escape(r.cell.workload)
            << "\",\n";
         os << "      \"max_insts\": " << r.cell.maxInsts << ",\n";
         os << "      \"seed\": " << r.seed << ",\n";
         os << "      \"ok\": " << (r.ok ? "true" : "false") << ",\n";
-        os << "      \"error\": \"" << jsonEscape(r.error) << "\",\n";
-        os << "      \"error_class\": \"" << jsonEscape(r.errorClass)
+        os << "      \"error\": \"" << json::escape(r.error) << "\",\n";
+        os << "      \"error_class\": \"" << json::escape(r.errorClass)
            << "\",\n";
         os << "      \"cycles\": " << r.cycles << ",\n";
         os << "      \"insts\": " << r.instsCommitted << ",\n";
@@ -128,9 +96,9 @@ toJson(const CampaignResult &result)
             os << "      \"inject\": \""
                << inject::formatInjectSpec(r.cell.inject) << "\",\n";
             os << "      \"inject_outcome\": \""
-               << jsonEscape(r.injectOutcome) << "\",\n";
+               << json::escape(r.injectOutcome) << "\",\n";
             os << "      \"inject_detail\": \""
-               << jsonEscape(r.injectDetail) << "\",\n";
+               << json::escape(r.injectDetail) << "\",\n";
         }
         os << "      \"manifest_hash\": \"" << r.manifestHash
            << "\",\n";
@@ -138,7 +106,7 @@ toJson(const CampaignResult &result)
         bool first = true;
         for (const auto &kv : r.counters) {
             os << (first ? "\n" : ",\n");
-            os << "        \"" << jsonEscape(kv.first)
+            os << "        \"" << json::escape(kv.first)
                << "\": " << kv.second;
             first = false;
         }
@@ -354,7 +322,7 @@ toSummaryJson(const RunSummary &s)
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"campaign\": \"" << jsonEscape(s.campaign) << "\",\n";
+    os << "  \"campaign\": \"" << json::escape(s.campaign) << "\",\n";
     os << "  \"cells\": " << s.cells << ",\n";
     os << "  \"ok\": " << s.cellsOk << ",\n";
     os << "  \"failed\": " << s.cellsFailed << ",\n";
@@ -362,7 +330,7 @@ toSummaryJson(const RunSummary &s)
     os << "  \"store\": {\n";
     os << "    \"enabled\": " << (s.storeEnabled ? "true" : "false")
        << ",\n";
-    os << "    \"path\": \"" << jsonEscape(s.storePath) << "\",\n";
+    os << "    \"path\": \"" << json::escape(s.storePath) << "\",\n";
     os << "    \"hits\": " << s.store.hits << ",\n";
     os << "    \"misses\": " << s.store.misses << ",\n";
     os << "    \"bytes_read\": " << s.store.bytesRead << ",\n";

@@ -21,9 +21,9 @@
 namespace simalpha {
 namespace runner {
 
-/** Escape a string for embedding in a JSON string literal (shared by
- *  the artifact writers and the campaign journal). */
-std::string jsonEscape(const std::string &s);
+/** "%.6f" text of a double, deterministic for equal values: the fixed
+ *  precision of artifact doubles and of journal sampling statistics. */
+std::string fixed6(double v);
 
 /** Render a campaign result as canonical JSON. */
 std::string toJson(const CampaignResult &result);

@@ -3,15 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "checkpoint/checkpoint.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 #include "runner/artifacts.hh"
@@ -49,32 +48,21 @@ journalKey(const Cell &cell)
     return key;
 }
 
-/** Fixed-point text form of the sampling statistics: the journal's
- *  line parser reads only strings/integers/bools, and a fixed decimal
- *  representation round-trips byte-identically. */
-static std::string
-fixed6(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
 std::string
 journalLine(const std::string &campaign, const CellResult &r)
 {
     std::ostringstream os;
-    os << "{\"campaign\":\"" << jsonEscape(campaign) << "\""
-       << ",\"machine\":\"" << jsonEscape(r.cell.machine) << "\""
+    os << "{\"campaign\":\"" << json::escape(campaign) << "\""
+       << ",\"machine\":\"" << json::escape(r.cell.machine) << "\""
        << ",\"optimization\":\""
        << validate::optimizationName(r.cell.opt) << "\""
-       << ",\"workload\":\"" << jsonEscape(r.cell.workload) << "\""
+       << ",\"workload\":\"" << json::escape(r.cell.workload) << "\""
        << ",\"max_insts\":" << r.cell.maxInsts
        << ",\"seed\":" << r.seed
-       << ",\"manifest_hash\":\"" << jsonEscape(r.manifestHash) << "\""
+       << ",\"manifest_hash\":\"" << json::escape(r.manifestHash) << "\""
        << ",\"ok\":" << (r.ok ? "true" : "false")
-       << ",\"error\":\"" << jsonEscape(r.error) << "\""
-       << ",\"error_class\":\"" << jsonEscape(r.errorClass) << "\""
+       << ",\"error\":\"" << json::escape(r.error) << "\""
+       << ",\"error_class\":\"" << json::escape(r.errorClass) << "\""
        << ",\"cycles\":" << r.cycles
        << ",\"insts\":" << r.instsCommitted
        << ",\"finished\":" << (r.finished ? "true" : "false");
@@ -97,9 +85,9 @@ journalLine(const std::string &campaign, const CellResult &r)
     if (r.cell.inject.enabled()) {
         os << ",\"inject\":\""
            << inject::formatInjectSpec(r.cell.inject) << "\""
-           << ",\"inject_outcome\":\"" << jsonEscape(r.injectOutcome)
+           << ",\"inject_outcome\":\"" << json::escape(r.injectOutcome)
            << "\""
-           << ",\"inject_detail\":\"" << jsonEscape(r.injectDetail)
+           << ",\"inject_detail\":\"" << json::escape(r.injectDetail)
            << "\"";
     }
     os << ",\"counters\":{";
@@ -107,292 +95,82 @@ journalLine(const std::string &campaign, const CellResult &r)
     for (const auto &kv : r.counters) {
         if (!first)
             os << ",";
-        os << "\"" << jsonEscape(kv.first) << "\":" << kv.second;
+        os << "\"" << json::escape(kv.first) << "\":" << kv.second;
         first = false;
     }
     os << "}}";
     return os.str();
 }
 
-namespace {
-
-/**
- * A minimal parser for the journal's own output: flat objects whose
- * values are strings, unsigned integers, booleans, or one nested
- * string->integer object. Not a general JSON parser — it only needs to
- * read what journalLine() writes (and reject everything else).
- */
-class LineParser
-{
-  public:
-    explicit LineParser(const std::string &text) : _s(text) {}
-
-    bool
-    object(std::unordered_map<std::string, std::string> *strings,
-           std::unordered_map<std::string, std::uint64_t> *numbers,
-           std::unordered_map<std::string, bool> *bools,
-           std::map<std::string, std::uint64_t> *counters)
-    {
-        skipWs();
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                std::string v;
-                if (!stringLit(&v))
-                    return false;
-                (*strings)[key] = v;
-            } else if (peek() == 't' || peek() == 'f') {
-                bool v;
-                if (!boolLit(&v))
-                    return false;
-                (*bools)[key] = v;
-            } else if (peek() == '{') {
-                if (key != "counters" || !countersObj(counters))
-                    return false;
-            } else {
-                std::uint64_t v;
-                if (!numberLit(&v))
-                    return false;
-                (*numbers)[key] = v;
-            }
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            if (eat('}')) {
-                skipWs();
-                return _pos >= _s.size();
-            }
-            return false;
-        }
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return _pos < _s.size() ? _s[_pos] : '\0';
-    }
-
-    bool
-    eat(char c)
-    {
-        if (peek() != c)
-            return false;
-        _pos++;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-    }
-
-    bool
-    stringLit(std::string *out)
-    {
-        if (!eat('"'))
-            return false;
-        out->clear();
-        while (_pos < _s.size()) {
-            char c = _s[_pos++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case '"':
-                *out += '"';
-                break;
-              case '\\':
-                *out += '\\';
-                break;
-              case 'n':
-                *out += '\n';
-                break;
-              case 't':
-                *out += '\t';
-                break;
-              case 'u': {
-                if (_pos + 4 > _s.size())
-                    return false;
-                unsigned v = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = _s[_pos++];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= unsigned(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                // The writer only \u-escapes control bytes.
-                if (v > 0xFF)
-                    return false;
-                *out += char(v);
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false;
-    }
-
-    bool
-    boolLit(bool *out)
-    {
-        if (_s.compare(_pos, 4, "true") == 0) {
-            _pos += 4;
-            *out = true;
-            return true;
-        }
-        if (_s.compare(_pos, 5, "false") == 0) {
-            _pos += 5;
-            *out = false;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    numberLit(std::uint64_t *out)
-    {
-        std::size_t start = _pos;
-        while (_pos < _s.size() &&
-               std::isdigit(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-        if (_pos == start)
-            return false;
-        *out = std::strtoull(_s.substr(start, _pos - start).c_str(),
-                             nullptr, 10);
-        return true;
-    }
-
-    bool
-    countersObj(std::map<std::string, std::uint64_t> *out)
-    {
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            std::uint64_t value;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (!numberLit(&value))
-                return false;
-            (*out)[key] = value;
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            return eat('}');
-        }
-    }
-
-    const std::string &_s;
-    std::size_t _pos = 0;
-};
-
-Optimization
-parseOptimization(const std::string &name)
-{
-    if (name == "fastl1")
-        return Optimization::FastL1;
-    if (name == "bigl1")
-        return Optimization::BigL1;
-    if (name == "regs")
-        return Optimization::MoreRegs;
-    return Optimization::None;
-}
-
-} // namespace
-
 bool
 parseJournalLine(const std::string &line, const std::string &campaign,
                  CellResult *result, std::string *key)
 {
-    std::unordered_map<std::string, std::string> strings;
-    std::unordered_map<std::string, std::uint64_t> numbers;
-    std::unordered_map<std::string, bool> bools;
+    json::Value v;
+    if (!json::parse(line, &v, nullptr))
+        return false;
+    // Only `counters` nests: an object of unsigned integers.
+    for (const auto &[name, member] : v.members())
+        if (member.kind() == json::Value::Kind::Object &&
+            name != "counters")
+            return false;
+    const json::Value *counterValues = nullptr;
+    if (!json::field(v, "counters", &counterValues, nullptr))
+        return false;
     std::map<std::string, std::uint64_t> counters;
-
-    LineParser parser(line);
-    if (!parser.object(&strings, &numbers, &bools, &counters))
-        return false;
-    if (strings["campaign"] != campaign)
-        return false;
-    if (!strings.count("machine") || !strings.count("workload") ||
-        !numbers.count("seed") || !bools.count("ok"))
-        return false;
+    if (counterValues)
+        for (const auto &[name, value] : counterValues->members())
+            if (!value.read(&counters[name]))
+                return false;
 
     CellResult r;
-    r.cell.machine = strings["machine"];
-    r.cell.opt = parseOptimization(strings["optimization"]);
-    r.cell.workload = strings["workload"];
-    r.cell.maxInsts = numbers["max_insts"];
-    r.cell.seed = numbers["seed"];    // pin the journaled seed
-    r.seed = numbers["seed"];
-    r.manifestHash = strings["manifest_hash"];
-    r.ok = bools["ok"];
-    r.error = strings["error"];
-    r.errorClass = strings["error_class"];
-    r.cycles = numbers["cycles"];
-    r.instsCommitted = numbers["insts"];
-    r.finished = bools.count("finished") ? bools["finished"] : false;
-    if (strings.count("sample")) {
-        std::string serror;
-        if (!checkpoint::parseSampleSpec(strings["sample"],
-                                         &r.cell.sample, &serror))
-            return false;
-        r.sampleWindows = numbers["sample_windows"];
-        r.sampleTotalInsts = numbers["sample_total_insts"];
-        r.sampleIpcMean =
-            std::strtod(strings["sample_ipc_mean"].c_str(), nullptr);
-        r.sampleIpcStddev =
-            std::strtod(strings["sample_ipc_stddev"].c_str(), nullptr);
-        r.sampleIpcCi =
-            std::strtod(strings["sample_ipc_ci"].c_str(), nullptr);
-    }
-    if (strings.count("inject")) {
-        std::string ierror;
-        if (!inject::parseInjectSpec(strings["inject"], &r.cell.inject,
-                                     &ierror))
-            return false;
-        r.injectOutcome = strings["inject_outcome"];
-        r.injectDetail = strings["inject_detail"];
-    }
+    std::string lineCampaign, optimization = "none", sample, mean,
+        stddev, ci, inject;
+    if (!json::field(v, "campaign", &lineCampaign, nullptr) ||
+        lineCampaign != campaign ||
+        !json::field(v, "machine", &r.cell.machine, nullptr, true) ||
+        !json::field(v, "optimization", &optimization, nullptr) ||
+        !json::field(v, "workload", &r.cell.workload, nullptr, true) ||
+        !json::field(v, "max_insts", &r.cell.maxInsts, nullptr) ||
+        !json::field(v, "seed", &r.seed, nullptr, true) ||
+        !json::field(v, "manifest_hash", &r.manifestHash, nullptr) ||
+        !json::field(v, "ok", &r.ok, nullptr, true) ||
+        !json::field(v, "error", &r.error, nullptr) ||
+        !json::field(v, "error_class", &r.errorClass, nullptr) ||
+        !json::field(v, "cycles", &r.cycles, nullptr) ||
+        !json::field(v, "insts", &r.instsCommitted, nullptr) ||
+        !json::field(v, "finished", &r.finished, nullptr) ||
+        !json::field(v, "sample", &sample, nullptr) ||
+        !json::field(v, "sample_windows", &r.sampleWindows, nullptr) ||
+        !json::field(v, "sample_total_insts", &r.sampleTotalInsts,
+                     nullptr) ||
+        !json::field(v, "sample_ipc_mean", &mean, nullptr) ||
+        !json::field(v, "sample_ipc_stddev", &stddev, nullptr) ||
+        !json::field(v, "sample_ipc_ci", &ci, nullptr) ||
+        !json::field(v, "inject", &inject, nullptr) ||
+        !json::field(v, "inject_outcome", &r.injectOutcome, nullptr) ||
+        !json::field(v, "inject_detail", &r.injectDetail, nullptr))
+        return false;
+    bool known = false;
+    for (Optimization opt : {Optimization::None, Optimization::FastL1,
+                             Optimization::BigL1, Optimization::MoreRegs})
+        if (validate::optimizationName(opt) == optimization) {
+            r.cell.opt = opt;
+            known = true;
+        }
+    if (!known)
+        return false;
+    r.cell.seed = r.seed;   // pin the journaled seed
+    std::string serror;
+    if (v.find("sample") &&
+        !checkpoint::parseSampleSpec(sample, &r.cell.sample, &serror))
+        return false;
+    if (v.find("inject") &&
+        !inject::parseInjectSpec(inject, &r.cell.inject, &serror))
+        return false;
+    r.sampleIpcMean = std::strtod(mean.c_str(), nullptr);
+    r.sampleIpcStddev = std::strtod(stddev.c_str(), nullptr);
+    r.sampleIpcCi = std::strtod(ci.c_str(), nullptr);
     r.counters = std::move(counters);
     r.fromJournal = true;
 

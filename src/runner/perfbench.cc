@@ -1,13 +1,11 @@
 #include "runner/perfbench.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -17,6 +15,7 @@
 #include <unistd.h>
 
 #include "common/error.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "isa/emulator.hh"
 #include "runner/artifacts.hh"
@@ -375,297 +374,71 @@ pathToJson(std::ostringstream &o, const char *key, const PerfPath &p)
     o << buf;
 }
 
+/** An entry's rows in file order. The first three are the original
+ *  schema; every later row is optional on read, because trajectory
+ *  files written before it existed (or by a build without the serve
+ *  and fleet hooks) omit it, and its absence is not drift. */
+constexpr struct
+{
+    const char *key;
+    PerfPath PerfEntry::*path;
+} kRows[] = {
+    {"detailed", &PerfEntry::detailed},
+    {"abstract", &PerfEntry::abstracted},
+    {"emulator", &PerfEntry::emulator},
+    {"emu_pre", &PerfEntry::emuPre},
+    {"sampled", &PerfEntry::sampled},
+    {"inject_idle", &PerfEntry::injectIdle},
+    {"serve_cold", &PerfEntry::serveCold},
+    {"serve_warm", &PerfEntry::serveWarm},
+    {"fleet_cold", &PerfEntry::fleetCold},
+    {"fleet_warm", &PerfEntry::fleetWarm},
+    {"warm_store", &PerfEntry::warmStore},
+};
+constexpr std::size_t kRequiredRows = 3;
+
 void
 entryToJson(std::ostringstream &o, const char *key, const PerfEntry &e)
 {
     o << "  \"" << key << "\": {\"build_type\":\""
-      << jsonEscape(e.buildType) << "\",\"max_insts\":"
-      << (unsigned long long)e.maxInsts << ",";
-    pathToJson(o, "detailed", e.detailed);
-    o << ",";
-    pathToJson(o, "abstract", e.abstracted);
-    o << ",";
-    pathToJson(o, "emulator", e.emulator);
-    o << ",";
-    pathToJson(o, "emu_pre", e.emuPre);
-    o << ",";
-    pathToJson(o, "sampled", e.sampled);
-    o << ",";
-    pathToJson(o, "inject_idle", e.injectIdle);
-    o << ",";
-    pathToJson(o, "serve_cold", e.serveCold);
-    o << ",";
-    pathToJson(o, "serve_warm", e.serveWarm);
-    o << ",";
-    pathToJson(o, "fleet_cold", e.fleetCold);
-    o << ",";
-    pathToJson(o, "fleet_warm", e.fleetWarm);
-    o << ",";
-    pathToJson(o, "warm_store", e.warmStore);
+      << json::escape(e.buildType) << "\",\"max_insts\":"
+      << (unsigned long long)e.maxInsts;
+    for (const auto &row : kRows) {
+        o << ",";
+        pathToJson(o, row.key, e.*row.path);
+    }
     o << "}";
 }
 
 // ---------------------------------------------------------------
-// JSON parsing (self-contained; the trajectory file must stay
-// machine-readable across PRs, so drift is a hard parse error)
+// JSON parsing (the trajectory file must stay machine-readable across
+// PRs, so drift is a hard parse error)
 // ---------------------------------------------------------------
 
-struct Json
+bool
+pathFromJson(const json::Value &parent, const char *key, bool required,
+             PerfPath *p, std::string *error)
 {
-    enum Kind { Null, Num, Str, Obj };
-    Kind kind = Null;
-    double num = 0.0;
-    std::string str;
-    std::map<std::string, Json> obj;
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const char *p, const char *end) : _p(p), _end(end) {}
-
-    bool
-    parseTop(Json *out)
-    {
-        if (!parseValue(out))
-            return false;
-        ws();
-        if (_p != _end)
-            return fail("trailing content after JSON value");
-        return true;
-    }
-
-    const std::string &error() const { return _err; }
-
-  private:
-    void
-    ws()
-    {
-        while (_p != _end &&
-               std::isspace(static_cast<unsigned char>(*_p)))
-            _p++;
-    }
-
-    bool
-    fail(const char *msg)
-    {
-        if (_err.empty())
-            _err = msg;
-        return false;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        if (_p == _end || *_p != '"')
-            return fail("expected string");
-        _p++;
-        out->clear();
-        while (_p != _end && *_p != '"') {
-            char c = *_p++;
-            if (c != '\\') {
-                out->push_back(c);
-                continue;
-            }
-            if (_p == _end)
-                return fail("truncated escape");
-            char e = *_p++;
-            switch (e) {
-              case '"': out->push_back('"'); break;
-              case '\\': out->push_back('\\'); break;
-              case '/': out->push_back('/'); break;
-              case 'b': out->push_back('\b'); break;
-              case 'f': out->push_back('\f'); break;
-              case 'n': out->push_back('\n'); break;
-              case 'r': out->push_back('\r'); break;
-              case 't': out->push_back('\t'); break;
-              case 'u': {
-                if (_end - _p < 4)
-                    return fail("truncated \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = *_p++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= unsigned(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // The writer only \u-escapes control bytes.
-                out->push_back(v < 0x80 ? char(v) : '?');
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        if (_p == _end)
-            return fail("unterminated string");
-        _p++; // closing quote
-        return true;
-    }
-
-    bool
-    parseNumber(double *out)
-    {
-        char *endp = nullptr;
-        *out = std::strtod(_p, &endp);
-        if (endp == _p)
-            return fail("expected number");
-        _p = endp;
-        return true;
-    }
-
-    bool
-    parseObject(Json *out)
-    {
-        _p++; // '{'
-        out->kind = Json::Obj;
-        ws();
-        if (_p != _end && *_p == '}') {
-            _p++;
-            return true;
-        }
-        for (;;) {
-            ws();
-            std::string key;
-            if (!parseString(&key))
-                return false;
-            ws();
-            if (_p == _end || *_p != ':')
-                return fail("expected ':'");
-            _p++;
-            Json v;
-            if (!parseValue(&v))
-                return false;
-            out->obj[key] = std::move(v);
-            ws();
-            if (_p == _end)
-                return fail("unterminated object");
-            if (*_p == ',') {
-                _p++;
-                continue;
-            }
-            if (*_p == '}') {
-                _p++;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseValue(Json *out)
-    {
-        ws();
-        if (_p == _end)
-            return fail("unexpected end of input");
-        char c = *_p;
-        if (c == '{')
-            return parseObject(out);
-        if (c == '"') {
-            out->kind = Json::Str;
-            return parseString(&out->str);
-        }
-        if (c == '-' || c == '+' ||
-            std::isdigit(static_cast<unsigned char>(c))) {
-            out->kind = Json::Num;
-            return parseNumber(&out->num);
-        }
-        return fail("unexpected token");
-    }
-
-    const char *_p;
-    const char *_end;
-    std::string _err;
-};
-
-const Json *
-getField(const Json &o, const char *key, Json::Kind kind,
-         std::string *error)
-{
-    auto it = o.obj.find(key);
-    if (it == o.obj.end() || it->second.kind != kind) {
-        *error = std::string("missing or ill-typed field \"") + key +
-                 "\"";
-        return nullptr;
-    }
-    return &it->second;
+    const json::Value *j = nullptr;
+    return json::field(parent, key, &j, error, required) &&
+           (!j || (json::field(*j, "insts", &p->insts, error, true) &&
+                   json::field(*j, "seconds", &p->seconds, error, true) &&
+                   json::field(*j, "ips", &p->ips, error, true)));
 }
 
 bool
-pathFromJson(const Json &parent, const char *key, PerfPath *p,
-             std::string *error)
-{
-    const Json *j = getField(parent, key, Json::Obj, error);
-    if (!j)
-        return false;
-    const Json *insts = getField(*j, "insts", Json::Num, error);
-    const Json *seconds = getField(*j, "seconds", Json::Num, error);
-    const Json *ips = getField(*j, "ips", Json::Num, error);
-    if (!insts || !seconds || !ips)
-        return false;
-    p->insts = std::uint64_t(insts->num);
-    p->seconds = seconds->num;
-    p->ips = ips->num;
-    return true;
-}
-
-bool
-entryFromJson(const Json &parent, const char *key, PerfEntry *e,
+entryFromJson(const json::Value &parent, const char *key, PerfEntry *e,
               std::string *error)
 {
-    const Json *j = getField(parent, key, Json::Obj, error);
-    if (!j)
+    const json::Value *j = nullptr;
+    if (!json::field(parent, key, &j, error, true) ||
+        !json::field(*j, "build_type", &e->buildType, error, true) ||
+        !json::field(*j, "max_insts", &e->maxInsts, error, true))
         return false;
-    const Json *bt = getField(*j, "build_type", Json::Str, error);
-    const Json *mi = getField(*j, "max_insts", Json::Num, error);
-    if (!bt || !mi)
-        return false;
-    e->buildType = bt->str;
-    e->maxInsts = std::uint64_t(mi->num);
-    if (!pathFromJson(*j, "detailed", &e->detailed, error) ||
-        !pathFromJson(*j, "abstract", &e->abstracted, error) ||
-        !pathFromJson(*j, "emulator", &e->emulator, error))
-        return false;
-    // Optional: files written before the predecoded batch row existed.
-    if (j->obj.count("emu_pre") &&
-        !pathFromJson(*j, "emu_pre", &e->emuPre, error))
-        return false;
-    // Optional: trajectory files written before the sampled path
-    // existed have no "sampled" object; its absence is not drift.
-    if (j->obj.count("sampled") &&
-        !pathFromJson(*j, "sampled", &e->sampled, error))
-        return false;
-    // Optional for the same reason: files written before the
-    // injection-overhead row existed.
-    if (j->obj.count("inject_idle") &&
-        !pathFromJson(*j, "inject_idle", &e->injectIdle, error))
-        return false;
-    // Optional: the campaign-service rows arrived with `simalpha
-    // serve`; their absence (or a build without the hook) is not
-    // drift.
-    if (j->obj.count("serve_cold") &&
-        !pathFromJson(*j, "serve_cold", &e->serveCold, error))
-        return false;
-    if (j->obj.count("serve_warm") &&
-        !pathFromJson(*j, "serve_warm", &e->serveWarm, error))
-        return false;
-    // Optional likewise: the fleet rows arrived with the dispatcher.
-    if (j->obj.count("fleet_cold") &&
-        !pathFromJson(*j, "fleet_cold", &e->fleetCold, error))
-        return false;
-    if (j->obj.count("fleet_warm") &&
-        !pathFromJson(*j, "fleet_warm", &e->fleetWarm, error))
-        return false;
-    // Optional: files written before the indexed warm-store row.
-    if (j->obj.count("warm_store") &&
-        !pathFromJson(*j, "warm_store", &e->warmStore, error))
-        return false;
+    for (std::size_t i = 0; i < std::size(kRows); i++)
+        if (!pathFromJson(*j, kRows[i].key, i < kRequiredRows,
+                          &(e->*kRows[i].path), error))
+            return false;
     e->valid = true;
     return true;
 }
@@ -749,7 +522,7 @@ perfReportToJson(const PerfReport &report)
     std::ostringstream o;
     o << "{\n";
     o << "  \"schema_version\": " << report.schemaVersion << ",\n";
-    o << "  \"campaign\": \"" << jsonEscape(report.campaign)
+    o << "  \"campaign\": \"" << json::escape(report.campaign)
       << "\",\n";
     entryToJson(o, "baseline", report.baseline);
     o << ",\n";
@@ -766,34 +539,21 @@ bool
 parsePerfReport(const std::string &text, PerfReport *out,
                 std::string *error)
 {
-    Json root;
-    JsonParser p(text.data(), text.data() + text.size());
-    if (!p.parseTop(&root)) {
-        *error = p.error();
+    json::Value root;
+    std::uint64_t version = 0;
+    if (!json::parse(text, &root, error) ||
+        !json::field(root, "schema_version", &version, error, true))
         return false;
-    }
-    if (root.kind != Json::Obj) {
-        *error = "top-level value is not an object";
-        return false;
-    }
-    const Json *ver = getField(root, "schema_version", Json::Num,
-                               error);
-    if (!ver)
-        return false;
-    if (int(ver->num) != 1) {
+    if (version != 1) {
         *error = "unsupported schema_version";
         return false;
     }
-    const Json *camp = getField(root, "campaign", Json::Str, error);
-    const Json *spd = getField(root, "speedup_detailed", Json::Num,
-                               error);
-    if (!camp || !spd)
-        return false;
     PerfReport r;
-    r.schemaVersion = int(ver->num);
-    r.campaign = camp->str;
-    r.speedupDetailed = spd->num;
-    if (!entryFromJson(root, "baseline", &r.baseline, error) ||
+    r.schemaVersion = int(version);
+    if (!json::field(root, "campaign", &r.campaign, error, true) ||
+        !json::field(root, "speedup_detailed", &r.speedupDetailed, error,
+                     true) ||
+        !entryFromJson(root, "baseline", &r.baseline, error) ||
         !entryFromJson(root, "current", &r.current, error))
         return false;
     *out = r;

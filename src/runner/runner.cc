@@ -498,8 +498,12 @@ ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
             // process boundary can.
             if (fault->kind == FaultInjection::Kind::Abort)
                 std::abort();
-            if (fault->kind == FaultInjection::Kind::Segfault)
+            if (fault->kind == FaultInjection::Kind::Segfault) {
+                // Default action, so a sanitizer's SIGSEGV handler
+                // cannot turn the crash into a plain exit(1).
+                std::signal(SIGSEGV, SIG_DFL);
                 std::raise(SIGSEGV);
+            }
             if (fault->kind == FaultInjection::Kind::Hang)
                 for (;;)
                     std::this_thread::sleep_for(

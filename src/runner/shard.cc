@@ -7,8 +7,8 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "common/json.hh"
 #include "common/names.hh"
-#include "runner/artifacts.hh"
 #include "runner/journal.hh"
 
 namespace simalpha {
@@ -157,11 +157,11 @@ heartbeatLine(const std::string &campaign, std::size_t cellIndex,
               const std::string &workload)
 {
     std::string line = "{\"campaign\":\"";
-    line += jsonEscape(campaign);
+    line += json::escape(campaign);
     line += "\",\"heartbeat\":\"start\",\"cell\":";
     line += std::to_string(cellIndex);
     line += ",\"workload\":\"";
-    line += jsonEscape(workload);
+    line += json::escape(workload);
     line += "\"}";
     return line;
 }
@@ -170,23 +170,17 @@ bool
 parseHeartbeatLine(const std::string &line, const std::string &campaign,
                    std::size_t *cellIndex)
 {
-    // An exact-prefix parse of our own writer's output (the same
-    // contract the journal parser follows: read what we write, reject
-    // everything else).
-    std::string prefix = "{\"campaign\":\"";
-    prefix += jsonEscape(campaign);
-    prefix += "\",\"heartbeat\":\"start\",\"cell\":";
-    if (line.compare(0, prefix.size(), prefix) != 0)
+    json::Value v;
+    std::string lineCampaign, heartbeat, workload;
+    std::uint64_t cell = 0;
+    if (!json::parse(line, &v, nullptr) ||
+        !json::field(v, "campaign", &lineCampaign, nullptr, true) ||
+        !json::field(v, "heartbeat", &heartbeat, nullptr, true) ||
+        !json::field(v, "cell", &cell, nullptr, true) ||
+        !json::field(v, "workload", &workload, nullptr) ||
+        lineCampaign != campaign || heartbeat != "start")
         return false;
-    std::size_t pos = prefix.size();
-    std::size_t start = pos;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
-        pos++;
-    if (pos == start || pos >= line.size() || line[pos] != ',')
-        return false;
-    *cellIndex =
-        std::strtoull(line.substr(start, pos - start).c_str(),
-                      nullptr, 10);
+    *cellIndex = cell;
     return true;
 }
 
@@ -195,7 +189,7 @@ storeSummaryLine(const std::string &campaign,
                  const StoreTraffic &traffic)
 {
     std::string line = "{\"campaign\":\"";
-    line += jsonEscape(campaign);
+    line += json::escape(campaign);
     line += "\",\"store_summary\":{\"hits\":";
     line += std::to_string(traffic.hits);
     line += ",\"misses\":";
@@ -212,38 +206,20 @@ bool
 parseStoreSummaryLine(const std::string &line,
                       const std::string &campaign, StoreTraffic *out)
 {
-    // Same exact-prefix contract as parseHeartbeatLine: read what our
-    // own writer produced, reject everything else (in particular the
-    // campaign-journal parser rejects these lines, so they never leak
-    // into merged results).
-    std::string prefix = "{\"campaign\":\"";
-    prefix += jsonEscape(campaign);
-    prefix += "\",\"store_summary\":{\"hits\":";
-    if (line.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    std::size_t pos = prefix.size();
-    auto number = [&](const char *sep, std::uint64_t *value) {
-        std::size_t start = pos;
-        while (pos < line.size() && line[pos] >= '0' &&
-               line[pos] <= '9')
-            pos++;
-        if (pos == start)
-            return false;
-        *value = std::strtoull(
-            line.substr(start, pos - start).c_str(), nullptr, 10);
-        std::size_t n = std::strlen(sep);
-        if (line.compare(pos, n, sep) != 0)
-            return false;
-        pos += n;
-        return true;
-    };
+    json::Value v;
+    std::string lineCampaign;
     StoreTraffic t;
-    if (!number(",\"misses\":", &t.hits) ||
-        !number(",\"bytes_read\":", &t.misses) ||
-        !number(",\"bytes_written\":", &t.bytesRead) ||
-        !number("}}", &t.bytesWritten))
-        return false;
-    if (pos != line.size())
+    const json::Value *summary = nullptr;
+    if (!json::parse(line, &v, nullptr) ||
+        !json::field(v, "campaign", &lineCampaign, nullptr, true) ||
+        lineCampaign != campaign ||
+        !json::field(v, "store_summary", &summary, nullptr, true) ||
+        !json::field(*summary, "hits", &t.hits, nullptr, true) ||
+        !json::field(*summary, "misses", &t.misses, nullptr, true) ||
+        !json::field(*summary, "bytes_read", &t.bytesRead, nullptr,
+                     true) ||
+        !json::field(*summary, "bytes_written", &t.bytesWritten, nullptr,
+                     true))
         return false;
     *out = t;
     return true;

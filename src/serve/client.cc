@@ -12,14 +12,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/journal.hh"
+#include "runner/shard.hh"
 #include "serve/proto.hh"
 
 namespace simalpha {
@@ -230,41 +229,13 @@ readLine(int fd, std::string *carry, std::string *line,
     }
 }
 
-std::string
-submitLine(const std::string &op, const std::string &campaign,
-           std::uint64_t maxInsts, const std::string &sample)
-{
-    std::ostringstream os;
-    os << "{\"op\":\"" << op << "\",\"campaign\":\""
-       << runner::jsonEscape(campaign) << "\"";
-    if (maxInsts)
-        os << ",\"max_insts\":" << maxInsts;
-    if (!sample.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sample) << "\"";
-    os << "}";
-    return os.str();
-}
-
 } // namespace
 
 double
 retryBackoffSeconds(double baseSeconds, int attempt,
                     std::uint64_t seed)
 {
-    if (attempt < 0)
-        attempt = 0;
-    if (attempt > 30)
-        attempt = 30;
-    double delay =
-        baseSeconds * double(std::uint64_t(1) << attempt);
-    std::uint64_t z =
-        seed * 0x9E3779B97F4A7C15ULL + std::uint64_t(attempt);
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    double unit = double(z >> 11) * (1.0 / 9007199254740992.0);
-    return delay * (0.75 + 0.5 * unit);
+    return runner::respawnBackoffSeconds(baseSeconds, attempt, seed);
 }
 
 SubmitOutcome
@@ -274,10 +245,12 @@ submitCampaign(const ClientOptions &options,
                const std::function<void(const std::string &)> &onLine)
 {
     SubmitOutcome out;
-    const std::string request =
-        submitLine(resultsOnly ? "results" : "submit", campaign,
-                   maxInsts, sample) +
-        "\n";
+    Request req;
+    req.op = resultsOnly ? "results" : "submit";
+    req.campaign = campaign;
+    req.maxInsts = maxInsts;
+    req.sample = sample;
+    const std::string request = requestLine(req) + "\n";
 
     for (int attempt = 0;; attempt++) {
         bool retryable = false;
@@ -523,12 +496,11 @@ syncPull(const ClientOptions &options, store::ResultStore *into,
                        options.connectTimeoutSeconds, error);
     if (fd < 0)
         return false;
-    std::ostringstream req;
-    req << "{\"op\":\"sync\",\"mode\":\"pull\"";
-    if (newerThanSeconds)
-        req << ",\"newer_than\":" << newerThanSeconds;
-    req << "}\n";
-    if (!sendAll(fd, req.str(), error)) {
+    Request req;
+    req.op = "sync";
+    req.mode = "pull";
+    req.newerThan = newerThanSeconds;
+    if (!sendAll(fd, requestLine(req) + "\n", error)) {
         ::close(fd);
         return false;
     }
@@ -576,9 +548,11 @@ syncPush(const ClientOptions &options, const store::ResultStore &from,
                        options.connectTimeoutSeconds, error);
     if (fd < 0)
         return false;
-    std::string payload = "{\"op\":\"sync\",\"mode\":\"push\","
-                          "\"entries\":" +
-                          std::to_string(dumps.size()) + "}\n";
+    Request req;
+    req.op = "sync";
+    req.mode = "push";
+    req.entries = dumps.size();
+    std::string payload = requestLine(req) + "\n";
     for (const std::string &dump : dumps) {
         payload += dump;
         payload += '\n';

@@ -76,9 +76,9 @@ struct SubmitOutcome
 
 /** The deterministic retry delay: backoff * 2^attempt scaled by a
  *  jitter factor in [0.75, 1.25) derived from (seed, attempt) — the
- *  same SplitMix construction the shard supervisor uses, so two
- *  clients with different seeds never retry in lockstep and a given
- *  client's schedule is reproducible. */
+ *  shard supervisor's runner::respawnBackoffSeconds with the seed as
+ *  shard id, so two clients with different seeds never retry in
+ *  lockstep and a given client's schedule is reproducible. */
 double retryBackoffSeconds(double baseSeconds, int attempt,
                            std::uint64_t seed);
 

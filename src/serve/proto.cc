@@ -1,150 +1,32 @@
 #include "serve/proto.hh"
 
-#include <cctype>
 #include <cstdlib>
 #include <sstream>
 
-#include "runner/artifacts.hh"   // jsonEscape
+#include "common/json.hh"
 
 namespace simalpha {
 namespace serve {
 
-using runner::jsonEscape;
+using json::escape;
 
 namespace {
 
-/**
- * Flat-object scanner shared by request and control-line parsing:
- * strings and unsigned integers only, no nesting, no trailing bytes.
- * Mirrors the journal's LineParser but is independent of it — the
- * wire protocol must stay parseable even if the journal grows richer
- * value kinds.
- */
-class FlatParser
+/** Parse a flat object, the shape of requests and control lines:
+ *  every member a string or an unsigned integer. */
+bool
+parseFlat(const std::string &line, json::Value *v, std::string *error)
 {
-  public:
-    explicit FlatParser(const std::string &text) : _s(text) {}
-
-    bool
-    object(std::map<std::string, std::string> *strings,
-           std::map<std::string, std::uint64_t> *numbers)
-    {
-        skipWs();
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return done();
-        for (;;) {
-            std::string key;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                std::string v;
-                if (!stringLit(&v))
-                    return false;
-                (*strings)[key] = v;
-            } else if (std::isdigit(
-                           static_cast<unsigned char>(peek()))) {
-                std::uint64_t v;
-                if (!numberLit(&v))
-                    return false;
-                (*numbers)[key] = v;
-            } else {
-                return false;
-            }
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            if (eat('}'))
-                return done();
-            return false;
-        }
-    }
-
-  private:
-    bool
-    done()
-    {
-        skipWs();
-        return _pos >= _s.size();
-    }
-
-    char
-    peek() const
-    {
-        return _pos < _s.size() ? _s[_pos] : '\0';
-    }
-
-    bool
-    eat(char c)
-    {
-        if (peek() != c)
-            return false;
-        _pos++;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-    }
-
-    bool
-    stringLit(std::string *out)
-    {
-        if (!eat('"'))
-            return false;
-        out->clear();
-        while (_pos < _s.size()) {
-            char c = _s[_pos++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'n': *out += '\n'; break;
-              case 't': *out += '\t'; break;
-              default: return false;
-            }
-        }
+    if (!json::parse(line, v, error))
         return false;
+    for (const auto &[key, member] : v->members()) {
+        std::uint64_t number = 0;
+        if (member.kind() != json::Value::Kind::String &&
+            !member.read(&number))
+            return json::fieldError(key, true, error);
     }
-
-    bool
-    numberLit(std::uint64_t *out)
-    {
-        std::size_t start = _pos;
-        while (_pos < _s.size() &&
-               std::isdigit(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-        if (_pos == start || _pos - start > 20)
-            return false;
-        *out = std::strtoull(_s.substr(start, _pos - start).c_str(),
-                             nullptr, 10);
-        return true;
-    }
-
-    const std::string &_s;
-    std::size_t _pos = 0;
-};
+    return true;
+}
 
 } // namespace
 
@@ -188,38 +70,44 @@ parseRequest(const std::string &line, Request *out, std::string *error)
             *error = "request line exceeds the per-line byte cap";
         return false;
     }
-    std::map<std::string, std::string> strings;
-    std::map<std::string, std::uint64_t> numbers;
-    FlatParser parser(line);
-    if (!parser.object(&strings, &numbers)) {
-        if (error)
-            *error = "request is not a flat JSON object of "
-                     "string/integer fields";
-        return false;
-    }
-    if (!strings.count("op")) {
-        if (error)
-            *error = "request has no \"op\" field";
-        return false;
-    }
+    json::Value v;
     Request r;
-    r.op = strings["op"];
-    if (strings.count("campaign"))
-        r.campaign = strings["campaign"];
-    if (numbers.count("max_insts"))
-        r.maxInsts = numbers["max_insts"];
-    if (strings.count("sample"))
-        r.sample = strings["sample"];
-    if (strings.count("client"))
-        r.client = strings["client"];
-    if (strings.count("mode"))
-        r.mode = strings["mode"];
-    if (numbers.count("entries"))
-        r.entries = numbers["entries"];
-    if (numbers.count("newer_than"))
-        r.newerThan = numbers["newer_than"];
+    if (!parseFlat(line, &v, error) ||
+        !json::field(v, "op", &r.op, error, true) ||
+        !json::field(v, "campaign", &r.campaign, error) ||
+        !json::field(v, "max_insts", &r.maxInsts, error) ||
+        !json::field(v, "sample", &r.sample, error) ||
+        !json::field(v, "client", &r.client, error) ||
+        !json::field(v, "mode", &r.mode, error) ||
+        !json::field(v, "entries", &r.entries, error) ||
+        !json::field(v, "newer_than", &r.newerThan, error))
+        return false;
     *out = std::move(r);
     return true;
+}
+
+std::string
+requestLine(const Request &r)
+{
+    std::string line = "{\"op\":\"" + escape(r.op) + "\"";
+    auto text = [&](const char *key, const std::string &value) {
+        if (!value.empty())
+            line += ",\"" + std::string(key) + "\":\"" +
+                    escape(value) + "\"";
+    };
+    auto number = [&](const char *key, std::uint64_t value) {
+        if (value)
+            line += ",\"" + std::string(key) +
+                    "\":" + std::to_string(value);
+    };
+    text("campaign", r.campaign);
+    number("max_insts", r.maxInsts);
+    text("sample", r.sample);
+    text("client", r.client);
+    text("mode", r.mode);
+    number("entries", r.entries);
+    number("newer_than", r.newerThan);
+    return line + "}";
 }
 
 bool
@@ -234,8 +122,19 @@ parseServeLine(const std::string &line,
                std::map<std::string, std::string> *strings,
                std::map<std::string, std::uint64_t> *numbers)
 {
-    FlatParser parser(line);
-    return parser.object(strings, numbers);
+    json::Value v;
+    if (!parseFlat(line, &v, nullptr))
+        return false;
+    // In document order, so a repeated key keeps its last value.
+    for (const auto &[key, member] : v.members()) {
+        strings->erase(key);
+        numbers->erase(key);
+        if (member.kind() == json::Value::Kind::String)
+            member.read(&(*strings)[key]);
+        else
+            member.read(&(*numbers)[key]);
+    }
+    return true;
 }
 
 std::string
@@ -244,7 +143,7 @@ helloLine(const std::string &storePath, std::size_t maxPending,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"hello\",\"version\":"
-       << kProtoVersion << ",\"store\":\"" << jsonEscape(storePath)
+       << kProtoVersion << ",\"store\":\"" << escape(storePath)
        << "\",\"max_pending\":" << maxPending
        << ",\"max_clients\":" << maxClients << "}";
     return os.str();
@@ -255,8 +154,8 @@ errorLine(const std::string &code, const std::string &message)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"error\",\"code\":\""
-       << jsonEscape(code) << "\",\"message\":\""
-       << jsonEscape(message) << "\"}";
+       << escape(code) << "\",\"message\":\""
+       << escape(message) << "\"}";
     return os.str();
 }
 
@@ -266,7 +165,7 @@ acceptedLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"accepted\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << escape(campaign) << "\",\"job\":\"" << escape(jobId)
        << "\",\"cells\":" << cells
        << ",\"pending_ahead\":" << pendingAhead << "}";
     return os.str();
@@ -279,10 +178,10 @@ doneLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"done\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << escape(campaign) << "\",\"job\":\"" << escape(jobId)
        << "\",\"cells\":" << cells << ",\"ok\":" << okCells
        << ",\"failed\":" << failedCells << ",\"outcome\":\""
-       << jsonEscape(outcome) << "\"}";
+       << escape(outcome) << "\"}";
     return os.str();
 }
 
@@ -293,8 +192,8 @@ statusLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"status\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
-       << "\",\"state\":\"" << jsonEscape(state)
+       << escape(campaign) << "\",\"job\":\"" << escape(jobId)
+       << "\",\"state\":\"" << escape(state)
        << "\",\"settled\":" << settled << ",\"cells\":" << cells
        << "}";
     return os.str();
@@ -316,7 +215,7 @@ healthLine(const HealthSnapshot &s)
        << ",\"busy_rejections\":" << s.busyRejections
        << ",\"pid\":" << s.pid
        << ",\"uptime_s\":" << s.uptimeSeconds
-       << ",\"store_path\":\"" << jsonEscape(s.storePath) << "\"}";
+       << ",\"store_path\":\"" << escape(s.storePath) << "\"}";
     return os.str();
 }
 
@@ -328,8 +227,8 @@ capabilitiesLine(const Capabilities &caps)
        << kProtoVersion
        << ",\"ops\":\"hello,submit,status,results,cancel,health,"
           "capabilities,sync,shutdown\""
-       << ",\"store_path\":\"" << jsonEscape(caps.storePath)
-       << "\",\"isolate\":\"" << jsonEscape(caps.isolate)
+       << ",\"store_path\":\"" << escape(caps.storePath)
+       << "\",\"isolate\":\"" << escape(caps.isolate)
        << "\",\"max_line_bytes\":" << kMaxLineBytes
        << ",\"max_sync_line_bytes\":" << kMaxSyncLineBytes
        << ",\"max_pending\":" << caps.maxPending
@@ -344,7 +243,7 @@ syncedLine(const std::string &direction, std::uint64_t entries)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"synced\",\"direction\":\""
-       << jsonEscape(direction) << "\",\"entries\":" << entries
+       << escape(direction) << "\",\"entries\":" << entries
        << "}";
     return os.str();
 }
@@ -360,7 +259,7 @@ cancellingLine(const std::string &campaign, const std::string &jobId)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"cancelling\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << escape(campaign) << "\",\"job\":\"" << escape(jobId)
        << "\"}";
     return os.str();
 }

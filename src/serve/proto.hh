@@ -37,10 +37,12 @@
  * Dump lines may carry checkpoint blobs, so sync mode raises the line
  * cap to kMaxSyncLineBytes.
  *
- * The parser here is deliberately tiny and hostile-input-safe: flat
- * objects of string/integer values only, bounded by the server's line
- * cap, returning false (never throwing, never reading out of bounds)
- * for anything else. Fuzzable garbage costs one "error" reply line.
+ * Requests and control lines are read through the shared strict codec
+ * (common/json.hh) and must be flat objects of string and unsigned-
+ * integer fields, bounded by the server's line cap; a known field of
+ * the wrong type fails the parse. Anything else returns false (never
+ * throwing, never reading out of bounds): fuzzable garbage costs one
+ * "error" reply line.
  */
 
 #ifndef SIMALPHA_SERVE_PROTO_HH
@@ -92,11 +94,15 @@ struct Request
 bool parseTcpAddress(const std::string &address, std::string *host,
                      std::uint16_t *port, std::string *error);
 
-/** Parse one request line. Returns false with *error filled for
- *  anything that is not a flat JSON object with the expected field
- *  types; never throws. */
+/** Parse one request line. Returns false with *error filled (naming
+ *  the field, for an ill-typed one) for anything that is not a flat
+ *  JSON object with the expected field types; never throws. */
 bool parseRequest(const std::string &line, Request *out,
                   std::string *error);
+
+/** Serialize a request (no trailing newline): "op" first, then every
+ *  non-empty string and non-zero integer field in Request order. */
+std::string requestLine(const Request &request);
 
 /** True iff @p line is a service control line (vs a verbatim result
  *  line or garbage). */

@@ -15,16 +15,14 @@
 #include <sstream>
 #include <system_error>
 
+#include "common/json.hh"
+
 namespace simalpha {
 namespace store {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr const char *kHeaderPrefix = "{\"simalpha_store\":1,\"key\":\"";
-constexpr const char *kCheckPrefix = "\",\"check\":\"";
-constexpr const char *kHeaderSuffix = "\"}";
 
 std::uint64_t
 fnv1a64(const std::string &s)
@@ -47,120 +45,11 @@ hex16(std::uint64_t h)
     return out;
 }
 
-/** The journal writers' escaping rules (store entries must embed keys
- *  and payloads that round-trip byte for byte). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Consume an escaped JSON string body starting at *pos (just past the
- *  opening quote); leaves *pos past the closing quote. */
-bool
-readStringBody(const std::string &s, std::size_t *pos, std::string *out)
-{
-    out->clear();
-    std::size_t p = *pos;
-    while (p < s.size()) {
-        char c = s[p++];
-        if (c == '"') {
-            *pos = p;
-            return true;
-        }
-        if (c != '\\') {
-            *out += c;
-            continue;
-        }
-        if (p >= s.size())
-            return false;
-        char esc = s[p++];
-        switch (esc) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'u': {
-            if (p + 4 > s.size())
-                return false;
-            unsigned v = 0;
-            for (int i = 0; i < 4; i++) {
-                char h = s[p++];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= unsigned(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= unsigned(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= unsigned(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (v > 0xFF)
-                return false;   // the writer only escapes raw bytes
-            *out += char(v);
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return false;
-}
-
-bool
-eatLiteral(const std::string &s, std::size_t *pos, const char *lit)
-{
-    std::size_t n = std::strlen(lit);
-    if (s.compare(*pos, n, lit) != 0)
-        return false;
-    *pos += n;
-    return true;
-}
-
 std::string
 headerLine(const std::string &key, const std::string &payload)
 {
-    std::string line = kHeaderPrefix;
-    line += escapeJson(key);
-    line += kCheckPrefix;
-    line += hex16(fnv1a64(payload));
-    line += kHeaderSuffix;
-    return line;
+    return "{\"simalpha_store\":1,\"key\":\"" + json::escape(key) +
+           "\",\"check\":\"" + hex16(fnv1a64(payload)) + "\"}";
 }
 
 /** Parse a header line into the recorded key and integrity hash. */
@@ -168,21 +57,12 @@ bool
 parseHeader(const std::string &line, std::string *key,
             std::string *check)
 {
-    std::size_t pos = 0;
-    if (!eatLiteral(line, &pos, kHeaderPrefix))
-        return false;
-    if (!readStringBody(line, &pos, key))
-        return false;
-    // readStringBody consumed the closing quote; kCheckPrefix starts
-    // with one, so step back over it.
-    pos--;
-    if (!eatLiteral(line, &pos, kCheckPrefix))
-        return false;
-    if (pos + 16 > line.size())
-        return false;
-    *check = line.substr(pos, 16);
-    pos += 16;
-    return eatLiteral(line, &pos, kHeaderSuffix) && pos == line.size();
+    json::Value v;
+    std::uint64_t version = 0;
+    return json::parse(line, &v, nullptr) &&
+           json::field(v, "simalpha_store", &version, nullptr, true) &&
+           version == 1 && json::field(v, "key", key, nullptr, true) &&
+           json::field(v, "check", check, nullptr, true);
 }
 
 /** Atomic write: temp file in the target's directory, then rename. */
@@ -944,24 +824,18 @@ std::string
 ResultStore::formatExportLine(const std::string &key,
                               const std::string &payload)
 {
-    return "{\"key\":\"" + escapeJson(key) + "\",\"payload\":\"" +
-           escapeJson(payload) + "\"}";
+    return "{\"key\":\"" + json::escape(key) + "\",\"payload\":\"" +
+           json::escape(payload) + "\"}";
 }
 
 bool
 ResultStore::parseExportLine(const std::string &line, std::string *key,
                              std::string *payload)
 {
-    std::size_t pos = 0;
-    if (!eatLiteral(line, &pos, "{\"key\":\"") ||
-        !readStringBody(line, &pos, key))
-        return false;
-    pos--;      // step back over the consumed closing quote
-    if (!eatLiteral(line, &pos, "\",\"payload\":\"") ||
-        !readStringBody(line, &pos, payload))
-        return false;
-    pos--;
-    return eatLiteral(line, &pos, "\"}") && pos == line.size();
+    json::Value v;
+    return json::parse(line, &v, nullptr) &&
+           json::field(v, "key", key, nullptr, true) &&
+           json::field(v, "payload", payload, nullptr, true);
 }
 
 bool

@@ -310,6 +310,48 @@ TEST(ServeProto, ControlLinesRoundTripAndClassify)
     EXPECT_EQ(numbers["failed"], 1u);
 }
 
+TEST(ServeProto, IllTypedFieldsAreBadRequestsNamingTheField)
+{
+    // Each of these once parsed with the field silently dropped or
+    // saturated, running an uncapped, unsampled or whole-store job.
+    const std::vector<std::pair<std::string, std::string>> lines = {
+        {"{\"op\":\"submit\",\"campaign\":\"table3\","
+         "\"max_insts\":\"20000\"}",
+         "max_insts"},
+        {"{\"op\":\"submit\",\"campaign\":\"table3\",\"sample\":5}",
+         "sample"},
+        {"{\"op\":\"sync\",\"mode\":\"pull\",\"newer_than\":\"60\"}",
+         "newer_than"},
+        {"{\"op\":\"submit\",\"campaign\":\"table3\","
+         "\"max_insts\":99999999999999999999}",
+         "max_insts"},
+    };
+    for (const auto &[line, field] : lines) {
+        Request req;
+        std::string error;
+        EXPECT_FALSE(parseRequest(line, &req, &error)) << line;
+        EXPECT_NE(error.find("\"" + field + "\""), std::string::npos)
+            << line << ": " << error;
+    }
+}
+
+TEST(ServeProto, RawControlBytesAreRejectedAndEscapedOnesEchoBack)
+{
+    Request req;
+    std::string error;
+    EXPECT_FALSE(parseRequest("{\"op\":\"a\x01\"}", &req, &error));
+    EXPECT_FALSE(error.empty());
+
+    // The escaped spelling parses, and the error reply that echoes it
+    // is a control line the client can read.
+    ASSERT_TRUE(parseRequest("{\"op\":\"a\\u0001\"}", &req, &error))
+        << error;
+    EXPECT_EQ(req.op, "a\x01");
+    std::string reply = errorLine("bad_request", "unknown op '" + req.op +
+                                                     "'");
+    EXPECT_EQ(serveCode(reply), "bad_request") << reply;
+}
+
 // ---------------------------------------------------------------
 // Hostile input over the socket: one error line each, daemon survives
 // ---------------------------------------------------------------
@@ -365,6 +407,33 @@ TEST(Serve, MalformedRequestsGetErrorRepliesAndTheDaemonSurvives)
         submitCampaign(daemon.client(), "smoke", 20000);
     EXPECT_TRUE(o.ok) << o.error;
     EXPECT_EQ(o.lines.size(), 12u);
+}
+
+TEST(Serve, IllTypedFieldsGetBadRequestRepliesNamingTheField)
+{
+    TestDaemon daemon("typed");
+    ASSERT_TRUE(daemon.start());
+
+    std::vector<std::string> replies = rawExchange(
+        daemon.opts.listen,
+        "{\"op\":\"submit\",\"campaign\":\"smoke\","
+        "\"max_insts\":\"20000\"}\n",
+        1);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(serveCode(replies[0]), "bad_request") << replies[0];
+    std::map<std::string, std::string> strings;
+    std::map<std::string, std::uint64_t> numbers;
+    ASSERT_TRUE(parseServeLine(replies[0], &strings, &numbers));
+    EXPECT_NE(strings["message"].find("max_insts"), std::string::npos)
+        << strings["message"];
+
+    // An escaped control byte comes back in an error reply that the
+    // client parses like any other.
+    replies = rawExchange(daemon.opts.listen,
+                          "{\"op\":\"\\u0001\\r\"}\n", 1);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(serveCode(replies[0]), "bad_request") << replies[0];
+    EXPECT_EQ(daemon.server->stats().badRequests, 2u);
 }
 
 // ---------------------------------------------------------------

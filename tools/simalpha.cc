@@ -45,7 +45,6 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -1127,23 +1126,16 @@ runSubmitCommand(int argc, char **argv)
     }
 
     // One-line ops: hello, status, cancel, health, shutdown.
-    std::ostringstream os;
-    os << "{\"op\":\"" << runner::jsonEscape(op) << "\"";
-    if (!campaign.empty())
-        os << ",\"campaign\":\"" << runner::jsonEscape(campaign)
-           << "\"";
-    if (maxInsts)
-        os << ",\"max_insts\":" << maxInsts;
-    if (!sampleStr.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sampleStr)
-           << "\"";
-    if (!clientName.empty())
-        os << ",\"client\":\"" << runner::jsonEscape(clientName)
-           << "\"";
-    os << "}";
+    serve::Request req;
+    req.op = op;
+    req.campaign = campaign;
+    req.maxInsts = maxInsts;
+    req.sample = sampleStr;
+    req.client = clientName;
 
     std::string reply, error;
-    if (!serve::requestOnce(copts, os.str(), &reply, &error))
+    if (!serve::requestOnce(copts, serve::requestLine(req), &reply,
+                            &error))
         fatal("%s", error.c_str());
     std::printf("%s\n", reply.c_str());
     std::map<std::string, std::string> strings;
