@@ -11,11 +11,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
 
@@ -31,20 +31,29 @@ class CampaignHarness
         _opts.jobs = 0;     // all cores
         _opts.cache = true;
         for (int i = 1; i < argc; i++) {
+            const std::string flag = argv[i];
             auto next = [&]() -> const char * {
                 if (i + 1 >= argc) {
                     std::fprintf(stderr, "missing value after %s\n",
-                                 argv[i]);
+                                 flag.c_str());
                     std::exit(2);
                 }
                 return argv[++i];
             };
-            if (std::strcmp(argv[i], "--store") == 0)
+            auto number = [&](auto *out) {
+                const char *text = next();
+                if (!parseNumber(text, out)) {
+                    std::fprintf(stderr, "%s: '%s' is not a number\n",
+                                 flag.c_str(), text);
+                    std::exit(2);
+                }
+            };
+            if (flag == "--store")
                 _opts.storePath = next();
-            else if (std::strcmp(argv[i], "--jobs") == 0)
-                _opts.jobs = int(std::strtol(next(), nullptr, 10));
-            else if (std::strcmp(argv[i], "--max-insts") == 0)
-                _maxInsts = std::strtoull(next(), nullptr, 10);
+            else if (flag == "--jobs")
+                number(&_opts.jobs);
+            else if (flag == "--max-insts")
+                number(&_maxInsts);
             else {
                 std::fprintf(stderr,
                              "usage: %s [--store DIR] [--jobs N] "

@@ -1,9 +1,9 @@
 #include "common/json.hh"
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/number.hh"
 
 namespace simalpha {
 namespace json {
@@ -53,31 +53,16 @@ Value::read(std::string *out) const
 bool
 Value::read(std::uint64_t *out) const
 {
-    // The grammar already rules out signs and leading zeros; a
-    // fraction, an exponent or 64-bit overflow stops short of the end.
-    if (_kind != Kind::Number)
-        return false;
-    const char *end = _text.data() + _text.size();
-    std::uint64_t v = 0;
-    auto [ptr, ec] = std::from_chars(_text.data(), end, v);
-    if (ec != std::errc() || ptr != end)
-        return false;
-    *out = v;
-    return true;
+    // A sign, a fraction, an exponent or 64-bit overflow is no u64.
+    return _kind == Kind::Number && parseNumber(_text, out);
 }
 
 bool
 Value::read(double *out) const
 {
-    if (_kind != Kind::Number)
-        return false;
     // Out of double range reads as infinity, which no writer can print
     // back as a JSON number.
-    double v = std::strtod(_text.c_str(), nullptr);
-    if (!std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
+    return _kind == Kind::Number && parseNumber(_text, out);
 }
 
 bool

@@ -6,27 +6,30 @@
  * The dispatcher *is* a serve::Server — clients connect, submit, and
  * stream results exactly as against a single daemon — whose accepted
  * jobs run through Dispatcher::execute() (the serve::JobExecutor
- * hook) instead of the local runner:
+ * hook) instead of the local runner. execute() is the serve-socket
+ * transport of runner::ShardedRun, which owns replay, partitioning,
+ * the merge barrier and the master journal:
  *
  *   1. replay: the job's master journal under <store>/serve.d/ is
- *      read first, so a restarted dispatcher re-serves settled cells
- *      byte-identically and dispatches only the remainder;
- *   2. partition: the campaign's cells are split round-robin into n
- *      deterministic shard sub-campaigns named
- *      "shard:<i>/<n>:<campaign>" (n = live workers), which each
- *      worker re-derives from the name alone — the same trick the
- *      process-isolation shards use;
+ *      replayed first (newest line per cell, manifest-checked), so a
+ *      restarted dispatcher re-serves settled cells byte-identically
+ *      and dispatches only slices with unsettled cells;
+ *   2. partition: slice i of n holds the campaign's cells i, i+n, ...
+ *      and is named "shard:<i>/<n>:<campaign>" (n = live workers),
+ *      which each worker re-derives from the name alone — the same
+ *      partition the process-isolation shards use;
  *   3. dispatch: each shard is submitted to a worker through the
  *      retrying client (busy replies and torn streams back off and
  *      retry against the same worker; a worker that stays unreachable
  *      is marked dead and its shard re-dispatched to a live one —
  *      worker-side job journals make every re-dispatch resume, never
  *      recompute, what already settled);
- *   4. merge: returned journal lines are keyed by cell identity and
- *      appended to the master journal in campaign spec order — the
- *      order a single-host `--jobs 1` run settles in — so the master
- *      journal and every derived artifact are byte-identical to a
- *      single-host run at any worker count;
+ *   4. merge: a returned line is accepted when it names a cell of
+ *      the campaign with its current manifest hash, and lines reach
+ *      the master journal and the subscribers in campaign spec order
+ *      — the order a single-host `--jobs 1` run settles in — so the
+ *      master journal and every derived artifact are byte-identical
+ *      to a single-host run at any worker count;
  *   5. sync (opt-in): before dispatch the dispatcher's store is
  *      pushed to every live worker (op "sync", checkpoints and golden
  *      blobs included) and after completion freshly-published worker
@@ -108,9 +111,10 @@ class Dispatcher
     /** The serve::JobExecutor to plug into ServeOptions::executor. */
     serve::JobExecutor executor();
 
-    /** Run one accepted job across the fleet (replay, partition,
-     *  dispatch, merge, sync). Throws on unrecoverable failure — the
-     *  server marks the job failed; settled cells stay journaled. */
+    /** Run one accepted job across the fleet: a runner::ShardedRun
+     *  whose transport dispatches each slice to a worker (plus store
+     *  sync). Throws on unrecoverable failure — the server marks the
+     *  job failed; settled cells stay journaled. */
     void execute(const serve::JobWork &work);
 
     FleetStats stats() const;
@@ -118,11 +122,11 @@ class Dispatcher
 
   private:
     bool ensureStore(const std::string &root, std::string *error);
-    void syncPushAll(const std::string &root,
-                     const std::vector<std::size_t> &live);
-    void syncPullAll(const std::string &root,
-                     const std::vector<std::size_t> &live,
-                     std::uint64_t newerThanSeconds);
+    /** Push the dispatcher's store to every live worker, or (with
+     *  @p pullNewerThanSeconds > 0) pull their newer entries back. */
+    void syncAll(const std::string &root,
+                 const std::vector<std::size_t> &live,
+                 std::uint64_t pullNewerThanSeconds);
 
     FleetOptions _opts;
     WorkerRegistry _registry;

@@ -129,32 +129,19 @@ WorkerRegistry::markDead(std::size_t index, const std::string &error)
 }
 
 void
-WorkerRegistry::noteDispatched(std::size_t index)
+WorkerRegistry::noteDispatch(std::size_t index, std::uint64_t lines,
+                             const std::string &error)
 {
     std::lock_guard<std::mutex> lock(_mu);
-    _workers[index].shardsDispatched++;
-}
-
-void
-WorkerRegistry::noteCompleted(std::size_t index)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _workers[index].shardsCompleted++;
-}
-
-void
-WorkerRegistry::noteFailed(std::size_t index, const std::string &error)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _workers[index].shardsFailed++;
-    _workers[index].lastError = error;
-}
-
-void
-WorkerRegistry::noteLines(std::size_t index, std::uint64_t lines)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _workers[index].linesStreamed += lines;
+    WorkerStatus &w = _workers[index];
+    w.shardsDispatched++;
+    w.linesStreamed += lines;
+    if (error.empty()) {
+        w.shardsCompleted++;
+    } else {
+        w.shardsFailed++;
+        w.lastError = error;
+    }
 }
 
 std::vector<WorkerStatus>

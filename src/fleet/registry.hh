@@ -78,10 +78,10 @@ class WorkerRegistry
 
     void markDead(std::size_t index, const std::string &error);
 
-    void noteDispatched(std::size_t index);
-    void noteCompleted(std::size_t index);
-    void noteFailed(std::size_t index, const std::string &error);
-    void noteLines(std::size_t index, std::uint64_t lines);
+    /** Account one finished shard dispatch: the lines it streamed,
+     *  and its error (empty = completed). */
+    void noteDispatch(std::size_t index, std::uint64_t lines,
+                      const std::string &error);
 
     std::vector<WorkerStatus> snapshot() const;
 

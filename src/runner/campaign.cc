@@ -1,5 +1,7 @@
 #include "campaign.hh"
 
+#include "common/number.hh"
+#include "runner/shard.hh"
 #include "validate/manifest.hh"
 #include "workloads/macro.hh"
 #include "workloads/membench.hh"
@@ -305,26 +307,14 @@ parseVulnCampaignName(const std::string &name, VulnSpec *out,
     if (parts[1].empty() || parts[2].empty())
         return fail("needs a machine and a workload");
 
-    auto number = [](const std::string &s, std::uint64_t *v) {
-        if (s.empty())
-            return false;
-        *v = 0;
-        for (char c : s) {
-            if (c < '0' || c > '9')
-                return false;
-            *v = *v * 10 + std::uint64_t(c - '0');
-        }
-        return true;
-    };
-
     VulnSpec spec;
     spec.machine = parts[1];
     spec.workload = parts[2];
-    if (!number(parts[3], &spec.maxInsts) || spec.maxInsts == 0)
+    if (!parseNumber(parts[3], &spec.maxInsts) || spec.maxInsts == 0)
         return fail("needs a positive max-insts cap");
-    if (!number(parts[4], &spec.cells) || spec.cells == 0)
+    if (!parseNumber(parts[4], &spec.cells) || spec.cells == 0)
         return fail("needs a positive cell count");
-    if (!number(parts[5], &spec.seed))
+    if (!parseNumber(parts[5], &spec.seed))
         return fail("has a malformed seed");
 
     const std::string &tlist = parts[6];
@@ -403,14 +393,11 @@ parseShardCampaignName(const std::string &name, std::size_t *index,
         return fail("expected shard:<i>/<n>:<base>");
     std::string indexText = name.substr(6, slash - 6);
     std::string countText = name.substr(slash + 1, colon - slash - 1);
-    if (indexText.empty() ||
-        indexText.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t i = 0, n = 0;
+    if (!parseNumber(indexText, &i))
         return fail("shard index '" + indexText + "' is not a number");
-    if (countText.empty() ||
-        countText.find_first_not_of("0123456789") != std::string::npos)
+    if (!parseNumber(countText, &n))
         return fail("shard count '" + countText + "' is not a number");
-    std::size_t i = std::strtoull(indexText.c_str(), nullptr, 10);
-    std::size_t n = std::strtoull(countText.c_str(), nullptr, 10);
     if (n == 0)
         return fail("shard count must be > 0");
     if (i >= n)
@@ -442,7 +429,7 @@ campaignByName(const std::string &name, CampaignSpec *out)
         // Keep the base name: shard journal lines must be the bytes
         // the single-host run writes (see shardCampaignName()).
         sliced.name = whole.name;
-        for (std::size_t c = index; c < whole.cells.size(); c += count)
+        for (std::size_t c : shardSlice(whole.cells.size(), index, count))
             sliced.cells.push_back(whole.cells[c]);
         *out = std::move(sliced);
         return true;

@@ -154,11 +154,11 @@ CampaignSpec vulnCampaign(const VulnSpec &spec);
 
 /**
  * "shard:<i>/<n>:<base>" — deterministic slice i of base campaign
- * <base> partitioned round-robin over n shards (the same assignment
- * shardCells() gives the process-isolation workers). The returned
- * spec keeps the *base* campaign name, so journal lines produced by a
- * shard are byte-identical to the lines the single-host run writes
- * for those cells — which is what lets a fleet dispatcher merge
+ * <base> partitioned round-robin over n shards (shardSlice(), the
+ * assignment a fresh process-isolation run gives its workers). The
+ * returned spec keeps the *base* campaign name, so journal lines
+ * produced by a shard are byte-identical to the lines the single-host
+ * run writes for those cells — which is what lets a fleet dispatcher merge
  * per-worker shard journals into a master journal indistinguishable
  * from a local run. <base> may itself contain colons (vuln: specs).
  */

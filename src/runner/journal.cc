@@ -184,6 +184,21 @@ loadJournal(const std::string &path, const std::string &campaign,
             std::unordered_map<std::string, CellResult> *out,
             std::string *error)
 {
+    return readJournal(
+        path, campaign,
+        [out](const std::string &key, CellResult &r, const std::string &) {
+            (*out)[key] = std::move(r);
+        },
+        error);
+}
+
+bool
+readJournal(const std::string &path, const std::string &campaign,
+            const std::function<void(const std::string &key,
+                                     CellResult &result,
+                                     const std::string &line)> &visit,
+            std::string *error)
+{
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         // A journal that does not exist yet is an empty journal.
@@ -226,7 +241,7 @@ loadJournal(const std::string &path, const std::string &campaign,
         std::string key;
         if (!parseJournalLine(line, campaign, &r, &key))
             continue;   // other campaign's (or a heartbeat) line
-        (*out)[key] = std::move(r);
+        visit(key, r, line);
     }
     return true;
 }

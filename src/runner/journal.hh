@@ -29,6 +29,7 @@
 #ifndef SIMALPHA_RUNNER_JOURNAL_HH
 #define SIMALPHA_RUNNER_JOURNAL_HH
 
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -67,6 +68,14 @@ bool loadJournal(const std::string &path, const std::string &campaign,
                  std::unordered_map<std::string, CellResult> *out,
                  std::string *error);
 
+/** What loadJournal reads, entry by entry, oldest first: each entry's
+ *  key, parsed result and verbatim line bytes. */
+bool readJournal(const std::string &path, const std::string &campaign,
+                 const std::function<void(const std::string &key,
+                                          CellResult &result,
+                                          const std::string &line)> &visit,
+                 std::string *error);
+
 /** True when fsync-per-append was requested via the environment
  *  (SIMALPHA_JOURNAL_SYNC=1) — the opt-in shard workers and library
  *  callers inherit without any flag plumbing. */
@@ -96,9 +105,9 @@ class CampaignJournal
      *  appended). */
     void append(const std::string &campaign, const CellResult &result);
 
-    /** Append an already-serialized line verbatim (the supervisor's
-     *  master-journal merge copies worker bytes through this, so
-     *  resumed campaigns replay the worker's exact serialization). */
+    /** Append an already-serialized line verbatim (the sharded
+     *  executor releases worker bytes through this, so resumed
+     *  campaigns replay the worker's exact serialization). */
     void appendRaw(const std::string &line);
 
     void close();

@@ -17,6 +17,7 @@
 #include "common/error.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "isa/emulator.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
@@ -593,7 +594,7 @@ runBenchCommand(int argc, char **argv)
             max_insts = kPerfBenchQuickMaxInsts;
             cap_explicit = true;
         } else if (std::strcmp(argv[i], "--max-insts") == 0) {
-            max_insts = std::strtoull(next(), nullptr, 10);
+            max_insts = flagNumber<std::uint64_t>("--max-insts", next());
             cap_explicit = true;
         } else if (std::strcmp(argv[i], "--out") == 0)
             out_path = next();

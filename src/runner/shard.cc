@@ -2,13 +2,15 @@
 
 #include <sys/wait.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <unordered_map>
 
 #include "common/json.hh"
 #include "common/names.hh"
+#include "common/number.hh"
 #include "runner/journal.hh"
 
 namespace simalpha {
@@ -17,12 +19,24 @@ namespace runner {
 std::vector<std::vector<std::size_t>>
 shardCells(std::size_t cellCount, std::size_t shardCount)
 {
-    if (shardCount == 0)
-        shardCount = 1;
-    std::vector<std::vector<std::size_t>> shards(shardCount);
-    for (std::size_t i = 0; i < cellCount; i++)
-        shards[i % shardCount].push_back(i);
+    std::vector<std::vector<std::size_t>> shards(std::max<std::size_t>(
+        shardCount, 1));
+    for (std::size_t i = 0; i < shards.size(); i++)
+        shards[i] = shardSlice(cellCount, i, shards.size());
     return shards;
+}
+
+std::vector<std::size_t>
+shardSlice(std::size_t cellCount, std::size_t index, std::size_t shardCount)
+{
+    std::vector<std::size_t> cells;
+    // Stop before c + shardCount could pass cellCount (or wrap).
+    for (std::size_t c = index; c < cellCount; c += shardCount) {
+        cells.push_back(c);
+        if (shardCount >= cellCount - c)
+            break;
+    }
+    return cells;
 }
 
 std::string
@@ -48,14 +62,14 @@ parseCellList(const std::string &text, std::vector<std::size_t> *out,
         if (end == std::string::npos)
             end = text.size();
         std::string item = text.substr(pos, end - pos);
-        if (item.empty() ||
-            item.find_first_not_of("0123456789") != std::string::npos) {
+        std::uint64_t index = 0;
+        if (!parseNumber(item, &index)) {
             if (error)
                 *error = "bad cell index '" + item + "' in '" + text +
                          "'";
             return false;
         }
-        out->push_back(std::strtoull(item.c_str(), nullptr, 10));
+        out->push_back(index);
         pos = end + 1;
     }
     if (out->empty()) {
@@ -119,34 +133,30 @@ parseFaultSpec(const std::string &text, FaultInjection *out,
                      enumNameList(kFaultKinds) + ")";
         return false;
     }
-    std::string index = text.substr(0, c1);
-    if (index.find_first_not_of("0123456789") != std::string::npos) {
+    FaultInjection fault;
+    std::uint64_t index = 0;
+    if (!parseNumber(text.substr(0, c1), &index)) {
         if (error)
             *error = "bad cell index in fault spec '" + text + "'";
         return false;
     }
+    fault.cellIndex = index;
     std::size_t c2 = text.find(':', c1 + 1);
     std::string kind = text.substr(
         c1 + 1, c2 == std::string::npos ? std::string::npos
                                         : c2 - c1 - 1);
-    FaultInjection fault;
-    fault.cellIndex = std::strtoull(index.c_str(), nullptr, 10);
     if (!faultKindByName(kind, &fault.kind)) {
         if (error)
             *error = "unknown fault kind '" + kind + "' (kinds: " +
                      enumNameList(kFaultKinds) + ")";
         return false;
     }
-    if (c2 != std::string::npos) {
-        std::string times = text.substr(c2 + 1);
-        if (times.empty() ||
-            times.find_first_not_of("0123456789") !=
-                std::string::npos) {
-            if (error)
-                *error = "bad times in fault spec '" + text + "'";
-            return false;
-        }
-        fault.times = int(std::strtol(times.c_str(), nullptr, 10));
+    if (c2 != std::string::npos &&
+        (!parseNumber(text.substr(c2 + 1), &fault.times) ||
+         fault.times < 0)) {
+        if (error)
+            *error = "bad times in fault spec '" + text + "'";
+        return false;
     }
     *out = fault;
     return true;
@@ -279,38 +289,73 @@ describeWaitStatus(int waitStatus, std::string *errorClass,
     return false;
 }
 
+std::vector<std::string>
+manifestHashes(const CampaignSpec &spec)
+{
+    std::map<std::pair<std::string, validate::Optimization>, std::string>
+        memo;
+    std::vector<std::string> out;
+    for (const Cell &cell : spec.cells) {
+        auto [it, fresh] = memo.try_emplace({cell.machine, cell.opt});
+        if (fresh)
+            it->second = cellManifestHash(cell);
+        out.push_back(it->second);
+    }
+    return out;
+}
+
 void
 mergeShardJournals(const CampaignSpec &spec,
                    const std::vector<std::string> &journalPaths,
                    CampaignResult *out,
-                   std::vector<std::size_t> *missing)
+                   std::vector<std::size_t> *missing,
+                   std::vector<std::string> *lines,
+                   const std::vector<std::string> *hashes)
 {
-    // Later journals override earlier ones: loadJournal itself is
-    // newest-wins per key, and inserting in path order preserves that
-    // across files.
-    std::unordered_map<std::string, CellResult> byKey;
-    for (const std::string &path : journalPaths) {
-        std::unordered_map<std::string, CellResult> one;
-        std::string error;
-        loadJournal(path, spec.name, &one, &error);
-        for (auto &kv : one)
-            byKey[kv.first] = std::move(kv.second);
+    std::vector<std::string> computed;
+    if (!hashes) {
+        computed = manifestHashes(spec);
+        hashes = &computed;
     }
+    std::vector<std::string> keys;
+    std::unordered_map<std::string, std::size_t> cellByKey;
+    for (std::size_t i = 0; i < spec.cells.size(); i++) {
+        keys.push_back(journalKey(spec.cells[i]));
+        cellByKey.emplace(keys.back(), i);
+    }
+
+    // Each line is manifest-checked before newest-wins (within a
+    // journal, then later journal over earlier), so a stale line never
+    // hides a current one. Unknown machines journal an empty manifest
+    // hash, so empty==empty correctly merges still-unknown machines.
+    std::unordered_map<std::string, std::pair<CellResult, std::string>>
+        byKey;
+    for (const std::string &path : journalPaths)
+        readJournal(
+            path, spec.name,
+            [&](const std::string &key, CellResult &r,
+                const std::string &line) {
+                auto it = cellByKey.find(key);
+                if (it != cellByKey.end() &&
+                    r.manifestHash == (*hashes)[it->second])
+                    byKey[key] = {std::move(r), line};
+            },
+            nullptr);
 
     out->campaign = spec.name;
     out->cells.assign(spec.cells.size(), CellResult());
     if (missing)
         missing->clear();
+    if (lines)
+        lines->assign(spec.cells.size(), std::string());
     for (std::size_t i = 0; i < spec.cells.size(); i++) {
         const Cell &cell = spec.cells[i];
-        auto it = byKey.find(journalKey(cell));
-        // Unknown machines journal an empty manifest hash, so
-        // empty==empty correctly merges still-unknown machines.
-        if (it != byKey.end() &&
-            it->second.manifestHash == cellManifestHash(cell)) {
-            CellResult merged = it->second;
-            merged.cell = cell;     // identity of *this* cell
-            out->cells[i] = std::move(merged);
+        auto it = byKey.find(keys[i]);
+        if (it != byKey.end()) {
+            out->cells[i] = it->second.first;
+            out->cells[i].cell = cell;  // identity of *this* cell
+            if (lines)
+                (*lines)[i] = it->second.second;
             continue;
         }
         out->cells[i].cell = cell;

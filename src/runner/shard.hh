@@ -39,10 +39,18 @@ namespace simalpha {
 namespace runner {
 
 /** Round-robin assignment of @p cellCount cells over @p shardCount
- *  shards (mirrors the thread pool's initial distribution). Shards
- *  beyond the cell count come back empty. */
+ *  shards: shard i holds cells i, i+n, ... — the one partition behind
+ *  the sharded executor and `shard:<i>/<n>:<base>` campaign names.
+ *  Shards beyond the cell count come back empty. */
 std::vector<std::vector<std::size_t>>
 shardCells(std::size_t cellCount, std::size_t shardCount);
+
+/** Shard @p index of @p shardCount alone (shardCells()[index] without
+ *  building the others): any count, however large, costs only the
+ *  cells the shard holds. */
+std::vector<std::size_t> shardSlice(std::size_t cellCount,
+                                    std::size_t index,
+                                    std::size_t shardCount);
 
 /** "0,3,6" ⇄ {0,3,6} — the worker's --cells argument. */
 std::string formatCellList(const std::vector<std::size_t> &cells);
@@ -114,20 +122,33 @@ double respawnBackoffSeconds(double baseSeconds, int respawnsUsed,
 bool describeWaitStatus(int waitStatus, std::string *errorClass,
                         std::string *message);
 
+/** The manifest hash of every cell of @p spec (cellManifestHash),
+ *  computed once per (machine, optimization): Table 5 has 52
+ *  configurations over 520 cells, and one hash costs tens of µs. */
+std::vector<std::string> manifestHashes(const CampaignSpec &spec);
+
 /**
- * Merge shard journals into one spec-ordered campaign result. Entries
- * are matched by cell identity, newest-wins within a journal and
- * later-journal-wins across @p journalPaths; entries whose manifest
- * hash no longer matches the current machine definition are stale and
- * ignored. Cells with no usable entry are listed in *missing and left
- * as default (failed, empty error) results carrying their identity.
- * Missing journal files are skipped (a worker that never spawned
- * writes nothing).
+ * Merge shard journals into one spec-ordered campaign result — the
+ * one spec-level replay every sharded path reads through. Entries are
+ * matched by cell identity; an entry whose manifest hash no longer
+ * matches the current machine definition is stale and skipped, and of
+ * the rest the newest wins within a journal and the later journal
+ * across @p journalPaths. A torn final line is discarded. Cells with
+ * no usable entry are listed in *missing and left as default (failed,
+ * empty error) results carrying their identity. Missing journal files
+ * are skipped (a worker that never spawned writes nothing).
+ *
+ * When @p lines is given, (*lines)[i] receives the verbatim bytes of
+ * cell i's entry (empty for a missing cell), so replayed results are
+ * never re-encoded. @p hashes, when given, is manifestHashes(spec),
+ * for callers that check further lines against the same hashes.
  */
 void mergeShardJournals(const CampaignSpec &spec,
                         const std::vector<std::string> &journalPaths,
                         CampaignResult *out,
-                        std::vector<std::size_t> *missing);
+                        std::vector<std::size_t> *missing,
+                        std::vector<std::string> *lines = nullptr,
+                        const std::vector<std::string> *hashes = nullptr);
 
 /** What `simalpha --shard` executes. */
 struct ShardWorkerOptions

@@ -1,0 +1,162 @@
+/**
+ * @file
+ * The one sharded executor behind `--isolate=process` and the fleet.
+ *
+ * A ShardedRun splits a campaign into n slices — slice i holds cells
+ * i, i+n, ... (shardSlice) of the spec, or of the cells still unsettled
+ * — and hands each slice with unsettled cells to a Transport on its
+ * own thread: the supervisor spawns `simalpha
+ * --shard` workers, the fleet dispatcher submits `shard:<i>/<n>:<base>`
+ * to serve daemons. The rest is shared:
+ *
+ *   replay   any retained journals, then the master journal, through
+ *            mergeShardJournals: manifest-hash checked, newest line
+ *            per cell, torn tail ignored;
+ *   merge    a delivered line is accepted when it parses for the
+ *            campaign, names a cell of the spec and carries that
+ *            cell's current manifest hash; the first accepted line
+ *            for a cell wins;
+ *   release  accepted lines leave in spec order, each appended to the
+ *            master journal once and passed to the sink once, so the
+ *            journal and stream are byte-identical to `--jobs 1`;
+ *   declare  a failure the transport observed becomes a failed
+ *            journal line, durable in the declared-failure journal at
+ *            once and released in spec order like any other.
+ *
+ * A slow early cell holds later lines back from the master journal;
+ * they stay durable in the transport's own journals (slice journals,
+ * worker job journals), which is what a resumed run replays.
+ */
+
+#ifndef SIMALPHA_RUNNER_SHARDED_HH
+#define SIMALPHA_RUNNER_SHARDED_HH
+
+#include <atomic>
+#include <condition_variable>
+#include <csignal>
+#include <functional>
+#include <mutex>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "runner/journal.hh"
+
+namespace simalpha {
+namespace runner {
+
+/** Slice @c index of @c count: its unsettled cells, in spec order. */
+struct Slice
+{
+    std::size_t index = 0;
+    std::size_t count = 1;
+    std::vector<std::size_t> cells;
+};
+
+class ShardedRun;
+
+/** Runs one slice. Returning false (with *error), or throwing, gives
+ *  up: nothing new starts, stopping() turns true, and the run fails
+ *  with that error. */
+using Transport = std::function<bool(const Slice &slice, ShardedRun &run,
+                                     std::string *error)>;
+
+struct ShardedOptions
+{
+    std::string journalPath;    ///< master journal (empty = none)
+    bool journalSync = false;
+    /** Replay replayPaths (retained slice and declared journals), then
+     *  the master journal: the master's line wins for a cell it holds,
+     *  and a retained line joins the master on release. */
+    bool resume = false;
+    std::vector<std::string> replayPaths;
+    /** Partition only the cells the replay left unsettled (a transport
+     *  that takes cell lists); otherwise slice i of n is cells i, i+n,
+     *  ... of the whole spec, as `shard:<i>/<n>` names require. */
+    bool spreadUnsettled = false;
+    /** Where declared failures are appended when declared (empty =
+     *  the master only, on release). */
+    std::string declaredPath;
+
+    /** Cancel flags, read only by the thread inside run(); onCancel
+     *  runs there once when one is first seen. */
+    const volatile std::sig_atomic_t *interrupted = nullptr;
+    const std::atomic<bool> *cancel = nullptr;
+    std::function<void()> onCancel;
+
+    /** Every released line, in spec order, with the cell's ok flag and
+     *  whether it was replayed; called with the run's lock held. */
+    std::function<void(const std::string &line, bool ok, bool replayed)>
+        sink;
+};
+
+struct ShardedOutcome
+{
+    /** Spec order; a cell without a line keeps its identity and seed
+     *  and is listed in missing. */
+    CampaignResult result;
+    std::vector<std::size_t> missing;
+    std::size_t replayed = 0;
+    bool cancelled = false;
+    std::string failure;        ///< the error of a transport that gave up
+};
+
+class ShardedRun
+{
+  public:
+    /** Replays (with resume), opens the master journal and releases
+     *  the settled spec-order prefix. */
+    ShardedRun(const CampaignSpec &spec, ShardedOptions options);
+
+    const CampaignSpec &spec() const { return _spec; }
+    /** Cells the replay left unsettled (before run()). */
+    std::size_t unsettled() const
+    {
+        return _spec.cells.size() - _out.replayed;
+    }
+
+    /** Run @p transport once per slice (of @p slices) that has
+     *  unsettled cells, each on its own thread, and wait for all of
+     *  them. Call it once. */
+    ShardedOutcome run(std::size_t slices, const Transport &transport);
+
+    // For transports, from any slice thread.
+
+    /** True when @p line settled a cell that had no line yet. */
+    bool deliver(const std::string &line);
+    /** Settle @p cell as failed; false if it already has a line. */
+    bool declare(std::size_t cell, const std::string &errorClass,
+                 const std::string &message);
+    bool settled(std::size_t cell) const;
+    /** Cancelled, or a transport gave up: start nothing new. */
+    bool stopping() const { return _stop.load(); }
+    /** Sleep up to @p seconds or until stopping; returns !stopping(). */
+    bool sleepFor(double seconds);
+
+  private:
+    void settleLocked(std::size_t cell, const std::string &line,
+                      CellResult result, bool replayed, bool append);
+    void stopLocked();
+
+    const CampaignSpec &_spec;
+    ShardedOptions _opts;
+    std::vector<std::string> _hashes;
+    std::unordered_map<std::string, std::vector<std::size_t>> _cellsByKey;
+    CampaignJournal _journal;
+    CampaignJournal _declared;
+
+    mutable std::mutex _mu;
+    std::condition_variable _cv;
+    std::vector<std::string> _lines;    ///< per cell; empty = unsettled
+    std::vector<char> _replayed;
+    std::vector<char> _append;          ///< not in the master yet
+    ShardedOutcome _out;
+    std::size_t _cursor = 0;            ///< next cell to release
+    std::size_t _running = 0;           ///< slice threads still out
+    std::atomic<bool> _stop{false};
+};
+
+} // namespace runner
+} // namespace simalpha
+
+#endif // SIMALPHA_RUNNER_SHARDED_HH

@@ -7,21 +7,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "common/error.hh"
-#include "common/logging.hh"
-#include "runner/journal.hh"
-#include "runner/shard.hh"
+#include "runner/sharded.hh"
 
 extern char **environ;
 
@@ -32,93 +29,72 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** One worker slot: its slice, its process, and its journal cursor. */
-struct ShardState
-{
-    std::size_t id = 0;
-    /** Campaign indices not yet settled (result, poison, or give-up),
-     *  in execution order. */
-    std::vector<std::size_t> pending;
-
-    pid_t pid = -1;
-    bool live = false;
-    bool done = false;
-    int spawns = 0;             ///< processes started for this shard
-
-    /** Campaign index of the cell the worker is executing (from its
-     *  last heartbeat), -1 between cells. */
-    long inFlight = -1;
-    /** When the supervisor observed that heartbeat. */
-    Clock::time_point inFlightSince;
-    /** The in-flight cell was SIGKILLed for exceeding its budget. */
-    bool timeoutKilled = false;
-
-    std::string journalPath;    ///< current attempt's journal
-    std::vector<std::string> journalPaths;  ///< every attempt, for merge
-    std::string logPath;        ///< worker stdout/stderr (appended)
-    std::streamoff offset = 0;  ///< journal bytes already consumed
-
-    /** Store traffic summed over this shard's worker attempts (each
-     *  attempt reports its own summary line as it stops). */
-    StoreTraffic store;
-
-    Clock::time_point spawnAt;  ///< backoff: earliest next spawn
-};
-
 std::string
 cellLabel(const Cell &cell)
 {
     std::string label = "'" + cell.workload + "' on '" + cell.machine;
     if (cell.opt != validate::Optimization::None)
-        label += "+" + validate::optimizationName(cell.opt);
+        label.append("+").append(validate::optimizationName(cell.opt));
     label += "'";
     return label;
 }
 
-bool
-spawnShard(ShardState &shard, const SupervisorOptions &opts,
-           const std::string &scratch)
+/** The first "<stem><k>.jsonl" (k = 1, 2, ...) not on disk, so a run
+ *  never reopens a journal a resume has yet to replay. */
+std::string
+unusedJournalPath(const std::string &stem)
 {
-    shard.spawns++;
-    shard.journalPath = scratch + "/shard-" +
-                        std::to_string(shard.id) + "-try" +
-                        std::to_string(shard.spawns) + ".jsonl";
-    shard.journalPaths.push_back(shard.journalPath);
-    shard.offset = 0;
-    shard.inFlight = -1;
-    shard.timeoutKilled = false;
-    shard.logPath = scratch + "/shard-" + std::to_string(shard.id) +
-                    ".log";
+    for (int k = 1;; k++) {
+        std::string path = stem + std::to_string(k) + ".jsonl";
+        if (::access(path.c_str(), F_OK) != 0)
+            return path;
+    }
+}
 
-    std::vector<std::string> args;
-    args.push_back(opts.workerBinary);
-    args.push_back("--shard");
-    args.push_back("--campaign");
-    args.push_back(opts.campaign);
-    args.push_back("--cells");
-    args.push_back(formatCellList(shard.pending));
-    args.push_back("--journal");
-    args.push_back(shard.journalPath);
-    if (opts.maxInsts) {
-        args.push_back("--max-insts");
-        args.push_back(std::to_string(opts.maxInsts));
+/** The supervisor's files in @p dir — slice journals and logs
+ *  ("shard-*") and declared-failure journals ("declared-*") — sorted
+ *  by name; only the journals with @p journalsOnly. */
+std::vector<std::string>
+scratchFiles(const std::string &dir, bool journalsOnly)
+{
+    std::vector<std::string> out;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        if ((name.rfind("shard-", 0) == 0 ||
+             name.rfind("declared-", 0) == 0) &&
+            (!journalsOnly || entry.path().extension() == ".jsonl"))
+            out.push_back(entry.path().string());
     }
-    if (opts.sample.enabled()) {
-        args.push_back("--sample");
-        args.push_back(checkpoint::formatSampleSpec(opts.sample));
-    }
-    if (!opts.storePath.empty()) {
-        args.push_back("--store");
-        args.push_back(opts.storePath);
-    }
-    if (opts.maxRetries) {
-        args.push_back("--retries");
-        args.push_back(std::to_string(opts.maxRetries));
-    }
-    for (const FaultInjection &fault : opts.faults) {
-        args.push_back("--inject");
-        args.push_back(formatFaultSpec(fault));
-    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** Spawn `simalpha --shard` for @p cells, journaling into @p journal
+ *  and logging into @p log; -1 when posix_spawn fails. */
+pid_t
+spawnWorker(const SupervisorOptions &opts,
+            const std::vector<std::size_t> &cells,
+            const std::string &journal, const std::string &log)
+{
+    std::vector<std::string> args = {
+        opts.workerBinary,     "--shard",   "--campaign", opts.campaign,
+        "--cells", formatCellList(cells), "--journal",  journal};
+    auto add = [&](const char *flag, const std::string &value) {
+        args.push_back(flag);
+        args.push_back(value);
+    };
+    if (opts.maxInsts)
+        add("--max-insts", std::to_string(opts.maxInsts));
+    if (opts.sample.enabled())
+        add("--sample", checkpoint::formatSampleSpec(opts.sample));
+    if (!opts.storePath.empty())
+        add("--store", opts.storePath);
+    if (opts.maxRetries)
+        add("--retries", std::to_string(opts.maxRetries));
+    for (const FaultInjection &fault : opts.faults)
+        add("--inject", formatFaultSpec(fault));
     if (opts.journalSync)
         args.push_back("--journal-sync");
 
@@ -129,96 +105,181 @@ spawnShard(ShardState &shard, const SupervisorOptions &opts,
 
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_addopen(&actions, 1,
-                                     shard.logPath.c_str(),
+    posix_spawn_file_actions_addopen(&actions, 1, log.c_str(),
                                      O_WRONLY | O_CREAT | O_APPEND,
                                      0644);
     posix_spawn_file_actions_adddup2(&actions, 1, 2);
-
     pid_t pid = -1;
     int rc = posix_spawn(&pid, opts.workerBinary.c_str(), &actions,
                          nullptr, argv.data(), environ);
     posix_spawn_file_actions_destroy(&actions);
-    if (rc != 0) {
-        shard.live = false;
-        return false;
-    }
-    shard.pid = pid;
-    shard.live = true;
-    return true;
+    return rc == 0 ? pid : -1;
 }
 
+/** What one slice's worker attempts did, summed after the run. */
+struct SliceTally
+{
+    int spawns = 0;
+    int respawns = 0;
+    std::size_t crashed = 0;
+    std::size_t timedOut = 0;
+    StoreTraffic store;
+};
+
 /**
- * Consume newly-appended complete lines of the shard's journal:
- * heartbeats move the in-flight marker, result lines settle the
- * in-flight cell and are copied verbatim into the master journal
- * (verbatim, so resumed campaigns replay the worker's exact bytes)
- * and handed to @p onLine for live streaming.
+ * The process transport for one slice. Spawn a worker for the slice's
+ * unsettled cells and tail its journal: heartbeats name the in-flight
+ * cell, result lines go to the run. The worker's end becomes
+ * declarations — a death names the in-flight (poison) cell, a budget
+ * overrun is a timeout, a clean exit leaves nothing unsettled — and
+ * the rest of the slice respawns with backoff, or is given up once
+ * the respawn budget is spent.
  */
 void
-drainJournal(ShardState &shard, const CampaignSpec &spec,
-             CampaignJournal &master,
-             const std::function<void(const std::string &)> &onLine)
+runProcessSlice(const Slice &slice, ShardedRun &run,
+                const SupervisorOptions &opts, const std::string &scratch,
+                SliceTally &tally)
 {
-    std::ifstream in(shard.journalPath, std::ios::binary);
-    if (!in)
-        return;
-    in.seekg(shard.offset);
-    if (!in)
-        return;
-    std::ostringstream chunk;
-    chunk << in.rdbuf();
-    std::string data = chunk.str();
+    const CampaignSpec &spec = run.spec();
+    const std::string shard = "shard " + std::to_string(slice.index);
+    const std::string stem = scratch + "/shard-" +
+                             std::to_string(slice.index);
+    const std::string log = stem + ".log";
+    const auto grace = std::chrono::duration<double>(
+        std::max(opts.termGraceSeconds, 0.0));
+    const auto budget = std::chrono::duration<double>(opts.cellTimeout);
 
-    std::size_t pos = 0;
+    auto declare = [&](std::size_t cell, const std::string &errorClass,
+                       const std::string &message) {
+        if (run.declare(cell, errorClass, message))
+            (errorClass == "timeout" ? tally.timedOut : tally.crashed)++;
+    };
+    auto unsettled = [&] {
+        std::vector<std::size_t> left;
+        for (std::size_t cell : slice.cells)
+            if (!run.settled(cell))
+                left.push_back(cell);
+        return left;
+    };
+
     for (;;) {
-        std::size_t nl = data.find('\n', pos);
-        if (nl == std::string::npos)
-            break;      // a torn final line stays unconsumed
-        std::string line = data.substr(pos, nl - pos);
-        pos = nl + 1;
-        shard.offset += std::streamoff(line.size() + 1);
+        const std::vector<std::size_t> cells = unsettled();
+        if (cells.empty() || run.stopping())
+            return;
+        const std::string journal = unusedJournalPath(stem + "-try");
+        tally.spawns++;
+        const pid_t pid = spawnWorker(opts, cells, journal, log);
+        std::string why = "posix_spawn failed";
 
-        std::size_t hb = 0;
-        if (parseHeartbeatLine(line, spec.name, &hb)) {
-            shard.inFlight = long(hb);
-            shard.inFlightSince = Clock::now();
-            continue;
-        }
-        StoreTraffic traffic;
-        if (parseStoreSummaryLine(line, spec.name, &traffic)) {
-            // Bookkeeping only — never copied into the master journal,
-            // so journals stay byte-comparable with in-process runs.
-            shard.store.hits += traffic.hits;
-            shard.store.misses += traffic.misses;
-            shard.store.bytesRead += traffic.bytesRead;
-            shard.store.bytesWritten += traffic.bytesWritten;
-            continue;
-        }
-        CellResult result;
-        std::string key;
-        if (!parseJournalLine(line, spec.name, &result, &key))
-            continue;
-        master.appendRaw(line);
-        if (onLine)
-            onLine(line);
-        long settled = shard.inFlight;
-        if (settled < 0) {
-            // No heartbeat seen (shouldn't happen): match by identity.
-            for (std::size_t idx : shard.pending)
-                if (journalKey(spec.cells[idx]) == key) {
-                    settled = long(idx);
-                    break;
+        if (pid > 0) {
+            long inFlight = -1;     ///< cell of the last heartbeat
+            Clock::time_point since;
+            std::streamoff offset = 0;
+            // Complete lines only: a line torn by a kill is never read.
+            auto drain = [&] {
+                std::ifstream in(journal, std::ios::binary);
+                if (!in || !in.seekg(offset))
+                    return;
+                std::ostringstream chunk;
+                chunk << in.rdbuf();
+                const std::string data = chunk.str();
+                std::size_t pos = 0, nl;
+                while ((nl = data.find('\n', pos)) != std::string::npos) {
+                    const std::string line = data.substr(pos, nl - pos);
+                    offset += std::streamoff(nl + 1 - pos);
+                    pos = nl + 1;
+                    std::size_t cell = 0;
+                    StoreTraffic t;
+                    if (parseHeartbeatLine(line, spec.name, &cell)) {
+                        inFlight = long(cell);
+                        since = Clock::now();
+                    } else if (parseStoreSummaryLine(line, spec.name,
+                                                     &t)) {
+                        // Bookkeeping only, never released: journals
+                        // stay byte-comparable with in-process runs.
+                        tally.store.hits += t.hits;
+                        tally.store.misses += t.misses;
+                        tally.store.bytesRead += t.bytesRead;
+                        tally.store.bytesWritten += t.bytesWritten;
+                    } else if (run.deliver(line)) {
+                        inFlight = -1;
+                    }
                 }
-        }
-        if (settled >= 0)
-            for (auto it = shard.pending.begin();
-                 it != shard.pending.end(); ++it)
-                if (long(*it) == settled) {
-                    shard.pending.erase(it);
-                    break;
+            };
+
+            bool timeoutKilled = false, terminated = false,
+                 killed = false;
+            Clock::time_point terminatedAt;
+            int status = 0;
+            for (;;) {
+                drain();
+                const auto now = Clock::now();
+                if (run.stopping() && !terminated) {
+                    terminated = true;
+                    terminatedAt = now;
+                    ::kill(pid, SIGTERM);
                 }
-        shard.inFlight = -1;
+                // A worker wedged past the drain grace (in a cell, or
+                // a fault-injected hang) is escalated to SIGKILL once.
+                if (terminated && !killed && now - terminatedAt > grace) {
+                    killed = true;
+                    ::kill(pid, SIGKILL);
+                }
+                if (opts.cellTimeout > 0 && inFlight >= 0 &&
+                    !timeoutKilled && now - since > budget) {
+                    timeoutKilled = true;
+                    ::kill(pid, SIGKILL);
+                }
+                if (::waitpid(pid, &status, WNOHANG) == pid)
+                    break;
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+            drain();
+
+            std::string errorClass;
+            const bool clean =
+                describeWaitStatus(status, &errorClass, &why);
+            if (timeoutKilled && inFlight >= 0) {
+                std::ostringstream msg;
+                msg << "cell " << cellLabel(spec.cells[inFlight])
+                    << " exceeded its " << opts.cellTimeout
+                    << "s wall-clock timeout; " << shard
+                    << " worker killed";
+                declare(std::size_t(inFlight), "timeout", msg.str());
+            } else if (!clean && !terminated && inFlight >= 0) {
+                declare(std::size_t(inFlight), errorClass,
+                        why + " (" + shard + ", cell " +
+                            cellLabel(spec.cells[inFlight]) +
+                            " in flight)");
+            }
+            if (terminated)
+                return;
+            if (clean) {
+                for (std::size_t cell : unsettled())
+                    declare(cell, "crash",
+                            "worker exited without producing a result "
+                            "for this cell (" + shard + ")");
+                return;
+            }
+        }
+
+        const std::vector<std::size_t> left = unsettled();
+        if (left.empty())
+            return;
+        const int respawnsUsed = tally.spawns - 1;
+        if (respawnsUsed >= opts.maxRespawns) {
+            for (std::size_t cell : left)
+                declare(cell, "crash",
+                        shard + " worker died " +
+                            std::to_string(tally.spawns) +
+                            " times; giving up on this cell (" + why +
+                            ")");
+            return;
+        }
+        tally.respawns++;
+        if (!run.sleepFor(respawnBackoffSeconds(
+                opts.backoffSeconds, respawnsUsed, slice.index)))
+            return;
     }
 }
 
@@ -240,346 +301,89 @@ superviseCampaign(const SupervisorOptions &opts)
         throw ConfigError("worker binary '" + opts.workerBinary +
                           "' is not executable");
 
-    SupervisorOutcome out;
-    out.result.campaign = spec.name;
-    out.result.cells.assign(spec.cells.size(), CellResult());
-
-    // Resume: settled cells (ok, contained failures, and previously
-    // declared crashes/timeouts) replay from the master journal.
-    std::map<std::size_t, CellResult> replayed;
-    if (opts.resume && !opts.masterJournalPath.empty()) {
-        std::unordered_map<std::string, CellResult> replay;
-        std::string jerror;
-        if (!loadJournal(opts.masterJournalPath, spec.name, &replay,
-                         &jerror))
-            warn("%s (resuming nothing)", jerror.c_str());
-        for (std::size_t i = 0; i < spec.cells.size(); i++) {
-            auto it = replay.find(journalKey(spec.cells[i]));
-            if (it != replay.end() &&
-                it->second.manifestHash ==
-                    cellManifestHash(spec.cells[i])) {
-                CellResult r = it->second;
-                r.cell = spec.cells[i];
-                replayed[i] = std::move(r);
-            }
-        }
-    }
-
-    CampaignJournal master;
-    if (!opts.masterJournalPath.empty()) {
-        std::string jerror;
-        if (!master.open(opts.masterJournalPath, &jerror,
-                         opts.journalSync))
-            warn("%s (campaign will not be resumable)",
-                 jerror.c_str());
-    }
-
-    // Stream replayed cells immediately: a live consumer sees the
-    // same lines an uninterrupted run would have produced, in spec
-    // order, without waiting for any worker to spawn.
-    if (opts.onLine)
-        for (const auto &kv : replayed)
-            opts.onLine(journalLine(spec.name, kv.second));
-
-    // Scratch directory for shard journals and worker logs.
+    // Scratch directory for slice journals, declared failures and
+    // worker logs.
     std::string scratch = opts.scratchDir;
     if (scratch.empty() && !opts.masterJournalPath.empty())
         scratch = opts.masterJournalPath + ".shards.d";
-    bool scratchIsTemp = false;
     if (scratch.empty()) {
         char tmpl[] = "/tmp/simalpha-shards-XXXXXX";
         if (!::mkdtemp(tmpl))
             throw ConfigError("cannot create scratch directory for "
                               "shard journals");
         scratch = tmpl;
-        scratchIsTemp = true;
     } else if (::mkdir(scratch.c_str(), 0755) != 0 &&
                errno != EEXIST) {
         throw ConfigError("cannot create scratch directory '" +
                           scratch + "'");
     }
 
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < spec.cells.size(); i++)
-        if (!replayed.count(i))
-            work.push_back(i);
+    // A resume replays every line a killed run's workers settled and
+    // every failure it declared — kept in the scratch directory even
+    // when spec order held them back from the master journal. A fresh
+    // run starts without them.
+    ShardedOptions so;
+    so.journalPath = opts.masterJournalPath;
+    so.journalSync = opts.journalSync;
+    so.resume = opts.resume;
+    for (const std::string &path : scratchFiles(scratch, true)) {
+        if (opts.resume)
+            so.replayPaths.push_back(path);
+        else
+            std::remove(path.c_str());
+    }
+    so.spreadUnsettled = true;
+    so.declaredPath = unusedJournalPath(scratch + "/declared-");
+    so.interrupted = opts.interrupted;
+    so.cancel = opts.interruptedAtomic;
+    so.sink = opts.onLine;
+    ShardedRun run(spec, so);
 
-    std::size_t nshards = std::size_t(opts.shards);
+    std::size_t slices = std::size_t(opts.shards);
     if (opts.shards <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
-        nshards = hw ? hw : 1;
+        slices = hw ? hw : 1;
     }
-    nshards = std::min<std::size_t>(std::max<std::size_t>(work.size(),
-                                                          1),
-                                    std::max<std::size_t>(nshards, 1));
+    slices = std::min(slices, run.unsettled());
+    std::vector<SliceTally> tallies(slices);
+    ShardedOutcome done =
+        run.run(slices, [&](const Slice &slice, ShardedRun &r,
+                            std::string *) {
+            runProcessSlice(slice, r, opts, scratch,
+                            tallies[slice.index]);
+            return true;
+        });
+    if (!done.failure.empty())
+        throw std::runtime_error(done.failure);
 
-    std::vector<ShardState> shards;
-    if (!work.empty()) {
-        auto slices = shardCells(work.size(), nshards);
-        for (std::size_t s = 0; s < slices.size(); s++) {
-            ShardState shard;
-            shard.id = s;
-            for (std::size_t w : slices[s])
-                shard.pending.push_back(work[w]);
-            shards.push_back(std::move(shard));
-        }
-    }
-
-    // Supervisor-declared failures (poison cells, timeouts, give-ups),
-    // journaled like any other settled cell so --resume replays them.
-    std::map<std::size_t, CellResult> failed;
-    auto recordFailure = [&](std::size_t index,
-                             const std::string &errorClass,
-                             const std::string &message) {
-        CellResult r;
-        r.cell = spec.cells[index];
-        r.seed = cellSeed(r.cell);
-        r.manifestHash = cellManifestHash(r.cell);
-        r.ok = false;
-        r.errorClass = errorClass;
-        r.error = message;
-        std::string line = journalLine(spec.name, r);
-        master.appendRaw(line);
-        if (opts.onLine)
-            opts.onLine(line);
-        if (errorClass == "timeout")
-            out.timedOutCells++;
-        else
-            out.crashedCells++;
-        failed[index] = std::move(r);
-    };
-
-    auto scheduleOrGiveUp = [&](ShardState &shard,
-                                const std::string &why) {
-        int respawnsUsed = shard.spawns - 1;
-        if (respawnsUsed >= opts.maxRespawns) {
-            for (std::size_t idx : shard.pending)
-                recordFailure(
-                    idx, "crash",
-                    "shard " + std::to_string(shard.id) +
-                        " worker died " +
-                        std::to_string(shard.spawns) +
-                        " times; giving up on this cell (" + why +
-                        ")");
-            shard.pending.clear();
-            shard.done = true;
-            return;
-        }
-        double delay = respawnBackoffSeconds(
-            opts.backoffSeconds, respawnsUsed, shard.id);
-        shard.spawnAt =
-            Clock::now() +
-            std::chrono::microseconds(long(delay * 1e6));
-        out.respawns++;
-    };
-
-    auto handleExit = [&](ShardState &shard, int status,
-                          bool interruptIssued) {
-        std::string errorClass, message;
-        bool clean = describeWaitStatus(status, &errorClass, &message);
-
-        if (shard.timeoutKilled && shard.inFlight >= 0) {
-            std::size_t idx = std::size_t(shard.inFlight);
-            std::ostringstream msg;
-            msg << "cell " << cellLabel(spec.cells[idx])
-                << " exceeded its " << opts.cellTimeout
-                << "s wall-clock timeout; shard " << shard.id
-                << " worker killed";
-            recordFailure(idx, "timeout", msg.str());
-            for (auto it = shard.pending.begin();
-                 it != shard.pending.end(); ++it)
-                if (long(*it) == shard.inFlight) {
-                    shard.pending.erase(it);
-                    break;
-                }
-        } else if (!clean && !interruptIssued &&
-                   shard.inFlight >= 0) {
-            std::size_t idx = std::size_t(shard.inFlight);
-            recordFailure(idx, errorClass,
-                          message + " (shard " +
-                              std::to_string(shard.id) + ", cell " +
-                              cellLabel(spec.cells[idx]) +
-                              " in flight)");
-            for (auto it = shard.pending.begin();
-                 it != shard.pending.end(); ++it)
-                if (long(*it) == shard.inFlight) {
-                    shard.pending.erase(it);
-                    break;
-                }
-        }
-        shard.inFlight = -1;
-        shard.timeoutKilled = false;
-
-        if (interruptIssued || shard.pending.empty()) {
-            shard.done = true;
-            return;
-        }
-        if (clean) {
-            // Exited 0 with unsettled cells: the worker skipped them.
-            for (std::size_t idx : shard.pending)
-                recordFailure(idx, "crash",
-                              "worker exited without producing a "
-                              "result for this cell (shard " +
-                                  std::to_string(shard.id) + ")");
-            shard.pending.clear();
-            shard.done = true;
-            return;
-        }
-        scheduleOrGiveUp(shard, message);
-    };
-
-    for (ShardState &shard : shards)
-        if (!spawnShard(shard, opts, scratch))
-            scheduleOrGiveUp(shard, "posix_spawn failed");
-
-    bool interruptIssued = false;
-    bool killEscalated = false;
-    Clock::time_point interruptAt;
-    const auto grace = std::chrono::microseconds(
-        long(std::max(opts.termGraceSeconds, 0.0) * 1e6));
-    auto interruptRequested = [&]() {
-        return (opts.interrupted && *opts.interrupted) ||
-               (opts.interruptedAtomic &&
-                opts.interruptedAtomic->load(
-                    std::memory_order_relaxed));
-    };
-
-    for (;;) {
-        bool allDone = true;
-        for (ShardState &shard : shards)
-            if (!shard.done)
-                allDone = false;
-        if (allDone)
-            break;
-
-        auto now = Clock::now();
-        if (interruptRequested() && !interruptIssued) {
-            interruptIssued = true;
-            out.interrupted = true;
-            interruptAt = now;
-            for (ShardState &shard : shards) {
-                if (shard.live)
-                    ::kill(shard.pid, SIGTERM);
-                else if (!shard.done)
-                    shard.done = true;  // cancel scheduled respawns
-            }
-        }
-        // A worker stuck past the drain grace (wedged in a cell, or a
-        // fault-injected hang) is escalated to SIGKILL exactly once;
-        // waitpid below reaps it like any other death.
-        if (interruptIssued && !killEscalated &&
-            now - interruptAt > grace) {
-            killEscalated = true;
-            for (ShardState &shard : shards)
-                if (shard.live)
-                    ::kill(shard.pid, SIGKILL);
-        }
-
-        for (ShardState &shard : shards) {
-            if (shard.done)
-                continue;
-            if (!shard.live) {
-                if (interruptIssued) {
-                    shard.done = true;
-                    continue;
-                }
-                if (now >= shard.spawnAt) {
-                    if (!spawnShard(shard, opts, scratch))
-                        scheduleOrGiveUp(shard,
-                                         "posix_spawn failed");
-                }
-                continue;
-            }
-
-            drainJournal(shard, spec, master, opts.onLine);
-
-            if (opts.cellTimeout > 0 && shard.inFlight >= 0 &&
-                !shard.timeoutKilled &&
-                Clock::now() - shard.inFlightSince >
-                    std::chrono::microseconds(
-                        long(opts.cellTimeout * 1e6))) {
-                shard.timeoutKilled = true;
-                ::kill(shard.pid, SIGKILL);
-            }
-
-            int status = 0;
-            pid_t reaped = ::waitpid(shard.pid, &status, WNOHANG);
-            if (reaped == shard.pid) {
-                shard.live = false;
-                drainJournal(shard, spec, master, opts.onLine);
-                handleExit(shard, status, interruptIssued);
-            }
-        }
-
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    SupervisorOutcome out;
+    out.result = std::move(done.result);
+    out.interrupted = done.cancelled;
+    out.replayedCells = done.replayed;
+    for (const SliceTally &t : tallies) {
+        out.spawns += t.spawns;
+        out.respawns += t.respawns;
+        out.crashedCells += t.crashed;
+        out.timedOutCells += t.timedOut;
+        out.shardStore.push_back(t.store);
+        out.storeTraffic.hits += t.store.hits;
+        out.storeTraffic.misses += t.store.misses;
+        out.storeTraffic.bytesRead += t.store.bytesRead;
+        out.storeTraffic.bytesWritten += t.store.bytesWritten;
     }
 
-    out.spawns = 0;
-    for (ShardState &shard : shards)
-        out.spawns += shard.spawns;
-
-    for (ShardState &shard : shards) {
-        out.shardStore.push_back(shard.store);
-        out.storeTraffic.hits += shard.store.hits;
-        out.storeTraffic.misses += shard.store.misses;
-        out.storeTraffic.bytesRead += shard.store.bytesRead;
-        out.storeTraffic.bytesWritten += shard.store.bytesWritten;
-    }
-
-    // Merge: replayed cells, supervisor-declared failures, then the
-    // shard journals (identity-matched, manifest-validated).
-    CampaignResult merged;
-    std::vector<std::size_t> missingIdx;
-    std::vector<std::string> allJournals;
-    for (ShardState &shard : shards)
-        for (const std::string &path : shard.journalPaths)
-            allJournals.push_back(path);
-    mergeShardJournals(spec, allJournals, &merged, &missingIdx);
-    std::set<std::size_t> missing(missingIdx.begin(),
-                                  missingIdx.end());
-
-    for (std::size_t i = 0; i < spec.cells.size(); i++) {
-        auto rit = replayed.find(i);
-        if (rit != replayed.end()) {
-            out.result.cells[i] = rit->second;
-            continue;
-        }
-        auto fit = failed.find(i);
-        if (fit != failed.end()) {
-            out.result.cells[i] = fit->second;
-            continue;
-        }
-        if (!missing.count(i) || out.interrupted) {
-            // Interrupted runs leave unfinished cells as default
-            // results (identity filled); the caller must not turn a
-            // partial result into an artifact.
-            out.result.cells[i] = merged.cells[i];
-            continue;
-        }
-        recordFailure(i, "crash",
-                      "no result from any worker for this cell");
-        out.result.cells[i] = failed[i];
-    }
-    out.replayedCells = replayed.size();
-
-    // Healthy runs clean up after themselves; anything that crashed,
-    // timed out, or was interrupted keeps its scratch directory (the
-    // worker logs are the post-mortem).
-    bool healthy = !out.interrupted && out.crashedCells == 0 &&
-                   out.timedOutCells == 0;
-    if (healthy || shards.empty()) {
-        for (ShardState &shard : shards) {
-            for (const std::string &path : shard.journalPaths)
-                std::remove(path.c_str());
-            if (!shard.logPath.empty())
-                std::remove(shard.logPath.c_str());
-        }
+    // Healthy runs delete every slice journal, declared-failure journal
+    // and log (all are in the master journal now); anything that
+    // crashed, timed out, or was interrupted keeps the directory for
+    // post-mortem (worker logs) and resume (slice journals).
+    if (!out.interrupted && out.crashedCells == 0 &&
+        out.timedOutCells == 0) {
+        for (const std::string &path : scratchFiles(scratch, false))
+            std::remove(path.c_str());
         ::rmdir(scratch.c_str());   // fails harmlessly if non-empty
     } else {
         out.scratchRetained = scratch;
     }
-    (void)scratchIsTemp;
-
     return out;
 }
 

@@ -28,10 +28,14 @@
  *         `--jobs N` run of the same campaign (journal lines round-trip
  *         every serialized field).
  *
- * Completed result lines are copied verbatim into the master campaign
- * journal as they appear, and supervisor-declared failures are
- * journaled too — so Ctrl-C or a supervisor crash loses nothing and
- * `--resume` replays every settled cell.
+ * The supervisor is the process transport of a ShardedRun
+ * (runner/sharded.hh): worker result lines and declared failures are
+ * released into the master journal in spec order, verbatim, so its
+ * journal is byte-identical to an in-process `--jobs 1` run. A line
+ * held back by a slower earlier cell is already durable — in its
+ * slice journal, or (a declared failure) in a declared-failure
+ * journal in the scratch directory — so Ctrl-C or a supervisor crash
+ * loses nothing and `--resume` replays every settled cell.
  */
 
 #ifndef SIMALPHA_RUNNER_SUPERVISOR_HH
@@ -64,8 +68,9 @@ struct SupervisorOptions
     int shards = 0;
     /** Path to the simalpha binary to exec as workers. */
     std::string workerBinary;
-    /** Scratch directory for shard journals and worker logs; empty =
-     *  derive from the master journal path or a temp directory. */
+    /** Scratch directory for slice journals, declared failures and
+     *  worker logs; empty = derive from the master journal path or a
+     *  temp directory. A resume replays the journals it kept. */
     std::string scratchDir;
 
     /** Per-cell wall-clock budget in seconds (0 = no timeout). */
@@ -92,19 +97,22 @@ struct SupervisorOptions
     std::vector<FaultInjection> faults;
 
     /** Master campaign journal (empty = none); with resume, settled
-     *  cells are replayed from it instead of re-sharded. */
+     *  cells are replayed from it and the scratch directory's journals
+     *  instead of re-sharded. */
     std::string masterJournalPath;
     bool resume = false;
     /** fsync the master journal after every line and forward
      *  --journal-sync to every worker (see CampaignJournal). */
     bool journalSync = false;
 
-    /** Called (from the supervising thread) with every result line as
-     *  it enters the master journal — worker lines verbatim, declared
-     *  failures as freshly rendered journalLine() bytes, and replayed
-     *  cells re-rendered at startup — so a caller (the serve daemon)
-     *  can stream results without tailing the journal file. */
-    std::function<void(const std::string &line)> onLine;
+    /** Called with every result line as it enters the master journal,
+     *  in spec order — worker and replayed lines verbatim, declared
+     *  failures as freshly rendered journalLine() bytes — with the
+     *  cell's ok flag and whether it was replayed, so a caller (the
+     *  serve daemon) can stream results without tailing or re-parsing
+     *  the journal. Calls are serialized. */
+    std::function<void(const std::string &line, bool ok, bool replayed)>
+        onLine;
 
     /** Set by a signal handler: terminate workers and return early. */
     const volatile std::sig_atomic_t *interrupted = nullptr;
@@ -128,8 +136,8 @@ struct SupervisorOutcome
     int respawns = 0;               ///< of which after a death
 
     /** Per-shard persistent-store traffic, indexed by shard id (from
-     *  the workers' store-summary journal lines; empty when no store
-     *  was configured or no shard spawned). */
+     *  the workers' store-summary journal lines; zero without a store,
+     *  empty when the replay left nothing to run). */
     std::vector<StoreTraffic> shardStore;
     /** The same traffic summed across every shard. */
     StoreTraffic storeTraffic;
@@ -139,7 +147,8 @@ struct SupervisorOutcome
 };
 
 /** Run a named campaign under process isolation. Throws ConfigError
- *  for unusable options (unknown campaign, missing worker binary). */
+ *  for unusable options (unknown campaign, missing worker binary), and
+ *  std::runtime_error when supervising a slice failed outright. */
 SupervisorOutcome superviseCampaign(const SupervisorOptions &options);
 
 } // namespace runner

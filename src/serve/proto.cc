@@ -1,9 +1,9 @@
 #include "serve/proto.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/number.hh"
 
 namespace simalpha {
 namespace serve {
@@ -51,10 +51,9 @@ parseTcpAddress(const std::string &address, std::string *host,
         if (hostText.empty())
             return fail("empty host");
     }
-    if (portText.empty() ||
-        portText.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t value = 0;
+    if (!parseNumber(portText, &value))
         return fail("port '" + portText + "' is not a number");
-    unsigned long value = std::strtoul(portText.c_str(), nullptr, 10);
     if (value > 65535)
         return fail("port " + portText + " is out of range (0-65535)");
     *host = hostText;

@@ -15,13 +15,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "runner/journal.hh"
 #include "runner/runner.hh"
+#include "runner/shard.hh"
 #include "runner/supervisor.hh"
 #include "store/store.hh"
 
@@ -466,16 +465,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
             so.resume = true;
             so.journalSync = _opts.journalSync;
             so.interruptedAtomic = &job->cancel;
-            // Parse with the *derived* spec name: shard:<i>/<n>:<base>
-            // jobs journal their lines under the base campaign name.
-            so.onLine = [&](const std::string &line) {
-                runner::CellResult r;
-                std::string key;
-                bool ok = runner::parseJournalLine(
-                              line, job->spec.name, &r, &key) &&
-                          r.ok;
-                append(line, ok, false);
-            };
+            so.onLine = append;
             runner::superviseCampaign(so);
         } else {
             runner::RunnerOptions ro;
@@ -631,10 +621,6 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
     const std::string key = jobKey(req.campaign, req.maxInsts, sample);
     const std::string id = jobIdFromKey(key);
     const std::size_t cells = spec.cells.size();
-    // Journal lines of a shard:<i>/<n>:<base> job carry the *base*
-    // campaign name — parse replays with the derived spec name, not
-    // the submitted one.
-    const std::string lineCampaign = spec.name;
 
     if (_opts.maxCellsPerCampaign &&
         cells > _opts.maxCellsPerCampaign) {
@@ -723,42 +709,33 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
     }
 
     // results op, no live job: replay the on-disk journal if one
-    // exists — the warm path of a restarted daemon.
+    // exists — the warm path of a restarted daemon — through the one
+    // spec-level replay: newest line per cell, manifest-checked, in
+    // spec order.
     const std::string path = jobJournalPath(_opts.storePath, id);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    if (::access(path.c_str(), F_OK) != 0) {
         conn.out += errorLine("not_found",
                               "no results for this submission (job " +
                                   id + "); submit it first") +
                     "\n";
         return;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string data = buf.str();
-    std::size_t ok = 0, bad = 0, pos = 0;
-    std::string out;
-    while (pos < data.size()) {
-        std::size_t nl = data.find('\n', pos);
-        if (nl == std::string::npos)
-            break;      // torn tail: not a settled cell
-        std::string line = data.substr(pos, nl - pos);
-        pos = nl + 1;
-        runner::CellResult r;
-        std::string k;
-        if (!runner::parseJournalLine(line, lineCampaign, &r, &k))
-            continue;   // heartbeat / other campaign
-        out += line;
-        out += '\n';
-        if (r.ok)
-            ok++;
-        else
-            bad++;
-    }
+    runner::CampaignResult replay;
+    std::vector<std::size_t> missing;
+    std::vector<std::string> lines;
+    runner::mergeShardJournals(spec, {path}, &replay, &missing, &lines);
+    std::size_t ok = 0;
     conn.out += acceptedLine(req.campaign, id, cells, 0) + "\n";
-    conn.out += out;
-    conn.out += doneLine(req.campaign, id, cells, ok, bad,
-                         ok + bad >= cells ? "complete" : "partial") +
+    for (std::size_t i = 0; i < cells; i++) {
+        if (lines[i].empty())
+            continue;
+        conn.out += lines[i];
+        conn.out += '\n';
+        ok += replay.cells[i].ok;
+    }
+    const std::size_t settled = cells - missing.size();
+    conn.out += doneLine(req.campaign, id, cells, ok, settled - ok,
+                         missing.empty() ? "complete" : "partial") +
                 "\n";
 }
 
@@ -962,34 +939,25 @@ Server::handleLine(Conn &conn, const std::string &line)
             return;
         }
         runner::CampaignSpec spec;
-        std::size_t cells = 0;
-        std::string lineCampaign = req.campaign;
         if (runner::campaignByName(req.campaign, &spec)) {
             if (req.maxInsts)
                 spec = spec.withMaxInsts(req.maxInsts);
             if (sample.enabled())
                 spec = spec.withSampling(sample);
-            cells = spec.cells.size();
-            lineCampaign = spec.name;   // shard jobs journal the base
         }
-        std::ifstream in(jobJournalPath(_opts.storePath, id),
-                         std::ios::binary);
-        if (!in) {
+        const std::string path = jobJournalPath(_opts.storePath, id);
+        if (::access(path.c_str(), F_OK) != 0) {
             conn.out += statusLine(req.campaign, id, "absent", 0,
-                                   cells) +
+                                   spec.cells.size()) +
                         "\n";
             return;
         }
-        std::size_t settled = 0;
-        std::string jline;
-        while (std::getline(in, jline)) {
-            runner::CellResult r;
-            std::string k;
-            if (runner::parseJournalLine(jline, lineCampaign, &r, &k))
-                settled++;
-        }
-        conn.out += statusLine(req.campaign, id, "journal", settled,
-                               cells) +
+        runner::CampaignResult replay;
+        std::vector<std::size_t> missing;
+        runner::mergeShardJournals(spec, {path}, &replay, &missing);
+        conn.out += statusLine(req.campaign, id, "journal",
+                               spec.cells.size() - missing.size(),
+                               spec.cells.size()) +
                     "\n";
         return;
     }

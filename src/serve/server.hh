@@ -211,7 +211,6 @@ class Server
     void handleSync(Conn &conn, const Request &req);
     void handleSyncEntry(Conn &conn, const std::string &line);
     bool ensureSyncStore(std::string *error);
-    void flushSubscribers();
     void flushConn(Conn &conn);
     void evictDoneJobsLocked();
     void startDrain();

@@ -690,3 +690,45 @@ TEST(Fleet, UnknownCampaignThroughTheFleetIsATerminalRejection)
     EXPECT_EQ(o.errorCode, "unknown_campaign");
     EXPECT_EQ(o.attempts, 1);   // terminal: never retried
 }
+
+// ---------------------------------------------------------------
+// The replay rule: a stale master-journal line settles nothing
+// ---------------------------------------------------------------
+
+TEST(Fleet, StaleMasterJournalLineIsRedispatchedNotReplayed)
+{
+    const std::uint64_t cap = 5000;
+    TestFleet fleet;
+    ASSERT_TRUE(fleet.start());
+
+    // The master journal already holds all 12 lines, but cell 0's was
+    // written under a different machine definition (its manifest hash
+    // no longer matches): only that cell may be recomputed.
+    const std::vector<std::string> reference =
+        referenceLines("smoke", cap);
+    std::string stale = reference[0];
+    const std::size_t at = stale.find("\"manifest_hash\":\"");
+    ASSERT_NE(at, std::string::npos);
+    stale.replace(at + 17, 4, "zzzz");
+    {
+        std::ofstream out(
+            serve::jobJournalPath(
+                fleet.front.opts.storePath,
+                serve::jobIdFromKey(serve::jobKey(
+                    "smoke", cap, checkpoint::SampleSpec()))),
+            std::ios::binary);
+        out << stale << '\n';
+        for (std::size_t i = 1; i < reference.size(); i++)
+            out << reference[i] << '\n';
+    }
+
+    serve::SubmitOutcome o = serve::submitCampaign(
+        fleet.front.client(), "smoke", cap);
+    ASSERT_TRUE(o.ok) << o.error;
+    EXPECT_EQ(o.lines, reference);
+
+    FleetStats stats = fleet.dispatcher->stats();
+    EXPECT_GE(stats.shardsDispatched, 1u);
+    EXPECT_EQ(stats.cellsMerged, 1u);
+    EXPECT_EQ(stats.cellsReplayed, reference.size() - 1);
+}

@@ -1201,3 +1201,151 @@ TEST(ServeTcp, HealthAndCapabilitiesReportDaemonIdentity)
     EXPECT_EQ(strings["store_path"], daemon.opts.storePath);
     EXPECT_NE(strings["ops"].find("sync"), std::string::npos);
 }
+
+// ---------------------------------------------------------------
+// Journal replay: status and results read by the replay rule
+// ---------------------------------------------------------------
+
+namespace {
+
+/** The smoke campaign's journal lines at @p maxInsts in spec order —
+ *  the order a `--jobs 1` run settles in. */
+std::vector<std::string>
+specOrderLines(std::uint64_t maxInsts)
+{
+    runner::RunnerOptions ro;
+    ro.jobs = 1;
+    ro.cache = false;
+    runner::CampaignResult res = runner::ExperimentRunner(ro).run(
+        runner::smokeCampaign().withMaxInsts(maxInsts));
+    std::vector<std::string> lines;
+    for (const runner::CellResult &c : res.cells)
+        lines.push_back(runner::journalLine("smoke", c));
+    return lines;
+}
+
+} // namespace
+
+TEST(Serve, StatusAndResultsSkipStaleAndDuplicateJournalLines)
+{
+    TestDaemon daemon("replayrule");
+    ASSERT_TRUE(daemon.start());
+
+    // A job journal no live job owns: cell 0's line is stale (written
+    // under another machine definition) and cell 1 appears twice.
+    const std::vector<std::string> lines = specOrderLines(20000);
+    std::string stale = lines[0];
+    const std::size_t at = stale.find("\"manifest_hash\":\"");
+    ASSERT_NE(at, std::string::npos);
+    stale.replace(at + 17, 4, "zzzz");
+    {
+        std::ofstream out(
+            jobJournalPath(daemon.opts.storePath,
+                           jobIdFromKey(jobKey(
+                               "smoke", 20000, checkpoint::SampleSpec()))),
+            std::ios::binary);
+        out << stale << '\n';
+        for (std::size_t i = 1; i < lines.size(); i++)
+            out << lines[i] << '\n';
+        out << lines[1] << '\n';
+    }
+
+    std::string reply, error;
+    ASSERT_TRUE(requestOnce(daemon.client(),
+                            "{\"op\":\"status\",\"campaign\":"
+                            "\"smoke\",\"max_insts\":20000}",
+                            &reply, &error))
+        << error;
+    std::map<std::string, std::string> strings;
+    std::map<std::string, std::uint64_t> numbers;
+    ASSERT_TRUE(parseServeLine(reply, &strings, &numbers)) << reply;
+    EXPECT_EQ(strings["state"], "journal");
+    EXPECT_EQ(numbers["settled"], 11u) << reply;
+    EXPECT_EQ(numbers["cells"], 12u) << reply;
+
+    SubmitOutcome results = submitCampaign(daemon.client(), "smoke",
+                                           20000, "", true /*results*/);
+    ASSERT_TRUE(results.ok) << results.error;
+    EXPECT_EQ(results.lines,
+              std::vector<std::string>(lines.begin() + 1, lines.end()));
+    EXPECT_EQ(results.doneStrings["outcome"], "partial");
+}
+
+// ---------------------------------------------------------------
+// Process isolation behind the daemon
+// ---------------------------------------------------------------
+
+TEST(Serve, ProcessIsolationStreamsInSpecOrderAndRestartReplays)
+{
+    const std::vector<std::string> lines = specOrderLines(20000);
+    TestDaemon daemon("proc");
+    daemon.opts.isolate = "process";
+    daemon.opts.shards = 3;
+    daemon.opts.workerBinary = SIMALPHA_BIN;
+    ASSERT_TRUE(daemon.start());
+
+    // Three worker processes settle in any order; the stream leaves
+    // in spec order, byte-identical to a `--jobs 1` run.
+    SubmitOutcome o = submitCampaign(daemon.client(), "smoke", 20000);
+    ASSERT_TRUE(o.ok) << o.error;
+    EXPECT_EQ(o.lines, lines);
+    EXPECT_EQ(daemon.server->stats().cellsComputed, lines.size());
+    daemon.stop();
+
+    // A restarted daemon over the same store replays the job journal:
+    // the same stream, nothing computed, no worker needed.
+    TestDaemon again("proc-again");
+    again.opts.storePath = daemon.opts.storePath;
+    again.opts.isolate = "process";
+    again.opts.shards = 3;
+    again.opts.workerBinary = SIMALPHA_BIN;
+    ASSERT_TRUE(again.start());
+    SubmitOutcome replayed =
+        submitCampaign(again.client(), "smoke", 20000);
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    EXPECT_EQ(replayed.lines, lines);
+    EXPECT_EQ(again.server->stats().cellsServed, lines.size());
+    EXPECT_EQ(again.server->stats().cellsComputed, 0u);
+}
+
+// ---------------------------------------------------------------
+// Shard names with hostile counts
+// ---------------------------------------------------------------
+
+TEST(Serve, HugeShardCountsServeOneSliceAndTheDaemonKeepsAnswering)
+{
+    const std::vector<std::string> lines = specOrderLines(20000);
+    TestDaemon daemon("hugeshard");
+    ASSERT_TRUE(daemon.start());
+
+    // A slice of a count far beyond the cell count holds one cell; its
+    // name must cost that cell, not a vector per shard.
+    for (const char *count : {"18446744073709551615", "1000000000"}) {
+        const std::string name =
+            std::string("shard:0/") + count + ":smoke";
+        SubmitOutcome o = submitCampaign(daemon.client(), name, 20000);
+        ASSERT_TRUE(o.ok) << name << ": " << o.error;
+        EXPECT_EQ(o.lines, std::vector<std::string>{lines[0]}) << name;
+
+        std::string reply, error;
+        ASSERT_TRUE(requestOnce(daemon.client(),
+                                "{\"op\":\"status\",\"campaign\":\"" +
+                                    name + "\",\"max_insts\":20000}",
+                                &reply, &error))
+            << error;
+        EXPECT_NE(reply.find("\"cells\":1"), std::string::npos) << reply;
+    }
+
+    // A count past 64 bits is no campaign at all.
+    SubmitOutcome bad = submitCampaign(
+        daemon.client(), "shard:0/18446744073709551616:smoke", 20000);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorCode, "unknown_campaign");
+
+    std::string reply, error;
+    ASSERT_TRUE(requestOnce(daemon.client(), "{\"op\":\"health\"}", &reply,
+                            &error))
+        << error;
+    EXPECT_NE(reply.find("\"event\":\"health\""), std::string::npos)
+        << reply;
+}

@@ -51,6 +51,7 @@
 #include "checkpoint/checkpoint.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "inject/inject.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
@@ -284,6 +285,37 @@ usage()
         "            (journal intact; restart with --resume)\n");
 }
 
+/**
+ * The argument cursor every subcommand parses with: @c flag is the
+ * argument at hand, value() consumes the one after it (its absence is
+ * a usage error naming the flag), and number<T>() reads that value
+ * through the one checked parser, common/number.
+ */
+struct Args
+{
+    /** Walk argv[first..]: the first next() lands on argv[first]. */
+    Args(int argc_, char **argv_, int first)
+        : argc(argc_), argv(argv_), i(first - 1)
+    {
+    }
+
+    int argc;
+    char **argv;
+    int i;                  ///< index of the argument at hand
+    std::string flag;
+
+    bool next() { return ++i < argc && (flag = argv[i], true); }
+
+    const char *value()
+    {
+        if (i + 1 >= argc)
+            fatal("missing value after %s", flag.c_str());
+        return argv[++i];
+    }
+
+    template <class T> T number() { return flagNumber<T>(flag, value()); }
+};
+
 /** Everything campaign mode parsed off the command line. */
 struct CampaignCli
 {
@@ -304,6 +336,68 @@ struct CampaignCli
     std::vector<runner::FaultInjection> faults;
     std::string workerBinary;           ///< for --isolate=process
 };
+
+/** The flags `simalpha --campaign` and `simalpha vuln` share; false
+ *  when @p a holds another flag. */
+bool
+parseCampaignFlag(Args &a, CampaignCli &cli)
+{
+    const std::string &f = a.flag;
+    if (f == "--jobs")
+        cli.jobs = a.number<int>();
+    else if (f == "--out")
+        cli.outPath = a.value();
+    else if (f == "--no-cache")
+        cli.useCache = false;
+    else if (f == "--store")
+        cli.storePath = a.value();
+    else if (f == "--retries")
+        cli.retries = a.number<int>();
+    else if (f == "--resume")
+        cli.resume = true;
+    else if (f == "--no-journal")
+        cli.journal = false;
+    else if (f == "--journal-sync")
+        cli.journalSync = true;
+    else if (f == "--isolate")
+        cli.isolate = a.value();
+    else if (f.rfind("--isolate=", 0) == 0)
+        cli.isolate = f.substr(10);
+    else if (f == "--shards")
+        cli.shards = a.number<int>();
+    else if (f == "--cell-timeout")
+        cli.cellTimeout = a.number<double>();
+    else
+        return false;
+    return true;
+}
+
+/** The flags `simalpha serve` and `simalpha fleet` share; false when
+ *  @p a holds another flag. */
+bool
+parseDaemonFlag(Args &a, serve::ServeOptions &sopts)
+{
+    const std::string &f = a.flag;
+    if (f == "--store")
+        sopts.storePath = a.value();
+    else if (f == "--listen")
+        sopts.listen = a.value();
+    else if (f == "--max-pending")
+        sopts.maxPending = a.number<std::uint64_t>();
+    else if (f == "--max-clients")
+        sopts.maxClients = a.number<std::uint64_t>();
+    else if (f == "--max-cells")
+        sopts.maxCellsPerCampaign = a.number<std::uint64_t>();
+    else if (f == "--max-client-cells")
+        sopts.maxClientCells = a.number<std::uint64_t>();
+    else if (f == "--drain-timeout")
+        sopts.drainTimeoutSeconds = a.number<double>();
+    else if (f == "--journal-sync")
+        sopts.journalSync = true;
+    else
+        return false;
+    return true;
+}
 
 void
 printCampaignSummary(const runner::CampaignResult &result)
@@ -403,79 +497,11 @@ emitVulnTable(const runner::CampaignResult &result,
                     out_path.c_str(), out_path.c_str());
 }
 
-int
-runCampaignProcess(const CampaignCli &cli,
-                   const std::string &journal_path)
-{
-    runner::SupervisorOptions opts;
-    opts.campaign = cli.campaign;
-    opts.maxInsts = cli.maxInsts;
-    opts.sample = cli.sample;
-    opts.shards = cli.shards;
-    opts.workerBinary = cli.workerBinary;
-    opts.cellTimeout = cli.cellTimeout;
-    opts.storePath = cli.storePath;
-    opts.maxRetries = cli.retries;
-    opts.faults = cli.faults;
-    opts.masterJournalPath = journal_path;
-    opts.resume = cli.resume;
-    opts.journalSync = cli.journalSync;
-    opts.interrupted = &g_interrupted;
-
-    runner::SupervisorOutcome outcome =
-        runner::superviseCampaign(opts);
-    if (outcome.interrupted) {
-        std::fprintf(stderr,
-                     "simalpha: interrupted; %s; restart with "
-                     "--resume to continue\n",
-                     journal_path.empty()
-                         ? "no journal was kept (use --out)"
-                         : ("journal flushed to " + journal_path)
-                               .c_str());
-        return 3;
-    }
-
-    const runner::CampaignResult &result = outcome.result;
-    std::printf("campaign    %s\n", result.campaign.c_str());
-    std::printf("cells       %zu (%zu ok, %zu failed)\n",
-                result.cells.size(), result.okCount(),
-                result.errorCount());
-    std::printf("isolation   process (%d spawns, %d respawns, "
-                "%zu crashed, %zu timed out)\n",
-                outcome.spawns, outcome.respawns,
-                outcome.crashedCells, outcome.timedOutCells);
-    if (!cli.storePath.empty()) {
-        printStoreTraffic(outcome.storeTraffic, cli.storePath);
-        for (std::size_t s = 0; s < outcome.shardStore.size(); s++)
-            std::printf("  shard %-3zu %llu hits, %llu misses\n", s,
-                        (unsigned long long)
-                            outcome.shardStore[s].hits,
-                        (unsigned long long)
-                            outcome.shardStore[s].misses);
-    }
-    if (cli.resume)
-        std::printf("resumed     %zu cells from %s\n",
-                    outcome.replayedCells, journal_path.c_str());
-    if (!outcome.scratchRetained.empty())
-        std::printf("post-mortem %s (worker logs and shard "
-                    "journals)\n",
-                    outcome.scratchRetained.c_str());
-    printCampaignSummary(result);
-    emitVulnTable(result, cli.outPath);
-
-    runner::RunSummary summary;
-    summary.campaign = result.campaign;
-    summary.cells = result.cells.size();
-    summary.cellsOk = result.okCount();
-    summary.cellsFailed = result.errorCount();
-    summary.storeEnabled = !cli.storePath.empty();
-    summary.storePath = cli.storePath;
-    summary.store = outcome.storeTraffic;
-    summary.shardStore = outcome.shardStore;
-    writeRunSummary(summary, cli.outPath);
-    return writeCampaignArtifact(result, cli.outPath);
-}
-
+/**
+ * Campaign mode under either isolation: the in-process runner or the
+ * process supervisor produces the result, and one report, run summary
+ * and artifact follow from it.
+ */
 int
 runCampaign(const CampaignCli &cli)
 {
@@ -485,38 +511,80 @@ runCampaign(const CampaignCli &cli)
     else if (cli.resume)
         fatal("--resume needs --out <file> (the journal lives next to "
               "the artifact)");
-
-    if (cli.isolate == "process")
-        return runCampaignProcess(cli, journal_path);
-    if (cli.isolate != "thread")
+    if (cli.isolate != "thread" && cli.isolate != "process")
         fatal("unknown isolation mode '%s' (thread, process)",
               cli.isolate.c_str());
 
-    runner::CampaignSpec spec;
-    if (!runner::campaignByName(cli.campaign, &spec))
-        fatal("unknown campaign '%s' (table2..table5, smoke, dramsweep, "
-              "or a vuln:... spec)",
-              cli.campaign.c_str());
-    if (cli.maxInsts)
-        spec = spec.withMaxInsts(cli.maxInsts);
-    if (cli.sample.enabled())
-        spec = spec.withSampling(cli.sample);
+    runner::CampaignResult result;
+    runner::RunSummary summary;
+    std::string modeLine, postMortem;
+    std::size_t resumed = 0;
+    bool interrupted = false;
+    if (cli.isolate == "process") {
+        runner::SupervisorOptions opts;
+        opts.campaign = cli.campaign;
+        opts.maxInsts = cli.maxInsts;
+        opts.sample = cli.sample;
+        opts.shards = cli.shards;
+        opts.workerBinary = cli.workerBinary;
+        opts.cellTimeout = cli.cellTimeout;
+        opts.storePath = cli.storePath;
+        opts.maxRetries = cli.retries;
+        opts.faults = cli.faults;
+        opts.masterJournalPath = journal_path;
+        opts.resume = cli.resume;
+        opts.journalSync = cli.journalSync;
+        opts.interrupted = &g_interrupted;
+        runner::SupervisorOutcome o = runner::superviseCampaign(opts);
+        interrupted = o.interrupted;
+        result = std::move(o.result);
+        summary.storeEnabled = !cli.storePath.empty();
+        summary.store = o.storeTraffic;
+        summary.shardStore = o.shardStore;
+        resumed = o.replayedCells;
+        postMortem = o.scratchRetained;
+        modeLine = "isolation   process (" + std::to_string(o.spawns) +
+                   " spawns, " + std::to_string(o.respawns) +
+                   " respawns, " + std::to_string(o.crashedCells) +
+                   " crashed, " + std::to_string(o.timedOutCells) +
+                   " timed out)";
+    } else {
+        runner::CampaignSpec spec;
+        if (!runner::campaignByName(cli.campaign, &spec))
+            fatal("unknown campaign '%s' (table2..table5, smoke, "
+                  "dramsweep, or a vuln:... spec)",
+                  cli.campaign.c_str());
+        if (cli.maxInsts)
+            spec = spec.withMaxInsts(cli.maxInsts);
+        if (cli.sample.enabled())
+            spec = spec.withSampling(cli.sample);
 
-    runner::RunnerOptions opts;
-    opts.jobs = cli.jobs;
-    opts.cache = cli.useCache;
-    opts.storePath = cli.storePath;
-    opts.maxRetries = cli.retries;
-    opts.faults = cli.faults;
-    opts.journalPath = journal_path;
-    opts.resume = cli.resume && !journal_path.empty();
-    opts.journalSync = cli.journalSync;
-    opts.cancel = &g_interrupted;
+        runner::RunnerOptions opts;
+        opts.jobs = cli.jobs;
+        opts.cache = cli.useCache;
+        opts.storePath = cli.storePath;
+        opts.maxRetries = cli.retries;
+        opts.faults = cli.faults;
+        opts.journalPath = journal_path;
+        opts.resume = cli.resume && !journal_path.empty();
+        opts.journalSync = cli.journalSync;
+        opts.cancel = &g_interrupted;
+        runner::ExperimentRunner rnr(opts);
+        result = rnr.run(spec);
+        interrupted = g_interrupted;
+        summary.cacheHits = rnr.cacheHits();
+        summary.storeEnabled = rnr.storeOpen();
+        if (rnr.storeOpen()) {
+            store::StoreCounters c = rnr.storeCounters();
+            summary.store = {c.hits, c.misses, c.bytesRead,
+                             c.bytesWritten};
+        }
+        for (const runner::CellResult &r : result.cells)
+            resumed += r.fromJournal;
+        modeLine = "cache hits  " + std::to_string(rnr.cacheHits());
+    }
 
-    runner::ExperimentRunner rnr(opts);
-    runner::CampaignResult result = rnr.run(spec);
-
-    if (g_interrupted) {
+    if (interrupted) {
         std::fprintf(stderr,
                      "simalpha: interrupted; %s; restart with "
                      "--resume to continue\n",
@@ -527,37 +595,34 @@ runCampaign(const CampaignCli &cli)
         return 3;
     }
 
-    std::size_t journaled = 0;
-    for (const runner::CellResult &r : result.cells)
-        journaled += r.fromJournal;
-
     std::printf("campaign    %s\n", result.campaign.c_str());
     std::printf("cells       %zu (%zu ok, %zu failed)\n",
                 result.cells.size(), result.okCount(),
                 result.errorCount());
-    std::printf("cache hits  %llu\n",
-                (unsigned long long)rnr.cacheHits());
-    runner::StoreTraffic traffic;
-    if (rnr.storeOpen()) {
-        store::StoreCounters c = rnr.storeCounters();
-        traffic = {c.hits, c.misses, c.bytesRead, c.bytesWritten};
-        printStoreTraffic(traffic, cli.storePath);
+    std::printf("%s\n", modeLine.c_str());
+    if (summary.storeEnabled) {
+        printStoreTraffic(summary.store, cli.storePath);
+        for (std::size_t s = 0; s < summary.shardStore.size(); s++)
+            std::printf("  shard %-3zu %llu hits, %llu misses\n", s,
+                        (unsigned long long)summary.shardStore[s].hits,
+                        (unsigned long long)
+                            summary.shardStore[s].misses);
     }
     if (cli.resume)
-        std::printf("resumed     %zu cells from %s\n", journaled,
+        std::printf("resumed     %zu cells from %s\n", resumed,
                     journal_path.c_str());
+    if (!postMortem.empty())
+        std::printf("post-mortem %s (worker logs and shard "
+                    "journals)\n",
+                    postMortem.c_str());
     printCampaignSummary(result);
     emitVulnTable(result, cli.outPath);
 
-    runner::RunSummary summary;
     summary.campaign = result.campaign;
     summary.cells = result.cells.size();
     summary.cellsOk = result.okCount();
     summary.cellsFailed = result.errorCount();
-    summary.cacheHits = rnr.cacheHits();
-    summary.storeEnabled = rnr.storeOpen();
     summary.storePath = cli.storePath;
-    summary.store = traffic;
     writeRunSummary(summary, cli.outPath);
     return writeCampaignArtifact(result, cli.outPath);
 }
@@ -575,25 +640,22 @@ runVulnCommand(int argc, char **argv, const char *argv0)
     spec.cells = 1000;
     CampaignCli cli;
 
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+    for (Args a(argc, argv, 1); a.next();) {
+        const std::string &arg = a.flag;
+        if (parseCampaignFlag(a, cli))
+            continue;
         if (arg == "--machine") {
-            spec.machine = next();
+            spec.machine = a.value();
         } else if (arg == "--workload") {
-            spec.workload = next();
+            spec.workload = a.value();
         } else if (arg == "--max-insts") {
-            spec.maxInsts = std::strtoull(next(), nullptr, 10);
+            spec.maxInsts = a.number<std::uint64_t>();
         } else if (arg == "--cells") {
-            spec.cells = std::strtoull(next(), nullptr, 10);
+            spec.cells = a.number<std::uint64_t>();
         } else if (arg == "--seed") {
-            spec.seed = std::strtoull(next(), nullptr, 10);
+            spec.seed = a.number<std::uint64_t>();
         } else if (arg == "--targets") {
-            std::string list = next();
+            std::string list = a.value();
             std::size_t start = 0;
             for (;;) {
                 std::size_t plus = list.find('+', start);
@@ -612,30 +674,6 @@ runVulnCommand(int argc, char **argv, const char *argv0)
                     break;
                 start = plus + 1;
             }
-        } else if (arg == "--jobs") {
-            cli.jobs = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--out") {
-            cli.outPath = next();
-        } else if (arg == "--no-cache") {
-            cli.useCache = false;
-        } else if (arg == "--store") {
-            cli.storePath = next();
-        } else if (arg == "--retries") {
-            cli.retries = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--resume") {
-            cli.resume = true;
-        } else if (arg == "--no-journal") {
-            cli.journal = false;
-        } else if (arg == "--journal-sync") {
-            cli.journalSync = true;
-        } else if (arg == "--isolate") {
-            cli.isolate = next();
-        } else if (arg.rfind("--isolate=", 0) == 0) {
-            cli.isolate = arg.substr(10);
-        } else if (arg == "--shards") {
-            cli.shards = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--cell-timeout") {
-            cli.cellTimeout = std::strtod(next(), nullptr);
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -675,23 +713,18 @@ runStoreCommand(int argc, char **argv)
     double max_age = 0.0;
     bool rebuild_index = false;
 
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+    for (Args a(argc, argv, 2); a.next();) {
+        const std::string &arg = a.flag;
         if (arg == "--store")
-            root = next();
+            root = a.value();
         else if (arg == "--max-bytes")
-            max_bytes = std::strtoull(next(), nullptr, 10);
+            max_bytes = a.number<std::uint64_t>();
         else if (arg == "--max-age")
-            max_age = std::strtod(next(), nullptr);
+            max_age = a.number<double>();
         else if (arg == "--to")
-            to_path = next();
+            to_path = a.value();
         else if (arg == "--from")
-            from_path = next();
+            from_path = a.value();
         else if (arg == "--rebuild-index")
             rebuild_index = true;
         else
@@ -806,38 +839,18 @@ runServeCommand(int argc, char **argv, const char *argv0)
     serve::ServeOptions sopts;
     sopts.journalSync = runner::journalSyncFromEnv();
 
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--store") {
-            sopts.storePath = next();
-        } else if (arg == "--listen") {
-            sopts.listen = next();
-        } else if (arg == "--jobs") {
-            sopts.jobs = int(std::strtol(next(), nullptr, 10));
+    for (Args a(argc, argv, 1); a.next();) {
+        const std::string &arg = a.flag;
+        if (parseDaemonFlag(a, sopts))
+            continue;
+        if (arg == "--jobs") {
+            sopts.jobs = a.number<int>();
         } else if (arg == "--isolate") {
-            sopts.isolate = next();
+            sopts.isolate = a.value();
         } else if (arg.rfind("--isolate=", 0) == 0) {
             sopts.isolate = arg.substr(10);
         } else if (arg == "--shards") {
-            sopts.shards = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--max-pending") {
-            sopts.maxPending = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-clients") {
-            sopts.maxClients = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-cells") {
-            sopts.maxCellsPerCampaign =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-client-cells") {
-            sopts.maxClientCells = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--drain-timeout") {
-            sopts.drainTimeoutSeconds = std::strtod(next(), nullptr);
-        } else if (arg == "--journal-sync") {
-            sopts.journalSync = true;
+            sopts.shards = a.number<int>();
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -893,48 +906,26 @@ runFleetCommand(int argc, char **argv)
     fopts.seed = std::uint64_t(::getpid());
     std::string workersText;
 
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--store") {
-            sopts.storePath = next();
-        } else if (arg == "--listen") {
-            sopts.listen = next();
-        } else if (arg == "--workers") {
-            workersText = next();
+    for (Args a(argc, argv, 1); a.next();) {
+        const std::string &arg = a.flag;
+        if (parseDaemonFlag(a, sopts))
+            continue;
+        if (arg == "--workers") {
+            workersText = a.value();
         } else if (arg == "--sync") {
             fopts.syncStores = true;
         } else if (arg == "--worker-timeout") {
-            fopts.workerTimeoutSeconds = std::strtod(next(), nullptr);
+            fopts.workerTimeoutSeconds = a.number<double>();
         } else if (arg == "--connect-timeout") {
-            fopts.connectTimeoutSeconds =
-                std::strtod(next(), nullptr);
+            fopts.connectTimeoutSeconds = a.number<double>();
         } else if (arg == "--retries") {
-            fopts.maxRetries = int(std::strtol(next(), nullptr, 10));
+            fopts.maxRetries = a.number<int>();
         } else if (arg == "--redispatch") {
-            fopts.maxRedispatch =
-                int(std::strtol(next(), nullptr, 10));
+            fopts.maxRedispatch = a.number<int>();
         } else if (arg == "--backoff") {
-            fopts.backoffSeconds = std::strtod(next(), nullptr);
+            fopts.backoffSeconds = a.number<double>();
         } else if (arg == "--seed") {
-            fopts.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-pending") {
-            sopts.maxPending = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-clients") {
-            sopts.maxClients = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-cells") {
-            sopts.maxCellsPerCampaign =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-client-cells") {
-            sopts.maxClientCells = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--drain-timeout") {
-            sopts.drainTimeoutSeconds = std::strtod(next(), nullptr);
-        } else if (arg == "--journal-sync") {
-            sopts.journalSync = true;
+            fopts.seed = a.number<std::uint64_t>();
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -1014,37 +1005,32 @@ runSubmitCommand(int argc, char **argv)
     std::uint64_t maxInsts = 0;
     bool quiet = false;
 
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+    for (Args a(argc, argv, 1); a.next();) {
+        const std::string &arg = a.flag;
         if (arg == "--connect") {
-            copts.connect = next();
+            copts.connect = a.value();
         } else if (arg == "--store") {
-            storePath = next();
+            storePath = a.value();
         } else if (arg == "--campaign") {
-            campaign = next();
+            campaign = a.value();
         } else if (arg == "--max-insts") {
-            maxInsts = std::strtoull(next(), nullptr, 10);
+            maxInsts = a.number<std::uint64_t>();
         } else if (arg == "--sample") {
-            sampleStr = next();
+            sampleStr = a.value();
         } else if (arg == "--op") {
-            op = next();
+            op = a.value();
         } else if (arg == "--client") {
-            clientName = next();
+            clientName = a.value();
         } else if (arg == "--timeout") {
-            copts.timeoutSeconds = std::strtod(next(), nullptr);
+            copts.timeoutSeconds = a.number<double>();
         } else if (arg == "--retries") {
-            copts.maxRetries = int(std::strtol(next(), nullptr, 10));
+            copts.maxRetries = a.number<int>();
         } else if (arg == "--backoff") {
-            copts.backoffSeconds = std::strtod(next(), nullptr);
+            copts.backoffSeconds = a.number<double>();
         } else if (arg == "--seed") {
-            copts.seed = std::strtoull(next(), nullptr, 10);
+            copts.seed = a.number<std::uint64_t>();
         } else if (arg == "--out") {
-            outPath = next();
+            outPath = a.value();
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -1177,62 +1163,35 @@ realMain(int argc, char **argv)
     bool want_manifest = false;
     bool want_list = false;
 
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+    for (Args a(argc, argv, 1); a.next();) {
+        const std::string &arg = a.flag;
+        if (parseCampaignFlag(a, cli))
+            continue;
         if (arg == "--machine") {
-            machine_name = next();
+            machine_name = a.value();
         } else if (arg == "--workload") {
-            workload_name = next();
+            workload_name = a.value();
         } else if (arg == "--campaign") {
-            campaign_name = next();
-        } else if (arg == "--jobs") {
-            cli.jobs = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--out") {
-            cli.outPath = next();
-        } else if (arg == "--no-cache") {
-            cli.useCache = false;
-        } else if (arg == "--store") {
-            cli.storePath = next();
-        } else if (arg == "--retries") {
-            cli.retries = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--resume") {
-            cli.resume = true;
-        } else if (arg == "--no-journal") {
-            cli.journal = false;
-        } else if (arg == "--journal-sync") {
-            cli.journalSync = true;
+            campaign_name = a.value();
         } else if (arg == "--max-insts") {
-            cli.maxInsts = std::strtoull(next(), nullptr, 10);
+            cli.maxInsts = a.number<std::uint64_t>();
         } else if (arg == "--sample") {
             std::string error;
-            if (!checkpoint::parseSampleSpec(next(), &cli.sample,
+            if (!checkpoint::parseSampleSpec(a.value(), &cli.sample,
                                              &error))
                 fatal("--sample: %s", error.c_str());
-        } else if (arg == "--isolate") {
-            cli.isolate = next();
-        } else if (arg.rfind("--isolate=", 0) == 0) {
-            cli.isolate = arg.substr(10);
-        } else if (arg == "--shards") {
-            cli.shards = int(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--cell-timeout") {
-            cli.cellTimeout = std::strtod(next(), nullptr);
         } else if (arg == "--inject") {
             runner::FaultInjection fault;
             std::string error;
-            if (!runner::parseFaultSpec(next(), &fault, &error))
+            if (!runner::parseFaultSpec(a.value(), &fault, &error))
                 fatal("%s", error.c_str());
             cli.faults.push_back(fault);
         } else if (arg == "--shard") {
             shard_mode = true;
         } else if (arg == "--cells") {
-            shard_cells = next();
+            shard_cells = a.value();
         } else if (arg == "--journal") {
-            shard_journal = next();
+            shard_journal = a.value();
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--manifest") {

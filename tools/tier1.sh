@@ -65,12 +65,25 @@ wait "$W0_PID" "$W1_PID"
 cmp "$FLEET_DIR/ref.jsonl" "$FLEET_DIR/fleet.jsonl"
 echo "fleet smoke: OK (2-worker stream byte-identical)"
 
+# Process isolation: three worker processes settle in any order, but
+# the merge barrier releases in spec order, so the artifact and the
+# master journal are byte-identical to an in-process --jobs 1 run.
+PROC_DIR=$(mktemp -d /tmp/simalpha-tier1-proc-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR"' EXIT
+./tools/simalpha --campaign smoke --isolate=process --shards 3 \
+    --out "$PROC_DIR/proc.json" > /dev/null
+./tools/simalpha --campaign smoke --jobs 1 \
+    --out "$PROC_DIR/ref.json" > /dev/null
+cmp "$PROC_DIR/ref.json" "$PROC_DIR/proc.json"
+cmp "$PROC_DIR/ref.json.journal.jsonl" "$PROC_DIR/proc.json.journal.jsonl"
+echo "process smoke: OK (3-shard artifact and journal byte-identical)"
+
 # Slowpath reference: SIMALPHA_SLOWPATH=1 runs the original per-pipe
 # issue scans and ROB walks beside the event-driven select and indexes,
 # asserting they agree every cycle; the capped Table 3 must come out
 # byte-identical to the fast path.
 SLOW_DIR=$(mktemp -d /tmp/simalpha-tier1-slow-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$SLOW_DIR"' EXIT
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR"' EXIT
 ./tools/simalpha --campaign table3 --max-insts 20000 --jobs 2 \
     --no-journal --out "$SLOW_DIR/fast.csv" > /dev/null
 SIMALPHA_SLOWPATH=1 ./tools/simalpha --campaign table3 \
