@@ -6,21 +6,27 @@
  * The functional emulator executes ~3 orders of magnitude faster than
  * the detailed core (BENCH_perf.json), so a long workload is simulated
  * the way the paper's §2.3 sampling-error methodology assumes: fast-
- * forward architecturally, drop checkpoints of full architectural
- * state at planned offsets, and run the detailed model only on short
+ * forward architecturally, snapshot the architectural state at
+ * planned offsets, and run the detailed model only on short
  * measurement windows restored from those checkpoints — each warmed up
  * before measurement, the per-window IPCs aggregated into a mean and a
  * Student-t confidence interval that campaigns surface as an explicit
  * sampling-error bar.
  *
  * Checkpoints are architectural state only (registers, PC, retired-
- * instruction count, dirty memory) and therefore machine-independent:
- * every timing model restores from the same blob. They are serialized
- * as single-line text blobs into the existing content-addressed result
- * store (src/store/), keyed by the *program's* content hash plus the
- * instruction offset — so every shard, isolation mode, and host
- * pointed at one store shares one set of checkpoints, and the store's
- * gc/export/import/integrity machinery applies to them unchanged.
+ * instruction count, and the memory words that differ from the
+ * program's initial data image) and therefore machine-independent:
+ * every timing model restores from the same state. They live in
+ * memory only: a sampled cell fast-forwards, snapshots each planned
+ * window, and never persists a checkpoint. Restoring one costs the
+ * shared image plus the few words the program wrote.
+ *
+ * The store-backed half of this file — the ckpt1 blob codec, the
+ * ckpt|/ckpt-meta| keys, collectCheckpoints' store branch and
+ * touchPlannedCheckpoints — is no longer called by the runner. It is
+ * kept for the store API and for campaignbench's link-time wrappers,
+ * which name these symbols; stores written by older builds still hold
+ * such entries, which nothing reads and gc ages out.
  */
 
 #ifndef SIMALPHA_CHECKPOINT_CHECKPOINT_HH
@@ -157,10 +163,12 @@ FastForwardInfo fastForward(const Program &program,
 /**
  * Produce the checkpoints at the given retired-instruction offsets
  * (ascending or not — they are sorted internally, duplicates served
- * once). Present store entries are restored from disk; missing ones
- * are generated by a single emulator fast-forward pass that resumes
- * from the nearest preceding hit and published back to the store.
- * With @p store null (or closed), everything is generated in-process.
+ * once) in one emulator fast-forward pass. The runner passes no
+ * store. Given one, present entries are restored from disk, the pass
+ * resumes from the nearest preceding hit, and generated checkpoints
+ * are published back — kept for the store API and campaignbench.
+ * Blobs that older builds stored under these keys hold full state,
+ * not a delta, so this branch must not be pointed at such a store.
  *
  * @p out receives one checkpoint per *requested* offset, in request
  * order. Returns false with *error filled only on invariant-grade
@@ -175,10 +183,9 @@ bool collectCheckpoints(const Program &program,
 /**
  * Refresh the store's last-use sidecars for every entry a sampled
  * cell with this plan would read (the meta entry and each window's
- * checkpoint), without reading the blobs. Called when a sampled
- * result is served from the store: the checkpoints were not touched
- * by the warm rerun, and without this, gc would evict exactly the
- * entries the next cold window run needs most.
+ * checkpoint), without reading the blobs. The runner no longer calls
+ * it, since sampled cells persist no checkpoints; it is kept for the
+ * store API and campaignbench's link.
  * @return entries actually present and touched.
  */
 std::size_t touchPlannedCheckpoints(const Program &program,

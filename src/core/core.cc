@@ -97,13 +97,14 @@ AlphaCore::BoundCounters::BoundCounters(stats::Group &g)
 }
 
 void
-AlphaCore::resetMachine(const Program &program)
+AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
 {
     _prog = &program;
     // The oracle is program state and is rebuilt every run; every other
     // sub-unit's geometry is fixed by _p, so on reuse the units are
     // reset in place instead of reallocated (campaign core reuse).
-    _oracle = std::make_unique<OracleStream>(program);
+    _oracle = start ? std::make_unique<OracleStream>(program, *start)
+                    : std::make_unique<OracleStream>(program);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         _rename =
@@ -149,7 +150,7 @@ AlphaCore::resetMachine(const Program &program)
     _seqCounter = 0;
     _committed = 0;
     _finished = false;
-    _fetchPc = program.entryPc;
+    _fetchPc = start ? start->pc : program.entryPc;
     _fetchResumeAt = 0;
     _wrongPathMode = false;
     _haltFetched = false;
@@ -227,13 +228,11 @@ AlphaCore::runWindow(const Program &program, const Checkpoint &start,
                      std::map<std::string, std::uint64_t>
                          *measured_counters)
 {
-    resetMachine(program);
-    // Swap the reset-state oracle for one resuming at the checkpoint;
-    // fetch starts where the restored architectural state left off.
-    // Everything microarchitectural (caches, predictors, queues)
-    // stays cold — that is what the warm-up phase is for.
-    _oracle = std::make_unique<OracleStream>(program, start);
-    _fetchPc = start.pc;
+    // The oracle resumes at the checkpoint and fetch starts where the
+    // restored architectural state left off. Everything
+    // microarchitectural (caches, predictors, queues) stays cold —
+    // that is what the warm-up phase is for.
+    resetMachine(program, &start);
     if (start.halted)
         _finished = true;
 

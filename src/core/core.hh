@@ -86,7 +86,10 @@ class AlphaCore : public Machine
         Cycle windowStart;
     };
 
-    void resetMachine(const Program &program);
+    /** Reset every unit and build the oracle: at the program's entry,
+     *  or resuming at @p start (runWindow). */
+    void resetMachine(const Program &program,
+                      const Checkpoint *start = nullptr);
     /** The run loop shared by run() and runWindow(): tick until halt
      *  or _maxInsts commits, with the forward-progress watchdog. */
     void runLoop(const Program &program);

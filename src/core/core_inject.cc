@@ -112,7 +112,7 @@ AlphaCore::architecturalState(Checkpoint *out) const
 {
     if (!_oracle)
         return false;
-    *out = _oracle->emulator().checkpoint();
+    *out = _oracle->emulator().fullState();
     return true;
 }
 

@@ -262,7 +262,9 @@ ProgramBuilder::finish()
     _fixups.clear();
     _dataFixups.clear();
     _finished = true;
-    return _prog;
+    // Moved, not copied: a copy faults a large image (mesa's 8 MB) in
+    // a second time.
+    return std::move(_prog);
 }
 
 } // namespace simalpha

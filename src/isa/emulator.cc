@@ -10,17 +10,71 @@
 
 namespace simalpha {
 
-SparseMemory::Page *
-SparseMemory::findPage(Addr addr) const
+std::shared_ptr<const PageImage>
+PageImage::build(const std::vector<std::pair<Addr, RegVal>> &data)
 {
-    auto it = _pages.find(addr >> kPageShift);
-    return it == _pages.end() ? nullptr : it->second.get();
+    // Lay the words out through a plain SparseMemory, so straddling
+    // and repeated addresses land exactly as sequential stores would,
+    // then adopt its pages in address order.
+    SparseMemory flat;
+    for (const auto &[addr, value] : data)
+        flat.write64(addr, value);
+
+    auto image = std::make_shared<PageImage>();
+    image->dataWords = data.size();
+    image->pageNos.reserve(flat._extra.size());
+    for (const auto &entry : flat._extra)
+        image->pageNos.push_back(entry.first);
+    std::sort(image->pageNos.begin(), image->pageNos.end());
+    image->pages.reserve(image->pageNos.size());
+    for (std::size_t i = 0; i < image->pageNos.size(); i++) {
+        image->slotOf.emplace(image->pageNos[i], i);
+        image->pages.push_back(std::move(flat._extra[image->pageNos[i]]));
+    }
+    return image;
+}
+
+std::shared_ptr<const PageImage>
+Program::dataImage() const
+{
+    std::lock_guard<std::mutex> lock(_image.mu);
+    if (!_image.image)
+        _image.image = PageImage::build(data);
+    sim_assert(_image.image->dataWords == data.size());
+    return _image.image;
+}
+
+const SparseMemory::Page *
+SparseMemory::findPage(Addr page_no) const
+{
+    if (_image) {
+        auto it = _image->slotOf.find(page_no);
+        if (it != _image->slotOf.end()) {
+            std::size_t slot = it->second;
+            if (slot < _copies.size() && _copies[slot])
+                return _copies[slot].get();
+            return _image->pages[slot].get();
+        }
+    }
+    auto it = _extra.find(page_no);
+    return it == _extra.end() ? nullptr : it->second.get();
 }
 
 SparseMemory::Page &
-SparseMemory::touchPage(Addr addr)
+SparseMemory::touchPage(Addr page_no)
 {
-    auto &slot = _pages[addr >> kPageShift];
+    if (_image) {
+        auto it = _image->slotOf.find(page_no);
+        if (it != _image->slotOf.end()) {
+            if (_copies.empty())
+                _copies.resize(_image->pages.size());
+            std::unique_ptr<Page> &copy = _copies[it->second];
+            if (!copy)
+                copy = std::make_unique<Page>(*_image->pages[it->second]);
+            return *copy;
+        }
+    }
+    auto &slot = _extra[page_no];
     if (!slot) {
         slot = std::make_unique<Page>();
         slot->fill(0);
@@ -28,16 +82,16 @@ SparseMemory::touchPage(Addr addr)
     return *slot;
 }
 
-SparseMemory::Page *
+const SparseMemory::Page *
 SparseMemory::cachedFind(Addr addr) const
 {
     Addr page_no = addr >> kPageShift;
-    if (_lastPageNo == page_no)
-        return _lastPage;
-    Page *p = findPage(addr);
+    if (_readNo == page_no)
+        return _readPage;
+    const Page *p = findPage(page_no);
     if (p) {
-        _lastPageNo = page_no;
-        _lastPage = p;
+        _readNo = page_no;
+        _readPage = p;
     }
     return p;
 }
@@ -46,12 +100,32 @@ SparseMemory::Page &
 SparseMemory::cachedTouch(Addr addr)
 {
     Addr page_no = addr >> kPageShift;
-    if (_lastPageNo == page_no)
-        return *_lastPage;
-    Page &p = touchPage(addr);
-    _lastPageNo = page_no;
-    _lastPage = &p;
+    if (_writeNo == page_no)
+        return *_writePage;
+    Page &p = touchPage(page_no);
+    _writeNo = _readNo = page_no;
+    _writePage = &p;
+    _readPage = &p;
     return p;
+}
+
+std::size_t
+SparseMemory::pagesTouched() const
+{
+    return _extra.size() +
+           std::size_t(std::count_if(
+               _copies.begin(), _copies.end(),
+               [](const std::unique_ptr<Page> &copy) { return bool(copy); }));
+}
+
+void
+SparseMemory::clear()
+{
+    _copies.clear();
+    _extra.clear();
+    _readNo = _writeNo = kNoPage;
+    _readPage = nullptr;
+    _writePage = nullptr;
 }
 
 RegVal
@@ -138,20 +212,63 @@ SparseMemory::write32(Addr addr, std::uint32_t value)
 }
 
 std::vector<std::pair<Addr, RegVal>>
-SparseMemory::exportWords() const
+SparseMemory::words(bool delta) const
 {
-    std::vector<std::pair<Addr, RegVal>> words;
-    for (const auto &[page_no, page] : _pages) {
-        Addr base = page_no << kPageShift;
-        for (Addr off = 0; off < kPageBytes; off += 8) {
-            RegVal v = 0;
-            for (int i = 0; i < 8; i++)
-                v |= RegVal((*page)[off + Addr(i)]) << (8 * i);
-            if (v != 0)
-                words.emplace_back(base + off, v);
+    // (page number, current bytes, image bytes or null), in address
+    // order; a delta visits only the pages written since clear().
+    struct Source
+    {
+        Addr pageNo;
+        const Page *now;
+        const Page *base;
+    };
+    std::vector<Source> sources;
+    if (_image) {
+        for (std::size_t s = 0; s < _image->pages.size(); s++) {
+            const Page *copy =
+                s < _copies.size() ? _copies[s].get() : nullptr;
+            if (copy || !delta)
+                sources.push_back({_image->pageNos[s],
+                                   copy ? copy : _image->pages[s].get(),
+                                   _image->pages[s].get()});
         }
     }
-    return words;
+    for (const auto &[page_no, page] : _extra)
+        sources.push_back({page_no, page.get(), nullptr});
+    std::sort(sources.begin(), sources.end(),
+              [](const Source &a, const Source &b) {
+                  return a.pageNo < b.pageNo;
+              });
+
+    auto word_at = [](const Page &page, Addr off) {
+        RegVal v = 0;
+        for (int i = 0; i < 8; i++)
+            v |= RegVal(page[off + Addr(i)]) << (8 * i);
+        return v;
+    };
+    std::vector<std::pair<Addr, RegVal>> out;
+    for (const Source &src : sources) {
+        Addr base = src.pageNo << kPageShift;
+        for (Addr off = 0; off < kPageBytes; off += 8) {
+            RegVal v = word_at(*src.now, off);
+            RegVal was = delta && src.base ? word_at(*src.base, off) : 0;
+            if (v != was)
+                out.emplace_back(base + off, v);
+        }
+    }
+    return out;
+}
+
+std::vector<std::pair<Addr, RegVal>>
+SparseMemory::exportWords() const
+{
+    return words(false);
+}
+
+std::vector<std::pair<Addr, RegVal>>
+SparseMemory::exportDelta() const
+{
+    return words(true);
 }
 
 namespace {
@@ -202,11 +319,8 @@ Emulator::decodeOne(const Instruction &inst)
 }
 
 Emulator::Emulator(const Program &program)
-    : _prog(program), _pc(program.entryPc)
+    : _prog(program), _mem(program.dataImage()), _pc(program.entryPc)
 {
-    for (const auto &[addr, value] : program.data)
-        _mem.write64(addr, value);
-
     _dec.reserve(program.text.size());
     for (const Instruction &inst : program.text)
         _dec.push_back(decodeOne(inst));
@@ -265,12 +379,24 @@ Emulator::writeFpReg(int i, double v)
 Checkpoint
 Emulator::checkpoint() const
 {
+    return capture(_mem.exportDelta());
+}
+
+Checkpoint
+Emulator::fullState() const
+{
+    return capture(_mem.exportWords());
+}
+
+Checkpoint
+Emulator::capture(std::vector<std::pair<Addr, RegVal>> memory) const
+{
     Checkpoint c;
     std::copy_n(_regs.begin(), c.regs.size(), c.regs.begin());
     c.pc = _pc;
     c.seq = _seq;
     c.halted = _halted;
-    c.memory = _mem.exportWords();
+    c.memory = std::move(memory);
     return c;
 }
 

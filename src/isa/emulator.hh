@@ -35,9 +35,31 @@ struct ExecutedInst
     bool halted = false;        ///< this instruction was a Halt
 };
 
+/** A program's initial data as read-only 4 KB pages: the shared base
+ *  every emulator of the program starts from (Program::dataImage()). */
+struct PageImage
+{
+    static constexpr Addr kPageShift = 12;
+    static constexpr Addr kPageBytes = Addr(1) << kPageShift;
+    using Page = std::array<std::uint8_t, kPageBytes>;
+
+    std::vector<Addr> pageNos;                  ///< ascending
+    std::vector<std::unique_ptr<Page>> pages;   ///< pages[i] is pageNos[i]
+    std::unordered_map<Addr, std::size_t> slotOf;   ///< page number → i
+    std::size_t dataWords = 0;  ///< Program::data entries it holds
+
+    /** Lay @p data out as pages (later words win, as in memory). */
+    static std::shared_ptr<const PageImage>
+    build(const std::vector<std::pair<Addr, RegVal>> &data);
+};
+
 /**
  * Sparse byte-addressable memory backed by 4 KB pages. Loads of never-
- * written locations return zero, matching a zero-filled address space.
+ * written locations return zero, matching a zero-filled address space,
+ * unless the memory starts from a PageImage: then reads see the image
+ * and the first write to an image page copies it (copy-on-write), so
+ * construction costs nothing per word and the copied pages are exactly
+ * the ones written.
  *
  * Aligned accesses that fit inside one page (the overwhelmingly common
  * case) take a single page lookup through a one-entry page cache and a
@@ -47,50 +69,68 @@ struct ExecutedInst
 class SparseMemory
 {
   public:
+    SparseMemory() = default;
+    /** Start as @p image. */
+    explicit SparseMemory(std::shared_ptr<const PageImage> image)
+        : _image(std::move(image))
+    {
+    }
+
     RegVal read64(Addr addr) const;
     void write64(Addr addr, RegVal value);
     std::uint32_t read32(Addr addr) const;
     void write32(Addr addr, std::uint32_t value);
 
-    /** Number of distinct pages touched (for tests / footprint stats). */
-    std::size_t pagesTouched() const { return _pages.size(); }
+    /** Pages written since construction or clear(): copied image
+     *  pages plus pages outside the image (tests / footprint stats). */
+    std::size_t pagesTouched() const;
 
-    /** Export all touched memory as (address, word) pairs. */
+    /** Every nonzero word, the image's included, sorted by address. */
     std::vector<std::pair<Addr, RegVal>> exportWords() const;
 
-    /** Drop every page (restore starts from a zero-filled space). */
-    void
-    clear()
-    {
-        _pages.clear();
-        _lastPageNo = kNoPage;
-        _lastPage = nullptr;
-    }
+    /** The words that differ from the image, sorted by address: a
+     *  zero where the program cleared an image word. Depends only on
+     *  the memory's contents, never on which pages were copied. */
+    std::vector<std::pair<Addr, RegVal>> exportDelta() const;
+
+    /** Drop every written page: memory reads as the image again. */
+    void clear();
 
   private:
-    static constexpr Addr kPageShift = 12;
-    static constexpr Addr kPageBytes = Addr(1) << kPageShift;
+    using Page = PageImage::Page;
+    static constexpr Addr kPageShift = PageImage::kPageShift;
+    static constexpr Addr kPageBytes = PageImage::kPageBytes;
     static constexpr Addr kNoPage = ~Addr(0);
 
-    using Page = std::array<std::uint8_t, kPageBytes>;
+    friend struct PageImage;
 
-    Page *findPage(Addr addr) const;
-    Page &touchPage(Addr addr);
-    /** One-entry cache over findPage; only existing pages are cached
-     *  (pages are never freed except by clear(), so the pointer is
-     *  stable across rehashes). */
-    Page *cachedFind(Addr addr) const;
+    const Page *findPage(Addr page_no) const;
+    Page &touchPage(Addr page_no);
+    /** One-entry caches over findPage/touchPage. Pages are never freed
+     *  except by clear(), so the pointers are stable across rehashes;
+     *  a write also points the read cache at the page it wrote, so a
+     *  read never sees an image page that has since been copied. */
+    const Page *cachedFind(Addr addr) const;
     Page &cachedTouch(Addr addr);
+    /** Export words that differ from the image (delta) or from zero. */
+    std::vector<std::pair<Addr, RegVal>> words(bool delta) const;
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
-    mutable Addr _lastPageNo = kNoPage;
-    mutable Page *_lastPage = nullptr;
+    std::shared_ptr<const PageImage> _image;
+    /** Private copies of image pages by image slot (null: still the
+     *  image's); sized on the first write to the image. */
+    std::vector<std::unique_ptr<Page>> _copies;
+    /** Written pages outside the image. */
+    std::unordered_map<Addr, std::unique_ptr<Page>> _extra;
+    mutable Addr _readNo = kNoPage;
+    mutable const Page *_readPage = nullptr;
+    Addr _writeNo = kNoPage;
+    Page *_writePage = nullptr;
 };
 
 /**
- * A snapshot of complete architectural state (registers, PC, memory),
- * restorable onto an emulator of the same program — the checkpoint
- * facility sim-alpha inherited from the SimpleScalar tool set.
+ * A snapshot of architectural state (registers, PC, memory), restorable
+ * onto an emulator of the same program — the checkpoint facility
+ * sim-alpha inherited from the SimpleScalar tool set.
  */
 struct Checkpoint
 {
@@ -98,7 +138,10 @@ struct Checkpoint
     Addr pc = 0;
     InstSeq seq = 0;
     bool halted = false;
-    /** Dirty memory as (address, 64-bit word) pairs, page-packed. */
+    /** (address, 64-bit word) pairs sorted by address. From
+     *  Emulator::checkpoint(): the delta over the program's data image
+     *  (SparseMemory::exportDelta()). From Emulator::fullState() and
+     *  Machine::architecturalState(): every nonzero word. */
     std::vector<std::pair<Addr, RegVal>> memory;
 };
 
@@ -135,10 +178,16 @@ class Emulator
   public:
     explicit Emulator(const Program &program);
 
-    /** Capture the full architectural state. */
+    /** Capture the architectural state as registers plus the memory
+     *  delta over the program's data image. */
     Checkpoint checkpoint() const;
 
-    /** Restore a previously captured state of the same program. */
+    /** The same state with every nonzero memory word instead of the
+     *  delta: the form state digests hash (inject::archDigest). */
+    Checkpoint fullState() const;
+
+    /** Restore a checkpoint() of the same program: the image plus the
+     *  delta. The memory first drops every page it copied. */
     void restore(const Checkpoint &ckpt);
 
     /** Execute one instruction; undefined after halted(). */
@@ -202,6 +251,7 @@ class Emulator
 
     RegVal reg(RegIndex r) const;
     void setReg(RegIndex r, RegVal v);
+    Checkpoint capture(std::vector<std::pair<Addr, RegVal>> memory) const;
 
     ExecutedInst stepFast();
     /** The original fully-generic switch interpreter, retained as the

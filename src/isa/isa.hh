@@ -16,12 +16,16 @@
 #define SIMALPHA_ISA_ISA_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace simalpha {
+
+struct PageImage;   // isa/emulator.hh
 
 /** Number of architectural integer (and, separately, fp) registers. */
 constexpr int kNumIntRegs = 32;
@@ -221,6 +225,33 @@ class Program
 
     /** Fetch the static instruction at a PC; Unop if out of range. */
     const Instruction &fetch(Addr pc) const;
+
+    /**
+     * The initial data as one read-only page image, shared by every
+     * Emulator of this program (each copies a page on its first write
+     * to it). Built on first use, so building a program costs nothing
+     * extra; safe when several threads ask at once. A copy of the
+     * Program builds its own, so edit `data` before the first use.
+     */
+    std::shared_ptr<const PageImage> dataImage() const;
+
+  private:
+    /** The lazily built image. Copying starts a fresh, empty slot. */
+    struct ImageSlot
+    {
+        ImageSlot() = default;
+        ImageSlot(const ImageSlot &) {}
+        ImageSlot &
+        operator=(const ImageSlot &)
+        {
+            image.reset();
+            return *this;
+        }
+
+        std::mutex mu;
+        std::shared_ptr<const PageImage> image;
+    };
+    mutable ImageSlot _image;
 };
 
 } // namespace simalpha

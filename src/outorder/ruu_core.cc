@@ -42,12 +42,13 @@ RuuCore::BoundCounters::BoundCounters(stats::Group &g)
 }
 
 void
-RuuCore::resetMachine(const Program &program)
+RuuCore::resetMachine(const Program &program, const Checkpoint *start)
 {
     _prog = &program;
     // The oracle is program state and is rebuilt every run; the other
     // sub-units have fixed geometry and reset in place on reuse.
-    _oracle = std::make_unique<OracleStream>(program);
+    _oracle = start ? std::make_unique<OracleStream>(program, *start)
+                    : std::make_unique<OracleStream>(program);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         // The paper gives sim-outorder a 2-level adaptive predictor
@@ -69,7 +70,7 @@ RuuCore::resetMachine(const Program &program)
     _seqCounter = 0;
     _committed = 0;
     _finished = false;
-    _fetchPc = program.entryPc;
+    _fetchPc = start ? start->pc : program.entryPc;
     _fetchResumeAt = 0;
     _wrongPathMode = false;
     _haltFetched = false;
@@ -175,13 +176,11 @@ RuuCore::runWindow(const Program &program, const Checkpoint &start,
                    std::map<std::string, std::uint64_t>
                        *measured_counters)
 {
-    resetMachine(program);
-    // Swap the reset-state oracle for one resuming at the checkpoint;
-    // fetch starts where the restored architectural state left off.
-    // Everything microarchitectural (caches, predictors, queues)
-    // stays cold — that is what the warm-up phase is for.
-    _oracle = std::make_unique<OracleStream>(program, start);
-    _fetchPc = start.pc;
+    // The oracle resumes at the checkpoint and fetch starts where the
+    // restored architectural state left off. Everything
+    // microarchitectural (caches, predictors, queues) stays cold —
+    // that is what the warm-up phase is for.
+    resetMachine(program, &start);
     if (start.halted)
         _finished = true;
 

@@ -145,7 +145,10 @@ class RuuCore : public Machine
         RegIndex dst = kNoReg;
     };
 
-    void resetMachine(const Program &program);
+    /** Reset every unit and build the oracle: at the program's entry,
+     *  or resuming at @p start (runWindow). */
+    void resetMachine(const Program &program,
+                      const Checkpoint *start = nullptr);
     /** The run loop shared by run() and runWindow(): tick until halt
      *  or _maxInsts commits, with the forward-progress watchdog. */
     void runLoop(const Program &program);

@@ -50,7 +50,7 @@ RuuCore::architecturalState(Checkpoint *out) const
 {
     if (!_oracle)
         return false;
-    *out = _oracle->emulator().checkpoint();
+    *out = _oracle->emulator().fullState();
     return true;
 }
 

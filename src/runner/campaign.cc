@@ -1,5 +1,7 @@
 #include "campaign.hh"
 
+#include <limits>
+
 #include "common/number.hh"
 #include "runner/shard.hh"
 #include "validate/manifest.hh"
@@ -412,8 +414,9 @@ parseShardCampaignName(const std::string &name, std::size_t *index,
     return true;
 }
 
-bool
-campaignByName(const std::string &name, CampaignSpec *out)
+CampaignLookup
+campaignByName(const std::string &name, std::uint64_t maxCells,
+               CampaignSpec *out, std::uint64_t *cells)
 {
     if (name.rfind("shard:", 0) == 0) {
         std::size_t index = 0;
@@ -421,10 +424,12 @@ campaignByName(const std::string &name, CampaignSpec *out)
         std::string base;
         std::string error;
         if (!parseShardCampaignName(name, &index, &count, &base, &error))
-            return false;
+            return CampaignLookup::Unknown;
         CampaignSpec whole;
-        if (!campaignByName(base, &whole))
-            return false;
+        const CampaignLookup found =
+            campaignByName(base, maxCells, &whole, cells);
+        if (found != CampaignLookup::Found)
+            return found;
         CampaignSpec sliced;
         // Keep the base name: shard journal lines must be the bytes
         // the single-host run writes (see shardCampaignName()).
@@ -432,15 +437,20 @@ campaignByName(const std::string &name, CampaignSpec *out)
         for (std::size_t c : shardSlice(whole.cells.size(), index, count))
             sliced.cells.push_back(whole.cells[c]);
         *out = std::move(sliced);
-        return true;
+        return CampaignLookup::Found;
     }
     if (name.rfind("vuln:", 0) == 0) {
         VulnSpec spec;
         std::string error;
         if (!parseVulnCampaignName(name, &spec, &error))
-            return false;
+            return CampaignLookup::Unknown;
+        if (spec.cells > maxCells) {
+            if (cells)
+                *cells = spec.cells;
+            return CampaignLookup::OverCap;
+        }
         *out = vulnCampaign(spec);
-        return true;
+        return CampaignLookup::Found;
     }
     if (name == "table2")
         *out = table2Campaign();
@@ -455,8 +465,15 @@ campaignByName(const std::string &name, CampaignSpec *out)
     else if (name == "dramsweep")
         *out = dramSweepCampaign();
     else
-        return false;
-    return true;
+        return CampaignLookup::Unknown;
+    return CampaignLookup::Found;
+}
+
+bool
+campaignByName(const std::string &name, CampaignSpec *out)
+{
+    return campaignByName(name, std::numeric_limits<std::uint64_t>::max(),
+                          out, nullptr) == CampaignLookup::Found;
 }
 
 } // namespace runner

@@ -175,6 +175,20 @@ bool parseShardCampaignName(const std::string &name, std::size_t *index,
  *  unknown names. */
 bool campaignByName(const std::string &name, CampaignSpec *out);
 
+/** What the capped campaignByName() made of a name. */
+enum class CampaignLookup { Found, Unknown, OverCap };
+
+/** campaignByName() that builds no "vuln:" campaign of more than
+ *  @p maxCells cells. A vuln: name declares its count, which can be
+ *  any size, so the count is checked before a cell is built: past the
+ *  cap the result is OverCap, with the count in *cells. Under a
+ *  "shard:" wrapper that is the whole base's count, since the base is
+ *  built before it is sliced. The fixed campaigns are small and always
+ *  built; *out is only written on Found. */
+CampaignLookup campaignByName(const std::string &name,
+                              std::uint64_t maxCells, CampaignSpec *out,
+                              std::uint64_t *cells);
+
 } // namespace runner
 } // namespace simalpha
 

@@ -228,27 +228,10 @@ ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
 {
     namespace ck = checkpoint;
 
-    // Workload length under the cap: one cheap functional pass whose
-    // answer is shared through the store across shards and reruns.
-    ck::FastForwardInfo info;
-    std::string mkey = ck::metaKey(program, cell.maxInsts);
-    bool have_meta = false;
-    if (_store.isOpen()) {
-        std::string payload;
-        have_meta = _store.lookup(mkey, &payload) &&
-                    ck::parseMeta(payload, &info);
-    }
-    if (!have_meta) {
-        info = ck::fastForward(program, cell.maxInsts);
-        if (_store.isOpen()) {
-            std::string serror;
-            if (!_store.publish(mkey, ck::serializeMeta(info),
-                                &serror))
-                warn("%s (fast-forward metadata not persisted)",
-                     serror.c_str());
-        }
-    }
-
+    // Workload length under the cap: one cheap functional pass. The
+    // checkpoints are in-memory deltas over the program's data image;
+    // nothing of them is read from or written to the store.
+    ck::FastForwardInfo info = ck::fastForward(program, cell.maxInsts);
     std::vector<ck::WindowPlan> plan =
         ck::planWindows(info.totalInsts, cell.sample);
 
@@ -259,16 +242,13 @@ ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
 
     std::vector<Checkpoint> ckpts;
     std::string error;
-    if (!ck::collectCheckpoints(program, offsets,
-                                _store.isOpen() ? &_store : nullptr,
-                                &ckpts, &error))
+    if (!ck::collectCheckpoints(program, offsets, nullptr, &ckpts,
+                                &error))
         throw InvariantError(error);
 
     // The measured windows. Checkpoints are deterministic functions of
-    // the program, so a window's bytes do not depend on whether its
-    // checkpoint came from the store or a fresh emulator sweep — which
-    // keeps sampled campaigns byte-identical across --jobs, shards,
-    // and warm/cold stores.
+    // the program, which keeps sampled campaigns byte-identical across
+    // --jobs, shards, and warm/cold stores.
     Cycle total_cycles = 0;
     std::uint64_t total_insts = 0;
     std::vector<double> ipcs;
@@ -706,19 +686,6 @@ ExperimentRunner::run(const CampaignSpec &spec)
                 stored.cell = cell;     // identity of *this* cell
                 stored.fromJournal = false;
                 stored.fromStore = true;
-                // A warm sampled rerun reads only this result entry,
-                // not the checkpoints behind it — refresh their
-                // last-use sidecars too, or gc would evict exactly
-                // the blobs the next cold window run needs most.
-                if (cell.sample.enabled()) {
-                    Program program;
-                    std::string werror;
-                    if (buildWorkload(cell.workload, &program,
-                                      &werror))
-                        checkpoint::touchPlannedCheckpoints(
-                            program, cell.maxInsts, cell.sample,
-                            &_store);
-                }
                 if (_opts.cache) {
                     std::lock_guard<std::mutex> lock(_cacheMutex);
                     _cache.emplace(key, stored);

@@ -126,7 +126,8 @@ std::string helloLine(const std::string &storePath,
                       std::size_t maxPending, std::size_t maxClients);
 
 /** code: bad_request, busy, budget, unknown_campaign, draining,
- *  not_found. `busy` and connect failures are the retryable ones. */
+ *  not_found, job_failed, internal (a request handler threw). `busy`
+ *  and connect failures are the retryable ones. */
 std::string errorLine(const std::string &code,
                       const std::string &message);
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -582,6 +583,42 @@ Server::flushConn(Conn &conn)
     }
 }
 
+std::uint64_t
+Server::cellCap(const Conn &conn, bool submission) const
+{
+    std::uint64_t cap = std::numeric_limits<std::uint64_t>::max();
+    if (_opts.maxCellsPerCampaign)
+        cap = _opts.maxCellsPerCampaign;
+    if (_opts.maxClientCells)
+        cap = std::min<std::uint64_t>(
+            cap, _opts.maxClientCells -
+                     (submission ? conn.cellsSubmitted : 0));
+    return cap;
+}
+
+bool
+Server::rejectOverBudget(Conn &conn, std::uint64_t cells, bool submission)
+{
+    if (cells <= cellCap(conn, submission))
+        return false;
+    std::string why;
+    if (_opts.maxCellsPerCampaign && cells > _opts.maxCellsPerCampaign)
+        why = "campaign has " + std::to_string(cells) +
+              " cells; this daemon accepts at most " +
+              std::to_string(_opts.maxCellsPerCampaign) +
+              " per submission";
+    else
+        why = "client cell budget exhausted (" +
+              std::to_string(conn.cellsSubmitted) + " of " +
+              std::to_string(_opts.maxClientCells) +
+              " used; campaign needs " + std::to_string(cells) +
+              " more)";
+    std::lock_guard<std::mutex> lock(_state->mu);
+    _state->stats.budgetRejections++;
+    conn.out += errorLine("budget", why) + "\n";
+    return true;
+}
+
 void
 Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
 {
@@ -593,8 +630,18 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
         return;
     }
 
+    // A vuln: name states its cell count: hold it to the budgets
+    // before a single cell is built, or one name asking for a billion
+    // cells exhausts the daemon's memory first.
     runner::CampaignSpec spec;
-    if (!runner::campaignByName(req.campaign, &spec)) {
+    std::uint64_t declared = 0;
+    const runner::CampaignLookup found = runner::campaignByName(
+        req.campaign, cellCap(conn, true), &spec, &declared);
+    if (found == runner::CampaignLookup::OverCap) {
+        rejectOverBudget(conn, declared, true);
+        return;
+    }
+    if (found == runner::CampaignLookup::Unknown) {
         conn.out += errorLine("unknown_campaign",
                               "unknown campaign '" + req.campaign +
                                   "' (table2..table5, smoke, a "
@@ -622,33 +669,8 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
     const std::string id = jobIdFromKey(key);
     const std::size_t cells = spec.cells.size();
 
-    if (_opts.maxCellsPerCampaign &&
-        cells > _opts.maxCellsPerCampaign) {
-        std::lock_guard<std::mutex> lock(_state->mu);
-        _state->stats.budgetRejections++;
-        conn.out +=
-            errorLine("budget",
-                      "campaign has " + std::to_string(cells) +
-                          " cells; this daemon accepts at most " +
-                          std::to_string(_opts.maxCellsPerCampaign) +
-                          " per submission") +
-            "\n";
+    if (rejectOverBudget(conn, cells, true))
         return;
-    }
-    if (_opts.maxClientCells &&
-        conn.cellsSubmitted + cells > _opts.maxClientCells) {
-        std::lock_guard<std::mutex> lock(_state->mu);
-        _state->stats.budgetRejections++;
-        conn.out +=
-            errorLine("budget",
-                      "client cell budget exhausted (" +
-                          std::to_string(conn.cellsSubmitted) + " of " +
-                          std::to_string(_opts.maxClientCells) +
-                          " used; campaign needs " +
-                          std::to_string(cells) + " more)") +
-            "\n";
-        return;
-    }
 
     std::shared_ptr<Job> job;
     std::size_t pendingAhead = 0;
@@ -939,7 +961,14 @@ Server::handleLine(Conn &conn, const std::string &line)
             return;
         }
         runner::CampaignSpec spec;
-        if (runner::campaignByName(req.campaign, &spec)) {
+        std::uint64_t declared = 0;
+        const runner::CampaignLookup found = runner::campaignByName(
+            req.campaign, cellCap(conn, false), &spec, &declared);
+        if (found == runner::CampaignLookup::OverCap) {
+            rejectOverBudget(conn, declared, false);
+            return;
+        }
+        if (found == runner::CampaignLookup::Found) {
             if (req.maxInsts)
                 spec = spec.withMaxInsts(req.maxInsts);
             if (sample.enabled())
@@ -1151,7 +1180,14 @@ Server::run()
                         line.pop_back();
                     if (line.empty())
                         continue;
-                    handleLine(conn, line);
+                    // A request that throws costs its own reply,
+                    // never the daemon.
+                    try {
+                        handleLine(conn, line);
+                    } catch (const std::exception &e) {
+                        conn.out +=
+                            errorLine("internal", e.what()) + "\n";
+                    }
                 }
             }
             if ((revents & POLLOUT) || !conn.out.empty()) {

@@ -208,6 +208,15 @@ class Server
     void wake();
     void handleLine(Conn &conn, const std::string &line);
     void handleSubmit(Conn &conn, const Request &req, bool allowRun);
+    /** The most cells a request may have the daemon build: the
+     *  per-campaign cap and the client's budget, what is left of it
+     *  for a submission and all of it for a status query (no client
+     *  could submit more). No limit when neither is set. */
+    std::uint64_t cellCap(const Conn &conn, bool submission) const;
+    /** Reply `budget` and return true when @p cells exceed
+     *  cellCap(). */
+    bool rejectOverBudget(Conn &conn, std::uint64_t cells,
+                          bool submission);
     void handleSync(Conn &conn, const Request &req);
     void handleSyncEntry(Conn &conn, const std::string &line);
     bool ensureSyncStore(std::string *error);

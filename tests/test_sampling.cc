@@ -582,9 +582,8 @@ TEST(SampledRunner, WarmStoreRerunIsByteIdentical)
 
     ExperimentRunner warm(opts);
     EXPECT_EQ(toJson(warm.run(spec)), ref);
-    // Every cell hits (the result entry plus, per served sampled
-    // cell, the meta entry refreshed by touchPlannedCheckpoints);
-    // nothing is recomputed or republished.
+    // Every cell hits its result entry (sampled cells read and write
+    // no checkpoint entries); nothing is recomputed or republished.
     EXPECT_GE(warm.storeCounters().hits, spec.cells.size());
     EXPECT_EQ(warm.storeCounters().publishes, 0u);
 }

@@ -1349,3 +1349,71 @@ TEST(Serve, HugeShardCountsServeOneSliceAndTheDaemonKeepsAnswering)
     EXPECT_NE(reply.find("\"event\":\"health\""), std::string::npos)
         << reply;
 }
+
+// ---------------------------------------------------------------
+// Vulnerability names with hostile cell counts
+// ---------------------------------------------------------------
+
+TEST(Serve, HugeVulnCampaignsMeetTheBudgetBeforeAnyCellIsBuilt)
+{
+    // A billion declared cells, bare or in a shard: slice, is a budget
+    // rejection; building the cells first would exhaust memory. A
+    // slice is held to its whole base, which is built before it is
+    // sliced: slice 0 of 10^8 holds 100 of 10^10 cells.
+    const std::string vuln =
+        "vuln:sim-alpha:C-Ca:1000:1000000000:1:regfile";
+    const std::vector<std::string> names = {
+        vuln, "shard:0/2:" + vuln,
+        "shard:0/100000000:vuln:sim-alpha:C-Ca:1000:10000000000:1:"
+        "regfile"};
+    // Each budget holds on its own.
+    for (bool perClient : {false, true}) {
+        TestDaemon daemon(perClient ? "hugevuln-client" : "hugevuln");
+        if (perClient)
+            daemon.opts.maxClientCells = 100;
+        else
+            daemon.opts.maxCellsPerCampaign = 100;
+        ASSERT_TRUE(daemon.start());
+
+        for (const std::string &name : names) {
+            SubmitOutcome o = submitCampaign(daemon.client(), name, 0);
+            EXPECT_FALSE(o.ok) << name;
+            EXPECT_EQ(o.errorCode, "budget") << name << ": " << o.error;
+
+            std::string reply, error;
+            ASSERT_TRUE(requestOnce(daemon.client(),
+                                    "{\"op\":\"status\",\"campaign\":\"" +
+                                        name + "\"}",
+                                    &reply, &error))
+                << error;
+            EXPECT_EQ(serveCode(reply), "budget") << reply;
+        }
+        EXPECT_EQ(daemon.server->stats().submits, 0u);
+
+        std::string reply, error;
+        ASSERT_TRUE(requestOnce(daemon.client(), "{\"op\":\"health\"}",
+                                &reply, &error))
+            << error;
+        EXPECT_EQ(serveEvent(reply), "health") << reply;
+    }
+}
+
+TEST(Serve, ARequestThatThrowsGetsAnErrorLineAndTheDaemonKeepsAnswering)
+{
+    TestDaemon daemon("throws");
+    ASSERT_TRUE(daemon.start());
+
+    // No budget here: planning 2^64-1 injection cells throws
+    // length_error before any memory is taken.
+    SubmitOutcome o = submitCampaign(
+        daemon.client(),
+        "vuln:sim-outorder:C-Ca:1000:18446744073709551615:1:regfile", 0);
+    EXPECT_FALSE(o.ok);
+    EXPECT_EQ(o.errorCode, "internal") << o.error;
+
+    std::string reply, error;
+    ASSERT_TRUE(requestOnce(daemon.client(), "{\"op\":\"health\"}", &reply,
+                            &error))
+        << error;
+    EXPECT_EQ(serveEvent(reply), "health") << reply;
+}

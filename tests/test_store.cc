@@ -476,15 +476,40 @@ TEST(Store, TouchRefreshesLastUseWithoutReading)
     fs::remove_all(root);
 }
 
-// The regression the checkpoint subsystem exposed: a warm sampled
-// rerun is served entirely from the result entry, so the checkpoint
-// blobs it depends on see no reads — without the runner's explicit
-// touch of the planned entries, an LRU gc would evict exactly the
-// blobs the next cold window run needs most.
-TEST(StoreGc, WarmSampledRerunKeepsItsCheckpointsAlive)
+namespace {
+
+/** Every key the store at @p root holds, sorted. */
+std::vector<std::string>
+storeKeys(const std::string &root)
+{
+    ResultStore s;
+    std::string error;
+    std::vector<std::string> keys;
+    EXPECT_TRUE(s.open(root, &error)) << error;
+    EXPECT_TRUE(s.exportLines(
+        {},
+        [&](const std::string &line) {
+            std::string key, payload;
+            EXPECT_TRUE(ResultStore::parseExportLine(line, &key, &payload));
+            keys.push_back(key);
+            return true;
+        },
+        nullptr, &error))
+        << error;
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
+} // namespace
+
+// Stores written by older builds hold checkpoint blobs and fast-forward
+// metadata. Sampled cells now keep their checkpoints in memory: they
+// neither read nor publish such entries, their bytes match a storeless
+// run, and gc ages the leftovers out like any unused entry.
+TEST(StoreGc, LegacyCheckpointEntriesAreIgnoredAndAgeOut)
 {
     namespace ck = simalpha::checkpoint;
-    std::string root = uniqueDir("gc-ckpt");
+    std::string root = uniqueDir("gc-legacy-ckpt");
     std::string error;
 
     checkpoint::SampleSpec sample;
@@ -494,45 +519,68 @@ TEST(StoreGc, WarmSampledRerunKeepsItsCheckpointsAlive)
     CampaignSpec spec;
     spec.name = "stat";
     spec.cells.push_back({"sim-outorder", validate::Optimization::None,
-                          "C-Ca", 4000, 0, sample});
+                          "C-Ca", 4000, 0, sample, {}});
+
+    // Seed what a sampled run of an older build left behind: the
+    // fast-forward metadata and every planned window's checkpoint.
+    Program program;
+    ASSERT_TRUE(buildWorkload("C-Ca", &program, &error)) << error;
+    ck::FastForwardInfo info = ck::fastForward(program, 4000);
+    std::vector<std::uint64_t> offsets;
+    for (const ck::WindowPlan &w :
+         ck::planWindows(info.totalInsts, sample))
+        offsets.push_back(w.checkpointAt);
+    std::vector<std::string> legacy = {ck::metaKey(program, 4000)};
+    {
+        ResultStore seed;
+        ASSERT_TRUE(seed.open(root, &error)) << error;
+        std::vector<Checkpoint> ckpts;
+        ASSERT_TRUE(ck::collectCheckpoints(program, offsets, &seed,
+                                           &ckpts, &error))
+            << error;
+        ASSERT_TRUE(
+            seed.publish(legacy[0], ck::serializeMeta(info), &error))
+            << error;
+        for (std::uint64_t at : offsets)
+            legacy.push_back(ck::checkpointKey(program, at));
+    }
+    std::sort(legacy.begin(), legacy.end());
+    legacy.erase(std::unique(legacy.begin(), legacy.end()), legacy.end());
+    ASSERT_EQ(storeKeys(root), legacy);
+
+    const std::string ref = toJson(ExperimentRunner().run(spec));
 
     RunnerOptions opts;
     opts.storePath = root;
     ExperimentRunner cold(opts);
-    CampaignResult first = cold.run(spec);
-    ASSERT_EQ(first.errorCount(), 0u);
+    EXPECT_EQ(toJson(cold.run(spec)), ref);
+    // The result entry misses and is published; nothing else is read
+    // or written.
+    EXPECT_EQ(cold.storeCounters().hits, 0u);
+    EXPECT_EQ(cold.storeCounters().publishes, spec.cells.size());
 
-    // The entries a rerun of this cell depends on.
-    Program program;
-    ASSERT_TRUE(buildWorkload("C-Ca", &program, &error)) << error;
-    ck::FastForwardInfo info = ck::fastForward(program, 4000);
-    std::vector<std::string> needed = {ck::metaKey(program, 4000)};
-    for (const ck::WindowPlan &w :
-         ck::planWindows(info.totalInsts, sample))
-        needed.push_back(ck::checkpointKey(program, w.checkpointAt));
-    {
-        ResultStore probe;
-        ASSERT_TRUE(probe.open(root, &error)) << error;
-        std::string payload;
-        for (const std::string &key : needed)
-            ASSERT_TRUE(probe.lookup(key, &payload)) << key;
-        // A bystander entry nothing will touch.
-        ASSERT_TRUE(probe.publish("decoy", "evict me", &error));
-    }
+    ExperimentRunner warm(opts);
+    EXPECT_EQ(toJson(warm.run(spec)), ref);
+    EXPECT_EQ(warm.storeCounters().hits, spec.cells.size());
+    EXPECT_EQ(warm.storeCounters().publishes, 0u);
 
-    // Everything in the store goes cold.
+    // No run added a checkpoint entry: the only new key is the result.
+    std::vector<std::string> added;
+    for (const std::string &key : storeKeys(root))
+        if (!std::binary_search(legacy.begin(), legacy.end(), key))
+            added.push_back(key);
+    ASSERT_EQ(added.size(), spec.cells.size());
+    for (const std::string &key : added)
+        EXPECT_NE(key.rfind("ckpt", 0), 0u) << key;
+
+    // Everything goes cold, then a warm rerun uses its result entry.
     auto old =
         fs::file_time_type::clock::now() - std::chrono::hours(2);
     for (const auto &e : fs::recursive_directory_iterator(root))
         if (e.is_regular_file())
             fs::last_write_time(e.path(), old);
-
-    // Warm rerun: the result is served from the store without reading
-    // a single checkpoint blob — the runner must refresh them anyway.
-    ExperimentRunner warm(opts);
-    CampaignResult second = warm.run(spec);
-    ASSERT_EQ(second.errorCount(), 0u);
-    EXPECT_GT(warm.storeCounters().hits, 0u);
+    ExperimentRunner rerun(opts);
+    EXPECT_EQ(toJson(rerun.run(spec)), ref);
 
     ResultStore s;
     ASSERT_TRUE(s.open(root, &error)) << error;
@@ -540,14 +588,8 @@ TEST(StoreGc, WarmSampledRerunKeepsItsCheckpointsAlive)
     g.maxAgeSeconds = 3600.0;
     GcOutcome o = s.gc(g, &error);
     EXPECT_TRUE(error.empty()) << error;
-    EXPECT_GE(o.removed, 1u);   // at least the decoy went
-
-    std::string payload;
-    EXPECT_FALSE(s.lookup("decoy", &payload));
-    for (const std::string &key : needed)
-        EXPECT_TRUE(s.lookup(key, &payload))
-            << "gc evicted a checkpoint entry the sampled cell "
-               "still needs: " << key;
+    EXPECT_EQ(o.removed, legacy.size());
+    EXPECT_EQ(storeKeys(root), added);
     fs::remove_all(root);
 }
 

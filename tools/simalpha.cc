@@ -176,8 +176,8 @@ usage()
         "                      and measures K detailed insts per\n"
         "                      window (after W warm-up insts); results\n"
         "                      carry mean IPC +/- a 95%% sampling-error\n"
-        "                      bar. Checkpoints live in --store when\n"
-        "                      one is given\n"
+        "                      bar. Checkpoints stay in memory, never\n"
+        "                      in --store\n"
         "  --store <dir>       persistent result store: cells whose\n"
         "                      identity is already stored are served\n"
         "                      from disk, new results are published —\n"
@@ -859,8 +859,8 @@ runServeCommand(int argc, char **argv, const char *argv0)
         }
     }
     if (sopts.storePath.empty())
-        fatal("serve needs --store <dir> (results, checkpoints, and "
-              "job journals live there)");
+        fatal("serve needs --store <dir> (results, golden references, "
+              "and job journals live there)");
     if (sopts.isolate != "thread" && sopts.isolate != "process")
         fatal("unknown isolation mode '%s' (thread, process)",
               sopts.isolate.c_str());

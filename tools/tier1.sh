@@ -92,6 +92,36 @@ SIMALPHA_SLOWPATH=1 ./tools/simalpha --campaign table3 \
 cmp "$SLOW_DIR/fast.csv" "$SLOW_DIR/slow.csv"
 echo "slowpath table3: OK (byte-identical to the fast path)"
 
+# Sampled byte identity: checkpoints are in-memory deltas over each
+# program's data image and never touch the store, so a sampled Table 3
+# comes out byte-identical with no store, a cold store, the same store
+# warm, --jobs 4, three worker processes, and the slowpath reference.
+# Thread-mode journals are written in arrival order, so the --jobs 4
+# run compares its artifact only.
+SAMPLE_DIR=$(mktemp -d /tmp/simalpha-tier1-sample-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR"' EXIT
+sampled() {
+    out=$1
+    shift
+    ./tools/simalpha --campaign table3 \
+        --sample windows=10,len=1000,warmup=500 \
+        --out "$SAMPLE_DIR/$out.json" "$@" > /dev/null
+}
+sampled ref --jobs 1
+sampled cold --jobs 1 --store "$SAMPLE_DIR/store"
+sampled warm --jobs 1 --store "$SAMPLE_DIR/store"
+sampled jobs4 --jobs 4
+sampled proc --isolate=process --shards 3
+SIMALPHA_SLOWPATH=1 sampled slow --jobs 1
+for mode in cold warm jobs4 proc slow; do
+    cmp "$SAMPLE_DIR/ref.json" "$SAMPLE_DIR/$mode.json"
+done
+for mode in cold warm proc slow; do
+    cmp "$SAMPLE_DIR/ref.json.journal.jsonl" \
+        "$SAMPLE_DIR/$mode.json.journal.jsonl"
+done
+echo "sampled table3: OK (six modes byte-identical)"
+
 # Bench smoke: re-measure the detailed and emulator rows against the
 # pinned baseline in BENCH_perf.json at the repo root and fail on a
 # >20% ips regression. When the local build type differs from the
