@@ -11,7 +11,9 @@
  * remain valid until their element is popped — unless a push finds
  * the ring full, which doubles the capacity and moves every element
  * (as std::vector does). Windows whose elements are referenced from
- * elsewhere are sized for their bound up front and never grow.
+ * elsewhere are sized for their bound up front and never grow; they
+ * may also name an element by its slot (its fixed array position),
+ * whose order from headSlot() is the ring's order.
  * Popped slots are not destroyed, only reused: T should be a plain
  * record.
  */
@@ -113,6 +115,17 @@ class Ring
 
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
+    std::size_t capacity() const { return _buf.size(); }
+
+    /** Slot-level access: a resident element's array position, the
+     *  element in a slot, and the front element's slot. */
+    std::size_t
+    slotOf(const T &elem) const
+    {
+        return std::size_t(&elem - _buf.data());
+    }
+    T &atSlot(std::size_t slot) { return _buf[slot]; }
+    std::size_t headSlot() const { return _head; }
 
     T &operator[](std::size_t i) { return _buf[(_head + i) & _mask]; }
     const T &

@@ -39,9 +39,9 @@ octawordEnd(Addr pc)
  * @return 1 for upper, 0 for lower
  */
 int
-slotAssignment(const Instruction &inst, int packet_slot)
+slotAssignment(const DecodedInst &inst, int packet_slot)
 {
-    switch (inst.opClass()) {
+    switch (inst.cls) {
       case OpClass::IntLoad: case OpClass::IntStore:
       case OpClass::FpLoad: case OpClass::FpStore:
         return 0;       // memory ops use the lower subclusters
@@ -61,9 +61,12 @@ slotAssignment(const Instruction &inst, int packet_slot)
 
 AlphaCore::AlphaCore(const AlphaCoreParams &params)
     : _p(params), _stats(params.name), _c(_stats),
-      _fetchQueue(std::size_t(std::max(params.fetchQueueEntries, 1))),
-      _rob(std::size_t(std::max(params.robEntries, 1)))
+      _ring(std::size_t(std::max(params.robEntries, 1) +
+                        std::max(params.fetchQueueEntries, 1)))
 {
+    if (_ring.capacity() > SlotSet::kMaxSlots)
+        fatal("%s: robEntries + fetchQueueEntries must not exceed %zu",
+              _p.name.c_str(), SlotSet::kMaxSlots);
 }
 
 AlphaCore::BoundCounters::BoundCounters(stats::Group &g)
@@ -126,10 +129,12 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
             std::make_unique<IssueQueue>(_p.intIqEntries, removal_delay);
         _fpIq =
             std::make_unique<IssueQueue>(_p.fpIqEntries, removal_delay);
+        sim_assert(_fuPool->numPipes() <= 8);
         for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
-            bool fp = _fuPool->pipeIsFp(pipe);
-            _clusterPipes[fp ? 0 : _fuPool->pipeCluster(pipe)] |=
-                std::uint8_t(1u << pipe);
+            int q = _fuPool->pipeIsFp(pipe);
+            _pipeQueue[pipe] = std::uint8_t(q);
+            _pipeReady[pipe] = &_ready[q][q ? 0 : _fuPool->pipeCluster(pipe)];
+            _queuePipes[q] |= std::uint8_t(1u << pipe);
         }
     } else {
         _mem->reset();
@@ -158,8 +163,8 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _lqUsed = 0;
     _sqUsed = 0;
     _lastCommitCycle = 0;
-    _fetchQueue.clear();
-    _rob.clear();
+    _ring.clear();
+    _robSize = 0;
     _recovery.reset();
     _loadUseChecks.clear();
     _outstandingMisses.clear();
@@ -170,11 +175,9 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _nextLoadUseVerify = kNoCycle;
     _issuedStores.clear();
     _issuedLoads.clear();
-    _cands[0].clear();
-    _cands[1].clear();
-    _selectEpoch = 1;
     _cacheReadiness = true;
     _waiters.assign(std::size_t(_p.physIntRegs + _p.physFpRegs), nullptr);
+    invalidateSelect();
     _unresolvedStores.clear();
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
@@ -285,16 +288,17 @@ AlphaCore::deadlockSnapshot(const Program &program) const
     info.lastCommitCycle = _lastCommitCycle;
     info.committed = _committed;
     info.fetchPc = _fetchPc;
-    info.windowOccupancy = _rob.size();
-    if (!_rob.empty()) {
-        const DynInst &h = _rob.front();
+    info.windowOccupancy = _robSize;
+    if (_robSize) {
+        const DynInst &h = _ring.front();
         char buf[192];
         std::snprintf(buf, sizeof(buf),
                       "seq=%llu pc=0x%llx %s wp=%d issued=%d "
                       "done=%llu mispred=%d",
                       (unsigned long long)h.seq,
                       (unsigned long long)h.pc,
-                      h.inst.disassemble().c_str(), int(h.wrongPath),
+                      program.fetch(h.pc).disassemble().c_str(),
+                      int(h.wrongPath),
                       int(h.issued), (unsigned long long)h.doneCycle,
                       int(h.mispredicted));
         info.oldestInst = buf;
@@ -305,7 +309,7 @@ AlphaCore::deadlockSnapshot(const Program &program) const
                   "mapBlocked=%llu recovery=%d intIq=%d fpIq=%d",
                   (unsigned long long)_fetchResumeAt,
                   int(_wrongPathMode), int(_haltFetched),
-                  _fetchQueue.size(),
+                  fetchQueueSize(),
                   (unsigned long long)_mapBlockedUntil,
                   int(_recovery.has_value()), _intIq->size(),
                   _fpIq->size());
@@ -361,20 +365,34 @@ AlphaCore::cycleTick()
 // ---------------------------------------------------------------------
 
 Cycle
-AlphaCore::recomputeWakeAt(int q)
+AlphaCore::wakeAfterSelect(int q)
 {
+    if (_ready[q][0].any() || _ready[q][1].any())
+        return _cycle + 1;
+    // Entries issued since they were listed leave stale heap items.
     Cycle wake = kNoCycle;
-    for (DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
-        if (inst->issued || inst->retiredEarly)
-            continue;
-        const Cycle *at = issueCycles(*inst, q);
-        Cycle lb = std::min(at[0], at[1]);
-        if (lb <= _cycle) {
-            // Blocked only by per-cycle arbitration (pipe busy,
-            // store-wait): must rescan every cycle.
-            return _cycle + 1;
+    std::vector<PendingReady> &heap = _pending[q];
+    while (!heap.empty()) {
+        const PendingReady &top = heap.front();
+        const DynInst &d = _ring.atSlot(top.slot);
+        if (d.seq == top.seq && !d.issued) {
+            wake = top.at;
+            break;
         }
-        wake = std::min(wake, lb);
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+        heap.pop_back();
+    }
+    // The wheel holds cycles _cycle + 1 .. _cycle + kWheel - 1; a
+    // bucket marked used may have been emptied by issuing entries.
+    const int next = int((_cycle + 1) % kWheel);
+    while (_wheelUsed[q]) {
+        int k = std::countr_zero(std::rotr(_wheelUsed[q], next));
+        if (_cycle + 1 + Cycle(k) >= wake)
+            break;
+        std::size_t b = std::size_t(next + k) % kWheel;
+        if (_wheel[b][q][0].any() || _wheel[b][q][1].any())
+            return _cycle + 1 + Cycle(k);
+        _wheelUsed[q] &= ~(1u << b);
     }
     return wake;
 }
@@ -385,27 +403,26 @@ AlphaCore::mapEventCycle() const
     // Mirrors doMap's first-iteration gates. Conditions that only a
     // tracked event can clear (ROB/queue space) report kNoCycle; the
     // event that clears them is in nextEventCycle()'s min.
-    if (_fetchQueue.empty())
+    if (!fetchQueueSize())
         return kNoCycle;
-    const DynInst &front = _fetchQueue.front();
+    const DynInst &front = _ring[_robSize];
     Cycle cand = std::max(front.readyForMap, _mapBlockedUntil);
-    if (int(_rob.size()) >= _p.robEntries)
+    if (int(_robSize) >= _p.robEntries)
         return kNoCycle;
-    bool is_nop = front.inst.isNop();
+    bool is_nop = front.dec->isNop();
     bool remove_early =
         is_nop && _p.earlyUnopRetire && !_p.bugNoUnopRemoval;
     if (!remove_early) {
-        bool fp_queue = front.inst.isFp() && !front.inst.isMem();
-        const IssueQueue &iq = fp_queue ? *_fpIq : *_intIq;
+        const IssueQueue &iq = front.dec->isFpQueue() ? *_fpIq : *_intIq;
         if (iq.full())
             return kNoCycle;
-        if (front.inst.isLoad() && _lqUsed >= _p.lqEntries)
+        if (front.dec->isLoad() && _lqUsed >= _p.lqEntries)
             return kNoCycle;
-        if (front.inst.isStore() && _sqUsed >= _p.sqEntries)
+        if (front.dec->isStore() && _sqUsed >= _p.sqEntries)
             return kNoCycle;
     }
     if (!front.wrongPath) {
-        RegIndex dst = front.inst.dstReg();
+        RegIndex dst = front.dec->archDst;
         if (dst != kNoReg && !is_nop && !remove_early) {
             bool fp = isFpRegIndex(dst);
             int free_regs =
@@ -426,7 +443,7 @@ AlphaCore::fetchEventCycle() const
     // change only when fetch, map, or a recovery acts.
     if (_haltFetched && !_wrongPathMode)
         return kNoCycle;
-    if (int(_fetchQueue.size()) + _p.fetchWidth > _p.fetchQueueEntries)
+    if (int(fetchQueueSize()) + _p.fetchWidth > _p.fetchQueueEntries)
         return kNoCycle;
     if (!_wrongPathMode && _oracle->exhausted())
         return kNoCycle;
@@ -440,8 +457,8 @@ AlphaCore::nextEventCycle() const
     if (_recovery)
         ev = std::min(ev, _recovery->atCycle);
     ev = std::min(ev, _nextLoadUseVerify);
-    if (!_rob.empty()) {
-        const DynInst &head = _rob.front();
+    if (_robSize) {
+        const DynInst &head = _ring.front();
         // Incomplete or wrong-path heads unblock via issue/recovery
         // events; a recovery-gated head unblocks when it fires.
         if (!head.wrongPath && head.completed &&
@@ -460,6 +477,10 @@ AlphaCore::nextEventCycle() const
 Cycle
 AlphaCore::fastForwardTarget() const
 {
+    // Most cycles some queue can issue next cycle: no jump, and no
+    // need for the full event minimum.
+    if (std::min(_intWakeAt, _fpWakeAt) <= _cycle + 1)
+        return 0;
     Cycle j = nextEventCycle();
     if (_p.watchdogCycles) {
         // Jump at most to the cycle where the watchdog fires, so a
@@ -485,8 +506,7 @@ void
 AlphaCore::addIssuedRef(std::vector<IssuedMemRef> &index,
                         const DynInst &inst)
 {
-    IssuedMemRef ref{inst.seq, inst.effAddr, inst.inst.memBytes(),
-                     inst.pc};
+    IssuedMemRef ref{inst.seq, inst.effAddr, inst.dec->memBytes, inst.pc};
     auto it = std::lower_bound(
         index.begin(), index.end(), ref,
         [](const IssuedMemRef &a, const IssuedMemRef &b) {
@@ -516,7 +536,7 @@ AlphaCore::storeForwardLookup(const DynInst &ld) const
                            ? overlapWord(it->addr, ld.effAddr)
                            : overlapExact(it->addr, it->bytes,
                                           ld.effAddr,
-                                          ld.inst.memBytes());
+                                          ld.dec->memBytes);
         if (overlap)
             return true;
     }
@@ -534,7 +554,7 @@ AlphaCore::youngestConflictingLoad(const DynInst &ld) const
                             ? overlapWord(it->addr, ld.effAddr)
                             : overlapExact(it->addr, it->bytes,
                                            ld.effAddr,
-                                           ld.inst.memBytes());
+                                           ld.dec->memBytes);
         if (conflict)
             return &*it;
     }
@@ -551,7 +571,7 @@ AlphaCore::oldestConflictingLoad(const DynInst &st) const
                             ? overlapWord(ref.addr, st.effAddr)
                             : overlapExact(ref.addr, ref.bytes,
                                            st.effAddr,
-                                           st.inst.memBytes());
+                                           st.dec->memBytes);
         if (conflict)
             return &ref;
     }
@@ -566,8 +586,8 @@ void
 AlphaCore::doRetire()
 {
     int retired = 0;
-    while (retired < _p.retireWidth && !_rob.empty()) {
-        DynInst &head = _rob.front();
+    while (retired < _p.retireWidth && _robSize) {
+        DynInst &head = _ring.front();
         if (head.wrongPath) {
             // A wrong-path head can only exist while its squashing
             // recovery is still pending.
@@ -584,7 +604,7 @@ AlphaCore::doRetire()
         }
 
         // Commit-time actions.
-        if (head.inst.isStore()) {
+        if (head.dec->isStore()) {
             _mem->dataAccess(head.effAddr, true, _cycle);
             _sqUsed--;
             removeIssuedRef(_issuedStores, head.seq);
@@ -593,24 +613,24 @@ AlphaCore::doRetire()
                 _unresolvedStores.front() == head.seq)
                 _unresolvedStores.erase(_unresolvedStores.begin());
         }
-        if (head.inst.isLoad()) {
+        if (head.dec->isLoad()) {
             _lqUsed--;
             removeIssuedRef(_issuedLoads, head.seq);
         }
-        if (head.inst.isCondBranch() && head.hasBpSnap)
+        if (head.dec->isCondBranch() && head.hasBpSnap)
             _branchPred->update(head.pc, head.taken, head.bpSnap);
         if (!_p.speculativeUpdate) {
             if (head.lpTrainPc != kNoAddr)
                 _linePred->train(head.lpTrainPc, head.lpTrainNext);
-            if (head.inst.isCall())
+            if (head.dec->isCall())
                 _ras->push(head.pc + 4);
-            else if (head.inst.isReturn())
+            else if (head.dec->isReturn())
                 _ras->pop();
         }
         _rename->release(head.oldPhys);
         _oracle->retireBefore(head.oracleSeq + 1);
 
-        if (head.inst.isControl())
+        if (head.dec->isControl())
             ++_c.branchesRetired;
         if (head.mispredicted)
             ++_c.mispredictsRetired;
@@ -623,12 +643,13 @@ AlphaCore::doRetire()
         // Make sure no issue-queue pointer survives the pop.
         _intIq->retire(&head);
         _fpIq->retire(&head);
-        if (head.halt) {
+        bool halt = head.halt;
+        _ring.pop_front();
+        _robSize--;
+        if (halt) {
             _finished = true;
-            _rob.pop_front();
             return;
         }
-        _rob.pop_front();
     }
 }
 
@@ -687,17 +708,17 @@ AlphaCore::doVerify()
         // Fix the resolving branch's own speculative history shift and
         // repair the line predictor toward the actual target.
         DynInst *causer = nullptr;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq == rec.seq) {
-                causer = &*it;
+        for (DynInst &di : rob() | std::views::reverse) {
+            if (di.seq == rec.seq) {
+                causer = &di;
                 break;
             }
         }
         if (causer) {
-            if (causer->inst.isCondBranch() && causer->hasBpSnap)
+            if (causer->dec->isCondBranch() && causer->hasBpSnap)
                 _branchPred->recover(causer->bpSnap, causer->taken);
             _linePred->train(causer->pc, rec.resumePc);
-            ++(causer->inst.isIndirect() ? _c.jumpMispredicts
+            ++(causer->dec->isIndirect() ? _c.jumpMispredicts
                                           : _c.branchMispredicts);
             // The redirect is a one-shot fetch event: if a load-use
             // replay later re-issues this instruction, it must not
@@ -737,40 +758,34 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
         return c.loadSeq >= seq;
     });
 
-    // Un-fetched/un-mapped instructions first (youngest first so
-    // predictor snapshots unwind in reverse order).
-    while (!_fetchQueue.empty() && _fetchQueue.back().seq >= seq) {
-        DynInst &di = _fetchQueue.back();
-        if (di.hasBpSnap)
-            _branchPred->restore(di.bpSnap);
-        if (di.hasRasSnap)
-            _ras->restore(di.rasSnap);
-        _fetchQueue.pop_back();
-    }
-
     _intIq->squashFrom(seq);
     _fpIq->squashFrom(seq);
 
+    // Youngest first, so predictor snapshots unwind in reverse order:
+    // the un-mapped fetch-queue suffix, then the ROB.
     InstSeq lowest_oracle = kNoCycle;
-    while (!_rob.empty() && _rob.back().seq >= seq) {
-        DynInst &di = _rob.back();
+    while (!_ring.empty() && _ring.back().seq >= seq) {
+        DynInst &di = _ring.back();
         if (di.hasBpSnap)
             _branchPred->restore(di.bpSnap);
         if (di.hasRasSnap)
             _ras->restore(di.rasSnap);
-        if (!di.wrongPath) {
-            if (di.dstPhys != kNoPhys) {
-                _scoreboard->setReadyNow(di.dstPhys);
-                _rename->undo(di.archDst, di.dstPhys, di.oldPhys);
+        if (_ring.size() == _robSize) {
+            if (!di.wrongPath) {
+                if (di.dstPhys != kNoPhys) {
+                    _scoreboard->setReadyNow(di.dstPhys);
+                    _rename->undo(di.archDst, di.dstPhys, di.oldPhys);
+                }
+                if (di.dec->isLoad())
+                    _lqUsed--;
+                if (di.dec->isStore())
+                    _sqUsed--;
+                lowest_oracle = di.oracleSeq;
             }
-            if (di.inst.isLoad())
-                _lqUsed--;
-            if (di.inst.isStore())
-                _sqUsed--;
-            lowest_oracle = di.oracleSeq;
+            ++_c.instsSquashed;
+            _robSize--;
         }
-        ++_c.instsSquashed;
-        _rob.pop_back();
+        _ring.pop_back();
     }
 
     // Rewind the oracle if architecturally executed instructions were
@@ -795,7 +810,7 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
 
     // setReadyNow during the unwind can expose past ready cycles to
     // surviving consumers; re-arm both issue-queue wakeups. Squashed
-    // entries may sit on wake-up lists: drop them all.
+    // entries may sit in the select state: rebuild it.
     noteSetReady(_cycle);
     invalidateSelect();
 }
@@ -849,8 +864,22 @@ AlphaCore::operandReadyCycle(const DynInst &inst, int cluster) const
 void
 AlphaCore::invalidateSelect()
 {
-    ++_selectEpoch;
+    for (auto &by_queue : _ready)
+        for (SlotSet &ready : by_queue)
+            ready.clear();
+    for (auto &bucket : _wheel)
+        for (auto &by_queue : bucket)
+            for (SlotSet &set : by_queue)
+                set.clear();
+    _wheelUsed[0] = _wheelUsed[1] = 0;
+    _drainedTo = _cycle;
+    _pending[0].clear();
+    _pending[1].clear();
     std::fill(_waiters.begin(), _waiters.end(), nullptr);
+    for (int q = 0; q < 2; q++)
+        for (DynInst *inst : (q ? *_fpIq : *_intIq).entries())
+            if (!inst->issued && !inst->retiredEarly)
+                evaluate(*inst, q);
 }
 
 void
@@ -859,15 +888,20 @@ AlphaCore::scheduleResult(PhysReg dst, Cycle ready, int cluster)
     bool was_pending = _scoreboard->pending(dst);
     _scoreboard->setReady(dst, ready, cluster);
     noteSetReady(ready);
-    if (!was_pending || ready <= _cycle) {
-        // A consumer may have cached the old ready cycle, or may now
-        // issue in this very cycle on a later pipe.
+    if (!_cacheReadiness || !was_pending || ready <= _cycle) {
+        // A consumer may have counted the old ready cycle, or may now
+        // issue in this very cycle on a later pipe; after a strike
+        // nothing parks, so every write rebuilds.
         invalidateSelect();
         return;
     }
-    for (DynInst *w = _waiters[std::size_t(dst)]; w; w = w->nextWaiter)
-        w->readyEpoch = 0;
+    DynInst *w = _waiters[std::size_t(dst)];
     _waiters[std::size_t(dst)] = nullptr;
+    while (w) {
+        DynInst *next = w->nextWaiter;
+        evaluate(*w, w->dec->isFpQueue());
+        w = next;
+    }
 }
 
 PhysReg
@@ -903,80 +937,114 @@ AlphaCore::computeIssueCycles(const DynInst &inst, int q,
     return kNoPhys;
 }
 
-const Cycle *
-AlphaCore::refreshIssueCycles(DynInst &inst, int q)
+void
+AlphaCore::evaluate(DynInst &inst, int q)
 {
-    PhysReg pending = computeIssueCycles(inst, q, inst.issueAt);
-    if (pending != kNoPhys && _cacheReadiness) {
-        // Park until this source is scheduled.
-        inst.nextWaiter = _waiters[std::size_t(pending)];
-        _waiters[std::size_t(pending)] = &inst;
+    Cycle at[2];
+    PhysReg pending = computeIssueCycles(inst, q, at);
+    if (pending != kNoPhys) {
+        if (_cacheReadiness) {
+            // Park until this source is scheduled.
+            inst.nextWaiter = _waiters[std::size_t(pending)];
+            _waiters[std::size_t(pending)] = &inst;
+        }
+        return;
     }
-    inst.readyEpoch = _selectEpoch;
-    return inst.issueAt;
+    const std::uint32_t slot = inst.slot;
+    if (_drainedTo < _cycle)
+        drainWheel();       // the wheel must start at this cycle
+    inst.wheelBucket[0] = inst.wheelBucket[1] = DynInst::kNoBucket;
+    for (int c = 0; c < (q ? 1 : 2); c++) {
+        Cycle when = at[c];
+        if (when >= _cycle + kWheel) {
+            _pending[q].push_back({when, inst.seq, slot, std::uint8_t(c)});
+            std::push_heap(_pending[q].begin(), _pending[q].end(),
+                           std::greater<>());
+            continue;
+        }
+        // A ready bit now, or one in the wheel bucket of its cycle:
+        // chosen without a branch, as the two alternate unpredictably.
+        bool later_cycle = when > _cycle;
+        std::uint8_t b = std::uint8_t(when % kWheel);
+        (later_cycle ? _wheel[b][q][c] : _ready[q][c]).set(slot);
+        _wheelUsed[q] |= std::uint16_t(std::uint16_t(later_cycle) << b);
+        inst.wheelBucket[c] = later_cycle ? b : DynInst::kNoBucket;
+    }
+}
+
+void
+AlphaCore::drainWheel()
+{
+    // Every bucket holds a cycle in (_drainedTo, _drainedTo + kWheel).
+    Cycle steps = std::min(_cycle - _drainedTo, kWheel - 1);
+    for (Cycle k = 1; k <= steps; k++) {
+        std::size_t b = (_drainedTo + k) % kWheel;
+        for (int q = 0; q < 2; q++) {
+            if (!(_wheelUsed[q] >> b & 1u))
+                continue;
+            _wheelUsed[q] &= ~(1u << b);
+            for (int c = 0; c < 2; c++)
+                _ready[q][c].take(_wheel[b][q][c]);
+        }
+    }
+    _drainedTo = _cycle;
+}
+
+void
+AlphaCore::drainPending(int q)
+{
+    std::vector<PendingReady> &heap = _pending[q];
+    while (!heap.empty() && heap.front().at <= _cycle) {
+        const PendingReady &top = heap.front();
+        const DynInst &d = _ring.atSlot(top.slot);
+        if (d.seq == top.seq && !d.issued)
+            _ready[q][top.cluster].set(top.slot);
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+        heap.pop_back();
+    }
 }
 
 void
 AlphaCore::verifySelectState() const
 {
+    SlotSet want[2][2];
     for (int q = 0; q < 2; q++) {
         for (const DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
-            if (!_cacheReadiness || inst->readyEpoch != _selectEpoch)
+            if (inst->issued || inst->retiredEarly)
                 continue;
             Cycle at[2];
             computeIssueCycles(*inst, q, at);
-            sim_assert(at[0] == inst->issueAt[0] &&
-                       at[1] == inst->issueAt[1]);
+            for (int c = 0; c < 2; c++)
+                if (at[c] <= _cycle)
+                    want[q][c].set(inst->slot);
         }
+        for (int c = 0; c < 2; c++)
+            sim_assert(want[q][c] == _ready[q][c]);
     }
     std::vector<InstSeq> unresolved;
-    for (const DynInst &d : _rob)
-        if (!d.wrongPath && d.inst.isStore() && !d.memIssued)
+    for (const DynInst &d : rob())
+        if (!d.wrongPath && d.dec->isStore() && !d.memIssued)
             unresolved.push_back(d.seq);
     sim_assert(unresolved == _unresolvedStores);
-}
-
-void
-AlphaCore::gatherCandidates(int q, std::uint8_t free)
-{
-    std::vector<Candidate> &out = _cands[q];
-    out.clear();
-    for (DynInst *inst : (q ? *_fpIq : *_intIq).entries()) {
-        if (inst->issued || inst->retiredEarly)
-            continue;
-        std::uint8_t pipes = inst->fitMask & free;
-        if (!pipes)
-            continue;
-        const Cycle *at = issueCycles(*inst, q);
-        if (at[0] > _cycle)
-            pipes &= std::uint8_t(~_clusterPipes[0]);
-        if (at[1] > _cycle)
-            pipes &= std::uint8_t(~_clusterPipes[1]);
-        if (pipes)
-            out.push_back({inst, pipes});
-    }
 }
 
 DynInst *
 AlphaCore::selectFor(int pipe, int *consults)
 {
-    // Store-wait is judged here, at the pipe's turn, never at gather
-    // time: a store issued on an earlier pipe this cycle can release a
-    // younger load, and the predictor's periodic clear happens on its
-    // first consult.
+    // Store-wait is judged here, at the pipe's turn: a store issued on
+    // an earlier pipe this cycle can release a younger load, and the
+    // predictor's periodic clear happens on its first consult.
     bool store_wait = _p.mboxTraps && _p.storeWaitTable;
-    for (Candidate &c : _cands[_fuPool->pipeIsFp(pipe)]) {
-        if (!(c.pipes >> pipe & 1u))
-            continue;
-        if (store_wait && !c.inst->wrongPath && c.inst->inst.isLoad()) {
+    std::ptrdiff_t slot = SlotSet::first(
+        *_pipeReady[pipe], _fits[pipe], _ring.headSlot(),
+        [&](std::size_t s) {
+            DynInst &d = _ring.atSlot(s);
+            if (!store_wait || d.wrongPath || !d.dec->isLoad())
+                return true;
             ++*consults;
-            if (!storeWaitClear(*c.inst))
-                continue;
-        }
-        c.pipes = 0;    // it issues: no later pipe may take it
-        return c.inst;
-    }
-    return nullptr;
+            return storeWaitClear(d);
+        });
+    return slot < 0 ? nullptr : &_ring.atSlot(std::size_t(slot));
 }
 
 DynInst *
@@ -991,7 +1059,7 @@ AlphaCore::referenceScan(int pipe, int *consults) const
             continue;
         if (inst->mapCycle + Cycle(_p.mapToIssueCycles) > _cycle)
             continue;
-        if (!_fuPool->pipeCanIssue(pipe, inst->inst.opClass(),
+        if (!_fuPool->pipeCanIssue(pipe, inst->dec->cls,
                                    inst->slottedUpper != 0,
                                    _p.slotRestrict, _cycle))
             continue;
@@ -1000,7 +1068,7 @@ AlphaCore::referenceScan(int pipe, int *consults) const
             Cycle r = operandReadyCycle(*inst, rc);
             if (r == kNoCycle || r > _cycle)
                 continue;
-            if (inst->inst.isLoad() && _p.mboxTraps &&
+            if (inst->dec->isLoad() && _p.mboxTraps &&
                 _p.storeWaitTable) {
                 ++*consults;
                 if (_storeWait->wouldWait(inst->pc, _cycle) &&
@@ -1019,6 +1087,13 @@ AlphaCore::doIssue()
     _activity = _intIq->compact(_cycle) || _activity;
     _activity = _fpIq->compact(_cycle) || _activity;
 
+    // Bring the ready sets to this cycle: after a strike rebuild them
+    // from the queues, else set the bits whose listed cycle has come.
+    if (_cacheReadiness)
+        drainPending();
+    else
+        invalidateSelect();
+
     // A queue whose wake-up lower bound lies in the future holds no
     // entry that can pass the issue gates, so its select (and every
     // stateful call inside it, e.g. the store-wait predictor's
@@ -1036,20 +1111,13 @@ AlphaCore::doIssue()
         // whose operands have reached its cluster — the collapsible-
         // queue oldest-first policy of the 21264, one winner per pipe.
         std::uint8_t free = _fuPool->freeMask(_cycle);
-        std::uint64_t epoch = 0;
-        for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
-            int q = _fuPool->pipeIsFp(pipe);
+        const int pipes = _fuPool->numPipes();
+        for (int pipe = 0; pipe < pipes; pipe++) {
+            int q = _pipeQueue[pipe];
             if (!scan[q])
                 continue;
-            if (epoch != _selectEpoch) {
-                // First pipe, or an issue invalidated cached readiness.
-                epoch = _selectEpoch;
-                for (int k = 0; k < 2; k++)
-                    if (scan[k])
-                        gatherCandidates(k, free);
-            }
             int consults = 0;
-            DynInst *inst = (free >> pipe & 1u)
+            DynInst *inst = (free >> pipe & 1u) && _pipeReady[pipe]->any()
                                 ? selectFor(pipe, &consults)
                                 : nullptr;
             if (_slowpath) {
@@ -1060,8 +1128,13 @@ AlphaCore::doIssue()
             }
             if (!inst)
                 continue;
+            for (int c = 0; c < 2; c++) {
+                _ready[q][c].reset(inst->slot);
+                if (inst->wheelBucket[c] != DynInst::kNoBucket)
+                    _wheel[inst->wheelBucket[c]][q][c].reset(inst->slot);
+            }
             int cluster = q ? -1 : _fuPool->pipeCluster(pipe);
-            _fuPool->reservePipe(pipe, inst->cls, _cycle);
+            _fuPool->reservePipe(pipe, inst->dec->cls, _cycle);
             performIssue(*inst, cluster);
             (q ? *_fpIq : *_intIq).noteIssued(_cycle);
             issued[q] = true;
@@ -1072,13 +1145,13 @@ AlphaCore::doIssue()
     }
 
     // A queue that issued must be rescanned next cycle; a queue that
-    // was scanned fruitlessly gets an exact recomputed bound; a queue
-    // that was skipped keeps its bound (clamped by noteSetReady as
-    // operands get scheduled).
+    // was scanned fruitlessly gets an exact bound from its select
+    // state; a queue that was skipped keeps its bound (clamped by
+    // noteSetReady as operands get scheduled).
     _intWakeAt = issued[0] ? _cycle + 1
-                           : (scan[0] ? recomputeWakeAt(0) : _intWakeAt);
+                           : (scan[0] ? wakeAfterSelect(0) : _intWakeAt);
     _fpWakeAt = issued[1] ? _cycle + 1
-                          : (scan[1] ? recomputeWakeAt(1) : _fpWakeAt);
+                          : (scan[1] ? wakeAfterSelect(1) : _fpWakeAt);
 }
 
 bool
@@ -1098,10 +1171,10 @@ AlphaCore::storeWaitClear(const DynInst &ld)
 bool
 AlphaCore::olderStoreUnresolved(const DynInst &ld) const
 {
-    for (const DynInst &older : _rob) {
+    for (const DynInst &older : rob()) {
         if (older.seq >= ld.seq)
             break;
-        if (older.inst.isStore() && !older.memIssued)
+        if (older.dec->isStore() && !older.memIssued)
             return true;
     }
     return false;
@@ -1116,22 +1189,22 @@ AlphaCore::performIssue(DynInst &inst, int cluster)
     ++_c.instsIssued;
 
     if (inst.wrongPath) {
-        inst.doneCycle = _cycle + Cycle(inst.inst.latency());
+        inst.doneCycle = _cycle + Cycle(inst.dec->latency);
         inst.completed = true;
         return;
     }
 
-    if (inst.inst.isLoad()) {
+    if (inst.dec->isLoad()) {
         issueLoad(inst);
         return;
     }
-    if (inst.inst.isStore()) {
+    if (inst.dec->isStore()) {
         issueStore(inst);
         return;
     }
 
-    int latency = inst.inst.latency();
-    if (_p.bugShortMulLatency && inst.cls == OpClass::IntMul)
+    int latency = inst.dec->latency;
+    if (_p.bugShortMulLatency && inst.dec->cls == OpClass::IntMul)
         latency = 1;
     Cycle done = _cycle + Cycle(latency);
     if (inst.dstPhys != kNoPhys)
@@ -1149,7 +1222,7 @@ AlphaCore::performIssue(DynInst &inst, int cluster)
         rec.atCycle = resolve;
         rec.resumePc = inst.nextPc;
         rec.indirect =
-            inst.inst.isIndirect() && !_p.bugUnderchargedJump;
+            inst.dec->isIndirect() && !_p.bugUnderchargedJump;
         scheduleRecovery(rec);
         inst.doneCycle = std::max(inst.doneCycle, resolve);
     }
@@ -1160,7 +1233,7 @@ AlphaCore::issueLoad(DynInst &ld)
 {
     ld.memIssued = true;
 
-    bool is_fp = ld.inst.isFp();
+    bool is_fp = ld.dec->cls == OpClass::FpLoad;
     // Load-to-use latency tracks the configured D-cache hit latency
     // (fp loads pay one extra cycle, Table 1).
     int hit_lat = _p.mem.l1d.hitLatency + (is_fp ? 1 : 0);
@@ -1170,18 +1243,18 @@ AlphaCore::issueLoad(DynInst &ld)
     bool forwarded = storeForwardLookup(ld);
     if (_slowpath) {
         bool scan_forwarded = false;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq >= ld.seq)
+        for (const DynInst &st : rob() | std::views::reverse) {
+            if (st.seq >= ld.seq)
                 continue;
-            if (!it->inst.isStore() || it->wrongPath)
+            if (!st.dec->isStore() || st.wrongPath)
                 continue;
             bool overlap = _p.approxMaskedStoreTrapAddr
-                               ? overlapWord(it->effAddr, ld.effAddr)
-                               : overlapExact(it->effAddr,
-                                              it->inst.memBytes(),
+                               ? overlapWord(st.effAddr, ld.effAddr)
+                               : overlapExact(st.effAddr,
+                                              st.dec->memBytes,
                                               ld.effAddr,
-                                              ld.inst.memBytes());
-            if (it->memIssued && overlap) {
+                                              ld.dec->memBytes);
+            if (st.memIssued && overlap) {
                 // Store-to-load forwarding from the store queue.
                 scan_forwarded = true;
                 break;
@@ -1260,19 +1333,19 @@ AlphaCore::issueLoad(DynInst &ld)
     const IssuedMemRef *ll_victim = youngestConflictingLoad(ld);
     if (_slowpath) {
         const DynInst *scan_victim = nullptr;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq <= ld.seq || it->wrongPath)
+        for (const DynInst &younger : rob() | std::views::reverse) {
+            if (younger.seq <= ld.seq || younger.wrongPath)
                 continue;
-            if (!it->inst.isLoad() || !it->memIssued)
+            if (!younger.dec->isLoad() || !younger.memIssued)
                 continue;
             bool conflict = _p.bugMaskedLoadTrapAddr
-                                ? overlapWord(it->effAddr, ld.effAddr)
-                                : overlapExact(it->effAddr,
-                                               it->inst.memBytes(),
+                                ? overlapWord(younger.effAddr, ld.effAddr)
+                                : overlapExact(younger.effAddr,
+                                               younger.dec->memBytes,
                                                ld.effAddr,
-                                               ld.inst.memBytes());
+                                               ld.dec->memBytes);
             if (conflict) {
-                scan_victim = &*it;
+                scan_victim = &younger;
                 break;
             }
         }
@@ -1350,17 +1423,17 @@ AlphaCore::issueStore(DynInst &st)
     const IssuedMemRef *victim = oldestConflictingLoad(st);
     if (_slowpath) {
         const DynInst *scan_victim = nullptr;
-        for (const DynInst &di : _rob) {
+        for (const DynInst &di : rob()) {
             if (di.seq <= st.seq || di.wrongPath)
                 continue;
-            if (!di.inst.isLoad() || !di.memIssued)
+            if (!di.dec->isLoad() || !di.memIssued)
                 continue;
             bool conflict = _p.approxMaskedStoreTrapAddr
                                 ? overlapWord(di.effAddr, st.effAddr)
                                 : overlapExact(di.effAddr,
-                                               di.inst.memBytes(),
+                                               di.dec->memBytes,
                                                st.effAddr,
-                                               st.inst.memBytes());
+                                               st.dec->memBytes);
             if (conflict) {
                 scan_victim = &di;
                 break;
@@ -1406,7 +1479,7 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
         poisoned[std::size_t(check.loadDst)] = true;
 
     bool any = false;
-    for (DynInst &di : _rob) {
+    for (DynInst &di : rob()) {
         if (di.seq == check.loadSeq || !di.issued || di.retiredEarly)
             continue;
         if (di.issueCycle < check.windowStart ||
@@ -1431,9 +1504,9 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
         di.completed = false;
         di.memIssued = false;
         di.replayBlockedUntil = check.verifyAt + recovery_cycles;
-        if (di.inst.isLoad()) {
+        if (di.dec->isLoad()) {
             removeIssuedRef(_issuedLoads, di.seq);
-        } else if (di.inst.isStore()) {
+        } else if (di.dec->isStore()) {
             removeIssuedRef(_issuedStores, di.seq);
             auto it = std::lower_bound(_unresolvedStores.begin(),
                                        _unresolvedStores.end(), di.seq);
@@ -1445,7 +1518,7 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
             _scoreboard->setPending(di.dstPhys);
             poisoned[std::size_t(di.dstPhys)] = true;
         }
-        if (di.inst.isFp() && !di.inst.isMem()) {
+        if (di.dec->isFpQueue()) {
             _fpIq->reinsert(&di);
             _fpWakeAt = std::min(_fpWakeAt, di.replayBlockedUntil);
         } else {
@@ -1471,33 +1544,32 @@ AlphaCore::doMap()
         return;
 
     int mapped = 0;
-    while (mapped < _p.mapWidth && !_fetchQueue.empty()) {
-        DynInst &front = _fetchQueue.front();
-        if (front.readyForMap > _cycle)
+    while (mapped < _p.mapWidth && fetchQueueSize()) {
+        DynInst &di = _ring[_robSize];
+        const DecodedInst &dec = *di.dec;
+        if (di.readyForMap > _cycle)
             break;
-        if (int(_rob.size()) >= _p.robEntries)
+        if (int(_robSize) >= _p.robEntries)
             break;
 
-        bool is_nop = front.inst.isNop();
-        bool remove_early = is_nop && _p.earlyUnopRetire &&
+        bool remove_early = dec.isNop() && _p.earlyUnopRetire &&
                             !_p.bugNoUnopRemoval;
 
         if (!remove_early) {
             // Queue space.
-            bool fp_queue = front.inst.isFp() && !front.inst.isMem();
-            IssueQueue &iq = fp_queue ? *_fpIq : *_intIq;
+            IssueQueue &iq = dec.isFpQueue() ? *_fpIq : *_intIq;
             if (iq.full())
                 break;
-            if (front.inst.isLoad() && _lqUsed >= _p.lqEntries)
+            if (dec.isLoad() && _lqUsed >= _p.lqEntries)
                 break;
-            if (front.inst.isStore() && _sqUsed >= _p.sqEntries)
+            if (dec.isStore() && _sqUsed >= _p.sqEntries)
                 break;
         }
 
         // Rename (correct path only).
-        if (!front.wrongPath) {
-            RegIndex dst = front.inst.dstReg();
-            if (dst != kNoReg && !front.inst.isNop()) {
+        if (!di.wrongPath) {
+            RegIndex dst = dec.archDst;
+            if (dst != kNoReg && !dec.isNop()) {
                 bool fp = isFpRegIndex(dst);
                 int free_regs = fp ? _rename->freeFpRegs()
                                    : _rename->freeIntRegs();
@@ -1514,22 +1586,18 @@ AlphaCore::doMap()
             }
         }
 
-        // Commit the dequeue.
-        _rob.push_back(std::move(front));
-        _fetchQueue.pop_front();
-        DynInst &di = _rob.back();
+        // Commit the dequeue: the entry joins the ROB in place.
+        _robSize++;
         di.mapCycle = _cycle;
 
         if (!di.wrongPath) {
-            RegIndex dst = di.inst.dstReg();
+            RegIndex dst = dec.archDst;
             // Resolve sources before allocating the destination so
             // "r1 = r1 + 1" reads the old mapping.
-            RegIndex srcs[3];
-            int n = di.inst.srcRegs(srcs);
             di.numSrcs = 0;
             if (!remove_early) {
-                for (int i = 0; i < n; i++)
-                    di.srcPhys[di.numSrcs++] = _rename->lookup(srcs[i]);
+                for (int i = 0; i < dec.numSrcs; i++)
+                    di.srcPhys[di.numSrcs++] = _rename->lookup(dec.srcs[i]);
             }
             if (dst != kNoReg && !remove_early) {
                 PhysReg old_phys = kNoPhys;
@@ -1540,9 +1608,9 @@ AlphaCore::doMap()
                 di.archDst = dst;
                 _scoreboard->setPending(p);
             }
-            if (di.inst.isLoad())
+            if (dec.isLoad())
                 _lqUsed++;
-            if (di.inst.isStore()) {
+            if (dec.isStore()) {
                 _sqUsed++;
                 _unresolvedStores.push_back(di.seq);
             }
@@ -1557,13 +1625,20 @@ AlphaCore::doMap()
             di.doneCycle = _cycle;
             ++_c.unopsRemoved;
         } else {
-            bool fp_queue = di.inst.isFp() && !di.inst.isMem();
-            di.cls = di.inst.opClass();
+            int q = dec.isFpQueue();
             // Op classes of one queue fit only that queue's pipes.
-            di.fitMask = _fuPool->fitMask(di.cls, di.slottedUpper != 0,
+            di.fitMask = _fuPool->fitMask(dec.cls, di.slottedUpper != 0,
                                           _p.slotRestrict);
-            (fp_queue ? *_fpIq : *_intIq).insert(&di);
-            Cycle &wake = fp_queue ? _fpWakeAt : _intWakeAt;
+            // Pipes of the other queue never draw from this queue's
+            // ready sets, so their fit bits are left alone.
+            for (std::uint8_t pipes = _queuePipes[q]; pipes;
+                 pipes &= std::uint8_t(pipes - 1)) {
+                int pipe = std::countr_zero(pipes);
+                _fits[pipe].assign(di.slot, di.fitMask >> pipe & 1u);
+            }
+            (q ? *_fpIq : *_intIq).insert(&di);
+            evaluate(di, q);
+            Cycle &wake = q ? _fpWakeAt : _intWakeAt;
             wake = std::min(wake,
                             _cycle + Cycle(_p.mapToIssueCycles));
         }
@@ -1615,13 +1690,12 @@ AlphaCore::predictControl(DynInst &di, Addr lp_next)
 {
     // Returns the front end's chosen next-fetch PC given that the packet
     // cuts at this (predicted- or actually-taken) control instruction.
-    const Instruction &inst = di.inst;
+    const DecodedInst &inst = *di.dec;
     bool early_target = _p.slotAdder && !_p.bugLateBranchRecovery;
 
-    if (inst.isPcRelBranch()) {
-        Addr target = _prog->pcOf(std::size_t(inst.target));
+    if (inst.isPcRel()) {
         if (early_target)
-            return target;
+            return inst.targetPc;
         return lp_next;     // only the line predictor steers fetch
     }
     if (inst.isReturn()) {
@@ -1639,9 +1713,10 @@ AlphaCore::fetchSlot(Cycle fetch_done)
 {
     // doFetch guarantees room for a whole packet, so the fetch queue
     // never grows and the returned slot stays put until mapped.
-    DynInst &di = _fetchQueue.emplace_back();
+    sim_assert(_ring.size() < _ring.capacity());
+    DynInst &di = _ring.emplace_back();
     di.seq = nextSeq();
-    di.fetchCycle = _cycle;
+    di.slot = std::uint16_t(_ring.slotOf(di));
     di.readyForMap = fetch_done + Cycle(_p.fetchToMapCycles);
     return di;
 }
@@ -1653,7 +1728,7 @@ AlphaCore::doFetch()
         return;
     if (_haltFetched && !_wrongPathMode)
         return;
-    if (int(_fetchQueue.size()) + _p.fetchWidth > _p.fetchQueueEntries)
+    if (int(fetchQueueSize()) + _p.fetchWidth > _p.fetchQueueEntries)
         return;
     if (!_wrongPathMode && _oracle->exhausted())
         return;
@@ -1701,28 +1776,27 @@ AlphaCore::fetchCorrectPath()
         int slot = n++;
         di.oracleSeq = rec.seq;
         di.pc = rec.pc;
-        di.inst = rec.inst;
+        di.dec = rec.dec;
         di.nextPc = rec.nextPc;
         di.taken = rec.taken;
         di.effAddr = rec.effAddr;
         di.halt = rec.halted;
-        di.slottedUpper = slotAssignment(di.inst, slot);
+        di.slottedUpper = slotAssignment(*di.dec, slot);
 
-        if (di.inst.isControl()) {
+        if (di.dec->isControl()) {
             // Direction prediction (conditional) / always-taken.
             bool pred_taken = true;
-            if (di.inst.isCondBranch()) {
+            if (di.dec->isCondBranch()) {
                 di.hasBpSnap = true;
                 pred_taken = _branchPred->predict(di.pc, di.bpSnap);
             }
-            if (di.inst.isCall() || di.inst.isReturn()) {
+            if (di.dec->isCall() || di.dec->isReturn()) {
                 di.hasRasSnap = _p.speculativeUpdate;
                 if (di.hasRasSnap)
                     di.rasSnap = _ras->snapshot();
             }
-            if (di.inst.isCall() && _p.speculativeUpdate)
+            if (di.dec->isCall() && _p.speculativeUpdate)
                 _ras->push(di.pc + 4);
-            di.predTaken = pred_taken;
 
             if (pred_taken) {
                 cut_inst = &di;
@@ -1766,12 +1840,11 @@ AlphaCore::fetchCorrectPath()
         while (wp < oct_end && n < _p.fetchWidth) {
             DynInst &wdi = fetchSlot(fdone);
             wdi.pc = wp;
-            wdi.inst = _prog->fetch(wp);
+            wdi.dec = &_prog->decodedAt(wp);
             wdi.wrongPath = true;
-            wdi.slottedUpper = slotAssignment(wdi.inst, n++);
+            wdi.slottedUpper = slotAssignment(*wdi.dec, n++);
             wp += 4;
         }
-        cut_inst->predNextFetch = oct_end;
         _wrongPathMode = true;
         _fetchPc = oct_end;
         ++_c.directionMispredicts;
@@ -1781,12 +1854,11 @@ AlphaCore::fetchCorrectPath()
 
     if (cut_predicted_taken) {
         Addr frontend_next = predictControl(*cut_inst, lp_next);
-        cut_inst->predNextFetch = frontend_next;
 
         bool early_target = _p.slotAdder && !_p.bugLateBranchRecovery;
         bool slot_steered =
-            (cut_inst->inst.isPcRelBranch() && early_target) ||
-            cut_inst->inst.isReturn();
+            (cut_inst->dec->isPcRel() && early_target) ||
+            cut_inst->dec->isReturn();
         if (slot_steered && frontend_next != lp_next) {
             // Branch predictor / RAS overrides the line predictor: one
             // bubble while fetch resteers (slot miss).
@@ -1831,7 +1903,7 @@ AlphaCore::fetchCorrectPath()
                   (unsigned long long)actual_next);
             _wrongPathMode = true;
             _fetchPc = frontend_next;
-            ++(cut_inst->inst.isCondBranch() ? _c.directionMispredicts
+            ++(cut_inst->dec->isCondBranch() ? _c.directionMispredicts
                                               : _c.targetMispredicts);
         }
         _fetchResumeAt = fdone + bubbles;
@@ -1875,24 +1947,23 @@ AlphaCore::fetchWrongPath()
     while (pc_cur < oct_end && n < _p.fetchWidth) {
         DynInst &di = fetchSlot(fdone);
         di.pc = pc_cur;
-        di.inst = _prog->fetch(pc_cur);
+        di.dec = &_prog->decodedAt(pc_cur);
         di.wrongPath = true;
-        di.slottedUpper = slotAssignment(di.inst, n++);
+        di.slottedUpper = slotAssignment(*di.dec, n++);
 
-        if (di.inst.isControl()) {
+        if (di.dec->isControl()) {
             bool pred_taken = true;
-            if (di.inst.isCondBranch()) {
+            if (di.dec->isCondBranch()) {
                 di.hasBpSnap = true;
                 pred_taken = _branchPred->predict(di.pc, di.bpSnap);
             }
-            if ((di.inst.isCall() || di.inst.isReturn()) &&
+            if ((di.dec->isCall() || di.dec->isReturn()) &&
                 _p.speculativeUpdate) {
                 di.hasRasSnap = true;
                 di.rasSnap = _ras->snapshot();
             }
-            if (di.inst.isCall() && _p.speculativeUpdate)
+            if (di.dec->isCall() && _p.speculativeUpdate)
                 _ras->push(di.pc + 4);
-            di.predTaken = pred_taken;
 
             if (pred_taken) {
                 next_fetch = predictControl(di, lp_next);

@@ -16,8 +16,10 @@
 #ifndef SIMALPHA_CORE_CORE_HH
 #define SIMALPHA_CORE_CORE_HH
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <vector>
 
 #include "common/error.hh"
@@ -28,6 +30,7 @@
 #include "core/oracle.hh"
 #include "core/params.hh"
 #include "core/rename.hh"
+#include "core/slot_set.hh"
 #include "isa/machine.hh"
 #include "memory/hierarchy.hh"
 #include "predictors/branch.hh"
@@ -130,48 +133,62 @@ class AlphaCore : public Machine
     void scheduleRecovery(const Recovery &rec);
 
     // ---- Issue select (DESIGN.md section 5.9) -----------------------
-    /** An entry that could take a pipe this cycle, and which pipes. */
-    struct Candidate
+    /** An entry whose operands reach a cluster at a known cycle beyond
+     *  the timing wheel: its ready bit is set when the cycle comes. */
+    struct PendingReady
     {
-        DynInst *inst;
-        std::uint8_t pipes;
+        Cycle at;
+        InstSeq seq;            ///< the entry's, to skip a stale item
+        std::uint32_t slot;
+        std::uint8_t cluster;
+        bool operator>(const PendingReady &o) const { return at > o.at; }
     };
+
     /** @p inst's per-cluster issue cycles from the scoreboard, into
      *  @p at. @p q: 0 int, 1 fp queue. @return a pending source
      *  (both cycles kNoCycle), or kNoPhys. */
     PhysReg computeIssueCycles(const DynInst &inst, int q,
                                Cycle at[2]) const;
-    /** computeIssueCycles, cached until an event invalidates it; an
-     *  entry with a pending source parks on its wake-up list. */
-    const Cycle *
-    issueCycles(DynInst &inst, int q)
+    /** Place unissued queue-@p q entry @p inst in the select state:
+     *  set its ready bits for the clusters its operands reach by now,
+     *  list it for later ones, or park it on a pending source's
+     *  wake-up list. */
+    void evaluate(DynInst &inst, int q);
+    /** Set the ready bits of every entry whose cycle has come. */
+    void
+    drainPending()
     {
-        if (_cacheReadiness && inst.readyEpoch == _selectEpoch)
-            return inst.issueAt;
-        return refreshIssueCycles(inst, q);
+        if (_drainedTo < _cycle)
+            drainWheel();
+        for (int q = 0; q < 2; q++)
+            if (!_pending[q].empty() && _pending[q].front().at <= _cycle)
+                drainPending(q);
     }
-    const Cycle *refreshIssueCycles(DynInst &inst, int q);
-    /** Slowpath: every cached readiness and the unresolved-store
-     *  record equal a full recomputation. */
+    void drainWheel();
+    void drainPending(int q);
+    /** Slowpath: the ready sets equal a full recomputation, and the
+     *  unresolved-store record a ROB walk. */
     void verifySelectState() const;
-    /** Collect queue @p q's candidates for the @p free pipes. */
-    void gatherCandidates(int q, std::uint8_t free);
-    /** Oldest candidate for @p pipe; counts store-wait consults. */
+    /** Oldest entry for @p pipe: the first of its queue's ready set on
+     *  its cluster and its fit set that passes store-wait; counts
+     *  store-wait consults. */
     DynInst *selectFor(int pipe, int *consults);
     /** The original per-pipe queue scan, side-effect free: the
      *  SIMALPHA_SLOWPATH=1 reference each selectFor must match. */
     DynInst *referenceScan(int pipe, int *consults) const;
-    /** Scoreboard a result: wakes the entries parked on @p dst, or
-     *  invalidates every cached readiness if the write was not the
-     *  pending -> scheduled transition the cache assumes. */
+    /** Scoreboard a result: evaluates the entries parked on @p dst, or
+     *  rebuilds the select state if the write was not the pending ->
+     *  scheduled transition the select state assumes. */
     void scheduleResult(PhysReg dst, Cycle ready, int cluster);
-    /** Drop every cached readiness and wake-up list. */
+    /** Rebuild the ready sets, the pending lists and the wake-up lists
+     *  from the queues. */
     void invalidateSelect();
 
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
-    /** Earliest possible issue from queue @p q; _cycle + 1 if an
-     *  entry is blocked only by per-cycle arbitration. */
-    Cycle recomputeWakeAt(int q);
+    /** Earliest possible issue from queue @p q after a fruitless
+     *  select: _cycle + 1 while an entry is ready (it lost arbitration
+     *  or store-wait), else the earliest listed cycle. */
+    Cycle wakeAfterSelect(int q);
     /** A register acquired a scheduled ready time: cap both queues'
      *  wake-up cycles (over-early is safe, over-late never happens). */
     void
@@ -212,6 +229,21 @@ class AlphaCore : public Machine
     void unissueForReplay(const LoadUseCheck &check);
 
     InstSeq nextSeq() { return _seqCounter++; }
+
+    /** The ROB: the ring's first _robSize entries. */
+    auto
+    rob()
+    {
+        return std::ranges::subrange(_ring.begin(),
+                                     _ring.begin() + std::ptrdiff_t(_robSize));
+    }
+    auto
+    rob() const
+    {
+        return std::ranges::subrange(_ring.begin(),
+                                     _ring.begin() + std::ptrdiff_t(_robSize));
+    }
+    std::size_t fetchQueueSize() const { return _ring.size() - _robSize; }
 
     // ---- Configuration ----------------------------------------------
     AlphaCoreParams _p;
@@ -283,10 +315,13 @@ class AlphaCore : public Machine
     int _sqUsed = 0;
     Cycle _lastCommitCycle = 0;
 
-    Ring<DynInst> _fetchQueue;
-    /** Sized for robEntries and never grows: the issue queues, the
-     *  select candidates and the wake-up lists point into it. */
-    Ring<DynInst> _rob;
+    /** Every in-flight instruction from fetch to retire, oldest first:
+     *  the ROB is the first _robSize entries and the fetch queue the
+     *  rest, so map only moves the boundary. Sized for robEntries +
+     *  fetchQueueEntries and never grows: the issue queues, the select
+     *  state and the wake-up lists name its entries. */
+    Ring<DynInst> _ring;
+    std::size_t _robSize = 0;
     std::optional<Recovery> _recovery;
     std::vector<LoadUseCheck> _loadUseChecks;
 
@@ -301,20 +336,38 @@ class AlphaCore : public Machine
     std::vector<IssuedMemRef> _issuedLoads;  ///< seq-sorted, issued
 
     // ---- Issue-select state (derived; rebuilt by invalidateSelect
-    // and after every strike) ------------------------------------------
-    std::vector<Candidate> _cands[2];   ///< this cycle's, per queue
-    std::uint64_t _selectEpoch = 1;     ///< matches current caches
-    /** False once a flip has struck: readiness is then re-evaluated
+    // and every cycle after a strike) -----------------------------------
+    /** Per queue and cluster (the fp queue uses [1][0] only): the
+     *  unissued entries whose operands reach that cluster by now. */
+    SlotSet _ready[2][2];
+    /** The same for entries whose operands arrive within kWheel - 1
+     *  cycles of _drainedTo, by arrival cycle mod kWheel: a timing
+     *  wheel, drained into _ready as the cycles come. An issuing entry
+     *  leaves it through DynInst::wheelBucket. Later arrivals (misses,
+     *  long divides) go to _pending. */
+    static constexpr Cycle kWheel = 16;
+    SlotSet _wheel[kWheel][2][2];
+    /** Per queue: bit b set if wheel bucket b may be non-empty. */
+    std::uint16_t _wheelUsed[2] = {};
+    static_assert(kWheel == 16, "_wheelUsed holds one bit per bucket");
+    Cycle _drainedTo = 0;     ///< wheel buckets up to here are drained
+    /** Per pipe: the queue entries whose fit mask admits it. */
+    SlotSet _fits[8];
+    /** Per pipe: its queue, and the ready set it draws from. */
+    std::uint8_t _pipeQueue[8] = {};
+    const SlotSet *_pipeReady[8] = {};
+    /** Per queue: the pipes it issues to. */
+    std::uint8_t _queuePipes[2] = {};
+    /** Per queue: a min-heap of entries ready beyond the wheel. */
+    std::vector<PendingReady> _pending[2];
+    /** False once a flip has struck: the select state is then rebuilt
      *  every cycle, since corrupted rename state can re-pend a
-     *  register that a cached consumer already counted as ready. */
+     *  register that a listed consumer already counted as ready. */
     bool _cacheReadiness = true;
     std::vector<DynInst *> _waiters;    ///< per phys reg: parked list
     /** Seq-sorted correct-path stores in the ROB whose address is
      *  unresolved (!memIssued): the store-wait gate's record. */
     std::vector<InstSeq> _unresolvedStores;
-    /** Pipes whose operand readiness is judged on cluster 0 / 1
-     *  (the fp pipes read cluster 0). */
-    std::uint8_t _clusterPipes[2] = {};
     /** SIMALPHA_SLOWPATH=1: run the original scans, maintain the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

@@ -149,26 +149,28 @@ AlphaCore::applyInjection()
         break;
       }
       case inject::Target::Rob: {
-        if (_rob.empty()) {
+        // Only the ROB prefix of the ring: fetch-queue entries are
+        // never flip targets.
+        if (!_robSize) {
             note += "(window empty; flip dropped)";
             break;
         }
-        DynInst &d = _rob[std::size_t(inj.index % _rob.size())];
+        DynInst &d = _ring[std::size_t(inj.index % _robSize)];
         note += "slot " +
-                std::to_string(inj.index % _rob.size()) + " " +
+                std::to_string(inj.index % _robSize) + " " +
                 flipWindowEntry(d, inj.bit, salt);
         break;
       }
       case inject::Target::Lsq: {
         std::vector<std::size_t> mem;
-        for (std::size_t i = 0; i < _rob.size(); i++)
-            if (_rob[i].inst.isMem())
+        for (std::size_t i = 0; i < _robSize; i++)
+            if (_ring[i].dec->isMem())
                 mem.push_back(i);
         if (mem.empty()) {
             note += "(no resident memory op; flip dropped)";
             break;
         }
-        DynInst &d = _rob[mem[std::size_t(inj.index % mem.size())]];
+        DynInst &d = _ring[mem[std::size_t(inj.index % mem.size())]];
         note += "entry " + std::to_string(inj.index % mem.size()) +
                 " " + flipMemEntry(d, inj.bit, salt);
         break;
@@ -244,8 +246,8 @@ AlphaCore::applyInjection()
     _cacheReadiness = false;
     invalidateSelect();
     _unresolvedStores.clear();
-    for (const DynInst &d : _rob)
-        if (!d.wrongPath && d.inst.isStore() && !d.memIssued)
+    for (const DynInst &d : rob())
+        if (!d.wrongPath && d.dec->isStore() && !d.memIssued)
             _unresolvedStores.push_back(d.seq);
 }
 

@@ -1,5 +1,7 @@
 #include "fu_pool.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace simalpha {
@@ -130,6 +132,7 @@ FuPool::reservePipe(int pipe, OpClass cls, Cycle now)
     p.lastIssue = now;
     if (unpipelined(cls))
         p.busyUntil = now + Cycle(occupancy(cls));
+    _allFreeFrom = std::max({_allFreeFrom, now + 1, p.busyUntil});
 }
 
 } // namespace simalpha

@@ -50,6 +50,8 @@ class FuPool
     std::uint8_t
     freeMask(Cycle now) const
     {
+        if (now >= _allFreeFrom)
+            return std::uint8_t((1u << _pipes.size()) - 1);
         std::uint8_t mask = 0;
         for (std::size_t i = 0; i < _pipes.size(); i++)
             if (_pipes[i].lastIssue != now && _pipes[i].busyUntil <= now)
@@ -75,6 +77,7 @@ class FuPool
             p.lastIssue = kNoCycle;
             p.busyUntil = 0;
         }
+        _allFreeFrom = 0;
     }
 
   private:
@@ -103,6 +106,9 @@ class FuPool
     bool _wrongMix;
     /** fitMask table: [slot_restrict][slotted_upper][op class]. */
     std::uint8_t _fit[2][2][kOpClasses] = {};
+    /** From this cycle on every pipe is free (no issue, no occupancy):
+     *  freeMask's shortcut. */
+    Cycle _allFreeFrom = 0;
 };
 
 } // namespace simalpha

@@ -40,13 +40,6 @@ RenameUnit::reset()
 }
 
 PhysReg
-RenameUnit::lookup(RegIndex arch) const
-{
-    sim_assert(arch != kNoReg);
-    return _map[arch];
-}
-
-PhysReg
 RenameUnit::allocate(RegIndex arch, PhysReg &old_phys)
 {
     bool fp = isFpRegIndex(arch);
@@ -126,12 +119,6 @@ Scoreboard::setReady(PhysReg phys, Cycle ready, int producing_cluster)
         s.ready[producing_cluster & 1] = ready;
         s.ready[(producing_cluster & 1) ^ 1] = ready + 1;
     }
-}
-
-void
-Scoreboard::setPending(PhysReg phys)
-{
-    _state[phys].isPending = true;
 }
 
 void

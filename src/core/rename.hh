@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/dyninst.hh"
 
 namespace simalpha {
@@ -20,7 +21,12 @@ class RenameUnit
     RenameUnit(int phys_int, int phys_fp);
 
     /** Current mapping of an architectural register. */
-    PhysReg lookup(RegIndex arch) const;
+    PhysReg
+    lookup(RegIndex arch) const
+    {
+        sim_assert(arch != kNoReg);
+        return _map[arch];
+    }
 
     /**
      * Allocate a new physical register for `arch` and update the map.
@@ -96,7 +102,7 @@ class Scoreboard
     void setReady(PhysReg phys, Cycle ready, int producing_cluster);
 
     /** Mark a register not-ready (rename-time allocation / replay). */
-    void setPending(PhysReg phys);
+    void setPending(PhysReg phys) { _state[phys].isPending = true; }
 
     /** Mark ready-now (initial state / squash restore). */
     void setReadyNow(PhysReg phys);

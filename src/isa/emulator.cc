@@ -37,11 +37,10 @@ PageImage::build(const std::vector<std::pair<Addr, RegVal>> &data)
 std::shared_ptr<const PageImage>
 Program::dataImage() const
 {
-    std::lock_guard<std::mutex> lock(_image.mu);
-    if (!_image.image)
-        _image.image = PageImage::build(data);
-    sim_assert(_image.image->dataWords == data.size());
-    return _image.image;
+    const PageImage &image =
+        _image.get([this] { return PageImage::build(data); });
+    sim_assert(image.dataWords == data.size());
+    return _image.value;
 }
 
 const SparseMemory::Page *
@@ -291,41 +290,10 @@ asBits(double d)
 
 } // namespace
 
-DecodedInst
-Emulator::decodeOne(const Instruction &inst)
-{
-    auto src_slot = [](RegIndex r) -> std::uint8_t {
-        if (r == kNoReg || isZeroRegIndex(r))
-            return std::uint8_t(kZeroSlot);
-        return r;
-    };
-    auto dst_slot = [](RegIndex r) -> std::uint8_t {
-        if (r == kNoReg || isZeroRegIndex(r))
-            return std::uint8_t(kSinkSlot);
-        return r;
-    };
-
-    DecodedInst d;
-    d.handler = std::uint8_t(inst.op);
-    d.srcA = src_slot(inst.ra);
-    d.srcB = src_slot(inst.rb);
-    // Calls link through ra; everything else writes rc.
-    d.dst = dst_slot(inst.isCall() ? inst.ra : inst.rc);
-    d.pcRel = inst.isPcRelBranch() ? 1 : 0;
-    d.target = inst.target;
-    d.targetPc = inst.target >= 0 ? Program::kTextBase + 4 * Addr(inst.target) : 0;
-    d.imm = inst.imm;
-    return d;
-}
-
 Emulator::Emulator(const Program &program)
-    : _prog(program), _mem(program.dataImage()), _pc(program.entryPc)
+    : _prog(program), _mem(program.dataImage()), _dec(program.decoded()),
+      _pc(program.entryPc), _ip(program.indexOf(_pc))
 {
-    _dec.reserve(program.text.size());
-    for (const Instruction &inst : program.text)
-        _dec.push_back(decodeOne(inst));
-    _ip = program.indexOf(_pc);
-
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
 }
@@ -431,12 +399,11 @@ Emulator::stepFast()
               (unsigned long long)_pc, _prog.name.c_str());
 
     const DecodedInst &d = _dec[std::size_t(_ip)];
-    const Instruction &inst = _prog.text[std::size_t(_ip)];
 
     ExecutedInst rec;
     rec.seq = _seq++;
     rec.pc = _pc;
-    rec.inst = inst;
+    rec.dec = &d;
 
     Addr next_pc = _pc + 4;
     std::int64_t next_ip = _ip + 1;
@@ -552,7 +519,7 @@ Emulator::stepFast()
         break;
     }
 
-    if (taken && d.pcRel) {
+    if (taken && d.isPcRel()) {
         sim_assert(d.target >= 0);
         next_ip = d.target;
         next_pc = d.targetPc;
@@ -814,7 +781,7 @@ Emulator::stepSlow()
     ExecutedInst rec;
     rec.seq = _seq++;
     rec.pc = _pc;
-    rec.inst = inst;
+    rec.dec = &_dec[std::size_t(idx)];
 
     Addr next_pc = _pc + 4;
     bool taken = false;

@@ -29,9 +29,9 @@ struct ExecutedInst
     InstSeq seq = 0;            ///< dynamic instruction number
     Addr pc = 0;
     Addr nextPc = 0;            ///< actual successor PC
-    Instruction inst;
-    bool taken = false;         ///< control transfer taken (non-fallthrough)
+    const DecodedInst *dec = nullptr;   ///< in Program::decoded()
     Addr effAddr = kNoAddr;     ///< effective address for memory ops
+    bool taken = false;         ///< control transfer taken (non-fallthrough)
     bool halted = false;        ///< this instruction was a Halt
 };
 
@@ -145,34 +145,6 @@ struct Checkpoint
     std::vector<std::pair<Addr, RegVal>> memory;
 };
 
-/**
- * One predecoded instruction: operands resolved at decode time to slots
- * in the extended register file (real registers 0..63, plus a hardwired
- * zero-source slot and a write-sink slot for discarded destinations),
- * immediates widened, and PC-relative targets resolved to text indices.
- * The execution loops dispatch on `handler` without re-inspecting the
- * Instruction encoding.
- */
-struct DecodedInst
-{
-    std::uint8_t handler = 0;   ///< dense opcode, == uint8_t(Instruction::op)
-    std::uint8_t srcA = 0;      ///< extended-file slot read for `ra`
-    std::uint8_t srcB = 0;      ///< extended-file slot read for `rb`
-    std::uint8_t dst = 0;       ///< extended-file slot written
-    std::uint8_t pcRel = 0;     ///< nonzero for PC-relative control transfers
-    std::int32_t target = -1;   ///< taken successor as a text index
-    Addr targetPc = 0;          ///< taken successor as a PC (target >= 0)
-    std::int64_t imm = 0;
-
-    bool
-    operator==(const DecodedInst &o) const
-    {
-        return handler == o.handler && srcA == o.srcA && srcB == o.srcB &&
-               dst == o.dst && pcRel == o.pcRel && target == o.target &&
-               targetPc == o.targetPc && imm == o.imm;
-    }
-};
-
 class Emulator
 {
   public:
@@ -234,11 +206,16 @@ class Emulator
 
     const Program &program() const { return _prog; }
 
-    /** The predecoded text image (exposed for equivalence tests). */
+    /** The program's shared decode, Program::decoded() (exposed for
+     *  equivalence tests). */
     const std::vector<DecodedInst> &decodedText() const { return _dec; }
 
     /** Predecode one instruction (pure; used for the slowpath check). */
-    static DecodedInst decodeOne(const Instruction &inst);
+    static DecodedInst
+    decodeOne(const Instruction &inst)
+    {
+        return decode(inst);
+    }
 
   private:
     /** Extended register file layout: slots 0..63 are the architectural
@@ -246,8 +223,8 @@ class Emulator
      *  kSinkSlot absorbs writes to zero registers / kNoReg (never
      *  read). Remapping operands into these slots at decode time
      *  removes every zero-register branch from the execute loops. */
-    static constexpr std::size_t kZeroSlot = kNumIntRegs + kNumFpRegs;
-    static constexpr std::size_t kSinkSlot = kZeroSlot + 1;
+    static constexpr std::size_t kZeroSlot = DecodedInst::kZeroSlot;
+    static constexpr std::size_t kSinkSlot = DecodedInst::kSinkSlot;
 
     RegVal reg(RegIndex r) const;
     void setReg(RegIndex r, RegVal v);
@@ -262,7 +239,7 @@ class Emulator
     const Program &_prog;
     SparseMemory _mem;
     std::array<RegVal, kNumIntRegs + kNumFpRegs + 2> _regs{};
-    std::vector<DecodedInst> _dec;
+    const std::vector<DecodedInst> &_dec;  ///< _prog.decoded()
     Addr _pc;
     std::int64_t _ip;           ///< text index of _pc, or -1 if outside
     InstSeq _seq = 0;

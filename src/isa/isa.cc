@@ -295,6 +295,66 @@ Instruction::disassemble() const
     return os.str();
 }
 
+DecodedInst
+decode(const Instruction &inst)
+{
+    auto src_slot = [](RegIndex r) -> std::uint8_t {
+        if (r == kNoReg || isZeroRegIndex(r))
+            return DecodedInst::kZeroSlot;
+        return r;
+    };
+    auto dst_slot = [](RegIndex r) -> std::uint8_t {
+        if (r == kNoReg || isZeroRegIndex(r))
+            return DecodedInst::kSinkSlot;
+        return r;
+    };
+
+    DecodedInst d;
+    d.handler = std::uint8_t(inst.op);
+    d.srcA = src_slot(inst.ra);
+    d.srcB = src_slot(inst.rb);
+    // Calls link through ra; everything else writes rc.
+    d.dst = dst_slot(inst.isCall() ? inst.ra : inst.rc);
+    d.target = inst.target;
+    d.targetPc = inst.target >= 0
+                     ? Program::kTextBase + 4 * Addr(inst.target)
+                     : 0;
+    d.imm = inst.imm;
+
+    d.cls = inst.opClass();
+    d.latency = std::uint8_t(inst.latency());
+    d.memBytes = std::uint8_t(inst.memBytes());
+    d.numSrcs = std::uint8_t(inst.srcRegs(d.srcs));
+    d.archDst = inst.dstReg();
+    const std::pair<bool, DecodedInst::Flag> flags[] = {
+        {inst.isLoad(), DecodedInst::kLoad},
+        {inst.isStore(), DecodedInst::kStore},
+        {inst.isFp() && !inst.isMem(), DecodedInst::kFpQueue},
+        {inst.isControl(), DecodedInst::kControl},
+        {inst.isCondBranch(), DecodedInst::kCondBranch},
+        {inst.isPcRelBranch(), DecodedInst::kPcRel},
+        {inst.isIndirect(), DecodedInst::kIndirect},
+        {inst.isCall(), DecodedInst::kCall},
+        {inst.isReturn(), DecodedInst::kReturn},
+        {inst.isNop(), DecodedInst::kNop},
+        {inst.isHalt(), DecodedInst::kHalt},
+    };
+    for (const auto &[set, flag] : flags)
+        if (set)
+            d.flags |= flag;
+    return d;
+}
+
+std::shared_ptr<const std::vector<DecodedInst>>
+Program::buildDecoded() const
+{
+    auto table = std::make_shared<std::vector<DecodedInst>>();
+    table->reserve(text.size());
+    for (const Instruction &inst : text)
+        table->push_back(decode(inst));
+    return table;
+}
+
 const Instruction &
 Program::fetch(Addr pc) const
 {

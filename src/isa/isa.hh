@@ -15,6 +15,7 @@
 #ifndef SIMALPHA_ISA_ISA_HH
 #define SIMALPHA_ISA_ISA_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -191,6 +192,77 @@ struct Instruction
 const char *opName(Op op);
 
 /**
+ * One predecoded instruction: everything the emulator and the timing
+ * models ask of an Instruction, computed once per text index of a
+ * Program (Program::decoded()) by decode() from the Instruction
+ * predicates above, which stay the definition.
+ *
+ * The emulator half resolves operands to slots in an extended register
+ * file (real registers 0..63, plus a hardwired zero-source slot and a
+ * write-sink slot for discarded destinations), widens immediates, and
+ * resolves PC-relative targets to text indices, so the execution loops
+ * dispatch on `handler` without re-inspecting the encoding. The timing
+ * half is the op class, latency, access width, control/memory flags,
+ * and the architectural sources and destination with r31/f31 dropped.
+ */
+struct DecodedInst
+{
+    /** Extended register file slots (Emulator): never written / never
+     *  read. */
+    static constexpr std::uint8_t kZeroSlot = kNumIntRegs + kNumFpRegs;
+    static constexpr std::uint8_t kSinkSlot = kZeroSlot + 1;
+
+    /** `flags` bits. */
+    enum Flag : std::uint16_t
+    {
+        kLoad = 1u << 0,
+        kStore = 1u << 1,
+        kFpQueue = 1u << 2,     ///< issues from the fp queue
+        kControl = 1u << 3,
+        kCondBranch = 1u << 4,
+        kPcRel = 1u << 5,       ///< PC-relative control transfer
+        kIndirect = 1u << 6,
+        kCall = 1u << 7,
+        kReturn = 1u << 8,
+        kNop = 1u << 9,
+        kHalt = 1u << 10,
+    };
+
+    std::uint8_t handler = 0;   ///< dense opcode, == uint8_t(Instruction::op)
+    std::uint8_t srcA = 0;      ///< extended-file slot read for `ra`
+    std::uint8_t srcB = 0;      ///< extended-file slot read for `rb`
+    std::uint8_t dst = 0;       ///< extended-file slot written
+    OpClass cls = OpClass::Nop;
+    std::uint8_t latency = 1;   ///< Instruction::latency()
+    std::uint8_t memBytes = 8;  ///< Instruction::memBytes()
+    std::uint8_t numSrcs = 0;
+    std::uint16_t flags = 0;
+    RegIndex srcs[3] = {kNoReg, kNoReg, kNoReg};  ///< Instruction::srcRegs
+    RegIndex archDst = kNoReg;  ///< Instruction::dstReg()
+    std::int32_t target = -1;   ///< taken successor as a text index
+    Addr targetPc = 0;          ///< taken successor as a PC (target >= 0)
+    std::int64_t imm = 0;
+
+    bool isLoad() const { return flags & kLoad; }
+    bool isStore() const { return flags & kStore; }
+    bool isMem() const { return flags & (kLoad | kStore); }
+    bool isFpQueue() const { return flags & kFpQueue; }
+    bool isControl() const { return flags & kControl; }
+    bool isCondBranch() const { return flags & kCondBranch; }
+    bool isPcRel() const { return flags & kPcRel; }
+    bool isIndirect() const { return flags & kIndirect; }
+    bool isCall() const { return flags & kCall; }
+    bool isReturn() const { return flags & kReturn; }
+    bool isNop() const { return flags & kNop; }
+    bool isHalt() const { return flags & kHalt; }
+
+    bool operator==(const DecodedInst &o) const = default;
+};
+
+/** Decode one instruction (pure). */
+DecodedInst decode(const Instruction &inst);
+
+/**
  * A loaded program image: a text segment of decoded instructions plus
  * initial data regions. Instruction i lives at textBase + 4*i.
  */
@@ -227,31 +299,76 @@ class Program
     const Instruction &fetch(Addr pc) const;
 
     /**
+     * The text decoded once, one DecodedInst per index, shared by every
+     * Emulator and timing model of this program. Built on first use, so
+     * building a program costs nothing extra; safe when several threads
+     * ask at once, and lock-free once built. A copy of the Program
+     * builds its own, so edit `text` before the first use.
+     */
+    const std::vector<DecodedInst> &
+    decoded() const
+    {
+        return _decoded.get([this] { return buildDecoded(); });
+    }
+
+    /** decoded() at a PC; the unop record (fetch()'s unop) outside the
+     *  text, as wrong-path fetch needs. */
+    const DecodedInst &
+    decodedAt(Addr pc) const
+    {
+        static const DecodedInst unop = decode(Instruction{});
+        std::int64_t idx = indexOf(pc);
+        return idx < 0 ? unop : decoded()[std::size_t(idx)];
+    }
+
+    /**
      * The initial data as one read-only page image, shared by every
      * Emulator of this program (each copies a page on its first write
-     * to it). Built on first use, so building a program costs nothing
-     * extra; safe when several threads ask at once. A copy of the
-     * Program builds its own, so edit `data` before the first use.
+     * to it). Built on first use, like decoded(). A copy of the Program
+     * builds its own, so edit `data` before the first use.
      */
     std::shared_ptr<const PageImage> dataImage() const;
 
   private:
-    /** The lazily built image. Copying starts a fresh, empty slot. */
-    struct ImageSlot
+    /** A value derived from the program, built on first use. Copying
+     *  starts a fresh, empty slot. */
+    template <typename T>
+    struct LazySlot
     {
-        ImageSlot() = default;
-        ImageSlot(const ImageSlot &) {}
-        ImageSlot &
-        operator=(const ImageSlot &)
+        LazySlot() = default;
+        LazySlot(const LazySlot &) {}
+        LazySlot &
+        operator=(const LazySlot &)
         {
-            image.reset();
+            ready.store(nullptr);
+            value.reset();
             return *this;
         }
 
+        /** The value, built by @p build under the lock on first use. */
+        template <typename Build>
+        const T &
+        get(Build build)
+        {
+            if (const T *v = ready.load(std::memory_order_acquire))
+                return *v;
+            std::lock_guard<std::mutex> lock(mu);
+            if (!value) {
+                value = build();
+                ready.store(value.get(), std::memory_order_release);
+            }
+            return *value;
+        }
+
         std::mutex mu;
-        std::shared_ptr<const PageImage> image;
+        std::shared_ptr<const T> value;
+        std::atomic<const T *> ready{nullptr};
     };
-    mutable ImageSlot _image;
+
+    std::shared_ptr<const std::vector<DecodedInst>> buildDecoded() const;
+
+    mutable LazySlot<std::vector<DecodedInst>> _decoded;
+    mutable LazySlot<PageImage> _image;
 };
 
 } // namespace simalpha

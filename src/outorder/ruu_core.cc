@@ -241,7 +241,8 @@ RuuCore::deadlockSnapshot(const Program &program) const
                       "seq=%llu pc=0x%llx %s wp=%d issued=%d done=%llu",
                       (unsigned long long)h.seq,
                       (unsigned long long)h.pc,
-                      h.inst.disassemble().c_str(), int(h.wrongPath),
+                      program.fetch(h.pc).disassemble().c_str(),
+                      int(h.wrongPath),
                       int(h.issued), (unsigned long long)h.doneCycle);
         info.oldestInst = buf;
     }
@@ -268,7 +269,7 @@ RuuCore::doRecovery()
         _fetchBuf.pop_back();
     while (!_ruu.empty() && _ruu.back().seq > rec.seq) {
         sim_assert(_ruu.back().wrongPath);
-        if (_ruu.back().inst.isMem())
+        if (_ruu.back().dec->isMem())
             _lsqUsed--;
         _ruu.pop_back();
     }
@@ -297,18 +298,19 @@ RuuCore::doCommit()
             _recovery->seq == head.seq)
             break;
 
-        if (head.inst.isStore()) {
+        if (head.dec->isStore()) {
             _mem->dataAccess(head.effAddr, true, _cycle);
             auto it = _storeByWord.find(head.effAddr >> 3);
             if (it != _storeByWord.end() && it->second == _ruuHeadPos)
                 _storeByWord.erase(it);
         }
-        if (head.inst.isCondBranch() && head.hasBpSnap)
+        if (head.dec->isCondBranch() && head.hasBpSnap)
             _branchPred->update(head.pc, head.taken, head.bpSnap);
-        if (head.inst.isControl() && head.taken)
+        if (head.dec->isControl() && head.taken)
             _btb->update(head.pc, head.nextPc);
-        if (head.dst != kNoReg && _regWriter[head.dst] == head.seq)
-            _regWriter[head.dst] = kNoCycle;
+        RegIndex dst = head.dec->archDst;
+        if (dst != kNoReg && _regWriter[dst] == head.seq)
+            _regWriter[dst] = kNoCycle;
 
         _oracle->retireBefore(head.oracleSeq + 1);
         _committed++;
@@ -319,9 +321,9 @@ RuuCore::doCommit()
             _finished = true;
             return;
         }
-        if (head.inst.isMem())
+        if (head.dec->isMem())
             _lsqUsed--;
-        if (head.dst != kNoReg && !head.wrongPath)
+        if (dst != kNoReg && !head.wrongPath)
             _inflightDst--;
         _ruu.pop_front();
         _ruuHeadPos++;
@@ -332,7 +334,7 @@ Cycle
 RuuCore::srcReady(const RuuInst &inst) const
 {
     Cycle ready = 0;
-    for (int i = 0; i < inst.numSrcs; i++) {
+    for (int i = 0; i < inst.dec->numSrcs; i++) {
         RuuPos pos = inst.producerPos[i];
         if (pos == kNoPos || pos < _ruuHeadPos)
             continue;   // ready at dispatch, or the producer committed
@@ -350,7 +352,7 @@ Cycle
 RuuCore::srcReadyBySeq(const RuuInst &inst) const
 {
     Cycle ready = 0;
-    for (int i = 0; i < inst.numSrcs; i++) {
+    for (int i = 0; i < inst.dec->numSrcs; i++) {
         InstSeq writer = inst.producers[i];
         if (writer == kNoCycle)
             continue;   // value was architecturally ready at dispatch
@@ -386,10 +388,10 @@ RuuCore::positionOf(InstSeq seq, RuuPos hint) const
 void
 RuuCore::indexMemOp(RuuInst &inst, RuuPos pos)
 {
-    if (inst.wrongPath || !inst.inst.isMem())
+    if (inst.wrongPath || !inst.dec->isMem())
         return;
     Addr word = inst.effAddr >> 3;
-    if (inst.inst.isStore()) {
+    if (inst.dec->isStore()) {
         _storeByWord[word] = pos;
     } else {
         auto it = _storeByWord.find(word);
@@ -416,9 +418,9 @@ RuuCore::verifyStoreIndex() const
     std::unordered_map<Addr, RuuPos> by_word;
     RuuPos pos = _ruuHeadPos;
     for (const RuuInst &inst : _ruu) {
-        if (!inst.wrongPath && inst.inst.isMem()) {
+        if (!inst.wrongPath && inst.dec->isMem()) {
             Addr word = inst.effAddr >> 3;
-            if (inst.inst.isStore()) {
+            if (inst.dec->isStore()) {
                 by_word[word] = pos;
             } else {
                 auto it = by_word.find(word);
@@ -525,10 +527,10 @@ RuuCore::dispatchEventCycle() const
     const RuuInst &front = _fetchBuf.front();
     if (int(_ruu.size()) >= _p.ruuEntries)
         return kNoCycle;
-    if (front.inst.isMem() && _lsqUsed >= _p.lsqEntries)
+    if (front.dec->isMem() && _lsqUsed >= _p.lsqEntries)
         return kNoCycle;
-    if (_p.physRegs > 0 && front.dst != kNoReg && !front.wrongPath &&
-        _inflightDst >= _p.physRegs)
+    if (_p.physRegs > 0 && front.dec->archDst != kNoReg &&
+        !front.wrongPath && _inflightDst >= _p.physRegs)
         return kNoCycle;
     return front.readyForDispatch;
 }
@@ -605,7 +607,7 @@ RuuCore::doIssue()
             if (r == kNoCycle || r > _cycle)
                 continue;
         }
-        OpClass cls = inst.inst.opClass();
+        OpClass cls = inst.dec->cls;
         if (!fuAvailable(cls))
             continue;
         consumeFu(cls);
@@ -620,8 +622,8 @@ RuuCore::doIssue()
 
         Cycle done;
         if (inst.wrongPath) {
-            done = _cycle + Cycle(inst.inst.latency());
-        } else if (inst.inst.isLoad()) {
+            done = _cycle + Cycle(inst.dec->latency);
+        } else if (inst.dec->isLoad()) {
             // Perfect disambiguation: forward from any older in-flight
             // store to the same word, else access the cache. Stores
             // commit in order, so one is in flight iff the youngest
@@ -633,7 +635,7 @@ RuuCore::doIssue()
                 for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
                     if (it->seq >= inst.seq || it->wrongPath)
                         continue;
-                    if (it->inst.isStore() &&
+                    if (it->dec->isStore() &&
                         (it->effAddr >> 3) == (inst.effAddr >> 3)) {
                         scan_forwarded = true;
                         break;
@@ -642,23 +644,23 @@ RuuCore::doIssue()
                 sim_assert(scan_forwarded == forwarded);
             }
             if (forwarded) {
-                done = _cycle + Cycle(inst.inst.latency());
+                done = _cycle + Cycle(inst.dec->latency);
                 ++_c.storeForwards;
             } else {
                 MemAccessResult r =
                     _mem->dataAccess(inst.effAddr, false, _cycle + 1);
-                done = r.l1Hit ? _cycle + Cycle(inst.inst.latency())
+                done = r.l1Hit ? _cycle + Cycle(inst.dec->latency)
                                : r.done;
             }
-        } else if (inst.inst.isStore()) {
+        } else if (inst.dec->isStore()) {
             done = _cycle + 1;
         } else {
-            done = _cycle + Cycle(inst.inst.latency());
+            done = _cycle + Cycle(inst.dec->latency);
         }
         // Without a full bypass network the result is not visible to
         // consumers until it has been written through the register
         // file.
-        if (!_p.fullBypass && inst.dst != kNoReg)
+        if (!_p.fullBypass && inst.dec->archDst != kNoReg)
             done += Cycle(_p.regreadCycles);
         inst.doneCycle = done;
         inst.completed = true;
@@ -669,7 +671,7 @@ RuuCore::doIssue()
             if (!_recovery || inst.seq < _recovery->seq)
                 _recovery = PendingRecovery{inst.seq, resolve,
                                             inst.nextPc};
-            if (inst.inst.isCondBranch() && inst.hasBpSnap)
+            if (inst.dec->isCondBranch() && inst.hasBpSnap)
                 _branchPred->recover(inst.bpSnap, inst.taken);
             inst.doneCycle = std::max(inst.doneCycle, resolve);
         }
@@ -694,23 +696,23 @@ RuuCore::doDispatch()
             break;
         if (int(_ruu.size()) >= _p.ruuEntries)
             break;
-        if (front.inst.isMem()) {
+        if (front.dec->isMem()) {
             if (_slowpath) {
                 int lsq = 0;
                 for (const RuuInst &ri : _ruu)
-                    if (ri.inst.isMem())
+                    if (ri.dec->isMem())
                         lsq++;
                 sim_assert(lsq == _lsqUsed);
             }
             if (_lsqUsed >= _p.lsqEntries)
                 break;
         }
-        if (_p.physRegs > 0 && front.dst != kNoReg &&
+        if (_p.physRegs > 0 && front.dec->archDst != kNoReg &&
             !front.wrongPath) {
             if (_slowpath) {
                 int inflight = 0;
                 for (const RuuInst &ri : _ruu)
-                    if (ri.dst != kNoReg && !ri.wrongPath)
+                    if (ri.dec->archDst != kNoReg && !ri.wrongPath)
                         inflight++;
                 sim_assert(inflight == _inflightDst);
             }
@@ -725,8 +727,8 @@ RuuCore::doDispatch()
         inst.dispatched = true;
         inst.dispatchCycle = _cycle;
         if (!inst.wrongPath) {
-            for (int i = 0; i < inst.numSrcs; i++) {
-                RegIndex src = inst.srcs[i];
+            for (int i = 0; i < inst.dec->numSrcs; i++) {
+                RegIndex src = inst.dec->srcs[i];
                 InstSeq writer = _regWriter[src];
                 if (writer != kNoCycle && writer < inst.seq) {
                     // Seqs only grow, so a writer missing from the RUU
@@ -736,15 +738,15 @@ RuuCore::doDispatch()
                         positionOf(writer, _regWriterPos[src]);
                 }
             }
-            if (inst.dst != kNoReg) {
-                _regWriter[inst.dst] = inst.seq;
-                _regWriterPos[inst.dst] = pos;
+            if (inst.dec->archDst != kNoReg) {
+                _regWriter[inst.dec->archDst] = inst.seq;
+                _regWriterPos[inst.dec->archDst] = pos;
             }
             indexMemOp(inst, pos);
         }
-        if (inst.inst.isMem())
+        if (inst.dec->isMem())
             _lsqUsed++;
-        if (inst.dst != kNoReg && !inst.wrongPath)
+        if (inst.dec->archDst != kNoReg && !inst.wrongPath)
             _inflightDst++;
         dispatched++;
         ++_c.instsDispatched;
@@ -783,7 +785,7 @@ RuuCore::doFetch()
         ri.readyForDispatch = fdone + Cycle(_p.fetchToDispatch);
 
         if (_wrongPathMode) {
-            ri.inst = _prog->fetch(pc);
+            ri.dec = &_prog->decodedAt(pc);
             ri.wrongPath = true;
         } else {
             if (_oracle->exhausted())
@@ -791,37 +793,29 @@ RuuCore::doFetch()
             sim_assert(_oracle->nextPc() == pc);
             const ExecutedInst &rec = _oracle->next();
             ri.oracleSeq = rec.seq;
-            ri.inst = rec.inst;
+            ri.dec = rec.dec;
             ri.nextPc = rec.nextPc;
             ri.taken = rec.taken;
             ri.effAddr = rec.effAddr;
             ri.halt = rec.halted;
         }
-        RegIndex srcs[3];
-        ri.numSrcs = ri.inst.srcRegs(srcs);
-        for (int i = 0; i < ri.numSrcs; i++)
-            ri.srcs[i] = srcs[i];
-        ri.dst = ri.inst.dstReg();
-
         fetched++;
 
         bool cut = false;
         Addr next_fetch = pc + 4;
 
-        if (ri.inst.isControl()) {
+        if (ri.dec->isControl()) {
             bool pred_taken = true;
-            if (ri.inst.isCondBranch()) {
+            if (ri.dec->isCondBranch()) {
                 ri.hasBpSnap = true;
                 pred_taken = _branchPred->predict(ri.pc, ri.bpSnap);
             }
-            ri.predTaken = pred_taken;
 
             Addr pred_target = kNoAddr;
             if (pred_taken) {
-                if (ri.inst.isPcRelBranch())
-                    pred_target =
-                        _prog->pcOf(std::size_t(ri.inst.target));
-                else if (ri.inst.isReturn())
+                if (ri.dec->isPcRel())
+                    pred_target = ri.dec->targetPc;
+                else if (ri.dec->isReturn())
                     pred_target = _ras->pop();
                 else
                     pred_target = _btb->lookup(ri.pc);
@@ -832,7 +826,7 @@ RuuCore::doFetch()
                     pred_taken = false;
                 }
             }
-            if (ri.inst.isCall())
+            if (ri.dec->isCall())
                 _ras->push(ri.pc + 4);
 
             if (!_wrongPathMode) {

@@ -108,41 +108,38 @@ class RuuCore : public Machine
 
     struct RuuInst
     {
+        // The issue scan's fields come first, in one cache line.
         InstSeq seq = 0;
-        InstSeq oracleSeq = 0;
-        Addr pc = 0;
-        Instruction inst;
         bool wrongPath = false;
-        Addr nextPc = 0;
-        bool taken = false;
-        Addr effAddr = kNoAddr;
-        bool halt = false;
-
-        bool predTaken = false;
-        bool mispredicted = false;
-        bool hasBpSnap = false;
-        BranchSnapshot bpSnap;      ///< predictor history snapshot
-
-        Cycle readyForDispatch = 0;
-        Cycle dispatchCycle = kNoCycle;
-        Cycle issueCycle = kNoCycle;
-        Cycle doneCycle = kNoCycle;
         bool dispatched = false;
         bool issued = false;
         bool completed = false;
+        bool taken = false;
+        bool halt = false;
+        bool mispredicted = false;
+        bool hasBpSnap = false;
+        /** Program::decoded() record (the unop record off-text). */
+        const DecodedInst *dec = nullptr;
+        Cycle dispatchCycle = kNoCycle;
+        Cycle doneCycle = kNoCycle;
+        /** The in-flight producer of each source (below) as an RUU
+         *  position id (kNoPos = none). */
+        RuuPos producerPos[3] = {kNoPos, kNoPos, kNoPos};
 
-        RegIndex srcs[3] = {kNoReg, kNoReg, kNoReg};
+        Cycle issueCycle = kNoCycle;
+        Cycle readyForDispatch = 0;
+        InstSeq oracleSeq = 0;
+        Addr pc = 0;
+        Addr nextPc = 0;
+        Addr effAddr = kNoAddr;
         /** In-flight producer of each source, captured at dispatch
          *  (kNoCycle = value already architecturally available); the
          *  slowpath reference searches the RUU for these seqs. */
         InstSeq producers[3] = {kNoCycle, kNoCycle, kNoCycle};
-        /** The same producers as RUU position ids (kNoPos = none). */
-        RuuPos producerPos[3] = {kNoPos, kNoPos, kNoPos};
         /** Correct-path loads: the youngest older correct-path store
          *  to the same word at dispatch (kNoPos = none). */
         RuuPos forwardPos = kNoPos;
-        int numSrcs = 0;
-        RegIndex dst = kNoReg;
+        BranchSnapshot bpSnap;      ///< predictor history snapshot
     };
 
     /** Reset every unit and build the oracle: at the program's entry,

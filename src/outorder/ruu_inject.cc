@@ -127,7 +127,7 @@ RuuCore::applyInjection()
       case inject::Target::Lsq: {
         std::vector<std::size_t> mem;
         for (std::size_t i = 0; i < _ruu.size(); i++)
-            if (_ruu[i].inst.isMem())
+            if (_ruu[i].dec->isMem())
                 mem.push_back(i);
         if (mem.empty()) {
             note += "(no resident memory op; flip dropped)";

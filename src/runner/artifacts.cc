@@ -27,7 +27,7 @@ displayMachine(const CellResult &r)
 {
     std::string m = r.cell.machine;
     if (r.cell.opt != validate::Optimization::None)
-        m += "+" + validate::optimizationName(r.cell.opt);
+        m.append("+").append(validate::optimizationName(r.cell.opt));
     return m;
 }
 

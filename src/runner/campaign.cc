@@ -186,7 +186,7 @@ table2Campaign(const std::vector<std::string> &machines)
     spec.name = "table2";
     for (const std::string &w : microbenchNames())
         for (const std::string &m : machines)
-            spec.cells.push_back({m, Optimization::None, w, 0, 0, {}});
+            spec.cells.push_back({m, Optimization::None, w, 0, 0, {}, {}});
     return spec;
 }
 
@@ -205,7 +205,8 @@ table3Campaign()
     for (const MacroProfile &p : spec2000Profiles())
         for (const char *m :
              {"ds10l", "sim-alpha", "sim-stripped", "sim-outorder"})
-            spec.cells.push_back({m, Optimization::None, p.name, 0, 0, {}});
+            spec.cells.push_back(
+                {m, Optimization::None, p.name, 0, 0, {}, {}});
     return spec;
 }
 
@@ -219,7 +220,8 @@ table4Campaign()
         machines.push_back("sim-alpha-no-" + f);
     for (const MacroProfile &p : spec2000Profiles())
         for (const std::string &m : machines)
-            spec.cells.push_back({m, Optimization::None, p.name, 0, 0, {}});
+            spec.cells.push_back(
+                {m, Optimization::None, p.name, 0, 0, {}, {}});
     return spec;
 }
 
@@ -235,7 +237,7 @@ table5Campaign()
     for (const std::string &c : validate::stabilityConfigNames())
         for (Optimization opt : opts)
             for (const MacroProfile &p : spec2000Profiles())
-                spec.cells.push_back({c, opt, p.name, 0, 0, {}});
+                spec.cells.push_back({c, opt, p.name, 0, 0, {}, {}});
     return spec;
 }
 
@@ -248,7 +250,7 @@ smokeCampaign()
                           "C-S3", "C-O", "E-I", "E-D1", "E-D2",
                           "E-D3", "E-D4"})
         spec.cells.push_back(
-            {"sim-outorder", Optimization::None, w, 2000, 0, {}});
+            {"sim-outorder", Optimization::None, w, 2000, 0, {}, {}});
     return spec;
 }
 
@@ -260,7 +262,8 @@ dramSweepCampaign()
     for (const MacroProfile &p : spec2000Profiles())
         for (const char *m :
              {"sim-alpha+dram=classic", "sim-alpha+dram=openpage"})
-            spec.cells.push_back({m, Optimization::None, p.name, 0, 0, {}});
+            spec.cells.push_back(
+                {m, Optimization::None, p.name, 0, 0, {}, {}});
     return spec;
 }
 

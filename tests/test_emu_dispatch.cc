@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "isa/assembler.hh"
@@ -311,4 +312,45 @@ TEST(EmuDispatch, MemoryPageCacheSurvivesThrashAndStraddles)
     m.clear();
     EXPECT_EQ(m.read64(0x1FFD), 0u);
     EXPECT_EQ(m.pagesTouched(), 0u);
+}
+
+TEST(DecodeTable, EmulatorsOfOneProgramShareOneTableAndCopiesBuildTheirOwn)
+{
+    Program p = branchyProgram();
+    Emulator a(p);
+    Emulator b(p);
+    EXPECT_EQ(&a.decodedText(), &b.decodedText());
+    EXPECT_EQ(&a.decodedText(), &p.decoded());
+
+    Program copy = p;
+    Emulator c(copy);
+    EXPECT_NE(&c.decodedText(), &a.decodedText());
+    EXPECT_EQ(c.decodedText(), a.decodedText());
+}
+
+TEST(DecodeTable, ConcurrentFirstUseBuildsOneSharedTable)
+{
+    // Emulators of one program built on several threads at once, with
+    // no table yet, all read the one table the first of them built.
+    Program p = branchyProgram();
+    Program fresh = p;      // a copy starts with no table
+    std::vector<const std::vector<DecodedInst> *> tables(4);
+    std::vector<Checkpoint> ends(tables.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < tables.size(); t++)
+        threads.emplace_back([&, t] {
+            Emulator emu(fresh);
+            emu.run(100000);
+            ends[t] = emu.checkpoint();
+            tables[t] = &emu.decodedText();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    Emulator ref(p);
+    ref.run(100000);
+    for (std::size_t t = 0; t < tables.size(); t++) {
+        EXPECT_EQ(tables[t], &fresh.decoded());
+        EXPECT_EQ(ends[t].regs, ref.checkpoint().regs);
+    }
+    EXPECT_EQ(fresh.decoded(), p.decoded());
 }

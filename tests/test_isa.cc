@@ -215,6 +215,122 @@ TEST_P(OpcodeSweep, ClassifiesAndPrints)
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, OpcodeSweep,
                          ::testing::Range(0, int(Op::Halt) + 1));
 
+/** The shared decode must say exactly what the Instruction predicates
+ *  say, for every opcode and operand pattern: the emulator and both
+ *  timing models read only the record. */
+TEST(Decode, RecordAgreesWithPredicatesForEveryOpAndOperandPattern)
+{
+    const RegIndex regs[] = {intReg(1), intReg(kIntZeroReg), fpReg(2),
+                             fpReg(kFpZeroReg), kNoReg};
+    for (int op = 0; op <= int(Op::Halt); op++) {
+        for (RegIndex ra : regs) {
+            for (RegIndex rb : regs) {
+                for (RegIndex rc : regs) {
+                    Instruction i;
+                    i.op = Op(op);
+                    i.ra = ra;
+                    i.rb = rb;
+                    i.rc = rc;
+                    i.imm = -24;
+                    i.target = 7;
+                    SCOPED_TRACE(i.disassemble());
+                    DecodedInst d = decode(i);
+                    EXPECT_EQ(d.handler, std::uint8_t(i.op));
+                    EXPECT_EQ(d.cls, i.opClass());
+                    EXPECT_EQ(d.latency, i.latency());
+                    EXPECT_EQ(d.memBytes, i.memBytes());
+                    EXPECT_EQ(d.isLoad(), i.isLoad());
+                    EXPECT_EQ(d.isStore(), i.isStore());
+                    EXPECT_EQ(d.isMem(), i.isMem());
+                    EXPECT_EQ(d.isFpQueue(), i.isFp() && !i.isMem());
+                    EXPECT_EQ(d.isControl(), i.isControl());
+                    EXPECT_EQ(d.isCondBranch(), i.isCondBranch());
+                    EXPECT_EQ(d.isPcRel(), i.isPcRelBranch());
+                    EXPECT_EQ(d.isIndirect(), i.isIndirect());
+                    EXPECT_EQ(d.isCall(), i.isCall());
+                    EXPECT_EQ(d.isReturn(), i.isReturn());
+                    EXPECT_EQ(d.isNop(), i.isNop());
+                    EXPECT_EQ(d.isHalt(), i.isHalt());
+                    RegIndex srcs[3];
+                    int n = i.srcRegs(srcs);
+                    ASSERT_EQ(d.numSrcs, n);
+                    for (int k = 0; k < 3; k++)
+                        EXPECT_EQ(d.srcs[k], k < n ? srcs[k] : kNoReg);
+                    EXPECT_EQ(d.archDst, i.dstReg());
+                    EXPECT_EQ(d.imm, -24);
+                    EXPECT_EQ(d.target, 7);
+                    EXPECT_EQ(d.targetPc, Program::kTextBase + 28);
+                }
+            }
+        }
+    }
+}
+
+TEST(Decode, OperandsDropZeroRegistersAndKeepCmovAndLinkRegisters)
+{
+    Instruction cmov;
+    cmov.op = Op::Cmovne;
+    cmov.ra = intReg(1);
+    cmov.rb = intReg(kIntZeroReg);
+    cmov.rc = intReg(3);
+    DecodedInst d = decode(cmov);
+    ASSERT_EQ(d.numSrcs, 2);    // ra and the old rc; r31 dropped
+    EXPECT_EQ(d.srcs[0], intReg(1));
+    EXPECT_EQ(d.srcs[1], intReg(3));
+    EXPECT_EQ(d.archDst, intReg(3));
+
+    Instruction bsr;
+    bsr.op = Op::Bsr;
+    bsr.ra = intReg(26);
+    bsr.target = 0;
+    d = decode(bsr);
+    EXPECT_EQ(d.numSrcs, 0);
+    EXPECT_EQ(d.archDst, intReg(26));   // the link register
+    EXPECT_EQ(d.dst, intReg(26));
+    EXPECT_TRUE(d.isCall() && d.isPcRel() && d.isControl());
+
+    Instruction jsr;
+    jsr.op = Op::Jsr;
+    jsr.ra = intReg(kIntZeroReg);       // link discarded
+    jsr.rb = intReg(27);
+    d = decode(jsr);
+    ASSERT_EQ(d.numSrcs, 1);
+    EXPECT_EQ(d.srcs[0], intReg(27));
+    EXPECT_EQ(d.archDst, kNoReg);
+    EXPECT_EQ(d.dst, DecodedInst::kSinkSlot);
+    EXPECT_TRUE(d.isCall() && d.isIndirect() && !d.isPcRel());
+
+    Instruction addt;
+    addt.op = Op::Addt;
+    addt.ra = fpReg(kFpZeroReg);
+    addt.rb = fpReg(4);
+    addt.rc = fpReg(5);
+    d = decode(addt);
+    ASSERT_EQ(d.numSrcs, 1);
+    EXPECT_EQ(d.srcs[0], fpReg(4));
+    EXPECT_EQ(d.srcA, DecodedInst::kZeroSlot);
+    EXPECT_TRUE(d.isFpQueue());
+}
+
+TEST(Decode, DecodedAtIndexesTheTableAndIsUnopOutsideIt)
+{
+    ProgramBuilder b("t");
+    b.lda(R(1), 5);
+    b.halt();
+    Program p = b.finish();
+    const std::vector<DecodedInst> &table = p.decoded();
+    ASSERT_EQ(table.size(), p.text.size());
+    for (std::size_t i = 0; i < table.size(); i++) {
+        EXPECT_EQ(table[i], decode(p.text[i]));
+        EXPECT_EQ(&p.decodedAt(p.pcOf(i)), &table[i]);
+    }
+    const DecodedInst &off = p.decodedAt(0xDEAD0000);
+    EXPECT_EQ(off, decode(p.fetch(0xDEAD0000)));
+    EXPECT_TRUE(off.isNop());
+    EXPECT_EQ(off.numSrcs, 0);
+    EXPECT_EQ(off.archDst, kNoReg);
+}
+
 TEST(Program, PcIndexRoundTrip)
 {
     ProgramBuilder b("t");

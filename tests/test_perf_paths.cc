@@ -23,11 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "core/core.hh"
 #include "isa/machine.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
 #include "validate/machines.hh"
+#include "workloads/macro.hh"
 
 using namespace simalpha;
 
@@ -118,6 +120,44 @@ TEST(PerfPaths, SlowpathDualRunMatchesFastPathByteForByte)
     {
         ScopedSlowpath guard;
         slow = runMixedSetFresh();
+    }
+    ASSERT_FALSE(fast.empty());
+    EXPECT_EQ(fast, slow);
+}
+
+TEST(PerfPaths, SlowpathDualRunMatchesFastPathOnAWideWindow)
+{
+    // The default geometry's ring (80-entry ROB + 32-entry fetch queue)
+    // has 128 slots: two ready-set words and one wrap point. A
+    // 200-entry ROB with 64/48-entry queues makes a 256-slot ring, so
+    // the select walks four words and wraps at a different slot.
+    auto render = [] {
+        std::string all;
+        for (AlphaCoreParams params :
+             {AlphaCoreParams::golden(), AlphaCoreParams::simAlpha()}) {
+            params.robEntries = 200;
+            params.intIqEntries = 64;
+            params.fpIqEntries = 48;
+            AlphaCore core(params);
+            for (const workloads::MacroProfile &profile :
+                 workloads::spec2000Profiles()) {
+                Program program = workloads::makeMacro(profile);
+                RunResult r = core.run(program, 20000);
+                std::ostringstream os;
+                os << params.name << '/' << profile.name
+                   << ": cycles=" << r.cycles
+                   << " insts=" << r.instsCommitted << '\n';
+                core.statGroup().dump(os);
+                all += os.str();
+            }
+        }
+        return all;
+    };
+    std::string fast = render();
+    std::string slow;
+    {
+        ScopedSlowpath guard;
+        slow = render();
     }
     ASSERT_FALSE(fast.empty());
     EXPECT_EQ(fast, slow);

@@ -81,16 +81,17 @@ echo "process smoke: OK (3-shard artifact and journal byte-identical)"
 # Slowpath reference: SIMALPHA_SLOWPATH=1 runs the original per-pipe
 # issue scans and ROB walks beside the event-driven select and indexes,
 # asserting they agree every cycle; the capped Table 3 must come out
-# byte-identical to the fast path.
+# byte-identical to the fast path. The JSON artifact carries every
+# counter (the CSV only cycles, insts and IPC).
 SLOW_DIR=$(mktemp -d /tmp/simalpha-tier1-slow-XXXXXX)
 trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR"' EXIT
 ./tools/simalpha --campaign table3 --max-insts 20000 --jobs 2 \
-    --no-journal --out "$SLOW_DIR/fast.csv" > /dev/null
+    --no-journal --out "$SLOW_DIR/fast.json" > /dev/null
 SIMALPHA_SLOWPATH=1 ./tools/simalpha --campaign table3 \
     --max-insts 20000 --jobs 2 --no-journal \
-    --out "$SLOW_DIR/slow.csv" > /dev/null
-cmp "$SLOW_DIR/fast.csv" "$SLOW_DIR/slow.csv"
-echo "slowpath table3: OK (byte-identical to the fast path)"
+    --out "$SLOW_DIR/slow.json" > /dev/null
+cmp "$SLOW_DIR/fast.json" "$SLOW_DIR/slow.json"
+echo "slowpath table3: OK (every counter byte-identical to the fast path)"
 
 # Sampled byte identity: checkpoints are in-memory deltas over each
 # program's data image and never touch the store, so a sampled Table 3
