@@ -417,11 +417,20 @@ parseShardCampaignName(const std::string &name, std::size_t *index,
     return true;
 }
 
+namespace {
+
+/** `shard:` levels a name may nest: a fleet in front of a `shard:`
+ *  name needs two. Any deeper name is unknown, so a hostile name
+ *  costs a few copies of itself, not one per level. */
+constexpr int kMaxShardNesting = 2;
+
 CampaignLookup
-campaignByName(const std::string &name, std::uint64_t maxCells,
-               CampaignSpec *out, std::uint64_t *cells)
+lookupCampaign(const std::string &name, std::uint64_t maxCells,
+               CampaignSpec *out, std::uint64_t *cells, int shardLevels)
 {
     if (name.rfind("shard:", 0) == 0) {
+        if (shardLevels == kMaxShardNesting)
+            return CampaignLookup::Unknown;
         std::size_t index = 0;
         std::size_t count = 0;
         std::string base;
@@ -430,7 +439,7 @@ campaignByName(const std::string &name, std::uint64_t maxCells,
             return CampaignLookup::Unknown;
         CampaignSpec whole;
         const CampaignLookup found =
-            campaignByName(base, maxCells, &whole, cells);
+            lookupCampaign(base, maxCells, &whole, cells, shardLevels + 1);
         if (found != CampaignLookup::Found)
             return found;
         CampaignSpec sliced;
@@ -470,6 +479,15 @@ campaignByName(const std::string &name, std::uint64_t maxCells,
     else
         return CampaignLookup::Unknown;
     return CampaignLookup::Found;
+}
+
+} // namespace
+
+CampaignLookup
+campaignByName(const std::string &name, std::uint64_t maxCells,
+               CampaignSpec *out, std::uint64_t *cells)
+{
+    return lookupCampaign(name, maxCells, out, cells, 0);
 }
 
 bool

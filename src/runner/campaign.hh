@@ -171,8 +171,8 @@ bool parseShardCampaignName(const std::string &name, std::size_t *index,
                             std::string *error);
 
 /** Campaign by name ("table2".."table5", "smoke", "dramsweep", a
- *  "vuln:..." spec, or a "shard:<i>/<n>:<base>" slice); false on
- *  unknown names. */
+ *  "vuln:..." spec, or a "shard:<i>/<n>:<base>" slice, nested at most
+ *  twice); false on unknown names. */
 bool campaignByName(const std::string &name, CampaignSpec *out);
 
 /** What the capped campaignByName() made of a name. */

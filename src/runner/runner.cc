@@ -4,7 +4,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <deque>
 #include <stdexcept>
 #include <thread>
 
@@ -13,6 +12,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "runner/journal.hh"
+#include "runner/sharded.hh"
 #include "validate/manifest.hh"
 
 namespace simalpha {
@@ -97,15 +97,9 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
 }
 
 std::string
-ExperimentRunner::currentManifestHash(const Cell &cell)
-{
-    return cellManifestHash(cell);
-}
-
-std::string
 ExperimentRunner::cacheKey(const Cell &cell) const
 {
-    std::string key = currentManifestHash(cell);
+    std::string key = cellManifestHash(cell);
     if (key.empty())
         return "";
     key += '|';
@@ -538,134 +532,51 @@ ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
     return result;
 }
 
-namespace {
-
-/**
- * A per-worker deque of cell indices with LIFO owner access and FIFO
- * stealing, the classic work-stealing split: owners pop recently
- * pushed (cache-warm) work, thieves take the oldest (largest) items.
- * All work is enqueued before the pool starts, so "every deque empty"
- * means "done" — no condition variables needed.
- */
-struct WorkQueue
-{
-    std::mutex mutex;
-    std::deque<std::size_t> items;
-
-    bool
-    popFront(std::size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (items.empty())
-            return false;
-        *out = items.front();
-        items.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (items.empty())
-            return false;
-        *out = items.back();
-        items.pop_back();
-        return true;
-    }
-};
-
-} // namespace
-
 CampaignResult
 ExperimentRunner::run(const CampaignSpec &spec)
 {
-    CampaignResult result;
-    result.campaign = spec.name;
-    result.cells.resize(spec.cells.size());
+    // The one executor: ShardedRun replays the journal, keeps each cell
+    // this pool settles durable in <journal>.shards.d at once, and
+    // releases lines to the journal and onCell in spec order — so a
+    // journal at any --jobs is byte-identical to --jobs 1.
+    ShardedOptions so;
+    so.journalPath = _opts.journalPath;
+    so.journalSync = _opts.journalSync;
+    so.resume = _opts.resume;
+    if (!_opts.journalPath.empty())
+        so.scratchDir = _opts.journalPath + ".shards.d";
+    // The k-th released line is cell k's. The replayed prefix is
+    // released while `sharded` is being built; it fires right after.
+    const ShardedRun *live = nullptr;
+    std::size_t released = 0;
+    if (_opts.onCell)
+        so.sink = [&](const std::string &, bool, bool) {
+            if (live)
+                _opts.onCell(live->result(released));
+            released++;
+        };
+    ShardedRun sharded(spec, so);
+    for (std::size_t i = 0; _opts.onCell && i < released; i++)
+        _opts.onCell(sharded.result(i));
+    live = &sharded;
 
-    // Resume: cells already journaled (same campaign + identity) are
-    // served from the journal, provided their manifest hash still
-    // matches the current machine definition.
-    std::unordered_map<std::string, CellResult> replay;
-    CampaignJournal journal;
-    if (!_opts.journalPath.empty()) {
-        std::string jerror;
-        if (_opts.resume &&
-            !loadJournal(_opts.journalPath, spec.name, &replay,
-                         &jerror))
-            warn("%s (resuming nothing)", jerror.c_str());
-        if (!journal.open(_opts.journalPath, &jerror,
-                          _opts.journalSync))
-            warn("%s (campaign will not be resumable)",
-                 jerror.c_str());
-    }
-
-    // Every settled cell flows through here: fire the streaming hook
-    // (serialized — the consumer never sees concurrent calls) and
-    // store the result in its preallocated slot.
-    auto settle = [&](std::size_t i, CellResult &&r) {
-        if (_opts.onCell) {
-            std::lock_guard<std::mutex> lock(_hookMutex);
-            _opts.onCell(r);
-        }
-        result.cells[i] = std::move(r);
-    };
-
-    auto cancelled = [&]() {
-        return (_opts.cancel && *_opts.cancel) ||
-               (_opts.cancelAtomic &&
-                _opts.cancelAtomic->load(std::memory_order_relaxed));
-    };
-
-    // Each task writes exactly one preallocated slot, so completion
-    // order never affects result order (or bytes). The pool of
-    // reusable machines belongs to the calling worker alone.
-    auto execute = [&](std::size_t i, MachinePool &pool) {
+    // A cell's result: the in-memory cache, then the persistent store,
+    // then an execution whose result is cached and published.
+    auto compute = [&](std::size_t i, MachinePool &pool) {
         const Cell &cell = spec.cells[i];
-
-        // Cancelled (Ctrl-C / service cancel): leave the slot as a
-        // default result and journal nothing, so a later --resume
-        // re-runs the cell.
-        if (cancelled())
-            return;
-
-        if (!replay.empty()) {
-            auto it = replay.find(journalKey(cell));
-            // An unknown machine journals an empty manifest hash, so
-            // empty==empty correctly replays still-unknown machines.
-            if (it != replay.end() &&
-                it->second.manifestHash == currentManifestHash(cell)) {
-                CellResult journaled = it->second;
-                journaled.cell = cell;  // identity of *this* cell
-                settle(i, std::move(journaled));
-                return;
-            }
-        }
-
         std::string key = (_opts.cache || _store.isOpen())
                               ? cacheKey(cell)
                               : std::string();
 
         if (!key.empty() && _opts.cache) {
-            bool hit = false;
-            CellResult cached;
-            {
-                std::lock_guard<std::mutex> lock(_cacheMutex);
-                auto it = _cache.find(key);
-                if (it != _cache.end()) {
-                    cached = it->second;
-                    hit = true;
-                }
-            }
-            if (hit) {
+            std::lock_guard<std::mutex> lock(_cacheMutex);
+            auto it = _cache.find(key);
+            if (it != _cache.end()) {
+                CellResult cached = it->second;
                 cached.cell = cell;     // identity of *this* cell
                 cached.fromCache = true;
-                if (journal.isOpen())
-                    journal.append(spec.name, cached);
                 _cacheHits.fetch_add(1);
-                settle(i, std::move(cached));
-                return;
+                return cached;
             }
         }
 
@@ -690,10 +601,7 @@ ExperimentRunner::run(const CampaignSpec &spec)
                     std::lock_guard<std::mutex> lock(_cacheMutex);
                     _cache.emplace(key, stored);
                 }
-                if (journal.isOpen())
-                    journal.append(spec.name, stored);
-                settle(i, std::move(stored));
-                return;
+                return stored;
             }
         }
 
@@ -730,58 +638,42 @@ ExperimentRunner::run(const CampaignSpec &spec)
                     warn("%s (result not persisted)", serror.c_str());
             }
         }
-        if (journal.isOpen())
-            journal.append(spec.name, r);
-        settle(i, std::move(r));
+        return r;
     };
 
-    int jobs = _opts.jobs;
-    if (jobs <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        jobs = hw ? int(hw) : 1;
-    }
-    jobs = int(std::min<std::size_t>(std::size_t(jobs),
-                                     std::max<std::size_t>(
-                                         spec.cells.size(), 1)));
-
-    if (jobs <= 1) {
-        MachinePool pool;
-        for (std::size_t i = 0; i < spec.cells.size(); i++)
-            execute(i, pool);
-        return result;
-    }
-
-    // Round-robin initial distribution over per-worker deques.
-    std::vector<WorkQueue> queues((std::size_t(jobs)));
+    // The in-process transport: the calling thread and jobs - 1 more
+    // take the unsettled cells in spec order from one shared cursor, so
+    // uneven cells stay balanced and the release cursor keeps up; each
+    // reuses its own machines. At jobs = 1 every cell executes, and
+    // onCell fires, on the calling thread.
+    std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < spec.cells.size(); i++)
-        queues[i % std::size_t(jobs)].items.push_back(i);
-
-    auto worker = [&](std::size_t self) {
+        if (!sharded.settled(i))
+            todo.push_back(i);
+    // Cancelled (Ctrl-C / service cancel): take no new cell, so the
+    // cells left unsettled run on a later --resume.
+    auto cancelled = [this] {
+        return (_opts.cancel && *_opts.cancel) ||
+               (_opts.cancelAtomic && _opts.cancelAtomic->load());
+    };
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
         MachinePool pool;
-        std::size_t task;
-        for (;;) {
-            if (queues[self].popFront(&task)) {
-                execute(task, pool);
-                continue;
-            }
-            bool stolen = false;
-            for (std::size_t k = 1; k < queues.size() && !stolen; k++) {
-                std::size_t victim = (self + k) % queues.size();
-                stolen = queues[victim].stealBack(&task);
-            }
-            if (!stolen)
-                return;     // nothing left anywhere: pool drains
-            execute(task, pool);
-        }
+        for (std::size_t k = 0; !cancelled() && (k = next++) < todo.size();)
+            sharded.deliver(todo[k], compute(todo[k], pool));
     };
 
+    const std::size_t jobs = std::min<std::size_t>(
+        todo.size(), _opts.jobs > 0
+                         ? unsigned(_opts.jobs)
+                         : std::max(1u, std::thread::hardware_concurrency()));
     std::vector<std::thread> threads;
-    threads.reserve(std::size_t(jobs));
-    for (std::size_t w = 0; w < std::size_t(jobs); w++)
-        threads.emplace_back(worker, w);
+    for (std::size_t w = 1; w < jobs; w++)
+        threads.emplace_back(worker);
+    worker();
     for (std::thread &t : threads)
         t.join();
-    return result;
+    return sharded.finish().result;
 }
 
 std::size_t

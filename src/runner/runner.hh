@@ -3,12 +3,13 @@
  * ExperimentRunner: deterministic parallel execution of experiment
  * campaigns.
  *
- * Cells execute on a fixed-size std::thread pool with per-worker
- * work-stealing deques. Determinism comes from isolation, not
- * scheduling: every cell builds its own Program and seeds its own RNG,
- * writes its result into a preallocated slot indexed by spec order,
- * and shares nothing mutable with other cells — so a campaign at
- * --jobs 8 is bit-identical to the same campaign at --jobs 1. Machine
+ * Cells execute on a fixed-size std::thread pool, the calling thread
+ * one of its workers, that takes them in spec order from one shared
+ * cursor. Determinism comes from isolation, not scheduling: every cell
+ * builds its own Program and seeds its own RNG, settles into a slot
+ * indexed by spec order, and shares nothing mutable with other cells —
+ * so a campaign at --jobs 8 is bit-identical to the same campaign at
+ * --jobs 1. Machine
  * instances are reused within a worker (never across workers) through
  * a small per-worker pool: a machine resets every sub-unit to
  * freshly-constructed state at the start of each run, so a reused core
@@ -30,6 +31,13 @@
  * completes bit-identically to a fault-free run at any --jobs. An
  * optional append-only JSONL journal makes campaigns resumable after a
  * crash or kill (see RunnerOptions::journalPath).
+ *
+ * The pool is the in-process transport of the one executor
+ * (runner/sharded.hh; worker processes and fleet workers are the
+ * other two): the executor replays the journal, and the cells the pool
+ * settles leave for the journal and RunnerOptions::onCell in spec
+ * order, so a journal or stream at any --jobs is byte-identical to
+ * --jobs 1.
  */
 
 #ifndef SIMALPHA_RUNNER_RUNNER_HH
@@ -208,12 +216,12 @@ struct RunnerOptions
     std::vector<FaultInjection> faults;
 
     /**
-     * Append-only JSONL campaign journal (empty = disabled). Every
-     * completed cell is journaled; with resume=true, cells already
-     * journaled under the same campaign, identity, and manifest hash
-     * are served from the journal instead of re-executing, making an
-     * interrupted-and-restarted campaign byte-identical to an
-     * uninterrupted one.
+     * Append-only JSONL campaign journal (empty = disabled), written in
+     * spec order; with resume=true, cells already journaled under the
+     * same campaign, identity, and manifest hash — or held back in
+     * `<journalPath>.shards.d` — are served from there instead of
+     * re-executing, making an interrupted-and-restarted campaign
+     * byte-identical to an uninterrupted one.
      */
     std::string journalPath;
     bool resume = false;
@@ -238,13 +246,14 @@ struct RunnerOptions
     const std::atomic<bool> *cancelAtomic = nullptr;
 
     /**
-     * Result-streaming hook: called once for every cell that settles —
-     * computed, cache/store hit, or journal replay alike — with the
-     * final CellResult, as soon as it is known (not at campaign end).
-     * Calls are serialized by the runner (never concurrent), but may
-     * come from any worker thread. Cells skipped by cancellation do
-     * not fire. The campaign service streams per-cell result lines to
-     * its clients through this.
+     * Result-streaming hook: called once for every cell — computed,
+     * cache/store hit, or journal replay alike — with the final
+     * CellResult, in spec order, as it is released to the journal (not
+     * at campaign end). Calls never overlap; at jobs = 1 they run on
+     * the calling thread, else on whichever worker released the cell.
+     * Cells skipped by cancellation, and cells held back behind them,
+     * do not fire. The campaign service streams per-cell result lines
+     * to its clients through this.
      */
     std::function<void(const CellResult &)> onCell;
 };
@@ -313,13 +322,8 @@ class ExperimentRunner
                                 const std::string &manifest_hash);
     /** Cache key, or empty if the cell is not cacheable (bad machine). */
     std::string cacheKey(const Cell &cell) const;
-    /** Manifest hash of the cell's machine, empty if unknown. */
-    static std::string currentManifestHash(const Cell &cell);
 
     RunnerOptions _opts;
-
-    /** Serializes RunnerOptions::onCell calls across worker threads. */
-    std::mutex _hookMutex;
 
     mutable std::mutex _cacheMutex;
     std::unordered_map<std::string, CellResult> _cache;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <unordered_map>
 
@@ -376,12 +375,11 @@ runShardWorker(const ShardWorkerOptions &options)
     if (options.sample.enabled())
         spec = spec.withSampling(options.sample);
 
-    // The heartbeat stream and the runner's journal share one
-    // append-mode file; every line is flushed before the next is
-    // produced, so the file is a strict start/result alternation.
-    std::ofstream heartbeat(options.journalPath,
-                            std::ios::binary | std::ios::app);
-    if (!heartbeat)
+    // One append-only slice journal: a heartbeat before each cell, its
+    // result line after, each one write(2) through CampaignJournal, so
+    // the file is a strict start/result alternation.
+    CampaignJournal journal;
+    if (!journal.open(options.journalPath, nullptr, options.journalSync))
         return 2;
 
     // Store traffic is accumulated across the slice and reported as
@@ -391,10 +389,8 @@ runShardWorker(const ShardWorkerOptions &options)
     // crashing are counted by whoever served or published them.)
     StoreTraffic traffic;
     auto reportStore = [&]() {
-        if (options.storePath.empty())
-            return;
-        heartbeat << storeSummaryLine(spec.name, traffic) << '\n';
-        heartbeat.flush();
+        if (!options.storePath.empty())
+            journal.appendRaw(storeSummaryLine(spec.name, traffic));
     };
 
     for (std::size_t index : options.cells) {
@@ -406,9 +402,7 @@ runShardWorker(const ShardWorkerOptions &options)
         }
 
         const Cell &cell = spec.cells[index];
-        heartbeat << heartbeatLine(spec.name, index, cell.workload)
-                  << '\n';
-        heartbeat.flush();
+        journal.appendRaw(heartbeatLine(spec.name, index, cell.workload));
 
         CampaignSpec one;
         one.name = spec.name;
@@ -419,8 +413,6 @@ runShardWorker(const ShardWorkerOptions &options)
         ro.cache = false;
         ro.storePath = options.storePath;
         ro.maxRetries = options.maxRetries;
-        ro.journalPath = options.journalPath;
-        ro.journalSync = options.journalSync;
         for (const FaultInjection &f : options.faults)
             if (f.cellIndex == index) {
                 FaultInjection local = f;
@@ -429,7 +421,7 @@ runShardWorker(const ShardWorkerOptions &options)
             }
 
         ExperimentRunner rnr(ro);
-        rnr.run(one);
+        journal.append(spec.name, rnr.run(one).cells[0]);
         if (rnr.storeOpen()) {
             store::StoreCounters c = rnr.storeCounters();
             traffic.hits += c.hits;

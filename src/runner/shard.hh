@@ -15,9 +15,9 @@
  *     death to the in-flight cell and to enforce per-cell wall-clock
  *     timeouts, and
  *   - the ordinary campaign-journal result line *after* each cell
- *     completes (ok or contained failure), written by the regular
- *     ExperimentRunner journal path so shard journals merge with the
- *     exact bytes an in-process run would have produced.
+ *     completes (ok or contained failure): the worker runs the cell
+ *     without a journal and appends its journalLine itself, the exact
+ *     bytes an in-process run releases.
  *
  * Everything here is deliberately plain data: cell-index lists,
  * heartbeat lines, fault-injection specs (all exec-able as command
@@ -166,8 +166,8 @@ struct ShardWorkerOptions
     std::string storePath;
     /** Fault plan in campaign cell indices (worker filters + remaps). */
     std::vector<FaultInjection> faults;
-    /** fsync the shard journal after every result line (forwarded by
-     *  the supervisor's --journal-sync). */
+    /** fsync the shard journal after every line (forwarded by the
+     *  supervisor's --journal-sync). */
     bool journalSync = false;
     /** Set by a signal handler: stop before the next cell, exit 3. */
     const volatile std::sig_atomic_t *interrupted = nullptr;

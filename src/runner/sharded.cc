@@ -1,14 +1,53 @@
 #include "runner/sharded.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <thread>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "runner/shard.hh"
 
 namespace simalpha {
 namespace runner {
+
+std::string
+unusedJournalPath(const std::string &stem)
+{
+    for (int k = 1;; k++) {
+        std::string path = stem + std::to_string(k) + ".jsonl";
+        std::error_code ec;
+        if (!std::filesystem::exists(path, ec))
+            return path;
+    }
+}
+
+namespace {
+
+/** The executor's files in scratch directory @p dir, sorted by name;
+ *  only the journals with @p journalsOnly. */
+std::vector<std::string>
+scratchFiles(const std::string &dir, bool journalsOnly)
+{
+    std::vector<std::string> out;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        if ((name.rfind("shard-", 0) == 0 ||
+             name.rfind("declared-", 0) == 0 ||
+             name.rfind("arrival-", 0) == 0) &&
+            (!journalsOnly || entry.path().extension() == ".jsonl"))
+            out.push_back(entry.path().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
 
 ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
     : _spec(spec), _opts(std::move(options)),
@@ -17,6 +56,26 @@ ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
 {
     for (std::size_t i = 0; i < spec.cells.size(); i++)
         _cellsByKey[journalKey(spec.cells[i])].push_back(i);
+
+    // A resume replays every line a killed run settled or declared
+    // but spec order held back from the master; any other run starts
+    // without them.
+    const std::string &scratch = _opts.scratchDir;
+    std::string error;
+    if (!scratch.empty()) {
+        std::error_code ec;
+        if (!std::filesystem::create_directory(scratch, ec) && ec)
+            throw ConfigError("cannot create scratch directory '" +
+                              scratch + "': " + ec.message());
+        for (const std::string &path : scratchFiles(scratch, true)) {
+            if (_opts.resume)
+                _opts.replayPaths.push_back(path);
+            else
+                std::remove(path.c_str());
+        }
+        if (_opts.declaredPath.empty())
+            _opts.declaredPath = unusedJournalPath(scratch + "/declared-");
+    }
 
     // Retained journals, then the master, whose line wins for a cell
     // it holds. Without resume nothing merges: every cell starts
@@ -32,7 +91,6 @@ ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
                            : std::vector<std::string>{},
                        &_out.result, nullptr, &master, &_hashes);
 
-    std::string error;
     if (!_opts.journalPath.empty() &&
         !_journal.open(_opts.journalPath, &error, _opts.journalSync))
         warn("%s (campaign will not be resumable)", error.c_str());
@@ -53,7 +111,7 @@ bool
 ShardedRun::settled(std::size_t cell) const
 {
     std::lock_guard<std::mutex> lock(_mu);
-    return !_lines[cell].empty();
+    return settledLocked(cell);
 }
 
 void
@@ -66,13 +124,15 @@ ShardedRun::settleLocked(std::size_t cell, const std::string &line,
     result.cell = _spec.cells[cell];    // identity of *this* cell
     _out.result.cells[cell] = std::move(result);
 
-    // Release every line the spec-order prefix now holds.
+    // Release every line the spec-order prefix now holds, then free
+    // it: a cell before the cursor is settled by its place.
     for (; _cursor < _lines.size() && !_lines[_cursor].empty(); _cursor++) {
         if (_append[_cursor])
             _journal.appendRaw(_lines[_cursor]);
         if (_opts.sink)
             _opts.sink(_lines[_cursor], _out.result.cells[_cursor].ok,
                        _replayed[_cursor]);
+        std::string().swap(_lines[_cursor]);
     }
 }
 
@@ -89,11 +149,34 @@ ShardedRun::deliver(const std::string &line)
     std::lock_guard<std::mutex> lock(_mu);
     bool accepted = false;
     for (std::size_t cell : it->second)
-        if (_lines[cell].empty() && r.manifestHash == _hashes[cell]) {
+        if (!settledLocked(cell) && r.manifestHash == _hashes[cell]) {
             settleLocked(cell, line, r, false, true);
             accepted = true;
         }
     return accepted;
+}
+
+bool
+ShardedRun::deliver(std::size_t cell, CellResult result)
+{
+    // Durable now, however long its release is held back.
+    if (!_opts.scratchDir.empty()) {
+        std::call_once(_arrivalOpened, [this] {
+            std::string error;
+            if (!_arrival.open(
+                    unusedJournalPath(_opts.scratchDir + "/arrival-"),
+                    &error, _opts.journalSync))
+                warn("%s (held-back cells are not durable)",
+                     error.c_str());
+        });
+        _arrival.append(_spec.name, result);
+    }
+    const std::string line = journalLine(_spec.name, result);
+    std::lock_guard<std::mutex> lock(_mu);
+    if (settledLocked(cell))
+        return false;
+    settleLocked(cell, line, std::move(result), false, true);
+    return true;
 }
 
 bool
@@ -110,7 +193,7 @@ ShardedRun::declare(std::size_t cell, const std::string &errorClass,
     const std::string line = journalLine(_spec.name, r);
 
     std::lock_guard<std::mutex> lock(_mu);
-    if (!_lines[cell].empty())
+    if (settledLocked(cell))
         return false;
     // Durable now, however long its release is held back.
     std::string error;
@@ -160,13 +243,13 @@ ShardedRun::run(std::size_t slices, const Transport &transport)
 
     std::vector<std::size_t> pool;      // the cells to partition
     for (std::size_t i = 0; i < _lines.size(); i++)
-        if (!_opts.spreadUnsettled || _lines[i].empty())
+        if (!_opts.spreadUnsettled || !settledLocked(i))
             pool.push_back(i);
     std::vector<Slice> work;
     for (std::size_t i = 0; i < slices; i++) {
         Slice slice{i, slices, {}};
         for (std::size_t j : shardSlice(pool.size(), i, slices))
-            if (_lines[pool[j]].empty())
+            if (!settledLocked(pool[j]))
                 slice.cells.push_back(pool[j]);
         if (!slice.cells.empty())
             work.push_back(std::move(slice));
@@ -203,13 +286,32 @@ ShardedRun::run(std::size_t slices, const Transport &transport)
     lock.unlock();
     for (std::thread &t : threads)
         t.join();
+    return finish();
+}
 
-    lock.lock();
+ShardedOutcome
+ShardedRun::finish()
+{
+    std::lock_guard<std::mutex> lock(_mu);
     _out.missing.clear();
     for (std::size_t i = 0; i < _lines.size(); i++)
-        if (_lines[i].empty())
+        if (!settledLocked(i))
             _out.missing.push_back(i);
-    return std::move(_out);     // run() is called once
+
+    // A healthy run has every line in the master journal by now;
+    // anything else (a declared failure too) keeps its scratch files
+    // for post-mortem and resume.
+    const std::string &scratch = _opts.scratchDir;
+    if (!scratch.empty()) {
+        if (!_out.cancelled && _out.failure.empty() &&
+            _out.missing.empty() && !_declared.isOpen())
+            for (const std::string &path : scratchFiles(scratch, false))
+                std::remove(path.c_str());
+        std::error_code ec;
+        if (!std::filesystem::remove(scratch, ec) && ec)   // not empty
+            _out.scratchRetained = scratch;
+    }
+    return std::move(_out);     // run() or finish() is called once
 }
 
 } // namespace runner

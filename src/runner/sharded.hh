@@ -1,13 +1,17 @@
 /**
  * @file
- * The one sharded executor behind `--isolate=process` and the fleet.
+ * The one executor behind every campaign mode: in-process threads,
+ * `--isolate=process` and the fleet.
  *
  * A ShardedRun splits a campaign into n slices — slice i holds cells
  * i, i+n, ... (shardSlice) of the spec, or of the cells still unsettled
  * — and hands each slice with unsettled cells to a Transport on its
  * own thread: the supervisor spawns `simalpha
  * --shard` workers, the fleet dispatcher submits `shard:<i>/<n>:<base>`
- * to serve daemons. The rest is shared:
+ * to serve daemons. The in-process runner's thread pool needs no slice
+ * thread: its own threads deliver every cell, then it calls finish(),
+ * so at --jobs 1 everything runs on the caller's thread. The rest is
+ * shared:
  *
  *   replay   any retained journals, then the master journal, through
  *            mergeShardJournals: manifest-hash checked, newest line
@@ -24,8 +28,9 @@
  *            once and released in spec order like any other.
  *
  * A slow early cell holds later lines back from the master journal;
- * they stay durable in the transport's own journals (slice journals,
- * worker job journals), which is what a resumed run replays.
+ * they stay durable beside it, which is what a resumed run replays: in
+ * the scratch directory (slice, declared and arrival journals) or in a
+ * fleet's worker job journals.
  */
 
 #ifndef SIMALPHA_RUNNER_SHARDED_HH
@@ -75,8 +80,14 @@ struct ShardedOptions
      *  ... of the whole spec, as `shard:<i>/<n>` names require. */
     bool spreadUnsettled = false;
     /** Where declared failures are appended when declared (empty =
-     *  the master only, on release). */
+     *  the scratch directory's, else the master only, on release). */
     std::string declaredPath;
+    /** Journals beside the master (empty = none): slice journals and
+     *  logs ("shard-*"), declared failures ("declared-*") and pool
+     *  arrivals ("arrival-*"). Created if missing; a resume replays its
+     *  journals after replayPaths, any other run deletes them, and a
+     *  healthy run removes the directory. */
+    std::string scratchDir;
 
     /** Cancel flags, read only by the thread inside run(); onCancel
      *  runs there once when one is first seen. */
@@ -99,7 +110,12 @@ struct ShardedOutcome
     std::size_t replayed = 0;
     bool cancelled = false;
     std::string failure;        ///< the error of a transport that gave up
+    std::string scratchRetained;    ///< kept for post-mortem and resume
 };
+
+/** The first "<stem><k>.jsonl" (k = 1, 2, ...) not on disk, so a run
+ *  never reopens a journal a resume has yet to replay. */
+std::string unusedJournalPath(const std::string &stem);
 
 class ShardedRun
 {
@@ -116,18 +132,31 @@ class ShardedRun
     }
 
     /** Run @p transport once per slice (of @p slices) that has
-     *  unsettled cells, each on its own thread, and wait for all of
-     *  them. Call it once. */
+     *  unsettled cells, each on its own thread, wait for all of them,
+     *  and finish(). Call run() or finish() once. */
     ShardedOutcome run(std::size_t slices, const Transport &transport);
+    /** The outcome without run(), for a caller that delivers from
+     *  threads of its own and stops them on cancel itself. */
+    ShardedOutcome finish();
 
-    // For transports, from any slice thread.
+    // For transports, from any thread.
 
     /** True when @p line settled a cell that had no line yet. */
     bool deliver(const std::string &line);
+    /** Settle @p cell with a result computed in this process, durable
+     *  in the arrival journal at once; its fromCache, fromStore and
+     *  attempts stay as given. False if the cell already had a line. */
+    bool deliver(std::size_t cell, CellResult result);
     /** Settle @p cell as failed; false if it already has a line. */
     bool declare(std::size_t cell, const std::string &errorClass,
                  const std::string &message);
     bool settled(std::size_t cell) const;
+    /** The result of a released cell; from the sink, the one it is
+     *  being handed (the k-th released line is cell k's). */
+    const CellResult &result(std::size_t cell) const
+    {
+        return _out.result.cells[cell];
+    }
     /** Cancelled, or a transport gave up: start nothing new. */
     bool stopping() const { return _stop.load(); }
     /** Sleep up to @p seconds or until stopping; returns !stopping(). */
@@ -137,6 +166,10 @@ class ShardedRun
     void settleLocked(std::size_t cell, const std::string &line,
                       CellResult result, bool replayed, bool append);
     void stopLocked();
+    bool settledLocked(std::size_t cell) const
+    {
+        return cell < _cursor || !_lines[cell].empty();
+    }
 
     const CampaignSpec &_spec;
     ShardedOptions _opts;
@@ -144,10 +177,14 @@ class ShardedRun
     std::unordered_map<std::string, std::vector<std::size_t>> _cellsByKey;
     CampaignJournal _journal;
     CampaignJournal _declared;
+    CampaignJournal _arrival;           ///< opened by the first deliver()
+    std::once_flag _arrivalOpened;      ///< of a computed result
 
     mutable std::mutex _mu;
     std::condition_variable _cv;
-    std::vector<std::string> _lines;    ///< per cell; empty = unsettled
+    /** Per cell until released; empty at or past the cursor =
+     *  unsettled. */
+    std::vector<std::string> _lines;
     std::vector<char> _replayed;
     std::vector<char> _append;          ///< not in the master yet
     ShardedOutcome _out;

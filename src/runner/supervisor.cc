@@ -2,16 +2,12 @@
 
 #include <fcntl.h>
 #include <spawn.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -37,38 +33,6 @@ cellLabel(const Cell &cell)
         label.append("+").append(validate::optimizationName(cell.opt));
     label += "'";
     return label;
-}
-
-/** The first "<stem><k>.jsonl" (k = 1, 2, ...) not on disk, so a run
- *  never reopens a journal a resume has yet to replay. */
-std::string
-unusedJournalPath(const std::string &stem)
-{
-    for (int k = 1;; k++) {
-        std::string path = stem + std::to_string(k) + ".jsonl";
-        if (::access(path.c_str(), F_OK) != 0)
-            return path;
-    }
-}
-
-/** The supervisor's files in @p dir — slice journals and logs
- *  ("shard-*") and declared-failure journals ("declared-*") — sorted
- *  by name; only the journals with @p journalsOnly. */
-std::vector<std::string>
-scratchFiles(const std::string &dir, bool journalsOnly)
-{
-    std::vector<std::string> out;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if ((name.rfind("shard-", 0) == 0 ||
-             name.rfind("declared-", 0) == 0) &&
-            (!journalsOnly || entry.path().extension() == ".jsonl"))
-            out.push_back(entry.path().string());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 /** Spawn `simalpha --shard` for @p cells, journaling into @p journal
@@ -302,7 +266,8 @@ superviseCampaign(const SupervisorOptions &opts)
                           "' is not executable");
 
     // Scratch directory for slice journals, declared failures and
-    // worker logs.
+    // worker logs; the run creates it, replays or deletes what a
+    // killed run kept there, and removes it once healthy.
     std::string scratch = opts.scratchDir;
     if (scratch.empty() && !opts.masterJournalPath.empty())
         scratch = opts.masterJournalPath + ".shards.d";
@@ -312,28 +277,13 @@ superviseCampaign(const SupervisorOptions &opts)
             throw ConfigError("cannot create scratch directory for "
                               "shard journals");
         scratch = tmpl;
-    } else if (::mkdir(scratch.c_str(), 0755) != 0 &&
-               errno != EEXIST) {
-        throw ConfigError("cannot create scratch directory '" +
-                          scratch + "'");
     }
-
-    // A resume replays every line a killed run's workers settled and
-    // every failure it declared — kept in the scratch directory even
-    // when spec order held them back from the master journal. A fresh
-    // run starts without them.
     ShardedOptions so;
     so.journalPath = opts.masterJournalPath;
     so.journalSync = opts.journalSync;
     so.resume = opts.resume;
-    for (const std::string &path : scratchFiles(scratch, true)) {
-        if (opts.resume)
-            so.replayPaths.push_back(path);
-        else
-            std::remove(path.c_str());
-    }
+    so.scratchDir = scratch;
     so.spreadUnsettled = true;
-    so.declaredPath = unusedJournalPath(scratch + "/declared-");
     so.interrupted = opts.interrupted;
     so.cancel = opts.interruptedAtomic;
     so.sink = opts.onLine;
@@ -360,6 +310,7 @@ superviseCampaign(const SupervisorOptions &opts)
     out.result = std::move(done.result);
     out.interrupted = done.cancelled;
     out.replayedCells = done.replayed;
+    out.scratchRetained = done.scratchRetained;
     for (const SliceTally &t : tallies) {
         out.spawns += t.spawns;
         out.respawns += t.respawns;
@@ -372,18 +323,6 @@ superviseCampaign(const SupervisorOptions &opts)
         out.storeTraffic.bytesWritten += t.store.bytesWritten;
     }
 
-    // Healthy runs delete every slice journal, declared-failure journal
-    // and log (all are in the master journal now); anything that
-    // crashed, timed out, or was interrupted keeps the directory for
-    // post-mortem (worker logs) and resume (slice journals).
-    if (!out.interrupted && out.crashedCells == 0 &&
-        out.timedOutCells == 0) {
-        for (const std::string &path : scratchFiles(scratch, false))
-            std::remove(path.c_str());
-        ::rmdir(scratch.c_str());   // fails harmlessly if non-empty
-    } else {
-        out.scratchRetained = scratch;
-    }
     return out;
 }
 

@@ -29,13 +29,10 @@
  *         every serialized field).
  *
  * The supervisor is the process transport of a ShardedRun
- * (runner/sharded.hh): worker result lines and declared failures are
- * released into the master journal in spec order, verbatim, so its
- * journal is byte-identical to an in-process `--jobs 1` run. A line
- * held back by a slower earlier cell is already durable — in its
- * slice journal, or (a declared failure) in a declared-failure
- * journal in the scratch directory — so Ctrl-C or a supervisor crash
- * loses nothing and `--resume` replays every settled cell.
+ * (runner/sharded.hh), which releases worker lines and declared
+ * failures into the master journal in spec order and keeps held-back
+ * ones durable in the scratch directory, so Ctrl-C or a supervisor
+ * crash loses nothing and `--resume` replays every settled cell.
  */
 
 #ifndef SIMALPHA_RUNNER_SUPERVISOR_HH
@@ -68,9 +65,8 @@ struct SupervisorOptions
     int shards = 0;
     /** Path to the simalpha binary to exec as workers. */
     std::string workerBinary;
-    /** Scratch directory for slice journals, declared failures and
-     *  worker logs; empty = derive from the master journal path or a
-     *  temp directory. A resume replays the journals it kept. */
+    /** Scratch directory (ShardedOptions::scratchDir); empty =
+     *  derive from the master journal path or a temp directory. */
     std::string scratchDir;
 
     /** Per-cell wall-clock budget in seconds (0 = no timeout). */

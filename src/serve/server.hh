@@ -10,7 +10,7 @@
  * interesting cases one code path:
  *
  *   cold submit      journal empty, every cell computes, lines stream
- *                    as they settle;
+ *                    in spec order as they settle;
  *   warm submit      cells already in the store are served from disk
  *                    (byte-identical), streaming near-instantly;
  *   crashed daemon   restart + resubmit replays the job journal and

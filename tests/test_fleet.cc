@@ -261,6 +261,30 @@ TEST(FleetShard, SlicesPartitionTheBaseRoundRobinKeepingItsName)
     EXPECT_FALSE(runner::campaignByName("shard:0/2:nonsense", &slice));
 }
 
+TEST(FleetShard, NestingIsCappedAtTheTwoLevelsAFleetNeeds)
+{
+    // A fleet in front of a shard: name: slice 0 of 2 of slice 1 of 2
+    // of smoke holds smoke cells 1, 5, 9.
+    runner::CampaignSpec whole, nested;
+    ASSERT_TRUE(runner::campaignByName("smoke", &whole));
+    ASSERT_TRUE(
+        runner::campaignByName("shard:0/2:shard:1/2:smoke", &nested));
+    EXPECT_EQ(nested.name, whole.name);
+    ASSERT_EQ(nested.cells.size(), 3u);
+    for (std::size_t c = 0; c < nested.cells.size(); c++)
+        EXPECT_EQ(runner::journalKey(nested.cells[c]),
+                  runner::journalKey(whole.cells[1 + 4 * c]))
+            << c;
+
+    // One level past the cap is unknown, on the capped lookup too.
+    runner::CampaignSpec deeper;
+    const std::string name = "shard:0/1:shard:0/2:shard:1/2:smoke";
+    EXPECT_FALSE(runner::campaignByName(name, &deeper));
+    std::uint64_t cells = 0;
+    EXPECT_EQ(runner::campaignByName(name, 1000, &deeper, &cells),
+              runner::CampaignLookup::Unknown);
+}
+
 TEST(FleetRegistry, WorkerListParsesAndRejectsEmpties)
 {
     std::vector<WorkerConfig> workers;

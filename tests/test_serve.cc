@@ -1417,3 +1417,16 @@ TEST(Serve, ARequestThatThrowsGetsAnErrorLineAndTheDaemonKeepsAnswering)
         << error;
     EXPECT_EQ(serveEvent(reply), "health") << reply;
 }
+
+TEST(Serve, ThreadPoolStreamsInSpecOrderLikeJobsOne)
+{
+    // Four pool threads settle in any order; the stream leaves in spec
+    // order, the `--jobs 1` lines unsorted.
+    TestDaemon daemon("threadorder");
+    daemon.opts.jobs = 4;
+    ASSERT_TRUE(daemon.start());
+    SubmitOutcome o = submitCampaign(daemon.client(), "smoke", 20000);
+    ASSERT_TRUE(o.ok) << o.error;
+    EXPECT_EQ(o.lines, specOrderLines(20000));
+    EXPECT_EQ(daemon.server->stats().cellsComputed, o.lines.size());
+}

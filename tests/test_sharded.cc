@@ -6,6 +6,8 @@
  * SIGKILLed `--isolate=process` supervisor whose settled cells were
  * all held back from the master journal by a hung first cell, resumed
  * to the `--jobs 1` artifact.
+ * Its thread-mode twin SIGKILLs a `--jobs 3` run the same way and
+ * resumes it from the pool's arrival journal.
  */
 
 #include <gtest/gtest.h>
@@ -637,5 +639,90 @@ TEST(ShardedDurability, ThreadRerunIsNotUndoneByAnOlderRunsRetainedFailure)
                               .c_str()),
               0);
     EXPECT_EQ(slurp(out), slurp(dir + "/ref.json"));
+    std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+/** Distinct cells settled in the in-process arrival journals kept in
+ *  @p scratch. */
+std::size_t
+settledInArrivalJournals(const std::string &scratch)
+{
+    std::set<std::string> keys;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(scratch, ec)) {
+        if (entry.path().filename().string().rfind("arrival-", 0) != 0)
+            continue;
+        for (const std::string &line :
+             fileLines(entry.path().string())) {
+            CellResult r;
+            std::string key;
+            if (parseJournalLine(line, "smoke", &r, &key))
+                keys.insert(key);
+        }
+    }
+    return keys.size();
+}
+
+} // namespace
+
+TEST(ShardedDurability, KilledThreadRunResumesHeldBackCells)
+{
+    const std::string dir = uniqueDir("thread-drill");
+    const std::string out = dir + "/thread.json";
+    const std::string journal = out + ".journal.jsonl";
+    const std::string scratch = journal + ".shards.d";
+
+    // Cell 0 hangs on one pool thread, so spec order releases nothing
+    // to the master journal while the other two settle the 11 others.
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::setpgid(0, 0);
+        std::freopen("/dev/null", "w", stdout);
+        std::freopen("/dev/null", "w", stderr);
+        ::execl(SIMALPHA_BIN, SIMALPHA_BIN, "--campaign", "smoke",
+                "--jobs", "3", "--inject", "0:hang", "--out",
+                out.c_str(), (char *)nullptr);
+        ::_exit(127);
+    }
+    ::setpgid(child, child);
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (settledInArrivalJournals(scratch) < 11 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::size_t settled = settledInArrivalJournals(scratch);
+    const std::size_t released = fileLines(journal).size();
+    ASSERT_EQ(::kill(-child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_EQ(settled, 11u);
+    EXPECT_EQ(released, 0u);
+
+    // Resume without the fault: the 11 held-back cells replay from the
+    // arrival journal, only cell 0 runs, and both the artifact and the
+    // master journal equal a `--jobs 1` run's.
+    const std::string bin = SIMALPHA_BIN;
+    const std::string log = dir + "/resume.log";
+    ASSERT_EQ(std::system((bin + " --campaign smoke --jobs 3 --resume "
+                                 "--out " +
+                           out + " >" + log + " 2>&1")
+                              .c_str()),
+              0)
+        << slurp(log);
+    EXPECT_NE(slurp(log).find("resumed     11 cells"), std::string::npos)
+        << slurp(log);
+    ASSERT_EQ(std::system((bin + " --campaign smoke --jobs 1 --out " +
+                           dir + "/ref.json >/dev/null 2>&1")
+                              .c_str()),
+              0);
+    EXPECT_EQ(slurp(out), slurp(dir + "/ref.json"));
+    EXPECT_EQ(slurp(journal), slurp(dir + "/ref.json.journal.jsonl"));
+    // A healthy resume deletes what it replayed.
+    EXPECT_FALSE(std::filesystem::exists(scratch));
     std::filesystem::remove_all(dir);
 }

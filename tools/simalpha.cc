@@ -18,7 +18,7 @@
  *   simalpha --campaign table2 --jobs 8 --out table2.json
  *   simalpha --campaign table5 --jobs 4 --max-insts 100000 --out t5.csv
  *
- * Two isolation modes share the campaign artifacts byte for byte:
+ * Two isolation modes share artifacts and journals byte for byte:
  * the default `--isolate=thread` pool contains any fault that surfaces
  * as a C++ exception, while `--isolate=process` shards the campaign
  * over `simalpha --shard` worker processes so even a SIGSEGV, an OOM
@@ -28,9 +28,10 @@
  *            --cell-timeout 120 --out table4.json
  *
  * Campaigns with --out keep an append-only journal (<out>.journal.jsonl)
- * of completed cells; a killed or Ctrl-C'd campaign restarted with
- * --resume serves journaled cells and re-executes only the rest, with
- * byte-identical artifacts.
+ * of settled cells in spec order, at any --jobs (cells held back behind
+ * a slower one wait in <out>.journal.jsonl.shards.d); a killed or
+ * Ctrl-C'd campaign restarted with --resume serves journaled cells and
+ * re-executes only the rest, with byte-identical artifacts.
  *
  * This is the only place a simulator error is turned into a process
  * exit: 0 = success, 1 = cell/run failures, 2 = usage/config errors,

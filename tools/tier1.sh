@@ -11,6 +11,7 @@ ctest --output-on-failure -j "$@"
 
 # Serve smoke: daemon up, one capped campaign through the socket,
 # clean shutdown — the CLI path the ctest suite exercises in-process.
+# Its raw stream is checked against a --jobs 1 daemon's below.
 SERVE_DIR=$(mktemp -d /tmp/simalpha-tier1-serve-XXXXXX)
 trap 'rm -rf "$SERVE_DIR"' EXIT
 ./tools/simalpha serve --store "$SERVE_DIR/store" --jobs 2 \
@@ -18,15 +19,18 @@ trap 'rm -rf "$SERVE_DIR"' EXIT
 SERVE_PID=$!
 sleep 1
 ./tools/simalpha submit --store "$SERVE_DIR/store" \
-    --campaign smoke --max-insts 20000 --quiet --timeout 120
+    --campaign smoke --max-insts 20000 --timeout 120 \
+    > "$SERVE_DIR/serve.jsonl"
 ./tools/simalpha submit --store "$SERVE_DIR/store" --op shutdown \
     > /dev/null
 wait "$SERVE_PID"
 echo "serve smoke: OK"
 
 # Fleet smoke: two loopback worker daemons behind a fleet front-end.
-# The merged stream must be byte-identical to a single-host --jobs 1
-# run — the fleet's spec-order merge barrier is exactly that order.
+# The raw streams of the fleet and of the --jobs 2 serve smoke must be
+# byte-identical to a --jobs 1 daemon's: every executor releases in
+# spec order. (`submit --out` artifacts would not show it: they are
+# rebuilt in spec order whatever order the stream had.)
 FLEET_DIR=$(mktemp -d /tmp/simalpha-tier1-fleet-XXXXXX)
 trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR"' EXIT
 ./tools/simalpha serve --store "$FLEET_DIR/ref" --jobs 1 \
@@ -34,8 +38,7 @@ trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR"' EXIT
 REF_PID=$!
 sleep 1
 ./tools/simalpha submit --store "$FLEET_DIR/ref" --campaign smoke \
-    --max-insts 20000 --out "$FLEET_DIR/ref.jsonl" --quiet \
-    --timeout 120
+    --max-insts 20000 --timeout 120 > "$FLEET_DIR/ref.jsonl"
 ./tools/simalpha submit --store "$FLEET_DIR/ref" --op shutdown \
     > /dev/null
 wait "$REF_PID"
@@ -52,8 +55,7 @@ sleep 1
 FLEET_PID=$!
 sleep 1
 ./tools/simalpha submit --store "$FLEET_DIR/front" --campaign smoke \
-    --max-insts 20000 --out "$FLEET_DIR/fleet.jsonl" --quiet \
-    --timeout 120
+    --max-insts 20000 --timeout 120 > "$FLEET_DIR/fleet.jsonl"
 ./tools/simalpha submit --store "$FLEET_DIR/front" --op shutdown \
     > /dev/null
 wait "$FLEET_PID"
@@ -62,21 +64,28 @@ wait "$FLEET_PID"
 ./tools/simalpha submit --store "$FLEET_DIR/w1" --op shutdown \
     > /dev/null
 wait "$W0_PID" "$W1_PID"
+cmp "$FLEET_DIR/ref.jsonl" "$SERVE_DIR/serve.jsonl"
 cmp "$FLEET_DIR/ref.jsonl" "$FLEET_DIR/fleet.jsonl"
-echo "fleet smoke: OK (2-worker stream byte-identical)"
+echo "fleet smoke: OK (serve and 2-worker fleet streams byte-identical)"
 
-# Process isolation: three worker processes settle in any order, but
-# the merge barrier releases in spec order, so the artifact and the
-# master journal are byte-identical to an in-process --jobs 1 run.
+# Process isolation and the thread pool: three worker processes or
+# four pool threads settle in any order, but the executor releases in
+# spec order, so the artifact and the master journal are
+# byte-identical to an in-process --jobs 1 run.
 PROC_DIR=$(mktemp -d /tmp/simalpha-tier1-proc-XXXXXX)
 trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR"' EXIT
 ./tools/simalpha --campaign smoke --isolate=process --shards 3 \
     --out "$PROC_DIR/proc.json" > /dev/null
+./tools/simalpha --campaign smoke --jobs 4 \
+    --out "$PROC_DIR/jobs4.json" > /dev/null
 ./tools/simalpha --campaign smoke --jobs 1 \
     --out "$PROC_DIR/ref.json" > /dev/null
-cmp "$PROC_DIR/ref.json" "$PROC_DIR/proc.json"
-cmp "$PROC_DIR/ref.json.journal.jsonl" "$PROC_DIR/proc.json.journal.jsonl"
-echo "process smoke: OK (3-shard artifact and journal byte-identical)"
+for mode in proc jobs4; do
+    cmp "$PROC_DIR/ref.json" "$PROC_DIR/$mode.json"
+    cmp "$PROC_DIR/ref.json.journal.jsonl" \
+        "$PROC_DIR/$mode.json.journal.jsonl"
+done
+echo "process smoke: OK (3-shard and --jobs 4 artifacts and journals byte-identical)"
 
 # Slowpath reference: SIMALPHA_SLOWPATH=1 runs the original per-pipe
 # issue scans and ROB walks beside the event-driven select and indexes,
@@ -96,9 +105,8 @@ echo "slowpath table3: OK (every counter byte-identical to the fast path)"
 # Sampled byte identity: checkpoints are in-memory deltas over each
 # program's data image and never touch the store, so a sampled Table 3
 # comes out byte-identical with no store, a cold store, the same store
-# warm, --jobs 4, three worker processes, and the slowpath reference.
-# Thread-mode journals are written in arrival order, so the --jobs 4
-# run compares its artifact only.
+# warm, --jobs 4, three worker processes, and the slowpath reference;
+# so are their spec-ordered journals.
 SAMPLE_DIR=$(mktemp -d /tmp/simalpha-tier1-sample-XXXXXX)
 trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR"' EXIT
 sampled() {
@@ -117,7 +125,7 @@ SIMALPHA_SLOWPATH=1 sampled slow --jobs 1
 for mode in cold warm jobs4 proc slow; do
     cmp "$SAMPLE_DIR/ref.json" "$SAMPLE_DIR/$mode.json"
 done
-for mode in cold warm proc slow; do
+for mode in cold warm jobs4 proc slow; do
     cmp "$SAMPLE_DIR/ref.json.journal.jsonl" \
         "$SAMPLE_DIR/$mode.json.journal.jsonl"
 done
