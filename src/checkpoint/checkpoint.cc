@@ -7,6 +7,8 @@
 #include <cstring>
 #include <map>
 
+#include "common/logging.hh"
+
 namespace simalpha {
 namespace checkpoint {
 
@@ -186,6 +188,8 @@ hex16(std::uint64_t v)
 std::uint64_t
 programHash(const Program &program)
 {
+    // Hashes the word list, which a released program no longer has.
+    sim_assert(!program.dataReleased());
     std::uint64_t h = kFnvOffset;
     mixBytes(h, program.name.data(), program.name.size());
     mixU64(h, program.entryPc);

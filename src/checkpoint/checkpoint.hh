@@ -17,9 +17,11 @@
  * instruction count, and the memory words that differ from the
  * program's initial data image) and therefore machine-independent:
  * every timing model restores from the same state. They live in
- * memory only: a sampled cell fast-forwards, snapshots each planned
- * window, and never persists a checkpoint. Restoring one costs the
- * shared image plus the few words the program wrote.
+ * memory only: the first sampled cell of a (workload, cap, spec) in a
+ * run fast-forwards and snapshots each planned window, the run's other
+ * cells of that triple restore from the same set, and no checkpoint is
+ * persisted. Restoring one costs the shared image plus the few words
+ * the program wrote.
  *
  * The store-backed half of this file — the ckpt1 blob codec, the
  * ckpt|/ckpt-meta| keys, collectCheckpoints' store branch and
@@ -73,7 +75,8 @@ bool parseCheckpoint(const std::string &text, Checkpoint *out,
  * instruction, every initial data word). Checkpoints hold pure
  * architectural state, so they are keyed by the *workload's* identity
  * rather than any machine manifest — the same blob warms a sim-alpha
- * window and a sim-outorder window alike.
+ * window and a sim-outorder window alike. A program whose words were
+ * released (Program::releaseData) fails its sim_assert.
  */
 std::uint64_t programHash(const Program &program);
 

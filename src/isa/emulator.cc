@@ -37,10 +37,23 @@ PageImage::build(const std::vector<std::pair<Addr, RegVal>> &data)
 std::shared_ptr<const PageImage>
 Program::dataImage() const
 {
-    const PageImage &image =
-        _image.get([this] { return PageImage::build(data); });
-    sim_assert(image.dataWords == data.size());
+    const PageImage &image = _image.get([this] {
+        // Released words are gone: only the image built before the
+        // release stands for them, and a copy starts without it.
+        sim_assert(!_dataReleased);
+        return PageImage::build(data);
+    });
+    sim_assert(_dataReleased ? data.empty()
+                             : image.dataWords == data.size());
     return _image.value;
+}
+
+void
+Program::releaseData()
+{
+    dataImage();
+    decltype(data)().swap(data);
+    _dataReleased = true;
 }
 
 const SparseMemory::Page *

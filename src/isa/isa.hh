@@ -329,6 +329,16 @@ class Program
      */
     std::shared_ptr<const PageImage> dataImage() const;
 
+    /**
+     * Build dataImage() and free `data`: from here on the image alone
+     * stands for the words. A word appended later, or a copy of this
+     * Program asking for an image of its own, fails its sim_assert.
+     * For a program many cells share, whose word list would otherwise
+     * live as long as the image.
+     */
+    void releaseData();
+    bool dataReleased() const { return _dataReleased; }
+
   private:
     /** A value derived from the program, built on first use. Copying
      *  starts a fresh, empty slot. */
@@ -369,6 +379,7 @@ class Program
 
     mutable LazySlot<std::vector<DecodedInst>> _decoded;
     mutable LazySlot<PageImage> _image;
+    bool _dataReleased = false;
 };
 
 } // namespace simalpha

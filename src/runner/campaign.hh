@@ -6,8 +6,9 @@
  *
  * A cell is fully self-describing — machine name, Table-5 optimization,
  * workload name, instruction limit, and RNG seed — so executing it
- * needs no shared state beyond the immutable workload catalogue, which
- * is what makes parallel campaigns bit-identical to serial ones.
+ * needs no shared state beyond the immutable workload catalogue and
+ * the programs built from it, which is what makes parallel campaigns
+ * bit-identical to serial ones.
  */
 
 #ifndef SIMALPHA_RUNNER_CAMPAIGN_HH
@@ -84,8 +85,9 @@ std::vector<std::string> workloadNames();
 
 /**
  * Generate a bundled workload by name. Each call builds a fresh
- * Program (generation is deterministic), so concurrent cells never
- * share mutable state.
+ * Program (generation is deterministic). ExperimentRunner calls it
+ * once per workload per run and hands every cell of that workload the
+ * same read-only Program, its word list released (WorkloadTable).
  * @return false with *error filled on an unknown name.
  */
 bool buildWorkload(const std::string &name, Program *out,

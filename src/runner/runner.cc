@@ -163,7 +163,122 @@ class StallingMachine : public Machine
     stats::Group _stats{"stall-stub"};
 };
 
+/** Key of a sampled cell's windows: its workload, cap and spec. */
+std::string
+windowsKey(const Cell &cell)
+{
+    return cell.workload + '|' + std::to_string(cell.maxInsts) + '|' +
+           checkpoint::formatSampleSpec(cell.sample);
+}
+
 } // namespace
+
+WorkloadTable::WorkloadTable(const CampaignSpec &spec,
+                             const std::vector<std::size_t> &cells,
+                             Build build)
+    : _build(build)
+{
+    for (std::size_t i : cells) {
+        const Cell &cell = spec.cells[i];
+        _programs[cell.workload].cells++;
+        if (cell.sample.enabled())
+            _windows[windowsKey(cell)].cells++;
+    }
+}
+
+template <typename T, typename Make>
+std::shared_ptr<const T>
+WorkloadTable::share(Entries<T> &entries, const std::string &key,
+                     const Make &make, std::string *error)
+{
+    std::unique_lock<std::mutex> lock(_mu);
+    auto it = entries.find(key);
+    sim_assert(it != entries.end());
+    // The reference stays valid: only settle() erases, and not while
+    // this cell, which names the entry, is unsettled.
+    Entry<T> &entry = it->second;
+    _buildDone.wait(lock, [&] { return !entry.building; });
+    if (!entry.built) {
+        entry.building = true;
+        lock.unlock();
+        std::shared_ptr<T> value;
+        std::string why;
+        bool ok = false;
+        try {
+            value = std::make_shared<T>();
+            ok = make(value.get(), &why);
+        } catch (...) {
+            lock.lock();
+            entry.building = false;
+            _buildDone.notify_all();
+            throw;
+        }
+        lock.lock();
+        entry.building = false;
+        entry.built = true;
+        if (ok)
+            entry.value = std::move(value);
+        else
+            entry.error = why;
+        _buildDone.notify_all();
+    }
+    if (!entry.value)
+        *error = entry.error;
+    return entry.value;
+}
+
+std::shared_ptr<const Program>
+WorkloadTable::program(const Cell &cell, std::string *error)
+{
+    return share(_programs, cell.workload,
+                 [&](Program *out, std::string *why) {
+                     if (!_build(cell.workload, out, why))
+                         return false;
+                     // Build what readers would otherwise build on
+                     // first use, then free the words: the image
+                     // stands for them. checkpoint::programHash hashes
+                     // them, but the runner never calls it (its
+                     // sampled path passes no store), so no released
+                     // program reaches it; it asserts as much.
+                     out->decoded();
+                     out->releaseData();
+                     return true;
+                 },
+                 error);
+}
+
+std::shared_ptr<const SampledWindows>
+WorkloadTable::windows(const Cell &cell, const MakeWindows &make,
+                       std::string *error)
+{
+    return share(_windows, windowsKey(cell), make, error);
+}
+
+template <typename T>
+std::shared_ptr<const T>
+WorkloadTable::drop(Entries<T> &entries, const std::string &key)
+{
+    auto it = entries.find(key);
+    sim_assert(it != entries.end() && it->second.cells > 0);
+    if (--it->second.cells > 0)
+        return nullptr;
+    std::shared_ptr<const T> last = std::move(it->second.value);
+    entries.erase(it);
+    return last;
+}
+
+void
+WorkloadTable::settle(const Cell &cell)
+{
+    std::shared_ptr<const Program> program;
+    std::shared_ptr<const SampledWindows> windows;
+    std::lock_guard<std::mutex> lock(_mu);
+    program = drop(_programs, cell.workload);
+    if (cell.sample.enabled())
+        windows = drop(_windows, windowsKey(cell));
+    // Declared before the lock, so what was the last reference is
+    // freed after the lock is released.
+}
 
 /**
  * A small LRU pool of Machine instances keyed by (machine, opt),
@@ -218,27 +333,34 @@ class ExperimentRunner::MachinePool
 void
 ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
                                  const Program &program,
+                                 WorkloadTable &workloads,
                                  CellResult *result)
 {
     namespace ck = checkpoint;
 
-    // Workload length under the cap: one cheap functional pass. The
-    // checkpoints are in-memory deltas over the program's data image;
-    // nothing of them is read from or written to the store.
-    ck::FastForwardInfo info = ck::fastForward(program, cell.maxInsts);
-    std::vector<ck::WindowPlan> plan =
-        ck::planWindows(info.totalInsts, cell.sample);
-
-    std::vector<std::uint64_t> offsets;
-    offsets.reserve(plan.size());
-    for (const ck::WindowPlan &w : plan)
-        offsets.push_back(w.checkpointAt);
-
-    std::vector<Checkpoint> ckpts;
+    // The first sampled cell of this workload, cap and spec makes the
+    // windows for all of them: the workload's length under the cap in
+    // one cheap functional pass, then the checkpoints, in-memory deltas
+    // over the program's data image; nothing of them is read from or
+    // written to the store.
     std::string error;
-    if (!ck::collectCheckpoints(program, offsets, nullptr, &ckpts,
-                                &error))
+    std::shared_ptr<const SampledWindows> windows = workloads.windows(
+        cell,
+        [&](SampledWindows *out, std::string *why) {
+            out->info = ck::fastForward(program, cell.maxInsts);
+            out->plan = ck::planWindows(out->info.totalInsts, cell.sample);
+            std::vector<std::uint64_t> offsets;
+            offsets.reserve(out->plan.size());
+            for (const ck::WindowPlan &w : out->plan)
+                offsets.push_back(w.checkpointAt);
+            return ck::collectCheckpoints(program, offsets, nullptr,
+                                          &out->checkpoints, why);
+        },
+        &error);
+    if (!windows)
         throw InvariantError(error);
+    const ck::FastForwardInfo &info = windows->info;
+    const std::vector<ck::WindowPlan> &plan = windows->plan;
 
     // The measured windows. Checkpoints are deterministic functions of
     // the program, which keeps sampled campaigns byte-identical across
@@ -249,7 +371,7 @@ ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
     std::map<std::string, std::uint64_t> counters;
     for (std::size_t i = 0; i < plan.size(); i++) {
         std::map<std::string, std::uint64_t> wc;
-        RunResult wr = machine->runWindow(program, ckpts[i],
+        RunResult wr = machine->runWindow(program, windows->checkpoints[i],
                                           plan[i].warmup,
                                           plan[i].measure, &wc);
         total_cycles += wr.cycles;
@@ -414,7 +536,8 @@ ExperimentRunner::runInjectedCell(const Cell &cell, Machine *machine,
 
 CellResult
 ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
-                          int attempt, MachinePool &pool)
+                          int attempt, MachinePool &pool,
+                          WorkloadTable &workloads)
 {
     CellResult result;
     result.cell = cell;
@@ -434,12 +557,14 @@ ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
         }
         result.manifestHash = validate::manifestHashHex(config);
 
-        Program program;
-        if (!buildWorkload(cell.workload, &program, &error)) {
+        std::shared_ptr<const Program> shared =
+            workloads.program(cell, &error);
+        if (!shared) {
             result.error = error;
             result.errorClass = "workload";
             return result;
         }
+        const Program &program = *shared;
 
         // Fault stand-ins are built fresh (and discarded); real
         // machines come from the worker's pool and are reused across
@@ -499,7 +624,7 @@ ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
         } else if (cell.inject.enabled()) {
             runInjectedCell(cell, machine, program, &result);
         } else if (cell.sample.enabled()) {
-            runSampledCell(cell, machine, program, &result);
+            runSampledCell(cell, machine, program, workloads, &result);
         } else {
             RunResult r = machine->run(program, cell.maxInsts);
             result.ok = true;
@@ -560,6 +685,17 @@ ExperimentRunner::run(const CampaignSpec &spec)
         _opts.onCell(sharded.result(i));
     live = &sharded;
 
+    // The cells still to settle, and the workloads they share. The
+    // table builds through buildWorkload, and sampled cells make their
+    // windows through fastForward and collectCheckpoints, all named in
+    // this file, so a link-time wrapper of them (campaignbench's) still
+    // sees every real build and pass.
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < spec.cells.size(); i++)
+        if (!sharded.settled(i))
+            todo.push_back(i);
+    WorkloadTable workloads(spec, todo, &buildWorkload);
+
     // A cell's result: the in-memory cache, then the persistent store,
     // then an execution whose result is cached and published.
     auto compute = [&](std::size_t i, MachinePool &pool) {
@@ -614,7 +750,7 @@ ExperimentRunner::run(const CampaignSpec &spec)
         int attempt = 0;
         for (;;) {
             attempt++;
-            r = runCell(cell, fault, attempt, pool);
+            r = runCell(cell, fault, attempt, pool, workloads);
             if (r.ok || !r.retryable || attempt > _opts.maxRetries)
                 break;
         }
@@ -646,10 +782,6 @@ ExperimentRunner::run(const CampaignSpec &spec)
     // uneven cells stay balanced and the release cursor keeps up; each
     // reuses its own machines. At jobs = 1 every cell executes, and
     // onCell fires, on the calling thread.
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < spec.cells.size(); i++)
-        if (!sharded.settled(i))
-            todo.push_back(i);
     // Cancelled (Ctrl-C / service cancel): take no new cell, so the
     // cells left unsettled run on a later --resume.
     auto cancelled = [this] {
@@ -659,8 +791,12 @@ ExperimentRunner::run(const CampaignSpec &spec)
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
         MachinePool pool;
-        for (std::size_t k = 0; !cancelled() && (k = next++) < todo.size();)
-            sharded.deliver(todo[k], compute(todo[k], pool));
+        for (std::size_t k = 0;
+             !cancelled() && (k = next++) < todo.size();) {
+            CellResult r = compute(todo[k], pool);
+            workloads.settle(spec.cells[todo[k]]);
+            sharded.deliver(todo[k], std::move(r));
+        }
     };
 
     const std::size_t jobs = std::min<std::size_t>(

@@ -6,10 +6,12 @@
  * Cells execute on a fixed-size std::thread pool, the calling thread
  * one of its workers, that takes them in spec order from one shared
  * cursor. Determinism comes from isolation, not scheduling: every cell
- * builds its own Program and seeds its own RNG, settles into a slot
- * indexed by spec order, and shares nothing mutable with other cells —
- * so a campaign at --jobs 8 is bit-identical to the same campaign at
- * --jobs 1. Machine
+ * seeds its own RNG, settles into a slot indexed by spec order, and
+ * shares nothing mutable with other cells. What cells do share is
+ * immutable: one Program per workload per run (WorkloadTable), built
+ * once and then only read, and one checkpoint set per sampled
+ * workload — so a campaign at --jobs 8 is bit-identical to the same
+ * campaign at --jobs 1. Machine
  * instances are reused within a worker (never across workers) through
  * a small per-worker pool: a machine resets every sub-unit to
  * freshly-constructed state at the start of each run, so a reused core
@@ -44,10 +46,12 @@
 #define SIMALPHA_RUNNER_RUNNER_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -258,6 +262,89 @@ struct RunnerOptions
     std::function<void(const CellResult &)> onCell;
 };
 
+/** What a sampled cell measures from: the workload's length under
+ *  the cap, the window plan and one checkpoint per window. All three
+ *  are machine-independent (DESIGN §5.4). */
+struct SampledWindows
+{
+    checkpoint::FastForwardInfo info;
+    std::vector<checkpoint::WindowPlan> plan;
+    std::vector<Checkpoint> checkpoints;
+};
+
+/**
+ * The workloads of one ExperimentRunner::run(), shared by its cells.
+ * The first cell that needs a workload builds it; every later cell, on
+ * any thread, gets the same immutable Program, and a cell that asks
+ * while another thread builds it waits. Sampled cells of one
+ * (workload, cap, sample spec) likewise share one SampledWindows.
+ *
+ * An entry lives while cells not yet settled name it. The counts come
+ * from the cells given at construction (only those may be asked
+ * about), and settle() takes each cell off once, whether it computed,
+ * hit the cache or store, or failed; so no entry outlives its last
+ * cell and nothing is held after the run.
+ * A build that returns false is kept, so each of its cells gets the
+ * same error; one that throws is not, so the next cell builds again,
+ * as it would have alone.
+ */
+class WorkloadTable
+{
+  public:
+    /** How a workload is built (buildWorkload's signature). */
+    using Build = bool (*)(const std::string &name, Program *out,
+                           std::string *error);
+    /** How a sampled cell's windows are made from its program. */
+    using MakeWindows =
+        std::function<bool(SampledWindows *out, std::string *error)>;
+
+    /** A table for @p cells, indices into @p spec, built by @p build. */
+    WorkloadTable(const CampaignSpec &spec,
+                  const std::vector<std::size_t> &cells, Build build);
+
+    /** @p cell's program, its decode table and data image built and
+     *  its word list released (Program::releaseData); null with
+     *  *error set when the build returned false. */
+    std::shared_ptr<const Program> program(const Cell &cell,
+                                           std::string *error);
+
+    /** @p cell's sampled windows, made by @p make on first use; null
+     *  with *error set when @p make returned false. */
+    std::shared_ptr<const SampledWindows>
+    windows(const Cell &cell, const MakeWindows &make, std::string *error);
+
+    /** @p cell has settled: each entry it names loses it, and one that
+     *  no unsettled cell names is freed. */
+    void settle(const Cell &cell);
+
+  private:
+    template <typename T>
+    struct Entry
+    {
+        std::size_t cells = 0;      ///< unsettled cells naming it
+        bool building = false;
+        bool built = false;
+        std::shared_ptr<const T> value;     ///< null after a failed build
+        std::string error;
+    };
+    template <typename T>
+    using Entries = std::unordered_map<std::string, Entry<T>>;
+
+    template <typename T, typename Make>
+    std::shared_ptr<const T> share(Entries<T> &entries,
+                                   const std::string &key, const Make &make,
+                                   std::string *error);
+    template <typename T>
+    std::shared_ptr<const T> drop(Entries<T> &entries,
+                                  const std::string &key);
+
+    Build _build;
+    std::mutex _mu;     ///< guards both maps
+    std::condition_variable _buildDone;
+    Entries<Program> _programs;
+    Entries<SampledWindows> _windows;
+};
+
 class ExperimentRunner
 {
   public:
@@ -298,14 +385,18 @@ class ExperimentRunner
      *  carrying its taxonomy class — never propagated to the pool.
      *  @p pool is the calling worker's private machine pool. */
     CellResult runCell(const Cell &cell, const FaultInjection *fault,
-                       int attempt, MachinePool &pool);
-    /** The sampled-execution arm of runCell: fast-forward (or reuse
-     *  stored metadata), plan windows, collect checkpoints through the
-     *  store, run each detailed window, and aggregate window IPCs into
-     *  the result's sampling statistics. Throws SimError subclasses on
-     *  failure, which runCell's containment converts as usual. */
+                       int attempt, MachinePool &pool,
+                       WorkloadTable &workloads);
+    /** The sampled-execution arm of runCell: take the cell's windows
+     *  from @p workloads (the first cell of its workload, cap and
+     *  spec fast-forwards in-process, plans the windows and collects
+     *  their checkpoints as in-memory deltas), run each detailed
+     *  window, and aggregate window IPCs into the result's sampling
+     *  statistics. Throws SimError subclasses on failure, which
+     *  runCell's containment converts as usual. */
     void runSampledCell(const Cell &cell, Machine *machine,
-                        const Program &program, CellResult *result);
+                        const Program &program, WorkloadTable &workloads,
+                        CellResult *result);
     /** The injected-execution arm of runCell: fetch (or compute and
      *  publish) the golden reference, arm the planned flip, run, and
      *  classify the outcome against the golden digest. Throws SimError

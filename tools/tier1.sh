@@ -131,6 +131,29 @@ for mode in cold warm jobs4 proc slow; do
 done
 echo "sampled table3: OK (six modes byte-identical)"
 
+# Shared workloads: the cells of one run share one program per
+# workload. Table 5 is config-major, so every pool thread shares every
+# program; its capped run must be byte-identical at --jobs 1, at
+# --jobs 4 and in three worker processes (which build per cell),
+# artifacts and spec-ordered journals alike.
+T5_DIR=$(mktemp -d /tmp/simalpha-tier1-t5-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR"' EXIT
+table5() {
+    out=$1
+    shift
+    ./tools/simalpha --campaign table5 --max-insts 20000 \
+        --out "$T5_DIR/$out.json" "$@" > /dev/null
+}
+table5 ref --jobs 1
+table5 jobs4 --jobs 4
+table5 proc --isolate=process --shards 3
+for mode in jobs4 proc; do
+    cmp "$T5_DIR/ref.json" "$T5_DIR/$mode.json"
+    cmp "$T5_DIR/ref.json.journal.jsonl" \
+        "$T5_DIR/$mode.json.journal.jsonl"
+done
+echo "capped table5: OK (--jobs 1, --jobs 4 and 3 worker processes byte-identical)"
+
 # Bench smoke: re-measure the detailed and emulator rows against the
 # pinned baseline in BENCH_perf.json at the repo root and fail on a
 # >20% ips regression. When the local build type differs from the
