@@ -10,10 +10,6 @@
 #include <sstream>
 #include <vector>
 
-#include <filesystem>
-
-#include <unistd.h>
-
 #include "common/error.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -22,7 +18,6 @@
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
-#include "store/store.hh"
 
 #ifndef SIMALPHA_BUILD_TYPE
 #define SIMALPHA_BUILD_TYPE "unknown"
@@ -291,75 +286,6 @@ timeEmuPrePath(const CampaignSpec &t3, std::uint64_t max_insts,
     return true;
 }
 
-/**
- * The indexed warm-store replay rate: fill a private store with the
- * whole capped campaign, build its binary shard indexes, then time a
- * warm rerun of the same campaign against it — every cell served by
- * an index record (pread + FNV check), zero per-entry JSON parsing.
- * Fill and index build stay outside the timed region.
- */
-bool
-timeWarmStorePath(const CampaignSpec &t3, PerfPath *out,
-                  std::string *error)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    std::string root =
-        (fs::temp_directory_path(ec) /
-         ("simalpha-bench-store-" + std::to_string(long(::getpid()))))
-            .string();
-
-    auto fail = [&](const std::string &msg) {
-        *error = "warm-store: " + msg;
-        fs::remove_all(root, ec);
-        return false;
-    };
-
-    {
-        RunnerOptions ro;
-        ro.jobs = 1;
-        ro.storePath = root;
-        ExperimentRunner cold(ro);
-        CampaignResult cr = cold.run(t3);
-        for (const CellResult &r : cr.cells)
-            if (!r.ok)
-                return fail("cold " + r.cell.machine + "/" +
-                            r.cell.workload + " failed: " + r.error);
-    }
-    {
-        store::ResultStore s;
-        std::string serr;
-        store::IndexOutcome io;
-        if (!s.open(root, &serr) || !s.buildIndexes(&io, &serr))
-            return fail(serr);
-    }
-
-    RunnerOptions ro;
-    ro.jobs = 1;
-    ro.storePath = root;
-    ExperimentRunner warm(ro);
-    auto t0 = std::chrono::steady_clock::now();
-    CampaignResult cr = warm.run(t3);
-    auto t1 = std::chrono::steady_clock::now();
-
-    std::uint64_t insts = 0;
-    for (const CellResult &r : cr.cells) {
-        if (!r.ok)
-            return fail("warm " + r.cell.machine + "/" +
-                        r.cell.workload + " failed: " + r.error);
-        insts += r.instsCommitted;
-    }
-    if (warm.storeCounters().hits < cr.cells.size())
-        return fail("warm rerun missed the store (" +
-                    std::to_string(warm.storeCounters().hits) + "/" +
-                    std::to_string(cr.cells.size()) + " hits)");
-    out->insts = insts;
-    out->seconds = elapsedSeconds(t0, t1);
-    finishPath(out);
-    fs::remove_all(root, ec);
-    return true;
-}
-
 // ---------------------------------------------------------------
 // JSON rendering
 // ---------------------------------------------------------------
@@ -377,8 +303,9 @@ pathToJson(std::ostringstream &o, const char *key, const PerfPath &p)
 
 /** An entry's rows in file order. The first three are the original
  *  schema; every later row is optional on read, because trajectory
- *  files written before it existed (or by a build without the serve
- *  and fleet hooks) omit it, and its absence is not drift. */
+ *  files written before it existed omit it, and its absence is not
+ *  drift. A key not listed here (a retired row of an older file) is
+ *  not read, so it is not written back either. */
 constexpr struct
 {
     const char *key;
@@ -390,11 +317,6 @@ constexpr struct
     {"emu_pre", &PerfEntry::emuPre},
     {"sampled", &PerfEntry::sampled},
     {"inject_idle", &PerfEntry::injectIdle},
-    {"serve_cold", &PerfEntry::serveCold},
-    {"serve_warm", &PerfEntry::serveWarm},
-    {"fleet_cold", &PerfEntry::fleetCold},
-    {"fleet_warm", &PerfEntry::fleetWarm},
-    {"warm_store", &PerfEntry::warmStore},
 };
 constexpr std::size_t kRequiredRows = 3;
 
@@ -465,22 +387,7 @@ printPath(const char *name, const PerfPath &p)
                 name, (unsigned long long)p.insts, p.seconds, p.ips);
 }
 
-ServeBenchFn g_serveBench = nullptr;
-FleetBenchFn g_fleetBench = nullptr;
-
 } // namespace
-
-void
-setServeBenchHook(ServeBenchFn fn)
-{
-    g_serveBench = fn;
-}
-
-void
-setFleetBenchHook(FleetBenchFn fn)
-{
-    g_fleetBench = fn;
-}
 
 bool
 measurePerf(std::uint64_t max_insts, PerfEntry *out, std::string *error)
@@ -502,15 +409,7 @@ measurePerf(std::uint64_t max_insts, PerfEntry *out, std::string *error)
         return false;
     if (!timeSampledPath(t3, max_insts, &e.sampled, error))
         return false;
-    if (!timeWarmStorePath(t3, &e.warmStore, error))
-        return false;
     if (!timeInjectIdlePath(t3, &e.injectIdle, error))
-        return false;
-    if (g_serveBench &&
-        !g_serveBench(max_insts, &e.serveCold, &e.serveWarm, error))
-        return false;
-    if (g_fleetBench &&
-        !g_fleetBench(max_insts, &e.fleetCold, &e.fleetWarm, error))
         return false;
     e.valid = true;
     *out = e;
@@ -764,23 +663,6 @@ runBenchCommand(int argc, char **argv)
     printPath("emu-pre", e.emuPre);
     printPath("sampled", e.sampled);
     printPath("inj-idle", e.injectIdle);
-    printPath("warmstore", e.warmStore);
-    if (e.serveCold.seconds > 0.0 || e.serveWarm.seconds > 0.0) {
-        printPath("srv-cold", e.serveCold);
-        printPath("srv-warm", e.serveWarm);
-        if (e.serveCold.ips > 0.0 && e.serveWarm.ips > 0.0)
-            std::printf("serve warm vs cold: %.1fx (store-served "
-                        "cells through the socket)\n",
-                        e.serveWarm.ips / e.serveCold.ips);
-    }
-    if (e.fleetCold.seconds > 0.0 || e.fleetWarm.seconds > 0.0) {
-        printPath("flt-cold", e.fleetCold);
-        printPath("flt-warm", e.fleetWarm);
-        if (e.fleetCold.ips > 0.0 && e.fleetWarm.ips > 0.0)
-            std::printf("fleet warm vs cold: %.1fx (store-served "
-                        "cells through two socket hops)\n",
-                        e.fleetWarm.ips / e.fleetCold.ips);
-    }
     if (e.detailed.ips > 0.0 && e.injectIdle.ips > 0.0)
         std::printf("inject-idle vs detailed: %.3fx (disarmed "
                     "injection hooks; ~1.0 expected)\n",

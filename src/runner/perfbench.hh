@@ -4,12 +4,18 @@
  * on a fixed capped Table-3 campaign and track the numbers across PRs
  * in BENCH_perf.json at the repo root.
  *
- * Three paths are timed separately so the trajectory distinguishes
+ * Each path is timed separately so the trajectory distinguishes
  * detailed-core work from functional-emulation work:
  *   - detailed:  the sim-alpha cells of Table 3 (cycle-accurate
  *                AlphaCore, the hot loop this file exists to watch)
  *   - abstract:  the sim-outorder cells (SimpleScalar-style RuuCore)
  *   - emulator:  the raw functional Emulator over the same workloads
+ *   - emu-pre, sampled, inj-idle: see PerfEntry
+ *
+ * Every row is one in-process timing with no spread. The serve, fleet
+ * and warm-store paths are timed by campaignbench's paired `t5-fleet`
+ * workload instead; the `serve_*`, `fleet_*` and `warm_store` rows
+ * that older trajectory files carry are ignored on read.
  *
  * The JSON file keeps two entries: `baseline` (recorded once, before
  * an optimization lands, and preserved by later runs) and `current`
@@ -71,38 +77,6 @@ struct PerfEntry
      * existed; parse treats it as optional.
      */
     PerfPath injectIdle;
-    /**
-     * The campaign service measured end-to-end: a private daemon on a
-     * temp store, the same capped Table-3 campaign submitted through
-     * the socket, wall clock from submit to done line. `serveCold`
-     * computes every cell; `serveWarm` reruns against the populated
-     * store (job journal cleared), so the delta is the store's win
-     * through the whole service path. Absent before the service
-     * existed and in builds that don't wire the hook; optional.
-     */
-    PerfPath serveCold;
-    PerfPath serveWarm;
-    /**
-     * The two-worker loopback fleet measured end-to-end: two worker
-     * daemons plus a dispatcher front-end on private temp stores, the
-     * same capped Table-3 campaign submitted to the front-end, wall
-     * clock from submit to done line. `fleetCold` computes every cell
-     * on a worker; `fleetWarm` reruns against the workers' populated
-     * stores (job journals cleared), so the delta is the store's win
-     * through two socket hops. Absent before the fleet tier existed
-     * and in builds that don't wire the hook; optional.
-     */
-    PerfPath fleetCold;
-    PerfPath fleetWarm;
-    /**
-     * A warm rerun of the same campaign against a result store whose
-     * shards carry a freshly built binary index: the cold fill and
-     * the index build happen outside the timed region, so this row is
-     * the pure replay rate of index-served lookups (pread by offset +
-     * FNV check, zero per-entry JSON parsing). Absent in trajectory
-     * files written before the store index existed; optional.
-     */
-    PerfPath warmStore;
     bool valid = false;
 };
 
@@ -129,23 +103,6 @@ constexpr std::uint64_t kPerfBenchQuickMaxInsts = 5000;
  */
 bool measurePerf(std::uint64_t max_insts, PerfEntry *out,
                  std::string *error);
-
-/**
- * The serve-row measurement is provided by the sim_serve library (the
- * runner cannot link it — serve sits above the runner), injected by
- * the driver before runBenchCommand. When unset, the serve rows stay
- * zero and the trajectory file simply omits measured values for them.
- */
-using ServeBenchFn = bool (*)(std::uint64_t maxInsts, PerfPath *cold,
-                              PerfPath *warm, std::string *error);
-void setServeBenchHook(ServeBenchFn fn);
-
-/** Same injection pattern for the fleet rows (sim_fleet sits above
- *  serve): when unset, the fleet rows stay zero and the trajectory
- *  file omits measured values for them. */
-using FleetBenchFn = bool (*)(std::uint64_t maxInsts, PerfPath *cold,
-                              PerfPath *warm, std::string *error);
-void setFleetBenchHook(FleetBenchFn fn);
 
 /** Render a report as the canonical BENCH_perf.json text. */
 std::string perfReportToJson(const PerfReport &report);

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -375,63 +376,70 @@ runShardWorker(const ShardWorkerOptions &options)
     if (options.sample.enabled())
         spec = spec.withSampling(options.sample);
 
+    // The slice runs as one sub-spec through one runner, so its cells
+    // share one program and one sampled-window set per workload, as in
+    // a thread run. Faults arrive as campaign indices; the runner reads
+    // them as positions in the sub-spec.
+    CampaignSpec slice;
+    slice.name = spec.name;
+    RunnerOptions ro;
+    ro.jobs = 1;
+    ro.cache = false;
+    ro.storePath = options.storePath;
+    ro.maxRetries = options.maxRetries;
+    for (std::size_t pos = 0; pos < options.cells.size(); pos++) {
+        if (options.cells[pos] >= spec.cells.size())
+            return 2;
+        slice.cells.push_back(spec.cells[options.cells[pos]]);
+        for (const FaultInjection &f : options.faults)
+            if (f.cellIndex == options.cells[pos]) {
+                ro.faults.push_back(f);
+                ro.faults.back().cellIndex = pos;
+            }
+    }
+
     // One append-only slice journal: a heartbeat before each cell, its
     // result line after, each one write(2) through CampaignJournal, so
-    // the file is a strict start/result alternation.
+    // the file is a strict start/result alternation. At jobs 1 onCell
+    // fires on this thread as each cell settles, before the next
+    // starts, so it writes the result and then the next heartbeat. The
+    // interrupt flag is read only before a heartbeat: once set, no
+    // further cell starts.
     CampaignJournal journal;
     if (!journal.open(options.journalPath, nullptr, options.journalSync))
         return 2;
-
-    // Store traffic is accumulated across the slice and reported as
-    // one summary line when the worker stops — normally or on
-    // interrupt. (A crashed worker reports nothing; its respawn
-    // re-reports the cells it reruns, and cells it completed before
-    // crashing are counted by whoever served or published them.)
-    StoreTraffic traffic;
-    auto reportStore = [&]() {
-        if (!options.storePath.empty())
-            journal.appendRaw(storeSummaryLine(spec.name, traffic));
+    std::atomic<bool> stopped{false};
+    auto start = [&](std::size_t pos) {
+        if (options.interrupted && *options.interrupted)
+            stopped = true;
+        else
+            journal.appendRaw(heartbeatLine(spec.name, options.cells[pos],
+                                            slice.cells[pos].workload));
+    };
+    std::size_t settled = 0;
+    ro.cancelAtomic = &stopped;
+    ro.onCell = [&](const CellResult &r) {
+        journal.append(spec.name, r);
+        if (++settled < slice.cells.size())
+            start(settled);
     };
 
-    for (std::size_t index : options.cells) {
-        if (index >= spec.cells.size())
-            return 2;
-        if (options.interrupted && *options.interrupted) {
-            reportStore();
-            return 3;
-        }
+    ExperimentRunner rnr(ro);
+    if (!slice.cells.empty())
+        start(0);
+    rnr.run(slice);
 
-        const Cell &cell = spec.cells[index];
-        journal.appendRaw(heartbeatLine(spec.name, index, cell.workload));
-
-        CampaignSpec one;
-        one.name = spec.name;
-        one.cells.push_back(cell);
-
-        RunnerOptions ro;
-        ro.jobs = 1;
-        ro.cache = false;
-        ro.storePath = options.storePath;
-        ro.maxRetries = options.maxRetries;
-        for (const FaultInjection &f : options.faults)
-            if (f.cellIndex == index) {
-                FaultInjection local = f;
-                local.cellIndex = 0;    // index within the 1-cell spec
-                ro.faults.push_back(local);
-            }
-
-        ExperimentRunner rnr(ro);
-        journal.append(spec.name, rnr.run(one).cells[0]);
-        if (rnr.storeOpen()) {
-            store::StoreCounters c = rnr.storeCounters();
-            traffic.hits += c.hits;
-            traffic.misses += c.misses;
-            traffic.bytesRead += c.bytesRead;
-            traffic.bytesWritten += c.bytesWritten;
-        }
+    // Store traffic is reported as one summary line when the worker
+    // stops — normally or on interrupt. (A crashed worker reports
+    // nothing; its respawn re-reports the cells it reruns, and cells it
+    // completed before crashing are counted by whoever served or
+    // published them.)
+    if (!options.storePath.empty()) {
+        store::StoreCounters c = rnr.storeCounters();
+        journal.appendRaw(storeSummaryLine(
+            spec.name, {c.hits, c.misses, c.bytesRead, c.bytesWritten}));
     }
-    reportStore();
-    return 0;
+    return stopped ? 3 : 0;
 }
 
 } // namespace runner

@@ -15,9 +15,9 @@
  *     death to the in-flight cell and to enforce per-cell wall-clock
  *     timeouts, and
  *   - the ordinary campaign-journal result line *after* each cell
- *     completes (ok or contained failure): the worker runs the cell
- *     without a journal and appends its journalLine itself, the exact
- *     bytes an in-process run releases.
+ *     completes (ok or contained failure): the worker runs its slice
+ *     without a journal and appends each cell's journalLine itself,
+ *     the exact bytes an in-process run releases.
  *
  * Everything here is deliberately plain data: cell-index lists,
  * heartbeat lines, fault-injection specs (all exec-able as command
@@ -174,10 +174,11 @@ struct ShardWorkerOptions
 };
 
 /**
- * Worker entry point: run the slice serially, heartbeat + journal each
- * cell. Returns a process exit code (0 done, 2 bad campaign/options,
- * 3 interrupted). Crash faults never return at all — that is the
- * point.
+ * Worker entry point: run the slice serially as one
+ * ExperimentRunner::run (so its cells share one program per workload),
+ * heartbeat + journal each cell. Returns a process exit code (0 done,
+ * 2 bad campaign/options, 3 interrupted). Crash faults never return at
+ * all — that is the point.
  */
 int runShardWorker(const ShardWorkerOptions &options);
 

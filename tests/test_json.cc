@@ -14,7 +14,8 @@
  *    that serializes and parses back to itself;
  *  - 64 KiB and 8 MiB lines of '{' fail without exhausting the stack;
  *  - the committed BENCH_perf.json parses and re-renders byte for
- *    byte, and schema drift names the offending field.
+ *    byte, retired rows of older files are dropped, and schema drift
+ *    names the offending field.
  */
 
 #include <gtest/gtest.h>
@@ -995,6 +996,36 @@ TEST(PerfReportFile, RenderingReproducesTheCommittedFileByteForByte)
     runner::PerfReport report;
     std::string error;
     ASSERT_TRUE(runner::parsePerfReport(text, &report, &error)) << error;
+    EXPECT_EQ(runner::perfReportToJson(report), text);
+}
+
+TEST(PerfReportFile, RetiredRowsInOlderFilesAreIgnored)
+{
+    // Files written before the serve, fleet and warm-store rows were
+    // retired carry them after inject_idle; they still parse, and the
+    // re-rendered file drops them.
+    const std::string text = runner::perfReportToJson(sampleReport());
+    const std::string retired =
+        ",\"serve_cold\":{\"insts\":4000118,\"seconds\":1.476867,"
+        "\"ips\":2708515.8},\"serve_warm\":{\"insts\":4000118,"
+        "\"seconds\":0.007558,\"ips\":529245298.6},\"fleet_cold\":{"
+        "\"insts\":4000118,\"seconds\":0.892818,\"ips\":4480329.6},"
+        "\"fleet_warm\":{\"insts\":4000118,\"seconds\":0.005043,"
+        "\"ips\":793245161.4},\"warm_store\":{\"insts\":4000118,"
+        "\"seconds\":0.004295,\"ips\":931393050.5}";
+    std::string older = text;
+    for (const char *entry : {"\"baseline\": {", "\"current\": {"}) {
+        std::size_t at = older.find('\n', older.find(entry));
+        ASSERT_NE(at, std::string::npos) << entry;
+        at -= std::string("},").size();
+        ASSERT_EQ(older.compare(at, 2, "},"), 0) << entry;
+        older.insert(at, retired);
+    }
+    ASSERT_NE(older, text);
+
+    runner::PerfReport report;
+    std::string error;
+    ASSERT_TRUE(runner::parsePerfReport(older, &report, &error)) << error;
     EXPECT_EQ(runner::perfReportToJson(report), text);
 }
 

@@ -380,6 +380,67 @@ TEST(ShardWorker, SliceJournalAlternatesHeartbeatAndResult)
     std::remove(path.c_str());
 }
 
+TEST(ShardWorker, FaultsAndRetriesFollowTheirCampaignIndex)
+{
+    std::string path = uniquePath("faults");
+    std::remove(path.c_str());
+
+    // The slice runs as one sub-spec, so the worker must hand each
+    // fault to the cell it names in the campaign, not to whichever
+    // cell sits at that position in the slice.
+    FaultInjection transient, panic;
+    transient.cellIndex = 3;
+    transient.kind = FaultInjection::Kind::Throw;
+    transient.times = 1;
+    panic.cellIndex = 6;
+    panic.kind = FaultInjection::Kind::Panic;
+
+    ShardWorkerOptions opts;
+    opts.campaign = "smoke";
+    opts.cells = {0, 3, 6};
+    opts.journalPath = path;
+    opts.maxRetries = 1;
+    opts.faults = {transient, panic};
+    EXPECT_EQ(runShardWorker(opts), 0);
+
+    std::istringstream lines(readFile(path));
+    std::string line;
+    std::vector<std::size_t> started;
+    std::vector<CellResult> settled;
+    while (std::getline(lines, line)) {
+        std::size_t cell = 0;
+        CellResult r;
+        std::string key;
+        if (parseHeartbeatLine(line, "smoke", &cell)) {
+            EXPECT_EQ(started.size(), settled.size()) << line;
+            started.push_back(cell);
+        } else if (parseJournalLine(line, "smoke", &r, &key)) {
+            EXPECT_EQ(started.size(), settled.size() + 1) << line;
+            settled.push_back(r);
+        } else {
+            FAIL() << "unparseable journal line: " << line;
+        }
+    }
+    EXPECT_EQ(started, opts.cells);
+    ASSERT_EQ(settled.size(), opts.cells.size());
+
+    // Cell 3 threw once and passed on its retry; cell 0 ran clean.
+    // Both are byte-identical to a fault-free --jobs 1 run.
+    CampaignSpec spec = smokeCampaign();
+    RunnerOptions ro;
+    ro.jobs = 1;
+    ro.cache = false;
+    CampaignResult direct = ExperimentRunner(ro).run(spec);
+    for (std::size_t i : {0, 1})
+        EXPECT_EQ(journalLine("smoke", settled[i]),
+                  journalLine("smoke", direct.cells[opts.cells[i]]))
+            << "cell " << opts.cells[i];
+    EXPECT_FALSE(settled[2].ok);
+    EXPECT_EQ(settled[2].errorClass, "invariant");
+    EXPECT_EQ(settled[2].cell.workload, spec.cells[6].workload);
+    std::remove(path.c_str());
+}
+
 TEST(ShardWorker, BadOptionsReturnConfigExitCode)
 {
     std::string path = uniquePath("badopts");

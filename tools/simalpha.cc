@@ -62,21 +62,15 @@
 #include "runner/shard.hh"
 #include "runner/supervisor.hh"
 #include "fleet/dispatcher.hh"
-#include "fleet/fleetbench.hh"
 #include "fleet/registry.hh"
 #include "serve/client.hh"
 #include "serve/proto.hh"
 #include "serve/server.hh"
-#include "serve/servebench.hh"
 #include "store/store.hh"
 #include "validate/machines.hh"
 #include "validate/manifest.hh"
-#include "workloads/macro.hh"
-#include "workloads/membench.hh"
-#include "workloads/microbench.hh"
 
 using namespace simalpha;
-using namespace simalpha::workloads;
 using namespace simalpha::validate;
 
 namespace {
@@ -113,28 +107,6 @@ selfExePath(const char *argv0)
         return buf;
     }
     return argv0 ? argv0 : "simalpha";
-}
-
-struct NamedProgram
-{
-    std::string name;
-    Program program;
-};
-
-std::vector<NamedProgram>
-catalogue()
-{
-    std::vector<NamedProgram> all;
-    auto micro = microbenchSuite();
-    auto names = microbenchNames();
-    for (std::size_t i = 0; i < micro.size(); i++)
-        all.push_back({names[i], micro[i]});
-    for (Program &p : spec2000Suite())
-        all.push_back({p.name, p});
-    for (Program &p : streamSuite(65536, 2))
-        all.push_back({p.name, p});
-    all.push_back({"lmbench", lmbenchLatency(8192, 64, 30000)});
-    return all;
 }
 
 std::vector<std::string>
@@ -1139,11 +1111,8 @@ realMain(int argc, char **argv)
     setQuiet(true);
     if (argc >= 2 && std::strcmp(argv[1], "store") == 0)
         return runStoreCommand(argc - 1, argv + 1);
-    if (argc >= 2 && std::strcmp(argv[1], "bench") == 0) {
-        runner::setServeBenchHook(&serve::measureServeBench);
-        runner::setFleetBenchHook(&fleet::measureFleetBench);
+    if (argc >= 2 && std::strcmp(argv[1], "bench") == 0)
         return runner::runBenchCommand(argc - 1, argv + 1);
-    }
     if (argc >= 2 && std::strcmp(argv[1], "vuln") == 0)
         return runVulnCommand(argc - 1, argv + 1, argv[0]);
     if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
@@ -1248,8 +1217,8 @@ realMain(int argc, char **argv)
         for (const std::string &m : machineNames())
             std::printf("  %s\n", m.c_str());
         std::printf("workloads:\n");
-        for (const NamedProgram &p : catalogue())
-            std::printf("  %s\n", p.name.c_str());
+        for (const std::string &w : runner::workloadNames())
+            std::printf("  %s\n", w.c_str());
         return 0;
     }
 
@@ -1267,17 +1236,13 @@ realMain(int argc, char **argv)
         fatal("--workload is required (or use --list)");
     }
 
-    const Program *prog = nullptr;
-    auto all = catalogue();
-    for (const NamedProgram &p : all)
-        if (p.name == *workload_name)
-            prog = &p.program;
-    if (!prog)
+    Program prog;
+    if (!runner::buildWorkload(*workload_name, &prog, nullptr))
         fatal("unknown workload '%s' (use --list)",
               workload_name->c_str());
 
     auto machine = makeMachine(machine_name);
-    RunResult r = machine->run(*prog, cli.maxInsts);
+    RunResult r = machine->run(prog, cli.maxInsts);
 
     std::printf("machine   %s\n", r.machine.c_str());
     std::printf("workload  %s\n", r.program.c_str());

@@ -133,9 +133,9 @@ echo "sampled table3: OK (six modes byte-identical)"
 
 # Shared workloads: the cells of one run share one program per
 # workload. Table 5 is config-major, so every pool thread shares every
-# program; its capped run must be byte-identical at --jobs 1, at
-# --jobs 4 and in three worker processes (which build per cell),
-# artifacts and spec-ordered journals alike.
+# program, and each worker process runs its slice as one run; its
+# capped run must be byte-identical at --jobs 1, at --jobs 4 and in
+# three worker processes, artifacts and spec-ordered journals alike.
 T5_DIR=$(mktemp -d /tmp/simalpha-tier1-t5-XXXXXX)
 trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR"' EXIT
 table5() {
@@ -153,6 +153,15 @@ for mode in jobs4 proc; do
         "$T5_DIR/$mode.json.journal.jsonl"
 done
 echo "capped table5: OK (--jobs 1, --jobs 4 and 3 worker processes byte-identical)"
+
+# Bench trajectory: a quick full measurement (every row) written
+# through the trajectory-file writer, then read back by the schema
+# check.
+BENCH_DIR=$(mktemp -d /tmp/simalpha-tier1-bench-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$BENCH_DIR"' EXIT
+./tools/simalpha bench --quick --out "$BENCH_DIR/perf.json" > /dev/null
+./tools/simalpha bench --check "$BENCH_DIR/perf.json"
+echo "bench quick: OK (measured, written and schema-checked)"
 
 # Bench smoke: re-measure the detailed and emulator rows against the
 # pinned baseline in BENCH_perf.json at the repo root and fail on a
