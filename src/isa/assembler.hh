@@ -95,6 +95,9 @@ class ProgramBuilder
 
     /** Deposit an initial 64-bit word in the data segment. */
     ProgramBuilder &dataWord(Addr addr, RegVal value);
+    /** Room for @p words data words in all, so that a large image is
+     *  deposited without regrowing the word list. */
+    void reserveData(std::size_t words) { _prog.data.reserve(words); }
 
     /** Deposit the PC of a label (resolved at finish) — jump tables. */
     ProgramBuilder &dataWordLabel(Addr addr, const std::string &label);

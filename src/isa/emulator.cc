@@ -13,23 +13,77 @@ namespace simalpha {
 std::shared_ptr<const PageImage>
 PageImage::build(const std::vector<std::pair<Addr, RegVal>> &data)
 {
-    // Lay the words out through a plain SparseMemory, so straddling
-    // and repeated addresses land exactly as sequential stores would,
-    // then adopt its pages in address order.
-    SparseMemory flat;
-    for (const auto &[addr, value] : data)
-        flat.write64(addr, value);
+    // Pass 1 finds every page a word touches. Pages within a window
+    // above the lowest one (the contiguous footprints of the bundled
+    // workloads) are indexed by a dense vector; the window is at most
+    // as many pages as there are words, so its index costs less than
+    // the word list. Pages beyond it (a far dispatch table) go in a
+    // map.
+    constexpr std::uint32_t kUnset = ~std::uint32_t(0);
+    Addr lo = kNoAddr;
+    for (const auto &entry : data)
+        lo = std::min(lo, entry.first >> kPageShift);
+    const Addr window = Addr(data.size()) + 64;
+    std::vector<std::uint32_t> dense;
+    std::unordered_map<Addr, std::uint32_t> sparse;
+    auto mark = [&](Addr page_no) {
+        Addr off = page_no - lo;
+        if (off >= window) {
+            sparse.emplace(page_no, kUnset);
+        } else {
+            if (off >= dense.size())
+                dense.resize(std::size_t(off) + 1, kUnset);
+            dense[std::size_t(off)] = 0;
+        }
+    };
+    for (const auto &entry : data) {
+        mark(entry.first >> kPageShift);
+        mark((entry.first + 7) >> kPageShift);
+    }
 
+    // Number the pages in address order (every map page lies above
+    // the window) and allocate them zero-filled.
     auto image = std::make_shared<PageImage>();
     image->dataWords = data.size();
-    image->pageNos.reserve(flat._extra.size());
-    for (const auto &entry : flat._extra)
+    for (std::size_t off = 0; off < dense.size(); off++)
+        if (dense[off] != kUnset)
+            image->pageNos.push_back(lo + Addr(off));
+    std::size_t dense_pages = image->pageNos.size();
+    for (const auto &entry : sparse)
         image->pageNos.push_back(entry.first);
-    std::sort(image->pageNos.begin(), image->pageNos.end());
+    std::sort(image->pageNos.begin() + std::ptrdiff_t(dense_pages),
+              image->pageNos.end());
     image->pages.reserve(image->pageNos.size());
+    image->slotOf.reserve(image->pageNos.size());
     for (std::size_t i = 0; i < image->pageNos.size(); i++) {
-        image->slotOf.emplace(image->pageNos[i], i);
-        image->pages.push_back(std::move(flat._extra[image->pageNos[i]]));
+        Addr page_no = image->pageNos[i];
+        (i < dense_pages ? dense[std::size_t(page_no - lo)]
+                         : sparse[page_no]) = std::uint32_t(i);
+        image->slotOf.emplace(page_no, i);
+        image->pages.push_back(std::make_unique<Page>());
+    }
+
+    // Pass 2 stores each word in data order, so a repeated address
+    // ends with its last value, as sequential stores would leave it.
+    auto page_at = [&](Addr addr) -> Page & {
+        Addr page_no = addr >> kPageShift;
+        Addr off = page_no - lo;
+        return *image->pages[off < window ? dense[std::size_t(off)]
+                                          : sparse.at(page_no)];
+    };
+    for (const auto &[addr, value] : data) {
+        Addr off = addr & (kPageBytes - 1);
+        if (std::endian::native == std::endian::little &&
+            off <= kPageBytes - 8) {
+            std::memcpy(page_at(addr).data() + off, &value, 8);
+            continue;
+        }
+        // A word straddling two pages (or a big-endian host): bytes.
+        for (int i = 0; i < 8; i++) {
+            Addr a = addr + Addr(i);
+            page_at(a)[a & (kPageBytes - 1)] =
+                std::uint8_t((value >> (8 * i)) & 0xff);
+        }
     }
     return image;
 }

@@ -102,8 +102,6 @@ class SparseMemory
     static constexpr Addr kPageBytes = PageImage::kPageBytes;
     static constexpr Addr kNoPage = ~Addr(0);
 
-    friend struct PageImage;
-
     const Page *findPage(Addr page_no) const;
     Page &touchPage(Addr page_no);
     /** One-entry caches over findPage/touchPage. Pages are never freed

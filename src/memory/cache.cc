@@ -117,7 +117,14 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream, Bus *bus,
 void
 Cache::reset()
 {
-    _lines.assign(_lines.size(), Line{});
+    if (_touchedAll) {
+        _lines.assign(_lines.size(), Line{});
+    } else {
+        for (std::uint32_t i : _touched)
+            _lines[i] = Line{};
+    }
+    _touched.clear();
+    _touchedAll = false;
     _victims.assign(_victims.size(), VictimEntry{});
     _portFree.assign(_portFree.size(), 0);
     _useTick = 0;
@@ -200,6 +207,8 @@ Cache::installBlock(Addr block, bool dirty, Cycle now, bool prefetched)
 {
     std::size_t set = setOf(block);
     Line &line = victimLine(set);
+    if (line.tag == kNoAddr)
+        noteTouched(std::size_t(&line - _lines.data()));
     if (line.tag != kNoAddr && !_victims.empty()) {
         // Push the evicted block into the victim buffer (oldest replaced).
         auto oldest = std::min_element(

@@ -131,7 +131,9 @@ class Cache : public MemLevel
     const CacheParams &params() const { return _p; }
 
     /** Restore freshly-constructed state (campaign core reuse); the
-     *  bound counter references stay valid across the reset. */
+     *  bound counter references stay valid across the reset. Clears
+     *  only the lines noted since the last reset, or the whole array
+     *  once the notes passed 1/kFullResetShare of it. */
     void reset();
 
     /** Total lines across all sets/ways (injection-index folding). */
@@ -146,8 +148,9 @@ class Cache : public MemLevel
     void
     injectTagFlip(std::uint64_t index, std::uint32_t bit)
     {
-        _lines[std::size_t(index % _lines.size())].tag ^=
-            Addr(1) << (bit % 64);
+        std::size_t i = std::size_t(index % _lines.size());
+        noteTouched(i);
+        _lines[i].tag ^= Addr(1) << (bit % 64);
     }
 
     std::uint64_t hits() const { return _hits.value(); }
@@ -186,6 +189,18 @@ class Cache : public MemLevel
         return std::size_t(block & Addr(_sets - 1));
     }
 
+    /** Note that line @p i may no longer equal Line{}: a line leaves
+     *  that state only through a fill from empty or a tag flip, so the
+     *  notes name every line reset() must clear. */
+    void
+    noteTouched(std::size_t i)
+    {
+        if (_touched.size() < _lines.size() / kFullResetShare)
+            _touched.push_back(std::uint32_t(i));
+        else
+            _touchedAll = true;
+    }
+
     Line *findLine(Addr block);
     const Line *findLine(Addr block) const;
     Line &victimLine(std::size_t set);
@@ -205,6 +220,12 @@ class Cache : public MemLevel
     int _sets;
     int _blockShift;
     std::vector<Line> _lines;
+    /** Past this share of the array reset() clears all of it: one
+     *  sequential pass beats that many scattered stores, and the notes
+     *  stay bounded. */
+    static constexpr std::size_t kFullResetShare = 4;
+    std::vector<std::uint32_t> _touched;    ///< see noteTouched()
+    bool _touchedAll = false;
     std::vector<VictimEntry> _victims;
     std::vector<Cycle> _portFree;
     std::uint64_t _useTick = 0;

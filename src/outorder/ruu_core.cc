@@ -1,6 +1,7 @@
 #include "ruu_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,13 +83,19 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
     _issuedBefore = 0;
     _storeByWord.clear();
     _recovery.reset();
-    _fuCycle = kNoCycle;
     _lastCommitCycle = 0;
     _stats.reset();
 
     _lsqUsed = 0;
     _inflightDst = 0;
     _issueWakeAt = 0;
+    _selectByReadySet = _ruu.capacity() <= SlotSet::kMaxSlots;
+    _ready.clear();
+    for (SlotSet &bucket : _wheel)
+        bucket.clear();
+    _wheelUsed = 0;
+    _drainedTo = 0;
+    _pendingReady.clear();
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
     _ffCheckUntil = 0;
@@ -268,8 +275,19 @@ RuuCore::doRecovery()
     while (!_fetchBuf.empty() && _fetchBuf.back().seq > rec.seq)
         _fetchBuf.pop_back();
     while (!_ruu.empty() && _ruu.back().seq > rec.seq) {
+        // (The assertion's text is part of a crashed cell's artifact.)
         sim_assert(_ruu.back().wrongPath);
-        if (_ruu.back().dec->isMem())
+        const RuuInst &squashed = _ruu.back();
+        if (_selectByReadySet) {
+            // A wrong-path entry waits for no producer and is ready the
+            // cycle after dispatch: it may sit in the ready set or in
+            // the wheel, never on a wake-up list or the heap.
+            std::size_t slot = _ruu.slotOf(squashed);
+            _ready.reset(slot);
+            if (squashed.wheelBucket != kNoBucket)
+                _wheel[squashed.wheelBucket].reset(slot);
+        }
+        if (squashed.dec->isMem())
             _lsqUsed--;
         _ruu.pop_back();
     }
@@ -331,7 +349,7 @@ RuuCore::doCommit()
 }
 
 Cycle
-RuuCore::srcReady(const RuuInst &inst) const
+RuuCore::srcReady(const RuuInst &inst, RuuPos *pending) const
 {
     Cycle ready = 0;
     for (int i = 0; i < inst.dec->numSrcs; i++) {
@@ -341,8 +359,11 @@ RuuCore::srcReady(const RuuInst &inst) const
         // A producer is older than its consumer, so it cannot have
         // been squashed while the consumer survives.
         const RuuInst &producer = _ruu[std::size_t(pos - _ruuHeadPos)];
-        if (!producer.issued)
+        if (!producer.issued) {
+            if (pending)
+                *pending = pos;
             return kNoCycle;
+        }
         ready = std::max(ready, producer.doneCycle);
     }
     return ready;
@@ -438,52 +459,38 @@ RuuCore::verifyStoreIndex() const
 }
 
 bool
-RuuCore::fuAvailable(OpClass cls) const
+RuuCore::takeFu(OpClass cls, FuUse &use) const
 {
-    if (_fuCycle != _cycle)
-        return true;
+    int *used;
+    int units;
     switch (cls) {
       case OpClass::IntMul:
-        return _mulUsed < _p.intMuls;
-      case OpClass::FpAdd: case OpClass::FpDivS: case OpClass::FpDivD:
-      case OpClass::FpSqrtS: case OpClass::FpSqrtD:
-        return _fpAddUsed < _p.fpAddUnits;
-      case OpClass::FpMul:
-        return _fpMulUsed < _p.fpMulUnits;
-      case OpClass::IntLoad: case OpClass::IntStore:
-      case OpClass::FpLoad: case OpClass::FpStore:
-        return _memUsed < _p.memPorts;
-      default:
-        return _aluUsed < _p.intAlus;
-    }
-}
-
-void
-RuuCore::consumeFu(OpClass cls)
-{
-    if (_fuCycle != _cycle) {
-        _fuCycle = _cycle;
-        _aluUsed = _mulUsed = _fpAddUsed = _fpMulUsed = _memUsed = 0;
-    }
-    switch (cls) {
-      case OpClass::IntMul:
-        _mulUsed++;
+        used = &use.mul;
+        units = _p.intMuls;
         break;
       case OpClass::FpAdd: case OpClass::FpDivS: case OpClass::FpDivD:
       case OpClass::FpSqrtS: case OpClass::FpSqrtD:
-        _fpAddUsed++;
+        used = &use.fpAdd;
+        units = _p.fpAddUnits;
         break;
       case OpClass::FpMul:
-        _fpMulUsed++;
+        used = &use.fpMul;
+        units = _p.fpMulUnits;
         break;
       case OpClass::IntLoad: case OpClass::IntStore:
       case OpClass::FpLoad: case OpClass::FpStore:
-        _memUsed++;
+        used = &use.mem;
+        units = _p.memPorts;
         break;
       default:
-        _aluUsed++;
+        used = &use.alu;
+        units = _p.intAlus;
         break;
     }
+    if (*used >= units)
+        return false;
+    ++*used;
+    return true;
 }
 
 Cycle
@@ -578,24 +585,35 @@ RuuCore::fastForwardTarget() const
 }
 
 void
-RuuCore::doIssue()
+RuuCore::selectReady(std::vector<std::size_t> &out) const
 {
-    Cycle wake0 = _issueWakeAt;
-    if (_slowpath)
-        verifyStoreIndex();
-    else if (wake0 > _cycle)
-        return;     // no entry can pass the issue gates yet
+    out.clear();
+    const std::size_t head = _ruu.headSlot();
+    const std::size_t mask = _ruu.capacity() - 1;
+    const std::size_t width = std::size_t(std::max(_p.issueWidth, 0));
+    FuUse use;
+    SlotSet::first(_ready, _ready, head, [&](std::size_t s) {
+        if (out.size() < width && takeFu(_ruu[(s - head) & mask].dec->cls,
+                                         use))
+            out.push_back((s - head) & mask);
+        return out.size() >= width;
+    });
+}
 
-    int issued = 0;
+void
+RuuCore::selectByWalk(std::vector<std::size_t> &out) const
+{
+    out.clear();
+    const std::size_t width = std::size_t(std::max(_p.issueWidth, 0));
     std::size_t first = firstUnissued();
     if (_slowpath) {
         for (std::size_t i = 0; i < first; i++)
             sim_assert(_ruu[i].issued);
     }
-    for (std::size_t i = first; i < _ruu.size(); i++) {
-        RuuInst &inst = _ruu[i];
-        if (issued >= _p.issueWidth)
-            break;
+    FuUse use;
+    for (std::size_t i = first; i < _ruu.size() && out.size() < width;
+         i++) {
+        const RuuInst &inst = _ruu[i];
         if (inst.issued || !inst.dispatched)
             continue;
         if (inst.dispatchCycle + 1 > _cycle)
@@ -607,83 +625,238 @@ RuuCore::doIssue()
             if (r == kNoCycle || r > _cycle)
                 continue;
         }
-        OpClass cls = inst.dec->cls;
-        if (!fuAvailable(cls))
-            continue;
-        consumeFu(cls);
+        if (takeFu(inst.dec->cls, use))
+            out.push_back(i);
+    }
+}
 
-        inst.issued = true;
-        inst.issueCycle = _cycle;
-        issued++;
-        ++_c.instsIssued;
-        _activity = true;
+void
+RuuCore::doIssue()
+{
+    Cycle wake0 = _issueWakeAt;
+    if (_slowpath)
+        verifyStoreIndex();
+    else if (wake0 > _cycle)
+        return;     // no entry can pass the issue gates yet
+
+    if (_selectByReadySet) {
+        drainReady();
+        selectReady(_winners);
+        if (_slowpath) {
+            verifyReadySet();
+            std::vector<std::size_t> walked;
+            selectByWalk(walked);
+            sim_assert(walked == _winners);
+        }
+    } else {
+        selectByWalk(_winners);
+    }
+    // Issuing never readies an entry in its own cycle (every latency is
+    // at least one), so the winners are chosen before any issues; they
+    // issue oldest first, as the walk used to issue them.
+    for (std::size_t i : _winners) {
+        performIssue(_ruu[i]);
         if (_slowpath)
             sim_assert(wake0 <= _cycle);
-
-        Cycle done;
-        if (inst.wrongPath) {
-            done = _cycle + Cycle(inst.dec->latency);
-        } else if (inst.dec->isLoad()) {
-            // Perfect disambiguation: forward from any older in-flight
-            // store to the same word, else access the cache. Stores
-            // commit in order, so one is in flight iff the youngest
-            // older one recorded at dispatch has not committed.
-            bool forwarded = inst.forwardPos != kNoPos &&
-                             inst.forwardPos >= _ruuHeadPos;
-            if (_slowpath) {
-                bool scan_forwarded = false;
-                for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
-                    if (it->seq >= inst.seq || it->wrongPath)
-                        continue;
-                    if (it->dec->isStore() &&
-                        (it->effAddr >> 3) == (inst.effAddr >> 3)) {
-                        scan_forwarded = true;
-                        break;
-                    }
-                }
-                sim_assert(scan_forwarded == forwarded);
-            }
-            if (forwarded) {
-                done = _cycle + Cycle(inst.dec->latency);
-                ++_c.storeForwards;
-            } else {
-                MemAccessResult r =
-                    _mem->dataAccess(inst.effAddr, false, _cycle + 1);
-                done = r.l1Hit ? _cycle + Cycle(inst.dec->latency)
-                               : r.done;
-            }
-        } else if (inst.dec->isStore()) {
-            done = _cycle + 1;
-        } else {
-            done = _cycle + Cycle(inst.dec->latency);
-        }
-        // Without a full bypass network the result is not visible to
-        // consumers until it has been written through the register
-        // file.
-        if (!_p.fullBypass && inst.dec->archDst != kNoReg)
-            done += Cycle(_p.regreadCycles);
-        inst.doneCycle = done;
-        inst.completed = true;
-
-        if (inst.mispredicted && !inst.wrongPath) {
-            Cycle resolve =
-                _cycle + Cycle(_p.regreadCycles) + 1;
-            if (!_recovery || inst.seq < _recovery->seq)
-                _recovery = PendingRecovery{inst.seq, resolve,
-                                            inst.nextPc};
-            if (inst.dec->isCondBranch() && inst.hasBpSnap)
-                _branchPred->recover(inst.bpSnap, inst.taken);
-            inst.doneCycle = std::max(inst.doneCycle, resolve);
-        }
     }
 
-    while (first < _ruu.size() && _ruu[first].issued)
-        first++;
-    _issuedBefore = _ruuHeadPos + first;
+    if (!_selectByReadySet || _slowpath) {
+        std::size_t first = firstUnissued();
+        while (first < _ruu.size() && _ruu[first].issued)
+            first++;
+        _issuedBefore = _ruuHeadPos + first;
+    }
 
-    // An issue schedules new done cycles for consumers: rescan next
-    // cycle. A fruitless scan earns an exact recomputed bound.
-    _issueWakeAt = issued ? _cycle + 1 : recomputeIssueWake();
+    // The ready set knows the next issue cycle exactly. The walk
+    // rescans after an issue (it schedules new done cycles for
+    // consumers), and a fruitless walk earns a recomputed bound.
+    if (_selectByReadySet)
+        _issueWakeAt = wakeAfterSelect();
+    else
+        _issueWakeAt =
+            _winners.empty() ? recomputeIssueWake() : _cycle + 1;
+}
+
+void
+RuuCore::performIssue(RuuInst &inst)
+{
+    inst.issued = true;
+    inst.issueCycle = _cycle;
+    ++_c.instsIssued;
+    _activity = true;
+
+    Cycle done;
+    if (inst.wrongPath) {
+        done = _cycle + Cycle(inst.dec->latency);
+    } else if (inst.dec->isLoad()) {
+        // Perfect disambiguation: forward from any older in-flight
+        // store to the same word, else access the cache. Stores
+        // commit in order, so one is in flight iff the youngest
+        // older one recorded at dispatch has not committed.
+        bool forwarded = inst.forwardPos != kNoPos &&
+                         inst.forwardPos >= _ruuHeadPos;
+        if (_slowpath) {
+            bool scan_forwarded = false;
+            for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
+                if (it->seq >= inst.seq || it->wrongPath)
+                    continue;
+                if (it->dec->isStore() &&
+                    (it->effAddr >> 3) == (inst.effAddr >> 3)) {
+                    scan_forwarded = true;
+                    break;
+                }
+            }
+            sim_assert(scan_forwarded == forwarded);
+        }
+        if (forwarded) {
+            done = _cycle + Cycle(inst.dec->latency);
+            ++_c.storeForwards;
+        } else {
+            MemAccessResult r =
+                _mem->dataAccess(inst.effAddr, false, _cycle + 1);
+            done = r.l1Hit ? _cycle + Cycle(inst.dec->latency) : r.done;
+        }
+    } else if (inst.dec->isStore()) {
+        done = _cycle + 1;
+    } else {
+        done = _cycle + Cycle(inst.dec->latency);
+    }
+    // Without a full bypass network the result is not visible to
+    // consumers until it has been written through the register file.
+    if (!_p.fullBypass && inst.dec->archDst != kNoReg)
+        done += Cycle(_p.regreadCycles);
+    inst.doneCycle = done;
+    inst.completed = true;
+
+    if (inst.mispredicted && !inst.wrongPath) {
+        Cycle resolve = _cycle + Cycle(_p.regreadCycles) + 1;
+        if (!_recovery || inst.seq < _recovery->seq)
+            _recovery = PendingRecovery{inst.seq, resolve, inst.nextPc};
+        if (inst.dec->isCondBranch() && inst.hasBpSnap)
+            _branchPred->recover(inst.bpSnap, inst.taken);
+        inst.doneCycle = std::max(inst.doneCycle, resolve);
+    }
+
+    if (!_selectByReadySet)
+        return;
+    // The done cycle is final: place the entries parked on it.
+    _ready.reset(_ruu.slotOf(inst));
+    std::uint16_t w = inst.firstWaiter;
+    inst.firstWaiter = kNoSlot;
+    while (w != kNoSlot) {
+        RuuInst &waiter = _ruu.atSlot(w);
+        w = waiter.nextWaiter;
+        evaluate(waiter);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Ready-set select: entries are placed when they dispatch and again
+// when the producer they parked on issues; nothing else changes when a
+// correct-path entry's sources are ready (a producer's done cycle is
+// final once it issues, and one that commits was ready already).
+// ---------------------------------------------------------------------
+
+void
+RuuCore::evaluate(RuuInst &inst)
+{
+    const std::size_t slot = _ruu.slotOf(inst);
+    Cycle when = inst.dispatchCycle + 1;
+    if (!inst.wrongPath) {
+        RuuPos pending = kNoPos;
+        Cycle r = srcReady(inst, &pending);
+        if (r == kNoCycle) {
+            RuuInst &producer = _ruu[std::size_t(pending - _ruuHeadPos)];
+            inst.nextWaiter = producer.firstWaiter;
+            producer.firstWaiter = std::uint16_t(slot);
+            return;
+        }
+        when = std::max(when, r);
+    }
+    if (_drainedTo < _cycle)
+        drainReady();       // the wheel must start at this cycle
+    _issueWakeAt = std::min(_issueWakeAt, when);
+    inst.wheelBucket = kNoBucket;
+    if (when <= _cycle) {
+        _ready.set(slot);
+    } else if (when < _cycle + kWheel) {
+        inst.wheelBucket = std::uint8_t(when % kWheel);
+        _wheel[inst.wheelBucket].set(slot);
+        _wheelUsed |= std::uint16_t(1u << inst.wheelBucket);
+    } else {
+        // Only a correct-path entry waits this long, and only commit
+        // (after it issues) removes one, so an item is stale exactly
+        // when its slot holds another seq or an issued entry.
+        _pendingReady.push_back({when, inst.seq, std::uint32_t(slot)});
+        std::push_heap(_pendingReady.begin(), _pendingReady.end(),
+                       std::greater<>());
+    }
+}
+
+void
+RuuCore::drainReady()
+{
+    // Every bucket holds a cycle in (_drainedTo, _drainedTo + kWheel).
+    Cycle steps = std::min(_cycle - _drainedTo, kWheel - 1);
+    for (Cycle k = 1; k <= steps; k++) {
+        std::size_t b = std::size_t((_drainedTo + k) % kWheel);
+        if (_wheelUsed >> b & 1u) {
+            _wheelUsed &= std::uint16_t(~(1u << b));
+            _ready.take(_wheel[b]);
+        }
+    }
+    _drainedTo = _cycle;
+    while (!_pendingReady.empty() && _pendingReady.front().at <= _cycle) {
+        const PendingReady &top = _pendingReady.front();
+        const RuuInst &d = _ruu.atSlot(top.slot);
+        if (d.seq == top.seq && !d.issued)
+            _ready.set(top.slot);
+        std::pop_heap(_pendingReady.begin(), _pendingReady.end(),
+                      std::greater<>());
+        _pendingReady.pop_back();
+    }
+}
+
+Cycle
+RuuCore::wakeAfterSelect()
+{
+    if (_ready.any())
+        return _cycle + 1;
+    Cycle wake = kNoCycle;
+    while (!_pendingReady.empty()) {
+        const PendingReady &top = _pendingReady.front();
+        const RuuInst &d = _ruu.atSlot(top.slot);
+        if (d.seq == top.seq && !d.issued) {
+            wake = top.at;
+            break;
+        }
+        std::pop_heap(_pendingReady.begin(), _pendingReady.end(),
+                      std::greater<>());
+        _pendingReady.pop_back();
+    }
+    // The wheel holds cycles _cycle + 1 .. _cycle + kWheel - 1; a
+    // bucket marked used may have been emptied by a squash.
+    const int next = int((_cycle + 1) % kWheel);
+    while (_wheelUsed) {
+        int k = std::countr_zero(std::rotr(_wheelUsed, next));
+        if (_cycle + 1 + Cycle(k) >= wake)
+            break;
+        std::size_t b = std::size_t(next + k) % kWheel;
+        if (_wheel[b].any())
+            return _cycle + 1 + Cycle(k);
+        _wheelUsed &= std::uint16_t(~(1u << b));
+    }
+    return wake;
+}
+
+void
+RuuCore::verifyReadySet() const
+{
+    SlotSet want;
+    for (const RuuInst &inst : _ruu)
+        if (issueEntryLB(inst) <= _cycle)
+            want.set(_ruu.slotOf(inst));
+    sim_assert(want == _ready);
 }
 
 void
@@ -748,13 +921,17 @@ RuuCore::doDispatch()
             _lsqUsed++;
         if (inst.dec->archDst != kNoReg && !inst.wrongPath)
             _inflightDst++;
+        if (_selectByReadySet)
+            evaluate(inst);
         dispatched++;
         ++_c.instsDispatched;
     }
     if (dispatched) {
         _activity = true;
-        // Newly dispatched entries become issuable next cycle.
-        _issueWakeAt = std::min(_issueWakeAt, _cycle + 1);
+        // Newly dispatched entries become issuable next cycle at the
+        // earliest (evaluate() bounds the ready set's more tightly).
+        if (!_selectByReadySet)
+            _issueWakeAt = std::min(_issueWakeAt, _cycle + 1);
     }
 }
 

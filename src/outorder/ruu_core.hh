@@ -22,6 +22,7 @@
 #include "common/error.hh"
 #include "common/ring.hh"
 #include "core/oracle.hh"
+#include "core/slot_set.hh"
 #include "inject/inject.hh"
 #include "isa/machine.hh"
 #include "memory/hierarchy.hh"
@@ -105,6 +106,8 @@ class RuuCore : public Machine
      */
     using RuuPos = std::uint64_t;
     static constexpr RuuPos kNoPos = ~RuuPos(0);
+    static constexpr std::uint16_t kNoSlot = 0xffff;
+    static constexpr std::uint8_t kNoBucket = 0xff;
 
     struct RuuInst
     {
@@ -125,6 +128,13 @@ class RuuCore : public Machine
         /** The in-flight producer of each source (below) as an RUU
          *  position id (kNoPos = none). */
         RuuPos producerPos[3] = {kNoPos, kNoPos, kNoPos};
+        /** Ready-set select: the first entry parked on this one's
+         *  result, and the next entry parked on the same producer as
+         *  this one (ring slots, kNoSlot = none). */
+        std::uint16_t firstWaiter = kNoSlot;
+        std::uint16_t nextWaiter = kNoSlot;
+        /** The timing-wheel bucket the entry was placed in. */
+        std::uint8_t wheelBucket = kNoBucket;
 
         Cycle issueCycle = kNoCycle;
         Cycle readyForDispatch = 0;
@@ -158,9 +168,30 @@ class RuuCore : public Machine
     void doIssue();
     void doDispatch();
     void doFetch();
-    bool fuAvailable(OpClass cls) const;
-    void consumeFu(OpClass cls);
-    Cycle srcReady(const RuuInst &inst) const;
+
+    /** Functional units taken in the cycle being selected. */
+    struct FuUse
+    {
+        int alu = 0;
+        int mul = 0;
+        int fpAdd = 0;
+        int fpMul = 0;
+        int mem = 0;
+    };
+    /** Take a unit for @p cls from @p use if one is left. */
+    bool takeFu(OpClass cls, FuUse &use) const;
+    /** The RUU indexes that issue this cycle, oldest first: each ready
+     *  entry while issue width and a unit of its class are left. From
+     *  the ready set, or by walking every unissued entry (after a
+     *  strike, and as the SIMALPHA_SLOWPATH=1 reference). */
+    void selectReady(std::vector<std::size_t> &out) const;
+    void selectByWalk(std::vector<std::size_t> &out) const;
+    /** Issue @p inst: schedule its result and wake its waiters. */
+    void performIssue(RuuInst &inst);
+    /** The cycle @p inst's sources are ready (0: no producer in
+     *  flight), or kNoCycle while a producer has not issued; then
+     *  @p pending, when given, receives that producer's position. */
+    Cycle srcReady(const RuuInst &inst, RuuPos *pending = nullptr) const;
     /** srcReady by a seq search of the RUU for every source: the
      *  SIMALPHA_SLOWPATH=1 reference for the position ids. */
     Cycle srcReadyBySeq(const RuuInst &inst) const;
@@ -192,6 +223,29 @@ class RuuCore : public Machine
     /** Exact refresh of the issue wake-up bound; _cycle + 1 when an
      *  entry is blocked only by FU/width arbitration. */
     Cycle recomputeIssueWake() const;
+
+    // ---- Ready-set select (DESIGN.md section 5.9) ---------------------
+    /** An entry ready at a known cycle beyond the timing wheel. */
+    struct PendingReady
+    {
+        Cycle at;
+        InstSeq seq;            ///< the entry's, to skip a stale item
+        std::uint32_t slot;
+        bool operator>(const PendingReady &o) const { return at > o.at; }
+    };
+    /** Place dispatched entry @p inst in the select state: in the
+     *  ready set, the wheel or the heap by the cycle its sources are
+     *  ready, or on the wake-up list of a producer not yet issued. */
+    void evaluate(RuuInst &inst);
+    /** Move the wheel buckets and heap items whose cycle has come into
+     *  the ready set. */
+    void drainReady();
+    /** Earliest possible issue after a select: _cycle + 1 while a ready
+     *  entry is left (it lost FU or width arbitration), else the
+     *  earliest wheel bucket or heap item. */
+    Cycle wakeAfterSelect();
+    /** Slowpath: the ready set equals a recompute from the RUU. */
+    void verifyReadySet() const;
     /** Earliest cycle dispatch could act (kNoCycle while blocked on a
      *  condition another tracked event must clear). */
     Cycle dispatchEventCycle() const;
@@ -248,7 +302,8 @@ class RuuCore : public Machine
     RuuPos _ruuHeadPos = 0;     ///< position id of _ruu.front()
     /** Every entry below this position id has issued (RUU entries
      *  issue once; only a flip un-issues one, and a strike resets
-     *  this to the head). The issue scan starts here. */
+     *  this to the head). The walk starts here; it is kept only while
+     *  the walk runs. */
     RuuPos _issuedBefore = 0;
     /** Youngest in-flight correct-path store to each word address. */
     std::unordered_map<Addr, RuuPos> _storeByWord;
@@ -261,14 +316,6 @@ class RuuCore : public Machine
     };
     std::optional<PendingRecovery> _recovery;
 
-    // Per-cycle FU accounting.
-    Cycle _fuCycle = kNoCycle;
-    int _aluUsed = 0;
-    int _mulUsed = 0;
-    int _fpAddUsed = 0;
-    int _fpMulUsed = 0;
-    int _memUsed = 0;
-
     Cycle _lastCommitCycle = 0;
 
     // ---- Event-driven wakeup state (lower bounds only: a stale
@@ -280,6 +327,25 @@ class RuuCore : public Machine
      *  physical-register pressure scan). */
     int _inflightDst = 0;
     Cycle _issueWakeAt = 0;     ///< earliest possible issue
+
+    // ---- Ready-set select state (derived; abandoned after a strike) --
+    /** Issue from the ready set. False after a strike, which may flip
+     *  an issued flag, a done cycle or a producer the state was built
+     *  from, so the walk decides for the rest of the run; also false
+     *  for an RUU over SlotSet::kMaxSlots slots. */
+    bool _selectByReadySet = true;
+    /** Unissued entries whose sources are ready by now. */
+    SlotSet _ready;
+    /** Entries ready within kWheel - 1 cycles of _drainedTo, by cycle
+     *  mod kWheel; later ones wait in _pendingReady, a min-heap. */
+    static constexpr Cycle kWheel = 16;
+    SlotSet _wheel[kWheel];
+    /** Bit b set if wheel bucket b may be non-empty. */
+    std::uint16_t _wheelUsed = 0;
+    static_assert(kWheel == 16, "_wheelUsed holds one bit per bucket");
+    Cycle _drainedTo = 0;       ///< wheel buckets up to here drained
+    std::vector<PendingReady> _pendingReady;
+    std::vector<std::size_t> _winners;     ///< this cycle's, oldest first
     /** SIMALPHA_SLOWPATH=1: execute every cycle, keep the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

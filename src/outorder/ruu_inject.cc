@@ -199,9 +199,12 @@ RuuCore::applyInjection()
 
     _injectNote = note;
     // The cached issue bound is a lower bound computed from pre-flip
-    // state; the flip can make issue possible earlier.
+    // state; the flip can make issue possible earlier. A flipped issued
+    // flag, done cycle or writer invalidates the ready set's state, so
+    // the walk selects for the rest of the run.
     _issueWakeAt = _cycle;
     _issuedBefore = _ruuHeadPos;    // a flip can un-issue an entry
+    _selectByReadySet = false;
     // A window or lsq flip can move an address. (Position ids need no
     // rebuild: no flip moves an entry, and a flipped _regWriter is
     // resolved at the consumer's dispatch.)

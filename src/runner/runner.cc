@@ -97,11 +97,12 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
 }
 
 std::string
-ExperimentRunner::cacheKey(const Cell &cell) const
+ExperimentRunner::cacheKey(const Cell &cell,
+                           const std::string &manifestHash) const
 {
-    std::string key = cellManifestHash(cell);
-    if (key.empty())
+    if (manifestHash.empty())
         return "";
+    std::string key = manifestHash;
     key += '|';
     key += cell.workload;
     key += '|';
@@ -535,9 +536,9 @@ ExperimentRunner::runInjectedCell(const Cell &cell, Machine *machine,
 }
 
 CellResult
-ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
-                          int attempt, MachinePool &pool,
-                          WorkloadTable &workloads)
+ExperimentRunner::runCell(const Cell &cell, const std::string &manifestHash,
+                          const FaultInjection *fault, int attempt,
+                          MachinePool &pool, WorkloadTable &workloads)
 {
     CellResult result;
     result.cell = cell;
@@ -548,14 +549,16 @@ ExperimentRunner::runCell(const Cell &cell, const FaultInjection *fault,
 
     try {
         std::string error;
-        Config config;
-        if (!validate::tryDescribeMachine(cell.machine, cell.opt,
-                                          &config, &error)) {
+        if (manifestHash.empty()) {
+            // Describe again only for the message.
+            Config config;
+            validate::tryDescribeMachine(cell.machine, cell.opt, &config,
+                                         &error);
             result.error = error;
             result.errorClass = "config";
             return result;
         }
-        result.manifestHash = validate::manifestHashHex(config);
+        result.manifestHash = manifestHash;
 
         std::shared_ptr<const Program> shared =
             workloads.program(cell, &error);
@@ -700,8 +703,10 @@ ExperimentRunner::run(const CampaignSpec &spec)
     // then an execution whose result is cached and published.
     auto compute = [&](std::size_t i, MachinePool &pool) {
         const Cell &cell = spec.cells[i];
+        // Described once per configuration, by the ShardedRun.
+        const std::string &hash = sharded.manifestHash(i);
         std::string key = (_opts.cache || _store.isOpen())
-                              ? cacheKey(cell)
+                              ? cacheKey(cell, hash)
                               : std::string();
 
         if (!key.empty() && _opts.cache) {
@@ -741,16 +746,18 @@ ExperimentRunner::run(const CampaignSpec &spec)
             }
         }
 
+        const std::size_t index =
+            _opts.campaignIndices.empty() ? i : _opts.campaignIndices[i];
         const FaultInjection *fault = nullptr;
         for (const FaultInjection &f : _opts.faults)
-            if (f.cellIndex == i)
+            if (f.cellIndex == index)
                 fault = &f;
 
         CellResult r;
         int attempt = 0;
         for (;;) {
             attempt++;
-            r = runCell(cell, fault, attempt, pool, workloads);
+            r = runCell(cell, hash, fault, attempt, pool, workloads);
             if (r.ok || !r.retryable || attempt > _opts.maxRetries)
                 break;
         }

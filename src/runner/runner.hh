@@ -260,6 +260,12 @@ struct RunnerOptions
      * to its clients through this.
      */
     std::function<void(const CellResult &)> onCell;
+
+    /** The campaign index of each cell of the spec run (empty: its
+     *  position in the spec). A shard worker runs a slice of the
+     *  campaign as its spec: fault plans name cells by campaign index
+     *  and injected-fault messages print it, as in any other mode. */
+    std::vector<std::size_t> campaignIndices;
 };
 
 /** What a sampled cell measures from: the workload's length under
@@ -379,14 +385,16 @@ class ExperimentRunner
      *  it just skips the allocation/construction of every sub-unit. */
     class MachinePool;
 
-    /** Execute one cell; @p fault, when non-null, is this cell's
-     *  injection and @p attempt the 1-based execution count. Any
-     *  exception escaping execution is converted into a failed result
-     *  carrying its taxonomy class — never propagated to the pool.
-     *  @p pool is the calling worker's private machine pool. */
-    CellResult runCell(const Cell &cell, const FaultInjection *fault,
-                       int attempt, MachinePool &pool,
-                       WorkloadTable &workloads);
+    /** Execute one cell, whose configuration hashes to @p manifestHash
+     *  (manifestHashes(); empty if it cannot be described); @p fault,
+     *  when non-null, is this cell's injection and @p attempt the
+     *  1-based execution count. Any exception escaping execution is
+     *  converted into a failed result carrying its taxonomy class —
+     *  never propagated to the pool. @p pool is the calling worker's
+     *  private machine pool. */
+    CellResult runCell(const Cell &cell, const std::string &manifestHash,
+                       const FaultInjection *fault, int attempt,
+                       MachinePool &pool, WorkloadTable &workloads);
     /** The sampled-execution arm of runCell: take the cell's windows
      *  from @p workloads (the first cell of its workload, cap and
      *  spec fast-forwards in-process, plans the windows and collects
@@ -411,8 +419,11 @@ class ExperimentRunner
     inject::GoldenRef goldenFor(const Cell &cell, Machine *machine,
                                 const Program &program,
                                 const std::string &manifest_hash);
-    /** Cache key, or empty if the cell is not cacheable (bad machine). */
-    std::string cacheKey(const Cell &cell) const;
+    /** Cache key of @p cell, whose configuration hashes to
+     *  @p manifestHash; empty if the cell is not cacheable (bad
+     *  machine, empty hash). */
+    std::string cacheKey(const Cell &cell,
+                         const std::string &manifestHash) const;
 
     RunnerOptions _opts;
 

@@ -378,8 +378,8 @@ runShardWorker(const ShardWorkerOptions &options)
 
     // The slice runs as one sub-spec through one runner, so its cells
     // share one program and one sampled-window set per workload, as in
-    // a thread run. Faults arrive as campaign indices; the runner reads
-    // them as positions in the sub-spec.
+    // a thread run. Faults name campaign indices, and so does the
+    // runner, through the slice's campaignIndices.
     CampaignSpec slice;
     slice.name = spec.name;
     RunnerOptions ro;
@@ -387,15 +387,12 @@ runShardWorker(const ShardWorkerOptions &options)
     ro.cache = false;
     ro.storePath = options.storePath;
     ro.maxRetries = options.maxRetries;
-    for (std::size_t pos = 0; pos < options.cells.size(); pos++) {
-        if (options.cells[pos] >= spec.cells.size())
+    ro.faults = options.faults;
+    ro.campaignIndices = options.cells;
+    for (std::size_t index : options.cells) {
+        if (index >= spec.cells.size())
             return 2;
-        slice.cells.push_back(spec.cells[options.cells[pos]]);
-        for (const FaultInjection &f : options.faults)
-            if (f.cellIndex == options.cells[pos]) {
-                ro.faults.push_back(f);
-                ro.faults.back().cellIndex = pos;
-            }
+        slice.cells.push_back(spec.cells[index]);
     }
 
     // One append-only slice journal: a heartbeat before each cell, its

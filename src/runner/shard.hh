@@ -164,7 +164,8 @@ struct ShardWorkerOptions
      *  stored are served instead of recomputed, and a store-summary
      *  line reports this worker's hit counts. */
     std::string storePath;
-    /** Fault plan in campaign cell indices (worker filters + remaps). */
+    /** Fault plan in campaign cell indices (the slice's runner reads
+     *  them through RunnerOptions::campaignIndices). */
     std::vector<FaultInjection> faults;
     /** fsync the shard journal after every line (forwarded by the
      *  supervisor's --journal-sync). */

@@ -151,6 +151,13 @@ class ShardedRun
     bool declare(std::size_t cell, const std::string &errorClass,
                  const std::string &message);
     bool settled(std::size_t cell) const;
+    /** @p cell's manifest hash (manifestHashes(), computed once per
+     *  configuration at construction). */
+    const std::string &
+    manifestHash(std::size_t cell) const
+    {
+        return _hashes[cell];
+    }
     /** The result of a released cell; from the sink, the one it is
      *  being handed (the k-th released line is cell k's). */
     const CellResult &result(std::size_t cell) const

@@ -12,6 +12,7 @@ namespace {
 constexpr int kOne = 10;
 constexpr int kCount = 9;
 constexpr int kLink = 26;
+constexpr int kDispatchTargets = 8;
 
 /** Stream-pointer registers (up to four independent streams). */
 constexpr int kStreamRegs[4] = {20, 24, 25, 27};
@@ -47,7 +48,10 @@ makeMacro(const MacroProfile &p)
     const int streams = std::max(1, std::min(4, p.streams));
 
     // Data image: a shuffled circular chase through the footprint (used
-    // when pointerChase) plus payload words on every node.
+    // when pointerChase) plus payload words on every node, and the
+    // dispatch table's words (below).
+    b.reserveData(std::size_t(nodes) * (p.stride >= 16 ? 2 : 1) +
+                  (p.indirectDispatch ? kDispatchTargets : 0));
     {
         std::vector<int> order{};
         order.resize(std::size_t(nodes));
@@ -87,7 +91,6 @@ makeMacro(const MacroProfile &p)
         b.ldt(F(7), 8, R(19));
 
     const Addr table = Program::kDataBase + 0x40000000ULL;
-    constexpr int kDispatchTargets = 8;
 
     b.alignOctaword();
     b.label("outer");

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/oracle.hh"
 #include "isa/assembler.hh"
 #include "isa/emulator.hh"
+#include "runner/campaign.hh"
 
 using namespace simalpha;
 
@@ -371,4 +375,68 @@ TEST(OracleStream, NextPcTracksCursor)
     EXPECT_EQ(o.nextPc(), p.pcOf(1));
     o.rewindTo(0);
     EXPECT_EQ(o.nextPc(), p.pcOf(0));
+}
+
+namespace {
+
+/** @p image's pages, in address order, against @p data stored word by
+ *  word into a plain SparseMemory: the same pages, byte for byte. */
+void
+expectImageMatchesReplay(const std::vector<std::pair<Addr, RegVal>> &data,
+                         const PageImage &image, const std::string &what)
+{
+    SparseMemory replay;
+    std::set<Addr> pages;
+    for (const auto &[addr, value] : data) {
+        replay.write64(addr, value);
+        pages.insert(addr >> PageImage::kPageShift);
+        pages.insert((addr + 7) >> PageImage::kPageShift);
+    }
+    ASSERT_EQ(image.pageNos,
+              std::vector<Addr>(pages.begin(), pages.end()))
+        << what;
+    ASSERT_EQ(image.pages.size(), image.pageNos.size()) << what;
+    EXPECT_EQ(image.dataWords, data.size()) << what;
+    for (std::size_t i = 0; i < image.pageNos.size(); i++) {
+        ASSERT_EQ(image.slotOf.at(image.pageNos[i]), i) << what;
+        Addr base = image.pageNos[i] << PageImage::kPageShift;
+        for (Addr off = 0; off < PageImage::kPageBytes; off += 8) {
+            RegVal built;
+            std::memcpy(&built, image.pages[i]->data() + off, 8);
+            ASSERT_EQ(built, replay.read64(base + off))
+                << what << " at 0x" << std::hex << base + off;
+        }
+    }
+}
+
+} // namespace
+
+TEST(PageImage, BuildMatchesAWordByWordReplayForEveryWorkload)
+{
+    for (const std::string &name : runner::workloadNames()) {
+        Program p;
+        std::string error;
+        ASSERT_TRUE(runner::buildWorkload(name, &p, &error)) << error;
+        expectImageMatchesReplay(p.data, *PageImage::build(p.data), name);
+    }
+}
+
+TEST(PageImage, BuildLaysStraddlingAndRepeatedWordsOutAsStores)
+{
+    // A word straddling two pages, one repeated (the later value wins),
+    // a misaligned one inside a page, a zero word that still makes its
+    // page, and one far beyond the others' window.
+    const std::vector<std::pair<Addr, RegVal>> data = {
+        {0x10000, 0x1111111111111111ULL},
+        {0x10ffc, 0xDEADBEEFCAFEF00DULL},
+        {0x10008, 0x2222222222222222ULL},
+        {0x10000, 0x3333333333333333ULL},
+        {0x10ffa, 0x0102030405060708ULL},
+        {0x12003, 0xA5A5A5A5A5A5A5A5ULL},
+        {0x15000, 0},
+        {0x40000000000ULL, 0x4444444444444444ULL},
+        {0x10ff8, 0x5555555555555555ULL},
+    };
+    expectImageMatchesReplay(data, *PageImage::build(data), "hand-made");
+    expectImageMatchesReplay({}, *PageImage::build({}), "empty");
 }

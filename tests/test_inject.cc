@@ -51,6 +51,20 @@ using validate::Optimization;
 
 namespace {
 
+/** Removes its paths (files or directory trees) when the test's scope
+ *  ends, also when a fatal assertion returns early, so a test leaves
+ *  nothing in the temp directory. */
+struct RemoveOnExit
+{
+    std::vector<std::string> paths;
+    ~RemoveOnExit()
+    {
+        std::error_code ec;
+        for (const std::string &path : paths)
+            fs::remove_all(path, ec);
+    }
+};
+
 std::string
 uniqueDir(const std::string &stem)
 {
@@ -546,6 +560,7 @@ TEST(VulnProc, ShardedWarmAndResumedRunsAreByteIdentical)
     VulnSpec vs = testVulnSpec();
     CampaignSpec spec = vulnCampaign(vs);
     std::string root = uniqueDir("drill");
+    RemoveOnExit cleanup{{root}};
     std::string store = root + "/store";
     fs::create_directories(root);
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "memory/cache.hh"
 #include "memory/dram.hh"
 #include "memory/hierarchy.hh"
@@ -390,4 +392,57 @@ TEST(Hierarchy, SharedMafIsUsedWhenConfigured)
         done = std::max(done, r.done);
     }
     EXPECT_GT(done, 0u);
+}
+
+TEST(Cache, ResetAfterAnyHistoryAnswersAsAFreshCache)
+{
+    // A line leaves its empty state only by a fill or a tag flip, and
+    // reset() clears only the lines it noted (all of them past a
+    // quarter of the array). Both histories below fill, evict through
+    // the victim buffer and back, prefetch, dirty lines and flip one
+    // filled and one empty tag; the light one stays under the quarter,
+    // the heavy one passes it. Afterwards every access must get the
+    // answer, and fill the way, that a freshly built cache gives.
+    CacheParams p;
+    p.name = "l1";          // 512 sets x 2 ways x 64B
+    p.sizeBytes = 64 * 1024;
+    p.assoc = 2;
+    p.victimEntries = 4;
+    p.prefetchLines = 2;
+    auto block_addr = [](int set, int tag) {
+        return (Addr(set) + Addr(tag) * 512) << 6;
+    };
+    for (int sets : {16, 200}) {
+        FixedLevel used_below(20);
+        Cache used(p, &used_below);
+        Cycle t = 0;
+        for (int pass = 0; pass < 3; pass++)
+            for (int b = 0; b < 3 * sets; b++)
+                used.access(block_addr(b / 3, b % 3), (b + pass) % 4 == 0,
+                            t += 3);
+        used.injectTagFlip(0, 5);           // set 0, way 0: filled
+        used.injectTagFlip(2 * 300, 63);    // set 300, way 0: empty
+        used.reset();
+        used_below.accesses = 0;
+
+        FixedLevel fresh_below(20);
+        Cache fresh(p, &fresh_below);
+        t = 0;
+        for (int b = 0; b < 3 * 512; b++) {
+            Addr addr = block_addr(b % 512, b / 512);
+            bool write = b % 5 == 0;
+            t += 2;
+            AccessResult u = used.access(addr, write, t);
+            AccessResult f = fresh.access(addr, write, t);
+            ASSERT_EQ(u.hit, f.hit) << "sets=" << sets << " access " << b;
+            ASSERT_EQ(u.belowHit, f.belowHit) << "access " << b;
+            ASSERT_EQ(u.done, f.done) << "access " << b;
+            ASSERT_EQ(used.wayOf(addr), fresh.wayOf(addr)) << "access " << b;
+        }
+        std::ostringstream u, f;
+        used.statGroup().dump(u);
+        fresh.statGroup().dump(f);
+        EXPECT_EQ(u.str(), f.str()) << "sets=" << sets;
+        EXPECT_EQ(used_below.accesses, fresh_below.accesses);
+    }
 }

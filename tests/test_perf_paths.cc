@@ -24,7 +24,9 @@
 #include <vector>
 
 #include "core/core.hh"
+#include "inject/inject.hh"
 #include "isa/machine.hh"
+#include "outorder/ruu_core.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
@@ -241,4 +243,90 @@ TEST(PerfPaths, ReusedCoreMatchesFreshCoresByteForByte)
                 << name << " diverged on " << cell.workload;
         }
     }
+}
+
+TEST(PerfPaths, ReusedCoreAfterTagStrikesMatchesFreshCores)
+{
+    // Cache and TLB tag flips land in the memory system, whose reset()
+    // clears only the cache lines it noted. Each struck cell runs on a
+    // core reused across the list and on a fresh core armed with the
+    // same flip; the clean cell after it shows whatever the reset
+    // missed. The cycle-0 strikes hit lines that are still empty, which
+    // the run then fills around (or into), so a line the reset missed
+    // would keep a tag the fresh core does not have. The cells span an
+    // L1I, an L1D and an L2 line, a line struck mid-run, and a TLB
+    // entry.
+    using inject::Target;
+    struct StrikeCell
+    {
+        const char *workload;
+        inject::StateInjection strike;
+    };
+    const std::vector<StrikeCell> cells = {
+        {"mesa", {Target::CacheTag, 1024 + 74, 9, 0}},
+        {"mesa", {}},
+        {"gcc", {Target::CacheTag, 2048 + 300, 3, 0}},
+        {"gcc", {}},
+        {"gcc", {Target::CacheTag, 40, 11, 0}},
+        {"gcc", {}},
+        {"mesa", {Target::CacheTag, 1024 + 511, 60, 2500}},
+        {"mesa", {}},
+        {"mesa", {Target::TlbTag, 3, 14, 600}},
+        {"mesa", {}},
+    };
+    for (const char *name : {"sim-alpha", "sim-outorder"}) {
+        std::string error;
+        std::unique_ptr<Machine> reused = validate::tryMakeMachine(
+            name, validate::Optimization::None, &error);
+        ASSERT_TRUE(reused) << error;
+        for (const StrikeCell &cell : cells) {
+            std::unique_ptr<Machine> fresh = validate::tryMakeMachine(
+                name, validate::Optimization::None, &error);
+            ASSERT_TRUE(fresh) << error;
+            const CellSpec spec = {name, cell.workload, 20000};
+            auto render = [&](Machine &machine) {
+                machine.armInjection(&cell.strike, 0);
+                return runAndDump(machine, spec) + "note: " +
+                       machine.injectionNote() + '\n';
+            };
+            EXPECT_EQ(render(*reused), render(*fresh))
+                << name << " diverged on " << cell.workload << " after "
+                << inject::formatInjectSpec(cell.strike);
+        }
+    }
+}
+
+TEST(PerfPaths, RuuWiderThanTheReadySetWalksAndMatchesTheSlowpath)
+{
+    // An RUU of more than SlotSet::kMaxSlots slots cannot use the ready
+    // set, so it always walks; its squashes must leave the ready-set
+    // state alone, and its runs match the slowpath's bytes.
+    auto render = [] {
+        RuuCoreParams params = RuuCoreParams::simOutorder();
+        params.ruuEntries = 512;
+        params.lsqEntries = 512;
+        RuuCore core(params);
+        std::string all;
+        for (const char *name : {"gcc", "art", "C-R"}) {
+            Program program;
+            std::string error;
+            EXPECT_TRUE(runner::buildWorkload(name, &program, &error))
+                << error;
+            RunResult r = core.run(program, 20000);
+            std::ostringstream os;
+            os << name << ": cycles=" << r.cycles
+               << " insts=" << r.instsCommitted << '\n';
+            core.statGroup().dump(os);
+            all += os.str();
+        }
+        return all;
+    };
+    std::string fast = render();
+    std::string slow;
+    {
+        ScopedSlowpath guard;
+        slow = render();
+    }
+    ASSERT_FALSE(fast.empty());
+    EXPECT_EQ(fast, slow);
 }

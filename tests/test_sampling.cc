@@ -51,6 +51,20 @@ using validate::Optimization;
 
 namespace {
 
+/** Removes its paths (files or directory trees) when the test's scope
+ *  ends, also when a fatal assertion returns early, so a test leaves
+ *  nothing in the temp directory. */
+struct RemoveOnExit
+{
+    std::vector<std::string> paths;
+    ~RemoveOnExit()
+    {
+        std::error_code ec;
+        for (const std::string &path : paths)
+            fs::remove_all(path, ec);
+    }
+};
+
 std::string
 uniqueDir(const std::string &stem)
 {
@@ -399,6 +413,7 @@ TEST(CheckpointStore, CollectedCheckpointsRoundTripByteIdentically)
 
     // Cold through a store: generated once, published.
     std::string root = uniqueDir("ckpt-store");
+    RemoveOnExit cleanup{{root}};
     ResultStore store;
     ASSERT_TRUE(store.open(root, &error)) << error;
     std::vector<Checkpoint> cold;
@@ -517,6 +532,7 @@ TEST(SampledRunner, ResumeFromJournalIsByteIdentical)
     sample.warmup = 100;
     CampaignSpec spec = smokeCampaign().withSampling(sample);
     std::string journal = uniqueDir("resume") + ".jsonl";
+    RemoveOnExit cleanup{{journal, journal + ".shards.d"}};
 
     RunnerOptions first;
     first.journalPath = journal;
@@ -572,6 +588,7 @@ TEST(SampledRunner, WarmStoreRerunIsByteIdentical)
     sample.warmup = 100;
     CampaignSpec spec = smokeCampaign().withSampling(sample);
     std::string root = uniqueDir("warm-store");
+    RemoveOnExit cleanup{{root}};
 
     RunnerOptions opts;
     opts.storePath = root;

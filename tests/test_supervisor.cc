@@ -24,18 +24,37 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
+#include "runner/journal.hh"
 #include "runner/runner.hh"
 #include "runner/supervisor.hh"
 
 using namespace simalpha;
 using namespace simalpha::runner;
 
+namespace fs = std::filesystem;
+
 namespace {
+
+/** Removes its paths (files or directory trees) when the test's scope
+ *  ends, also when a fatal assertion returns early, so a test leaves
+ *  nothing in the temp directory. */
+struct RemoveOnExit
+{
+    std::vector<std::string> paths;
+    ~RemoveOnExit()
+    {
+        std::error_code ec;
+        for (const std::string &path : paths)
+            fs::remove_all(path, ec);
+    }
+};
 
 std::string
 uniquePath(const std::string &stem)
@@ -251,6 +270,35 @@ TEST(Supervisor, ResumeReplaysCrashedCellsFromMasterJournal)
 // Option validation
 // ---------------------------------------------------------------------
 
+TEST(Supervisor, InjectedPanicLineMatchesTheInProcessRun)
+{
+    // Each worker runs its slice as a spec of its own, yet the failed
+    // cell's message names its campaign index, so its artifact line,
+    // like the rest of the artifact, is the one a --jobs 1 run writes.
+    FaultInjection panic;
+    panic.cellIndex = 7;
+    panic.kind = FaultInjection::Kind::Panic;
+
+    RunnerOptions ro;
+    ro.jobs = 1;
+    ro.cache = false;
+    ro.faults = {panic};
+    CampaignResult direct = ExperimentRunner(ro).run(smokeCampaign());
+    ASSERT_FALSE(direct.cells[7].ok);
+    EXPECT_EQ(direct.cells[7].error, "injected panic (cell 7, attempt 1)");
+
+    std::string journal = uniquePath("panic-line");
+    std::remove(journal.c_str());
+    SupervisorOptions opts = smokeOptions(journal);
+    opts.faults = {panic};
+    SupervisorOutcome outcome = superviseCampaign(opts);
+    cleanup(journal, outcome);
+    ASSERT_EQ(outcome.result.cells.size(), direct.cells.size());
+    EXPECT_EQ(journalLine("smoke", outcome.result.cells[7]),
+              journalLine("smoke", direct.cells[7]));
+    EXPECT_EQ(toJson(outcome.result), toJson(direct));
+}
+
 TEST(Supervisor, UnusableOptionsThrowConfigError)
 {
     SupervisorOptions unknown = smokeOptions(uniquePath("opts"));
@@ -271,6 +319,14 @@ TEST(SupervisorCli, ThreadModeDiesWhereProcessModeCompletes)
     std::string out = testing::TempDir() + "simalpha-cli-" +
                       std::to_string(::getpid()) + ".json";
     std::string bin = SIMALPHA_BIN;
+    // Both runs' artifacts, journals, scratch directories and
+    // summaries.
+    RemoveOnExit cleanup;
+    for (const std::string &run : {out, out + ".thread"})
+        for (const char *suffix :
+             {"", ".journal.jsonl", ".journal.jsonl.shards.d",
+              ".summary.csv", ".summary.json"})
+            cleanup.paths.push_back(run + suffix);
 
     // The same injected segfault: under thread isolation it kills the
     // whole campaign (the process dies by SIGSEGV). `exec` replaces
@@ -292,13 +348,6 @@ TEST(SupervisorCli, ThreadModeDiesWhereProcessModeCompletes)
             .c_str());
     ASSERT_TRUE(WIFEXITED(procStatus));
     EXPECT_EQ(WEXITSTATUS(procStatus), 1);
-
-    std::string scratch = out + ".journal.jsonl.shards.d";
-    std::system(("rm -rf '" + scratch + "'").c_str());
-    std::remove((out + ".thread").c_str());
-    std::remove((out + ".thread.journal.jsonl").c_str());
-    std::remove((out + ".journal.jsonl").c_str());
-    std::remove(out.c_str());
 }
 
 TEST(SupervisorCli, SigtermReapsWorkersAndExitsThree)

@@ -154,11 +154,46 @@ for mode in jobs4 proc; do
 done
 echo "capped table5: OK (--jobs 1, --jobs 4 and 3 worker processes byte-identical)"
 
+# Reset after strikes: pooled cores are reused from cell to cell, and a
+# cache's reset clears only the lines it noted being filled or flipped.
+# At --jobs 1 and --jobs 3 the pooled cores meet different strike
+# histories, so a line a reset missed would show up as different
+# cycles; the artifacts and vulnerability tables must be identical.
+VULN_DIR=$(mktemp -d /tmp/simalpha-tier1-vuln-XXXXXX)
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$VULN_DIR"' EXIT
+for jobs in 1 3; do
+    ./tools/simalpha vuln --workload C-Ca --max-insts 800000 --cells 60 \
+        --machine sim-alpha --seed 7 --targets cachetag+tlbtag \
+        --jobs "$jobs" --no-journal --out "$VULN_DIR/tags$jobs.json" \
+        > /dev/null
+done
+for ext in "" .vuln.json .vuln.csv; do
+    cmp "$VULN_DIR/tags1.json$ext" "$VULN_DIR/tags3.json$ext"
+done
+echo "tag strikes: OK (--jobs 1 and --jobs 3 byte-identical)"
+
+# RuuCore's ready set against the walk while strikes land: the
+# sim-outorder drill's window, issue-queue, LSQ, rename and register
+# flips, with SIMALPHA_SLOWPATH=1 checking the ready set against the
+# walk in every cycle before each strike (the walk selects after it).
+drill() {
+    ./tools/simalpha vuln --workload C-Ca --max-insts 800000 --cells 200 \
+        --machine sim-outorder --seed 7 \
+        --targets rob+iq+lsq+renamemap+regfile --jobs 4 --no-journal \
+        --out "$VULN_DIR/$1.json" > /dev/null
+}
+drill fast
+SIMALPHA_SLOWPATH=1 drill slow
+for ext in "" .vuln.json .vuln.csv; do
+    cmp "$VULN_DIR/fast.json$ext" "$VULN_DIR/slow.json$ext"
+done
+echo "outorder drill: OK (slowpath byte-identical)"
+
 # Bench trajectory: a quick full measurement (every row) written
 # through the trajectory-file writer, then read back by the schema
 # check.
 BENCH_DIR=$(mktemp -d /tmp/simalpha-tier1-bench-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$BENCH_DIR"' EXIT
+trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$VULN_DIR" "$BENCH_DIR"' EXIT
 ./tools/simalpha bench --quick --out "$BENCH_DIR/perf.json" > /dev/null
 ./tools/simalpha bench --check "$BENCH_DIR/perf.json"
 echo "bench quick: OK (measured, written and schema-checked)"
