@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -60,7 +58,7 @@ slotAssignment(const DecodedInst &inst, int packet_slot)
 } // namespace
 
 AlphaCore::AlphaCore(const AlphaCoreParams &params)
-    : _p(params), _stats(params.name), _c(_stats),
+    : TimedCore(params.name), _p(params), _c(_stats),
       _ring(std::size_t(std::max(params.robEntries, 1) +
                         std::max(params.fetchQueueEntries, 1)))
 {
@@ -70,9 +68,7 @@ AlphaCore::AlphaCore(const AlphaCoreParams &params)
 }
 
 AlphaCore::BoundCounters::BoundCounters(stats::Group &g)
-    : cycles(g.counter("cycles")),
-      instsCommitted(g.counter("insts_committed")),
-      branchesRetired(g.counter("branches_retired")),
+    : branchesRetired(g.counter("branches_retired")),
       mispredictsRetired(g.counter("mispredicts_retired")),
       jumpMispredicts(g.counter("jump_mispredicts")),
       branchMispredicts(g.counter("branch_mispredicts")),
@@ -100,14 +96,8 @@ AlphaCore::BoundCounters::BoundCounters(stats::Group &g)
 }
 
 void
-AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
+AlphaCore::resetMachine()
 {
-    _prog = &program;
-    // The oracle is program state and is rebuilt every run; every other
-    // sub-unit's geometry is fixed by _p, so on reuse the units are
-    // reset in place instead of reallocated (campaign core reuse).
-    _oracle = start ? std::make_unique<OracleStream>(program, *start)
-                    : std::make_unique<OracleStream>(program);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         _rename =
@@ -133,7 +123,8 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
         for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
             int q = _fuPool->pipeIsFp(pipe);
             _pipeQueue[pipe] = std::uint8_t(q);
-            _pipeReady[pipe] = &_ready[q][q ? 0 : _fuPool->pipeCluster(pipe)];
+            _pipeReady[pipe] =
+                &_wheel[q].ready(q ? 0 : _fuPool->pipeCluster(pipe));
             _queuePipes[q] |= std::uint8_t(1u << pipe);
         }
     } else {
@@ -151,24 +142,14 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
         _fpIq->clear();
     }
 
-    _cycle = 0;
-    _seqCounter = 0;
-    _committed = 0;
-    _finished = false;
-    _fetchPc = start ? start->pc : program.entryPc;
-    _fetchResumeAt = 0;
-    _wrongPathMode = false;
-    _haltFetched = false;
     _mapBlockedUntil = 0;
     _lqUsed = 0;
     _sqUsed = 0;
-    _lastCommitCycle = 0;
     _ring.clear();
     _robSize = 0;
     _recovery.reset();
     _loadUseChecks.clear();
     _outstandingMisses.clear();
-    _stats.reset();
 
     _intWakeAt = 0;
     _fpWakeAt = 0;
@@ -179,116 +160,26 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _waiters.assign(std::size_t(_p.physIntRegs + _p.physFpRegs), nullptr);
     invalidateSelect();
     _unresolvedStores.clear();
-    const char *slow = std::getenv("SIMALPHA_SLOWPATH");
-    _slowpath = slow && std::strcmp(slow, "1") == 0;
-    _ffCheckUntil = 0;
-    _activity = false;
-
-    // An armed injection re-arms for every run; the strike itself is
-    // per-run state.
-    _injectPending = _inject.enabled();
-    _injectNote.clear();
 }
 
 void
 AlphaCore::runLoop(const Program &program)
 {
+    // The budget is checked after every tick, the strike inside it.
     const Cycle budget = _inject.enabled() ? _injectBudget : 0;
     while (!_finished && (_maxInsts == 0 || _committed < _maxInsts)) {
         cycleTick();
         if (_p.watchdogCycles &&
             _cycle - _lastCommitCycle > _p.watchdogCycles)
             throw DeadlockError(deadlockSnapshot(program));
-        if (budget && _cycle > budget)
-            throw TimeoutError(
-                "injected run exceeded its cycle budget (" +
-                std::to_string(budget) + " cycles)");
+        checkBudget(budget);
     }
-}
-
-RunResult
-AlphaCore::run(const Program &program, std::uint64_t max_insts)
-{
-    resetMachine(program);
-    _maxInsts = max_insts;
-    runLoop(program);
-
-    RunResult res;
-    res.machine = _p.name;
-    res.program = program.name;
-    res.cycles = _cycle;
-    res.instsCommitted = _committed;
-    res.finished = _finished;
-    _c.cycles.set(_cycle);
-    _c.instsCommitted.set(_committed);
-    return res;
-}
-
-RunResult
-AlphaCore::runWindow(const Program &program, const Checkpoint &start,
-                     std::uint64_t warmup_insts,
-                     std::uint64_t measure_insts,
-                     std::map<std::string, std::uint64_t>
-                         *measured_counters)
-{
-    // The oracle resumes at the checkpoint and fetch starts where the
-    // restored architectural state left off. Everything
-    // microarchitectural (caches, predictors, queues) stays cold —
-    // that is what the warm-up phase is for.
-    resetMachine(program, &start);
-    if (start.halted)
-        _finished = true;
-
-    if (warmup_insts && !_finished) {
-        _maxInsts = warmup_insts;
-        runLoop(program);
-    }
-    Cycle warm_cycles = _cycle;
-    std::uint64_t warm_insts = _committed;
-    std::map<std::string, std::uint64_t> before;
-    if (measured_counters) {
-        _c.cycles.set(_cycle);
-        _c.instsCommitted.set(_committed);
-        before = _stats.snapshot();
-    }
-
-    if (!_finished) {
-        // measure_insts == 0 runs the window to program completion.
-        _maxInsts = measure_insts ? warm_insts + measure_insts : 0;
-        runLoop(program);
-    }
-
-    RunResult res;
-    res.machine = _p.name;
-    res.program = program.name;
-    res.cycles = _cycle - warm_cycles;
-    res.instsCommitted = _committed - warm_insts;
-    res.finished = _finished;
-    _c.cycles.set(_cycle);
-    _c.instsCommitted.set(_committed);
-    if (measured_counters) {
-        measured_counters->clear();
-        for (const auto &kv : _stats.snapshot()) {
-            auto it = before.find(kv.first);
-            std::uint64_t prior =
-                it == before.end() ? 0 : it->second;
-            (*measured_counters)[kv.first] = kv.second - prior;
-        }
-    }
-    return res;
 }
 
 DeadlockInfo
 AlphaCore::deadlockSnapshot(const Program &program) const
 {
-    DeadlockInfo info;
-    info.machine = _p.name;
-    info.program = program.name;
-    info.cycle = _cycle;
-    info.lastCommitCycle = _lastCommitCycle;
-    info.committed = _committed;
-    info.fetchPc = _fetchPc;
-    info.windowOccupancy = _robSize;
+    DeadlockInfo info = deadlockHeader(program, _robSize);
     if (_robSize) {
         const DynInst &h = _ring.front();
         char buf[192];
@@ -320,27 +211,8 @@ AlphaCore::deadlockSnapshot(const Program &program) const
 void
 AlphaCore::cycleTick()
 {
-    if (_slowpath) {
-        // Dual-run mode: predict the idle window the fast path would
-        // skip, then execute every cycle anyway and assert each one
-        // really was inactive.
-        if (_cycle >= _ffCheckUntil) {
-            Cycle j = fastForwardTarget();
-            if (j)
-                _ffCheckUntil = j;
-        }
-        _activity = false;
-    } else {
-        Cycle j = fastForwardTarget();
-        if (j) {
-            // Every cycle in [_cycle, j) is provably inactive: each
-            // stage's next possible action is at or after j (capped
-            // at the watchdog horizon, so deadlocks still fire at the
-            // exact baseline cycle).
-            _cycle = j;
-            return;
-        }
-    }
+    if (skipIdle([this] { return fastForwardTarget(); }))
+        return;
 
     // The armed flip strikes before the stages of its cycle run, on
     // the slow and fast paths alike (fastForwardTarget never jumps
@@ -363,39 +235,6 @@ AlphaCore::cycleTick()
 // ---------------------------------------------------------------------
 // Event-driven wakeup: lower bounds on each stage's next action
 // ---------------------------------------------------------------------
-
-Cycle
-AlphaCore::wakeAfterSelect(int q)
-{
-    if (_ready[q][0].any() || _ready[q][1].any())
-        return _cycle + 1;
-    // Entries issued since they were listed leave stale heap items.
-    Cycle wake = kNoCycle;
-    std::vector<PendingReady> &heap = _pending[q];
-    while (!heap.empty()) {
-        const PendingReady &top = heap.front();
-        const DynInst &d = _ring.atSlot(top.slot);
-        if (d.seq == top.seq && !d.issued) {
-            wake = top.at;
-            break;
-        }
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-        heap.pop_back();
-    }
-    // The wheel holds cycles _cycle + 1 .. _cycle + kWheel - 1; a
-    // bucket marked used may have been emptied by issuing entries.
-    const int next = int((_cycle + 1) % kWheel);
-    while (_wheelUsed[q]) {
-        int k = std::countr_zero(std::rotr(_wheelUsed[q], next));
-        if (_cycle + 1 + Cycle(k) >= wake)
-            break;
-        std::size_t b = std::size_t(next + k) % kWheel;
-        if (_wheel[b][q][0].any() || _wheel[b][q][1].any())
-            return _cycle + 1 + Cycle(k);
-        _wheelUsed[q] &= ~(1u << b);
-    }
-    return wake;
-}
 
 Cycle
 AlphaCore::mapEventCycle() const
@@ -864,17 +703,8 @@ AlphaCore::operandReadyCycle(const DynInst &inst, int cluster) const
 void
 AlphaCore::invalidateSelect()
 {
-    for (auto &by_queue : _ready)
-        for (SlotSet &ready : by_queue)
-            ready.clear();
-    for (auto &bucket : _wheel)
-        for (auto &by_queue : bucket)
-            for (SlotSet &set : by_queue)
-                set.clear();
-    _wheelUsed[0] = _wheelUsed[1] = 0;
-    _drainedTo = _cycle;
-    _pending[0].clear();
-    _pending[1].clear();
+    for (ReadyWheel<2> &wheel : _wheel)
+        wheel.clear(_cycle);
     std::fill(_waiters.begin(), _waiters.end(), nullptr);
     for (int q = 0; q < 2; q++)
         for (DynInst *inst : (q ? *_fpIq : *_intIq).entries())
@@ -950,58 +780,10 @@ AlphaCore::evaluate(DynInst &inst, int q)
         }
         return;
     }
-    const std::uint32_t slot = inst.slot;
-    if (_drainedTo < _cycle)
-        drainWheel();       // the wheel must start at this cycle
-    inst.wheelBucket[0] = inst.wheelBucket[1] = DynInst::kNoBucket;
-    for (int c = 0; c < (q ? 1 : 2); c++) {
-        Cycle when = at[c];
-        if (when >= _cycle + kWheel) {
-            _pending[q].push_back({when, inst.seq, slot, std::uint8_t(c)});
-            std::push_heap(_pending[q].begin(), _pending[q].end(),
-                           std::greater<>());
-            continue;
-        }
-        // A ready bit now, or one in the wheel bucket of its cycle:
-        // chosen without a branch, as the two alternate unpredictably.
-        bool later_cycle = when > _cycle;
-        std::uint8_t b = std::uint8_t(when % kWheel);
-        (later_cycle ? _wheel[b][q][c] : _ready[q][c]).set(slot);
-        _wheelUsed[q] |= std::uint16_t(std::uint16_t(later_cycle) << b);
-        inst.wheelBucket[c] = later_cycle ? b : DynInst::kNoBucket;
-    }
-}
-
-void
-AlphaCore::drainWheel()
-{
-    // Every bucket holds a cycle in (_drainedTo, _drainedTo + kWheel).
-    Cycle steps = std::min(_cycle - _drainedTo, kWheel - 1);
-    for (Cycle k = 1; k <= steps; k++) {
-        std::size_t b = (_drainedTo + k) % kWheel;
-        for (int q = 0; q < 2; q++) {
-            if (!(_wheelUsed[q] >> b & 1u))
-                continue;
-            _wheelUsed[q] &= ~(1u << b);
-            for (int c = 0; c < 2; c++)
-                _ready[q][c].take(_wheel[b][q][c]);
-        }
-    }
-    _drainedTo = _cycle;
-}
-
-void
-AlphaCore::drainPending(int q)
-{
-    std::vector<PendingReady> &heap = _pending[q];
-    while (!heap.empty() && heap.front().at <= _cycle) {
-        const PendingReady &top = heap.front();
-        const DynInst &d = _ring.atSlot(top.slot);
-        if (d.seq == top.seq && !d.issued)
-            _ready[q][top.cluster].set(top.slot);
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-        heap.pop_back();
-    }
+    inst.wheelBucket[1] = kNoBucket;
+    for (int c = 0; c < (q ? 1 : 2); c++)
+        inst.wheelBucket[c] = _wheel[q].place(inst.slot, std::size_t(c),
+                                              at[c], _cycle, inst.seq);
 }
 
 void
@@ -1019,7 +801,7 @@ AlphaCore::verifySelectState() const
                     want[q][c].set(inst->slot);
         }
         for (int c = 0; c < 2; c++)
-            sim_assert(want[q][c] == _ready[q][c]);
+            sim_assert(want[q][c] == _wheel[q].ready(std::size_t(c)));
     }
     std::vector<InstSeq> unresolved;
     for (const DynInst &d : rob())
@@ -1089,8 +871,14 @@ AlphaCore::doIssue()
 
     // Bring the ready sets to this cycle: after a strike rebuild them
     // from the queues, else set the bits whose listed cycle has come.
+    // A listed entry is stale once its slot holds another or it issued.
+    auto waiting = [this](std::size_t slot, InstSeq seq) {
+        const DynInst &d = _ring.atSlot(slot);
+        return d.seq == seq && !d.issued;
+    };
     if (_cacheReadiness)
-        drainPending();
+        for (ReadyWheel<2> &wheel : _wheel)
+            wheel.drain(_cycle, waiting);
     else
         invalidateSelect();
 
@@ -1128,11 +916,9 @@ AlphaCore::doIssue()
             }
             if (!inst)
                 continue;
-            for (int c = 0; c < 2; c++) {
-                _ready[q][c].reset(inst->slot);
-                if (inst->wheelBucket[c] != DynInst::kNoBucket)
-                    _wheel[inst->wheelBucket[c]][q][c].reset(inst->slot);
-            }
+            for (int c = 0; c < 2; c++)
+                _wheel[q].unplace(inst->slot, std::size_t(c),
+                                  inst->wheelBucket[c]);
             int cluster = q ? -1 : _fuPool->pipeCluster(pipe);
             _fuPool->reservePipe(pipe, inst->dec->cls, _cycle);
             performIssue(*inst, cluster);
@@ -1149,9 +935,11 @@ AlphaCore::doIssue()
     // state; a queue that was skipped keeps its bound (clamped by
     // noteSetReady as operands get scheduled).
     _intWakeAt = issued[0] ? _cycle + 1
-                           : (scan[0] ? wakeAfterSelect(0) : _intWakeAt);
+                 : scan[0] ? _wheel[0].wakeAfter(_cycle, waiting)
+                           : _intWakeAt;
     _fpWakeAt = issued[1] ? _cycle + 1
-                          : (scan[1] ? wakeAfterSelect(1) : _fpWakeAt);
+                : scan[1] ? _wheel[1].wakeAfter(_cycle, waiting)
+                          : _fpWakeAt;
 }
 
 bool

@@ -25,40 +25,21 @@
 #include "common/error.hh"
 #include "common/ring.hh"
 #include "core/fu_pool.hh"
-#include "inject/inject.hh"
 #include "core/issue_queue.hh"
-#include "core/oracle.hh"
 #include "core/params.hh"
 #include "core/rename.hh"
 #include "core/slot_set.hh"
-#include "isa/machine.hh"
-#include "memory/hierarchy.hh"
-#include "predictors/branch.hh"
+#include "core/timed_core.hh"
 #include "predictors/frontend.hh"
 
 namespace simalpha {
 
-class AlphaCore : public Machine
+class AlphaCore : public TimedCore
 {
   public:
     explicit AlphaCore(const AlphaCoreParams &params);
 
-    RunResult run(const Program &program,
-                  std::uint64_t max_insts = 0) override;
-
-    RunResult runWindow(const Program &program, const Checkpoint &start,
-                        std::uint64_t warmup_insts,
-                        std::uint64_t measure_insts,
-                        std::map<std::string, std::uint64_t>
-                            *measured_counters = nullptr) override;
-
-    stats::Group &statGroup() override { return _stats; }
     std::string name() const override { return _p.name; }
-
-    bool armInjection(const inject::StateInjection *injection,
-                      Cycle cycle_budget) override;
-    std::string injectionNote() const override { return _injectNote; }
-    bool architecturalState(Checkpoint *out) const override;
 
     const AlphaCoreParams &params() const { return _p; }
 
@@ -89,13 +70,8 @@ class AlphaCore : public Machine
         Cycle windowStart;
     };
 
-    /** Reset every unit and build the oracle: at the program's entry,
-     *  or resuming at @p start (runWindow). */
-    void resetMachine(const Program &program,
-                      const Checkpoint *start = nullptr);
-    /** The run loop shared by run() and runWindow(): tick until halt
-     *  or _maxInsts commits, with the forward-progress watchdog. */
-    void runLoop(const Program &program);
+    void resetMachine() override;
+    void runLoop(const Program &program) override;
     void cycleTick();
     /** Apply the armed bit flip at its strike cycle (core_inject.cc). */
     void applyInjection();
@@ -133,39 +109,15 @@ class AlphaCore : public Machine
     void scheduleRecovery(const Recovery &rec);
 
     // ---- Issue select (DESIGN.md section 5.9) -----------------------
-    /** An entry whose operands reach a cluster at a known cycle beyond
-     *  the timing wheel: its ready bit is set when the cycle comes. */
-    struct PendingReady
-    {
-        Cycle at;
-        InstSeq seq;            ///< the entry's, to skip a stale item
-        std::uint32_t slot;
-        std::uint8_t cluster;
-        bool operator>(const PendingReady &o) const { return at > o.at; }
-    };
-
     /** @p inst's per-cluster issue cycles from the scoreboard, into
      *  @p at. @p q: 0 int, 1 fp queue. @return a pending source
      *  (both cycles kNoCycle), or kNoPhys. */
     PhysReg computeIssueCycles(const DynInst &inst, int q,
                                Cycle at[2]) const;
     /** Place unissued queue-@p q entry @p inst in the select state:
-     *  set its ready bits for the clusters its operands reach by now,
-     *  list it for later ones, or park it on a pending source's
-     *  wake-up list. */
+     *  on its queue's wheel for each cluster its operands reach, or
+     *  parked on a pending source's wake-up list. */
     void evaluate(DynInst &inst, int q);
-    /** Set the ready bits of every entry whose cycle has come. */
-    void
-    drainPending()
-    {
-        if (_drainedTo < _cycle)
-            drainWheel();
-        for (int q = 0; q < 2; q++)
-            if (!_pending[q].empty() && _pending[q].front().at <= _cycle)
-                drainPending(q);
-    }
-    void drainWheel();
-    void drainPending(int q);
     /** Slowpath: the ready sets equal a full recomputation, and the
      *  unresolved-store record a ROB walk. */
     void verifySelectState() const;
@@ -185,10 +137,6 @@ class AlphaCore : public Machine
     void invalidateSelect();
 
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
-    /** Earliest possible issue from queue @p q after a fruitless
-     *  select: _cycle + 1 while an entry is ready (it lost arbitration
-     *  or store-wait), else the earliest listed cycle. */
-    Cycle wakeAfterSelect(int q);
     /** A register acquired a scheduled ready time: cap both queues'
      *  wake-up cycles (over-early is safe, over-late never happens). */
     void
@@ -247,7 +195,6 @@ class AlphaCore : public Machine
 
     // ---- Configuration ----------------------------------------------
     AlphaCoreParams _p;
-    stats::Group _stats;
 
     /** Hot-path counters resolved once at construction; the
      *  string-keyed registry in _stats stays for dumps and snapshots
@@ -255,8 +202,6 @@ class AlphaCore : public Machine
     struct BoundCounters
     {
         explicit BoundCounters(stats::Group &g);
-        stats::Counter &cycles;
-        stats::Counter &instsCommitted;
         stats::Counter &branchesRetired;
         stats::Counter &mispredictsRetired;
         stats::Counter &jumpMispredicts;
@@ -285,13 +230,9 @@ class AlphaCore : public Machine
     BoundCounters _c;
 
     // ---- Run state ---------------------------------------------------
-    const Program *_prog = nullptr;
-    std::unique_ptr<OracleStream> _oracle;
-    std::unique_ptr<MemorySystem> _mem;
     std::unique_ptr<RenameUnit> _rename;
     std::unique_ptr<Scoreboard> _scoreboard;
     std::unique_ptr<FuPool> _fuPool;
-    std::unique_ptr<TournamentPredictor> _branchPred;
     std::unique_ptr<LinePredictor> _linePred;
     std::unique_ptr<WayPredictor> _wayPred;
     std::unique_ptr<ReturnAddressStack> _ras;
@@ -300,20 +241,9 @@ class AlphaCore : public Machine
     std::unique_ptr<IssueQueue> _intIq;
     std::unique_ptr<IssueQueue> _fpIq;
 
-    Cycle _cycle = 0;
-    InstSeq _seqCounter = 0;
-    std::uint64_t _committed = 0;
-    std::uint64_t _maxInsts = 0;
-    bool _finished = false;
-
-    Addr _fetchPc = 0;
-    Cycle _fetchResumeAt = 0;
-    bool _wrongPathMode = false;
-    bool _haltFetched = false;
     Cycle _mapBlockedUntil = 0;
     int _lqUsed = 0;
     int _sqUsed = 0;
-    Cycle _lastCommitCycle = 0;
 
     /** Every in-flight instruction from fetch to retire, oldest first:
      *  the ROB is the first _robSize entries and the fetch queue the
@@ -337,20 +267,11 @@ class AlphaCore : public Machine
 
     // ---- Issue-select state (derived; rebuilt by invalidateSelect
     // and every cycle after a strike) -----------------------------------
-    /** Per queue and cluster (the fp queue uses [1][0] only): the
-     *  unissued entries whose operands reach that cluster by now. */
-    SlotSet _ready[2][2];
-    /** The same for entries whose operands arrive within kWheel - 1
-     *  cycles of _drainedTo, by arrival cycle mod kWheel: a timing
-     *  wheel, drained into _ready as the cycles come. An issuing entry
-     *  leaves it through DynInst::wheelBucket. Later arrivals (misses,
-     *  long divides) go to _pending. */
-    static constexpr Cycle kWheel = 16;
-    SlotSet _wheel[kWheel][2][2];
-    /** Per queue: bit b set if wheel bucket b may be non-empty. */
-    std::uint16_t _wheelUsed[2] = {};
-    static_assert(kWheel == 16, "_wheelUsed holds one bit per bucket");
-    Cycle _drainedTo = 0;     ///< wheel buckets up to here are drained
+    /** Per queue (0 int, 1 fp): when its unissued entries' operands
+     *  reach each cluster, one lane per cluster (the fp queue uses
+     *  lane 0 only). An issuing entry leaves it through
+     *  DynInst::wheelBucket. */
+    ReadyWheel<2> _wheel[2];
     /** Per pipe: the queue entries whose fit mask admits it. */
     SlotSet _fits[8];
     /** Per pipe: its queue, and the ready set it draws from. */
@@ -358,8 +279,6 @@ class AlphaCore : public Machine
     const SlotSet *_pipeReady[8] = {};
     /** Per queue: the pipes it issues to. */
     std::uint8_t _queuePipes[2] = {};
-    /** Per queue: a min-heap of entries ready beyond the wheel. */
-    std::vector<PendingReady> _pending[2];
     /** False once a flip has struck: the select state is then rebuilt
      *  every cycle, since corrupted rename state can re-pend a
      *  register that a listed consumer already counted as ready. */
@@ -368,11 +287,6 @@ class AlphaCore : public Machine
     /** Seq-sorted correct-path stores in the ROB whose address is
      *  unresolved (!memIssued): the store-wait gate's record. */
     std::vector<InstSeq> _unresolvedStores;
-    /** SIMALPHA_SLOWPATH=1: run the original scans, maintain the fast
-     *  bookkeeping alongside, and assert they agree. */
-    bool _slowpath = false;
-    Cycle _ffCheckUntil = 0;     ///< slowpath: predicted-idle window end
-    bool _activity = false;      ///< slowpath: stage acted this cycle
 
     /** Outstanding load misses (for the golden extra-trap conditions). */
     struct OutstandingMiss
@@ -382,15 +296,6 @@ class AlphaCore : public Machine
         Cycle done;
     };
     std::vector<OutstandingMiss> _outstandingMisses;
-
-    // ---- State injection (inert unless armed) ------------------------
-    inject::StateInjection _inject;  ///< armed spec (None = disarmed)
-    Cycle _injectBudget = 0;         ///< cycle cap on injected runs
-    /** True while armed and the flip has not struck yet: the single
-     *  flag the per-cycle poll reads, so disarmed runs pay one
-     *  predicted-not-taken branch per tick. */
-    bool _injectPending = false;
-    std::string _injectNote;         ///< what the last strike hit
 };
 
 } // namespace simalpha

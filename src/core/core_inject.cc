@@ -1,8 +1,8 @@
 /**
  * @file
- * AlphaCore state-injection hooks: arming, the strike-time bit flip
- * for every injection target, and the architectural-state capture the
- * outcome classifier compares against the golden run.
+ * AlphaCore's strike: the bit flip for its window targets (rob, lsq,
+ * iq, renamemap) and the select state's rebuild afterwards; arming and
+ * the flips of the structures both cores share are TimedCore's.
  *
  * Safety contract: a flipped value is never used as an unchecked
  * array index. Indexes fold into structure geometry (modulo sizes)
@@ -11,23 +11,11 @@
  * crashes are an *outcome*, not a host-process hazard.
  */
 
-#include <algorithm>
-#include <cstdio>
-
 #include "core/core.hh"
 
 namespace simalpha {
 
 namespace {
-
-std::string
-hexAddr(Addr addr)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(addr));
-    return buf;
-}
 
 /**
  * Flip one field of a window entry. The bit selects the field class;
@@ -88,34 +76,6 @@ flipMemEntry(DynInst &d, std::uint32_t bit, std::uint64_t salt)
 
 } // namespace
 
-bool
-AlphaCore::armInjection(const inject::StateInjection *injection,
-                        Cycle cycle_budget)
-{
-    if (!injection || !injection->enabled()) {
-        _inject = inject::StateInjection{};
-        _injectBudget = 0;
-        _injectPending = false;
-        _injectNote.clear();
-        return true;
-    }
-    _inject = *injection;
-    _injectBudget = cycle_budget;
-    // The strike becomes pending when resetMachine() starts a run.
-    _injectPending = false;
-    _injectNote.clear();
-    return true;
-}
-
-bool
-AlphaCore::architecturalState(Checkpoint *out) const
-{
-    if (!_oracle)
-        return false;
-    *out = _oracle->emulator().fullState();
-    return true;
-}
-
 void
 AlphaCore::applyInjection()
 {
@@ -126,20 +86,6 @@ AlphaCore::applyInjection()
     note += ' ';
 
     switch (inj.target) {
-      case inject::Target::RegFile: {
-        std::uint64_t r = inj.index % (kNumIntRegs + kNumFpRegs);
-        if (isZeroRegIndex(RegIndex(r))) {
-            // The backing word is never read architecturally but would
-            // leak into the state digest; drop the flip instead.
-            note += "r" + std::to_string(r) +
-                    " (hardwired zero; flip dropped)";
-        } else {
-            _oracle->emulator().flipRegisterBit(r, inj.bit);
-            note += "r" + std::to_string(r) + " bit " +
-                    std::to_string(inj.bit % 64);
-        }
-        break;
-      }
       case inject::Target::RenameMap: {
         RegIndex arch = 0;
         PhysReg phys = 0;
@@ -190,47 +136,8 @@ AlphaCore::applyInjection()
                 flipWindowEntry(d, inj.bit, salt);
         break;
       }
-      case inject::Target::Bpred:
-        _branchPred->injectBitFlip(inj.index, inj.bit);
-        note += "cell " + std::to_string(inj.index) + " bit " +
-                std::to_string(inj.bit);
-        break;
-      case inject::Target::CacheTag:
-        note += _mem->injectCacheTagFlip(inj.index, inj.bit);
-        break;
-      case inject::Target::CacheData: {
-        // Flip a word that is both architecturally live and resident
-        // in the D-cache: the flip is visible to every later read,
-        // modelling corrupted cached data written back to memory.
-        Emulator &emu = _oracle->emulator();
-        auto words = emu.memory().exportWords();
-        std::sort(words.begin(), words.end());
-        if (words.empty()) {
-            note += "(no data written yet; flip dropped)";
-            break;
-        }
-        std::size_t n = words.size();
-        std::size_t start = std::size_t(inj.index % n);
-        bool struck = false;
-        for (std::size_t k = 0; k < n; k++) {
-            auto [addr, word] = words[(start + k) % n];
-            if (_mem->dcacheProbe(addr)) {
-                emu.memory().write64(
-                    addr, word ^ (RegVal(1) << (inj.bit % 64)));
-                note += "word " + hexAddr(addr) + " bit " +
-                        std::to_string(inj.bit % 64);
-                struck = true;
-                break;
-            }
-        }
-        if (!struck)
-            note += "(no cached word resident; flip dropped)";
-        break;
-      }
-      case inject::Target::TlbTag:
-        note += _mem->injectTlbTagFlip(inj.index, inj.bit);
-        break;
-      case inject::Target::None:
+      default:
+        applySharedFlip(note);
         break;
     }
 

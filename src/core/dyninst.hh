@@ -7,6 +7,7 @@
 #define SIMALPHA_CORE_DYNINST_HH
 
 #include "common/types.hh"
+#include "core/slot_set.hh"
 #include "isa/isa.hh"
 #include "predictors/branch.hh"
 
@@ -79,7 +80,6 @@ struct DynInst
     /** Per cluster, the timing-wheel bucket holding it (kNoBucket:
      *  none). */
     std::uint8_t wheelBucket[2] = {kNoBucket, kNoBucket};
-    static constexpr std::uint8_t kNoBucket = 0xff;
 };
 
 } // namespace simalpha

@@ -1,10 +1,7 @@
 #include "ruu_core.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -26,16 +23,14 @@ RuuCoreParams::simOutorder()
 }
 
 RuuCore::RuuCore(const RuuCoreParams &params)
-    : _p(params), _stats(params.name), _c(_stats),
+    : TimedCore(params.name), _p(params), _c(_stats),
       _fetchBuf(std::size_t(std::max(4 * params.fetchWidth, 1))),
       _ruu(std::size_t(std::max(params.ruuEntries, 1)))
 {
 }
 
 RuuCore::BoundCounters::BoundCounters(stats::Group &g)
-    : cycles(g.counter("cycles")),
-      instsCommitted(g.counter("insts_committed")),
-      branchMispredicts(g.counter("branch_mispredicts")),
+    : branchMispredicts(g.counter("branch_mispredicts")),
       instsIssued(g.counter("insts_issued")),
       storeForwards(g.counter("store_forwards")),
       instsDispatched(g.counter("insts_dispatched"))
@@ -43,13 +38,8 @@ RuuCore::BoundCounters::BoundCounters(stats::Group &g)
 }
 
 void
-RuuCore::resetMachine(const Program &program, const Checkpoint *start)
+RuuCore::resetMachine()
 {
-    _prog = &program;
-    // The oracle is program state and is rebuilt every run; the other
-    // sub-units have fixed geometry and reset in place on reuse.
-    _oracle = start ? std::make_unique<OracleStream>(program, *start)
-                    : std::make_unique<OracleStream>(program);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         // The paper gives sim-outorder a 2-level adaptive predictor
@@ -67,14 +57,6 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
         _ras->reset();
     }
 
-    _cycle = 0;
-    _seqCounter = 0;
-    _committed = 0;
-    _finished = false;
-    _fetchPc = start ? start->pc : program.entryPc;
-    _fetchResumeAt = 0;
-    _wrongPathMode = false;
-    _haltFetched = false;
     _regWriter.assign(kNumIntRegs + kNumFpRegs, kNoCycle);
     _regWriterPos.assign(kNumIntRegs + kNumFpRegs, kNoPos);
     _fetchBuf.clear();
@@ -83,33 +65,19 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
     _issuedBefore = 0;
     _storeByWord.clear();
     _recovery.reset();
-    _lastCommitCycle = 0;
-    _stats.reset();
 
     _lsqUsed = 0;
     _inflightDst = 0;
     _issueWakeAt = 0;
     _selectByReadySet = _ruu.capacity() <= SlotSet::kMaxSlots;
-    _ready.clear();
-    for (SlotSet &bucket : _wheel)
-        bucket.clear();
-    _wheelUsed = 0;
-    _drainedTo = 0;
-    _pendingReady.clear();
-    const char *slow = std::getenv("SIMALPHA_SLOWPATH");
-    _slowpath = slow && std::strcmp(slow, "1") == 0;
-    _ffCheckUntil = 0;
-    _activity = false;
-
-    // An armed injection re-arms for every run; the strike itself is
-    // per-run state.
-    _injectPending = _inject.enabled();
-    _injectNote.clear();
+    _wheel.clear(_cycle);
 }
 
 void
 RuuCore::runLoop(const Program &program)
 {
+    // The budget is checked before each cycle's stages, after the
+    // strike; the watchdog after them.
     const Cycle budget = _inject.enabled() ? _injectBudget : 0;
     while (!_finished && (_maxInsts == 0 || _committed < _maxInsts)) {
         // The armed flip strikes before the stages of its cycle, on
@@ -117,32 +85,12 @@ RuuCore::runLoop(const Program &program)
         // jumps across a pending strike).
         if (_injectPending && _cycle >= _inject.cycle)
             applyInjection();
-        if (budget && _cycle > budget)
-            throw TimeoutError(
-                "injected run exceeded its cycle budget (" +
-                std::to_string(budget) + " cycles)");
-        if (_slowpath) {
-            // Dual-run mode: predict the idle window the fast path
-            // would skip, execute every cycle anyway, and assert each
-            // predicted-idle cycle really was inactive.
-            if (_cycle >= _ffCheckUntil) {
-                Cycle j = fastForwardTarget();
-                if (j)
-                    _ffCheckUntil = j;
-            }
-            _activity = false;
-        } else {
-            Cycle j = fastForwardTarget();
-            if (j) {
-                // Every cycle in [_cycle, j) is provably inactive
-                // (capped at the watchdog horizon so deadlocks fire
-                // at the exact baseline cycle).
-                _cycle = j;
-                if (_p.watchdogCycles &&
-                    _cycle - _lastCommitCycle > _p.watchdogCycles)
-                    throw DeadlockError(deadlockSnapshot(program));
-                continue;
-            }
+        checkBudget(budget);
+        if (skipIdle([this] { return fastForwardTarget(); })) {
+            if (_p.watchdogCycles &&
+                _cycle - _lastCommitCycle > _p.watchdogCycles)
+                throw DeadlockError(deadlockSnapshot(program));
+            continue;
         }
         doRecovery();
         doCommit();
@@ -158,89 +106,10 @@ RuuCore::runLoop(const Program &program)
     }
 }
 
-RunResult
-RuuCore::run(const Program &program, std::uint64_t max_insts)
-{
-    resetMachine(program);
-    _maxInsts = max_insts;
-    runLoop(program);
-
-    RunResult res;
-    res.machine = _p.name;
-    res.program = program.name;
-    res.cycles = _cycle;
-    res.instsCommitted = _committed;
-    res.finished = _finished;
-    _c.cycles.set(_cycle);
-    _c.instsCommitted.set(_committed);
-    return res;
-}
-
-RunResult
-RuuCore::runWindow(const Program &program, const Checkpoint &start,
-                   std::uint64_t warmup_insts,
-                   std::uint64_t measure_insts,
-                   std::map<std::string, std::uint64_t>
-                       *measured_counters)
-{
-    // The oracle resumes at the checkpoint and fetch starts where the
-    // restored architectural state left off. Everything
-    // microarchitectural (caches, predictors, queues) stays cold —
-    // that is what the warm-up phase is for.
-    resetMachine(program, &start);
-    if (start.halted)
-        _finished = true;
-
-    if (warmup_insts && !_finished) {
-        _maxInsts = warmup_insts;
-        runLoop(program);
-    }
-    Cycle warm_cycles = _cycle;
-    std::uint64_t warm_insts = _committed;
-    std::map<std::string, std::uint64_t> before;
-    if (measured_counters) {
-        _c.cycles.set(_cycle);
-        _c.instsCommitted.set(_committed);
-        before = _stats.snapshot();
-    }
-
-    if (!_finished) {
-        // measure_insts == 0 runs the window to program completion.
-        _maxInsts = measure_insts ? warm_insts + measure_insts : 0;
-        runLoop(program);
-    }
-
-    RunResult res;
-    res.machine = _p.name;
-    res.program = program.name;
-    res.cycles = _cycle - warm_cycles;
-    res.instsCommitted = _committed - warm_insts;
-    res.finished = _finished;
-    _c.cycles.set(_cycle);
-    _c.instsCommitted.set(_committed);
-    if (measured_counters) {
-        measured_counters->clear();
-        for (const auto &kv : _stats.snapshot()) {
-            auto it = before.find(kv.first);
-            std::uint64_t prior =
-                it == before.end() ? 0 : it->second;
-            (*measured_counters)[kv.first] = kv.second - prior;
-        }
-    }
-    return res;
-}
-
 DeadlockInfo
 RuuCore::deadlockSnapshot(const Program &program) const
 {
-    DeadlockInfo info;
-    info.machine = _p.name;
-    info.program = program.name;
-    info.cycle = _cycle;
-    info.lastCommitCycle = _lastCommitCycle;
-    info.committed = _committed;
-    info.fetchPc = _fetchPc;
-    info.windowOccupancy = _ruu.size();
+    DeadlockInfo info = deadlockHeader(program, _ruu.size());
     if (!_ruu.empty()) {
         const RuuInst &h = _ruu.front();
         char buf[192];
@@ -282,10 +151,7 @@ RuuCore::doRecovery()
             // A wrong-path entry waits for no producer and is ready the
             // cycle after dispatch: it may sit in the ready set or in
             // the wheel, never on a wake-up list or the heap.
-            std::size_t slot = _ruu.slotOf(squashed);
-            _ready.reset(slot);
-            if (squashed.wheelBucket != kNoBucket)
-                _wheel[squashed.wheelBucket].reset(slot);
+            _wheel.unplace(_ruu.slotOf(squashed), 0, squashed.wheelBucket);
         }
         if (squashed.dec->isMem())
             _lsqUsed--;
@@ -592,7 +458,8 @@ RuuCore::selectReady(std::vector<std::size_t> &out) const
     const std::size_t mask = _ruu.capacity() - 1;
     const std::size_t width = std::size_t(std::max(_p.issueWidth, 0));
     FuUse use;
-    SlotSet::first(_ready, _ready, head, [&](std::size_t s) {
+    const SlotSet &ready = _wheel.ready(0);
+    SlotSet::first(ready, ready, head, [&](std::size_t s) {
         if (out.size() < width && takeFu(_ruu[(s - head) & mask].dec->cls,
                                          use))
             out.push_back((s - head) & mask);
@@ -639,8 +506,13 @@ RuuCore::doIssue()
     else if (wake0 > _cycle)
         return;     // no entry can pass the issue gates yet
 
+    // A listed entry is stale once its slot holds another or it issued.
+    auto waiting = [this](std::size_t slot, InstSeq seq) {
+        const RuuInst &d = _ruu.atSlot(slot);
+        return d.seq == seq && !d.issued;
+    };
     if (_selectByReadySet) {
-        drainReady();
+        _wheel.drain(_cycle, waiting);
         selectReady(_winners);
         if (_slowpath) {
             verifyReadySet();
@@ -671,7 +543,7 @@ RuuCore::doIssue()
     // rescans after an issue (it schedules new done cycles for
     // consumers), and a fruitless walk earns a recomputed bound.
     if (_selectByReadySet)
-        _issueWakeAt = wakeAfterSelect();
+        _issueWakeAt = _wheel.wakeAfter(_cycle, waiting);
     else
         _issueWakeAt =
             _winners.empty() ? recomputeIssueWake() : _cycle + 1;
@@ -740,7 +612,7 @@ RuuCore::performIssue(RuuInst &inst)
     if (!_selectByReadySet)
         return;
     // The done cycle is final: place the entries parked on it.
-    _ready.reset(_ruu.slotOf(inst));
+    _wheel.unplace(_ruu.slotOf(inst), 0, inst.wheelBucket);
     std::uint16_t w = inst.firstWaiter;
     inst.firstWaiter = kNoSlot;
     while (w != kNoSlot) {
@@ -773,80 +645,11 @@ RuuCore::evaluate(RuuInst &inst)
         }
         when = std::max(when, r);
     }
-    if (_drainedTo < _cycle)
-        drainReady();       // the wheel must start at this cycle
     _issueWakeAt = std::min(_issueWakeAt, when);
-    inst.wheelBucket = kNoBucket;
-    if (when <= _cycle) {
-        _ready.set(slot);
-    } else if (when < _cycle + kWheel) {
-        inst.wheelBucket = std::uint8_t(when % kWheel);
-        _wheel[inst.wheelBucket].set(slot);
-        _wheelUsed |= std::uint16_t(1u << inst.wheelBucket);
-    } else {
-        // Only a correct-path entry waits this long, and only commit
-        // (after it issues) removes one, so an item is stale exactly
-        // when its slot holds another seq or an issued entry.
-        _pendingReady.push_back({when, inst.seq, std::uint32_t(slot)});
-        std::push_heap(_pendingReady.begin(), _pendingReady.end(),
-                       std::greater<>());
-    }
-}
-
-void
-RuuCore::drainReady()
-{
-    // Every bucket holds a cycle in (_drainedTo, _drainedTo + kWheel).
-    Cycle steps = std::min(_cycle - _drainedTo, kWheel - 1);
-    for (Cycle k = 1; k <= steps; k++) {
-        std::size_t b = std::size_t((_drainedTo + k) % kWheel);
-        if (_wheelUsed >> b & 1u) {
-            _wheelUsed &= std::uint16_t(~(1u << b));
-            _ready.take(_wheel[b]);
-        }
-    }
-    _drainedTo = _cycle;
-    while (!_pendingReady.empty() && _pendingReady.front().at <= _cycle) {
-        const PendingReady &top = _pendingReady.front();
-        const RuuInst &d = _ruu.atSlot(top.slot);
-        if (d.seq == top.seq && !d.issued)
-            _ready.set(top.slot);
-        std::pop_heap(_pendingReady.begin(), _pendingReady.end(),
-                      std::greater<>());
-        _pendingReady.pop_back();
-    }
-}
-
-Cycle
-RuuCore::wakeAfterSelect()
-{
-    if (_ready.any())
-        return _cycle + 1;
-    Cycle wake = kNoCycle;
-    while (!_pendingReady.empty()) {
-        const PendingReady &top = _pendingReady.front();
-        const RuuInst &d = _ruu.atSlot(top.slot);
-        if (d.seq == top.seq && !d.issued) {
-            wake = top.at;
-            break;
-        }
-        std::pop_heap(_pendingReady.begin(), _pendingReady.end(),
-                      std::greater<>());
-        _pendingReady.pop_back();
-    }
-    // The wheel holds cycles _cycle + 1 .. _cycle + kWheel - 1; a
-    // bucket marked used may have been emptied by a squash.
-    const int next = int((_cycle + 1) % kWheel);
-    while (_wheelUsed) {
-        int k = std::countr_zero(std::rotr(_wheelUsed, next));
-        if (_cycle + 1 + Cycle(k) >= wake)
-            break;
-        std::size_t b = std::size_t(next + k) % kWheel;
-        if (_wheel[b].any())
-            return _cycle + 1 + Cycle(k);
-        _wheelUsed &= std::uint16_t(~(1u << b));
-    }
-    return wake;
+    // Only a correct-path entry waits past the wheel, and only commit
+    // (after it issues) removes one, so a heap item is stale exactly
+    // when its slot holds another seq or an issued entry.
+    inst.wheelBucket = _wheel.place(slot, 0, when, _cycle, inst.seq);
 }
 
 void
@@ -856,7 +659,7 @@ RuuCore::verifyReadySet() const
     for (const RuuInst &inst : _ruu)
         if (issueEntryLB(inst) <= _cycle)
             want.set(_ruu.slotOf(inst));
-    sim_assert(want == _ready);
+    sim_assert(want == _wheel.ready(0));
 }
 
 void

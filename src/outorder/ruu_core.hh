@@ -19,14 +19,9 @@
 #include <optional>
 #include <unordered_map>
 
-#include "common/error.hh"
 #include "common/ring.hh"
-#include "core/oracle.hh"
 #include "core/slot_set.hh"
-#include "inject/inject.hh"
-#include "isa/machine.hh"
-#include "memory/hierarchy.hh"
-#include "predictors/branch.hh"
+#include "core/timed_core.hh"
 
 namespace simalpha {
 
@@ -74,27 +69,12 @@ struct RuuCoreParams
     static RuuCoreParams simOutorder();
 };
 
-class RuuCore : public Machine
+class RuuCore : public TimedCore
 {
   public:
     explicit RuuCore(const RuuCoreParams &params);
 
-    RunResult run(const Program &program,
-                  std::uint64_t max_insts = 0) override;
-
-    RunResult runWindow(const Program &program, const Checkpoint &start,
-                        std::uint64_t warmup_insts,
-                        std::uint64_t measure_insts,
-                        std::map<std::string, std::uint64_t>
-                            *measured_counters = nullptr) override;
-
-    stats::Group &statGroup() override { return _stats; }
     std::string name() const override { return _p.name; }
-
-    bool armInjection(const inject::StateInjection *injection,
-                      Cycle cycle_budget) override;
-    std::string injectionNote() const override { return _injectNote; }
-    bool architecturalState(Checkpoint *out) const override;
 
   private:
     /**
@@ -107,7 +87,6 @@ class RuuCore : public Machine
     using RuuPos = std::uint64_t;
     static constexpr RuuPos kNoPos = ~RuuPos(0);
     static constexpr std::uint16_t kNoSlot = 0xffff;
-    static constexpr std::uint8_t kNoBucket = 0xff;
 
     struct RuuInst
     {
@@ -152,13 +131,8 @@ class RuuCore : public Machine
         BranchSnapshot bpSnap;      ///< predictor history snapshot
     };
 
-    /** Reset every unit and build the oracle: at the program's entry,
-     *  or resuming at @p start (runWindow). */
-    void resetMachine(const Program &program,
-                      const Checkpoint *start = nullptr);
-    /** The run loop shared by run() and runWindow(): tick until halt
-     *  or _maxInsts commits, with the forward-progress watchdog. */
-    void runLoop(const Program &program);
+    void resetMachine() override;
+    void runLoop(const Program &program) override;
     /** Apply the armed bit flip at its strike cycle (ruu_inject.cc). */
     void applyInjection();
     /** Machine-state snapshot for the forward-progress watchdog. */
@@ -225,25 +199,10 @@ class RuuCore : public Machine
     Cycle recomputeIssueWake() const;
 
     // ---- Ready-set select (DESIGN.md section 5.9) ---------------------
-    /** An entry ready at a known cycle beyond the timing wheel. */
-    struct PendingReady
-    {
-        Cycle at;
-        InstSeq seq;            ///< the entry's, to skip a stale item
-        std::uint32_t slot;
-        bool operator>(const PendingReady &o) const { return at > o.at; }
-    };
-    /** Place dispatched entry @p inst in the select state: in the
-     *  ready set, the wheel or the heap by the cycle its sources are
-     *  ready, or on the wake-up list of a producer not yet issued. */
+    /** Place dispatched entry @p inst in the select state: on the
+     *  wheel by the cycle its sources are ready, or on the wake-up
+     *  list of a producer not yet issued. */
     void evaluate(RuuInst &inst);
-    /** Move the wheel buckets and heap items whose cycle has come into
-     *  the ready set. */
-    void drainReady();
-    /** Earliest possible issue after a select: _cycle + 1 while a ready
-     *  entry is left (it lost FU or width arbitration), else the
-     *  earliest wheel bucket or heap item. */
-    Cycle wakeAfterSelect();
     /** Slowpath: the ready set equals a recompute from the RUU. */
     void verifyReadySet() const;
     /** Earliest cycle dispatch could act (kNoCycle while blocked on a
@@ -255,15 +214,12 @@ class RuuCore : public Machine
     Cycle fastForwardTarget() const;
 
     RuuCoreParams _p;
-    stats::Group _stats;
 
     /** Hot-path counters resolved once at construction (the string
      *  map in _stats is for dumps/snapshots only). */
     struct BoundCounters
     {
         explicit BoundCounters(stats::Group &g);
-        stats::Counter &cycles;
-        stats::Counter &instsCommitted;
         stats::Counter &branchMispredicts;
         stats::Counter &instsIssued;
         stats::Counter &storeForwards;
@@ -271,23 +227,8 @@ class RuuCore : public Machine
     };
     BoundCounters _c;
 
-    const Program *_prog = nullptr;
-    std::unique_ptr<OracleStream> _oracle;
-    std::unique_ptr<MemorySystem> _mem;
-    std::unique_ptr<TournamentPredictor> _branchPred;
     std::unique_ptr<Btb> _btb;
     std::unique_ptr<ReturnAddressStack> _ras;
-
-    Cycle _cycle = 0;
-    InstSeq _seqCounter = 0;
-    std::uint64_t _committed = 0;
-    std::uint64_t _maxInsts = 0;
-    bool _finished = false;
-
-    Addr _fetchPc = 0;
-    Cycle _fetchResumeAt = 0;
-    bool _wrongPathMode = false;
-    bool _haltFetched = false;
 
     /** Youngest in-flight writer of each architectural register
      *  (kNoCycle = none); consumers capture their producer at
@@ -316,8 +257,6 @@ class RuuCore : public Machine
     };
     std::optional<PendingRecovery> _recovery;
 
-    Cycle _lastCommitCycle = 0;
-
     // ---- Event-driven wakeup state (lower bounds only: a stale
     // value costs a wasted scan, never a changed outcome) -------------
     /** Memory ops resident in the RUU (incremental replacement for
@@ -334,31 +273,9 @@ class RuuCore : public Machine
      *  from, so the walk decides for the rest of the run; also false
      *  for an RUU over SlotSet::kMaxSlots slots. */
     bool _selectByReadySet = true;
-    /** Unissued entries whose sources are ready by now. */
-    SlotSet _ready;
-    /** Entries ready within kWheel - 1 cycles of _drainedTo, by cycle
-     *  mod kWheel; later ones wait in _pendingReady, a min-heap. */
-    static constexpr Cycle kWheel = 16;
-    SlotSet _wheel[kWheel];
-    /** Bit b set if wheel bucket b may be non-empty. */
-    std::uint16_t _wheelUsed = 0;
-    static_assert(kWheel == 16, "_wheelUsed holds one bit per bucket");
-    Cycle _drainedTo = 0;       ///< wheel buckets up to here drained
-    std::vector<PendingReady> _pendingReady;
+    /** When the unissued entries' sources are ready (one lane). */
+    ReadyWheel<1> _wheel;
     std::vector<std::size_t> _winners;     ///< this cycle's, oldest first
-    /** SIMALPHA_SLOWPATH=1: execute every cycle, keep the fast
-     *  bookkeeping alongside, and assert they agree. */
-    bool _slowpath = false;
-    Cycle _ffCheckUntil = 0;    ///< slowpath: predicted-idle window end
-    bool _activity = false;     ///< slowpath: a stage acted this cycle
-
-    // ---- State injection (inert unless armed) ------------------------
-    inject::StateInjection _inject;  ///< armed spec (None = disarmed)
-    Cycle _injectBudget = 0;         ///< cycle cap on injected runs
-    /** True while armed and the flip has not struck yet (the single
-     *  per-cycle poll flag; disarmed runs pay one predicted branch). */
-    bool _injectPending = false;
-    std::string _injectNote;         ///< what the last strike hit
 };
 
 } // namespace simalpha

@@ -1,58 +1,14 @@
 /**
  * @file
- * RuuCore state-injection hooks — the abstract core's counterpart of
+ * RuuCore's strike — the abstract core's counterpart of
  * core_inject.cc, with the RUU playing the role of ROB, LSQ, and
  * issue window at once. Same safety contract: folded indexes, flips
  * within field widths, contained errors only.
  */
 
-#include <algorithm>
-#include <cstdio>
-
 #include "outorder/ruu_core.hh"
 
 namespace simalpha {
-
-namespace {
-
-std::string
-hexAddr(Addr addr)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(addr));
-    return buf;
-}
-
-} // namespace
-
-bool
-RuuCore::armInjection(const inject::StateInjection *injection,
-                      Cycle cycle_budget)
-{
-    if (!injection || !injection->enabled()) {
-        _inject = inject::StateInjection{};
-        _injectBudget = 0;
-        _injectPending = false;
-        _injectNote.clear();
-        return true;
-    }
-    _inject = *injection;
-    _injectBudget = cycle_budget;
-    // The strike becomes pending when resetMachine() starts a run.
-    _injectPending = false;
-    _injectNote.clear();
-    return true;
-}
-
-bool
-RuuCore::architecturalState(Checkpoint *out) const
-{
-    if (!_oracle)
-        return false;
-    *out = _oracle->emulator().fullState();
-    return true;
-}
 
 void
 RuuCore::applyInjection()
@@ -93,18 +49,6 @@ RuuCore::applyInjection()
     };
 
     switch (inj.target) {
-      case inject::Target::RegFile: {
-        std::uint64_t r = inj.index % (kNumIntRegs + kNumFpRegs);
-        if (isZeroRegIndex(RegIndex(r))) {
-            note += "r" + std::to_string(r) +
-                    " (hardwired zero; flip dropped)";
-        } else {
-            _oracle->emulator().flipRegisterBit(r, inj.bit);
-            note += "r" + std::to_string(r) + " bit " +
-                    std::to_string(inj.bit % 64);
-        }
-        break;
-      }
       case inject::Target::RenameMap: {
         // The RUU machine's rename state is the in-flight-writer map:
         // corrupt which producer a later consumer will wait on.
@@ -156,44 +100,8 @@ RuuCore::applyInjection()
                 flipEntry(d);
         break;
       }
-      case inject::Target::Bpred:
-        _branchPred->injectBitFlip(inj.index, inj.bit);
-        note += "cell " + std::to_string(inj.index) + " bit " +
-                std::to_string(inj.bit);
-        break;
-      case inject::Target::CacheTag:
-        note += _mem->injectCacheTagFlip(inj.index, inj.bit);
-        break;
-      case inject::Target::CacheData: {
-        Emulator &emu = _oracle->emulator();
-        auto words = emu.memory().exportWords();
-        std::sort(words.begin(), words.end());
-        if (words.empty()) {
-            note += "(no data written yet; flip dropped)";
-            break;
-        }
-        std::size_t n = words.size();
-        std::size_t start = std::size_t(inj.index % n);
-        bool struck = false;
-        for (std::size_t k = 0; k < n; k++) {
-            auto [addr, word] = words[(start + k) % n];
-            if (_mem->dcacheProbe(addr)) {
-                emu.memory().write64(
-                    addr, word ^ (RegVal(1) << (inj.bit % 64)));
-                note += "word " + hexAddr(addr) + " bit " +
-                        std::to_string(inj.bit % 64);
-                struck = true;
-                break;
-            }
-        }
-        if (!struck)
-            note += "(no cached word resident; flip dropped)";
-        break;
-      }
-      case inject::Target::TlbTag:
-        note += _mem->injectTlbTagFlip(inj.index, inj.bit);
-        break;
-      case inject::Target::None:
+      default:
+        applySharedFlip(note);
         break;
     }
 

@@ -62,6 +62,7 @@ ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
     // without them.
     const std::string &scratch = _opts.scratchDir;
     std::string error;
+    std::vector<std::string> replay;
     if (!scratch.empty()) {
         std::error_code ec;
         if (!std::filesystem::create_directory(scratch, ec) && ec)
@@ -69,12 +70,10 @@ ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
                               scratch + "': " + ec.message());
         for (const std::string &path : scratchFiles(scratch, true)) {
             if (_opts.resume)
-                _opts.replayPaths.push_back(path);
+                replay.push_back(path);
             else
                 std::remove(path.c_str());
         }
-        if (_opts.declaredPath.empty())
-            _opts.declaredPath = unusedJournalPath(scratch + "/declared-");
     }
 
     // Retained journals, then the master, whose line wins for a cell
@@ -82,9 +81,9 @@ ShardedRun::ShardedRun(const CampaignSpec &spec, ShardedOptions options)
     // missing.
     CampaignResult kept;
     std::vector<std::string> retained, master;
-    if (_opts.resume && !_opts.replayPaths.empty())
-        mergeShardJournals(spec, _opts.replayPaths, &kept, nullptr,
-                           &retained, &_hashes);
+    if (!replay.empty())
+        mergeShardJournals(spec, replay, &kept, nullptr, &retained,
+                           &_hashes);
     mergeShardJournals(spec,
                        _opts.resume && !_opts.journalPath.empty()
                            ? std::vector<std::string>{_opts.journalPath}
@@ -197,8 +196,10 @@ ShardedRun::declare(std::size_t cell, const std::string &errorClass,
         return false;
     // Durable now, however long its release is held back.
     std::string error;
-    if (!_opts.declaredPath.empty() && !_declared.isOpen() &&
-        !_declared.open(_opts.declaredPath, &error, _opts.journalSync))
+    const std::string &scratch = _opts.scratchDir;
+    if (!scratch.empty() && !_declared.isOpen() &&
+        !_declared.open(unusedJournalPath(scratch + "/declared-"), &error,
+                        _opts.journalSync))
         warn("%s (declared failures wait for spec order)", error.c_str());
     _declared.appendRaw(line);
     settleLocked(cell, line, std::move(r), false, true);

@@ -70,23 +70,21 @@ struct ShardedOptions
 {
     std::string journalPath;    ///< master journal (empty = none)
     bool journalSync = false;
-    /** Replay replayPaths (retained slice and declared journals), then
-     *  the master journal: the master's line wins for a cell it holds,
-     *  and a retained line joins the master on release. */
+    /** Replay the scratch directory's journals, then the master
+     *  journal: the master's line wins for a cell it holds, and a
+     *  retained line joins the master on release. */
     bool resume = false;
-    std::vector<std::string> replayPaths;
     /** Partition only the cells the replay left unsettled (a transport
      *  that takes cell lists); otherwise slice i of n is cells i, i+n,
      *  ... of the whole spec, as `shard:<i>/<n>` names require. */
     bool spreadUnsettled = false;
-    /** Where declared failures are appended when declared (empty =
-     *  the scratch directory's, else the master only, on release). */
-    std::string declaredPath;
     /** Journals beside the master (empty = none): slice journals and
-     *  logs ("shard-*"), declared failures ("declared-*") and pool
-     *  arrivals ("arrival-*"). Created if missing; a resume replays its
-     *  journals after replayPaths, any other run deletes them, and a
-     *  healthy run removes the directory. */
+     *  logs ("shard-*"), declared failures ("declared-*", appended
+     *  when declared; without a scratch directory a declared failure
+     *  reaches only the master, on release) and pool arrivals
+     *  ("arrival-*"). Created if missing; a resume replays its
+     *  journals, any other run deletes them, and a healthy run removes
+     *  the directory. */
     std::string scratchDir;
 
     /** Cancel flags, read only by the thread inside run(); onCancel

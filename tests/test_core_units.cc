@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the 21264 core's building blocks: register renaming,
- * the scoreboard's cross-cluster skew, the collapsible issue queue, and
- * the execution-pipe pool.
+ * the scoreboard's cross-cluster skew, the collapsible issue queue, the
+ * execution-pipe pool, and the ready wheel behind both cores' issue
+ * selects.
  */
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
 
 #include "common/random.hh"
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
 #include "core/rename.hh"
+#include "core/slot_set.hh"
 
 using namespace simalpha;
 
@@ -368,4 +372,214 @@ TEST(FuPool, FitMaskAgreesWithPipeCanIssue)
         EXPECT_EQ(fu.freeMask(14), 0x2f);
         EXPECT_EQ(fu.freeMask(15), 0x3f);
     }
+}
+
+// ---------------------------------------------------------------------
+// ReadyWheel
+// ---------------------------------------------------------------------
+
+namespace {
+
+SlotSet
+setOf(std::initializer_list<std::size_t> slots)
+{
+    SlotSet set;
+    for (std::size_t s : slots)
+        set.set(s);
+    return set;
+}
+
+/** Ring slots as a core sees them: the seq each holds, and whether
+ *  that entry has issued. A heap item is live while both match. */
+struct Slots
+{
+    InstSeq seq[SlotSet::kMaxSlots] = {};
+    bool issued[SlotSet::kMaxSlots] = {};
+
+    auto
+    live() const
+    {
+        return [this](std::size_t slot, InstSeq s) {
+            return seq[slot] == s && !issued[slot];
+        };
+    }
+};
+
+/** Slot s, holding seq s, becomes ready at now + kOffsets[s]. */
+constexpr Cycle kOffsets[] = {0, 1, 2, 14, 15, 16, 17, 31, 40};
+constexpr std::size_t kEntries = std::size(kOffsets);
+
+SlotSet
+readyBy(Cycle now, Cycle c)
+{
+    SlotSet want;
+    for (std::size_t s = 0; s < kEntries; s++)
+        if (now + kOffsets[s] <= c)
+            want.set(s);
+    return want;
+}
+
+} // namespace
+
+TEST(ReadyWheel, PlacesByCycleInReadySetBucketOrHeap)
+{
+    Slots ring;
+    ReadyWheel<1> w;
+    const Cycle now = 1003;
+    w.clear(now);
+    for (std::size_t s = 0; s < kEntries; s++) {
+        ring.seq[s] = s;
+        std::uint8_t b = w.place(s, 0, now + kOffsets[s], now, s);
+        if (kOffsets[s] == 0 || kOffsets[s] >= 16)
+            EXPECT_EQ(b, kNoBucket) << s;
+        else
+            EXPECT_EQ(b, (now + kOffsets[s]) % 16) << s;
+    }
+    EXPECT_TRUE(w.ready(0) == setOf({0}));
+}
+
+TEST(ReadyWheel, EntriesBecomeReadyAtTheirCycleAcrossOneCycleDrains)
+{
+    Slots ring;
+    ReadyWheel<1> w;
+    const Cycle now = 1003;
+    w.clear(now);
+    for (std::size_t s = 0; s < kEntries; s++) {
+        ring.seq[s] = s;
+        w.place(s, 0, now + kOffsets[s], now, s);
+    }
+    for (Cycle c = now; c <= now + 45; c++) {
+        w.drain(c, ring.live());
+        EXPECT_TRUE(w.ready(0) == readyBy(now, c)) << "cycle " << c;
+    }
+}
+
+TEST(ReadyWheel, EntriesBecomeReadyAtTheirCycleAcrossLongDrains)
+{
+    Slots ring;
+    ReadyWheel<1> w;
+    const Cycle now = 1003;
+    w.clear(now);
+    for (std::size_t s = 0; s < kEntries; s++) {
+        ring.seq[s] = s;
+        w.place(s, 0, now + kOffsets[s], now, s);
+    }
+    // The first jump, of 17, drains every bucket once, the one 15
+    // cycles on too.
+    for (Cycle c : {now + 17, now + 30, now + 39, now + 40}) {
+        w.drain(c, ring.live());
+        EXPECT_TRUE(w.ready(0) == readyBy(now, c)) << "cycle " << c;
+    }
+    // After the jumps the buckets start at the new cycle.
+    const Cycle later = now + 40;
+    SlotSet want = readyBy(now, later);
+    for (std::size_t s = 20; s < 23; s++)
+        ring.seq[s] = s;
+    w.place(20, 0, later + 1, later, 20);
+    w.place(21, 0, later + 15, later, 21);
+    w.place(22, 0, later + 16, later, 22);
+    for (auto [c, s] : {std::pair{later + 14, 20}, std::pair{later + 15, 21},
+                        std::pair{later + 60, 22}}) {
+        w.drain(c, ring.live());
+        want.set(std::size_t(s));
+        EXPECT_TRUE(w.ready(0) == want) << "cycle " << c;
+    }
+}
+
+TEST(ReadyWheel, StaleHeapItemsAreSkippedByDrainAndWake)
+{
+    // Slot 7's entry left (the slot holds another seq) and slot 8's
+    // issued before their cycles came; slot 9's is still waiting.
+    Slots ring;
+    auto fill = [&](ReadyWheel<1> &w) {
+        w.clear(0);
+        for (std::size_t s : {7, 8, 9}) {
+            ring.seq[s] = 10 * s;
+            w.place(s, 0, 20 + s, 0, 10 * s);
+        }
+        ring.seq[7] = 71;
+        ring.issued[8] = true;
+    };
+    ReadyWheel<1> drained;
+    fill(drained);
+    drained.drain(28, ring.live());
+    EXPECT_FALSE(drained.ready(0).any());
+    drained.drain(29, ring.live());
+    EXPECT_TRUE(drained.ready(0) == setOf({9}));
+
+    ReadyWheel<1> woken;
+    fill(woken);
+    EXPECT_EQ(woken.wakeAfter(0, ring.live()), Cycle(29));
+    ring.issued[9] = true;
+    EXPECT_EQ(woken.wakeAfter(0, ring.live()), kNoCycle);
+}
+
+TEST(ReadyWheel, WakeAfterNamesTheNextReadyCycle)
+{
+    Slots ring;
+    ReadyWheel<2> w;
+    Cycle now = 50;
+    w.clear(now);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), kNoCycle);
+
+    // A ready bit on either lane means a select next cycle.
+    ring.seq[1] = 1;
+    w.place(1, 1, now, now, 1);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 1);
+    w.unplace(1, 1, kNoBucket);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), kNoCycle);
+
+    // Else the earliest non-empty bucket or live heap item.
+    for (std::size_t s : {2, 3, 4})
+        ring.seq[s] = s;
+    std::uint8_t b2 = w.place(2, 0, now + 5, now, 2);
+    std::uint8_t b3 = w.place(3, 1, now + 9, now, 3);
+    w.place(4, 0, now + 30, now, 4);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 5);
+
+    // A bucket emptied by unplace keeps its used bit until a wake-up
+    // query walks past it.
+    w.unplace(2, 0, b2);
+    EXPECT_TRUE(w.used() >> b2 & 1u);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 9);
+    EXPECT_FALSE(w.used() >> b2 & 1u);
+    w.unplace(3, 1, b3);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 30);
+    EXPECT_EQ(w.used(), 0u);
+
+    // Later, a heap item can come before a bucket.
+    now += 20;
+    w.drain(now, ring.live());
+    ring.seq[5] = 5;
+    w.place(5, 1, now + 13, now, 5);
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 10);
+    ring.issued[4] = true;
+    EXPECT_EQ(w.wakeAfter(now, ring.live()), now + 13);
+}
+
+TEST(ReadyWheel, LanesStayApart)
+{
+    Slots ring;
+    ReadyWheel<2> w;
+    w.clear(0);
+    ring.seq[5] = 5;
+    ring.seq[6] = 6;
+    w.place(5, 0, 0, 0, 5);
+    std::uint8_t b = w.place(5, 1, 3, 0, 5);
+    w.place(6, 1, 20, 0, 6);
+    EXPECT_TRUE(w.ready(0) == setOf({5}));
+    EXPECT_FALSE(w.ready(1).any());
+
+    w.drain(3, ring.live());
+    EXPECT_TRUE(w.ready(0) == setOf({5}));
+    EXPECT_TRUE(w.ready(1) == setOf({5}));
+    w.unplace(5, 0, kNoBucket);
+    EXPECT_FALSE(w.ready(0).any());
+    EXPECT_TRUE(w.ready(1) == setOf({5}));
+
+    w.drain(20, ring.live());
+    EXPECT_FALSE(w.ready(0).any());
+    EXPECT_TRUE(w.ready(1) == setOf({5, 6}));
+    w.unplace(5, 1, b);
+    EXPECT_TRUE(w.ready(1) == setOf({6}));
 }

@@ -12,6 +12,10 @@
  *  - fixed-seed mutation fuzzing of each format: a mutant either fails
  *    (with an error, where the parser reports one) or yields a value
  *    that serializes and parses back to itself;
+ *  - the same for the text specs taken from outside (sample, inject
+ *    and fault specs, cell lists, vuln: and shard: campaign names):
+ *    a mutant is rejected with an error, or formats back to text that
+ *    re-parses to the same text;
  *  - 64 KiB and 8 MiB lines of '{' fail without exhausting the stack;
  *  - the committed BENCH_perf.json parses and re-renders byte for
  *    byte, retired rows of older files are dropped, and schema drift
@@ -32,7 +36,10 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/checkpoint.hh"
 #include "common/json.hh"
+#include "inject/inject.hh"
+#include "runner/campaign.hh"
 #include "runner/journal.hh"
 #include "runner/perfbench.hh"
 #include "runner/shard.hh"
@@ -916,6 +923,113 @@ TEST(JsonFuzz, PerfReports)
 // ---------------------------------------------------------------
 // Hostile nesting: long runs of '{' fail without a stack overflow
 // ---------------------------------------------------------------
+
+// ---------------------------------------------------------------
+// Mutation fuzzing of the text specs: reject with an error, or format
+// back to text that re-parses to the same text
+// ---------------------------------------------------------------
+
+namespace {
+
+/** fuzz() for a text spec: @p parse(text, &value, &error) and
+ *  @p format(value). */
+template <typename T, typename Parse, typename Format>
+void
+fuzzSpec(const std::vector<std::string> &seeds, Parse parse, Format format)
+{
+    fuzz(seeds, [&](const std::string &m) {
+        T value{}, again{};
+        std::string error;
+        if (!parse(m, &value, &error)) {
+            EXPECT_FALSE(error.empty()) << m;
+            return false;
+        }
+        const std::string text = format(value);
+        EXPECT_TRUE(parse(text, &again, &error)) << m << ": " << error;
+        EXPECT_EQ(format(again), text) << m;
+        return true;
+    });
+}
+
+/** A shard: name's fields. */
+struct ShardName
+{
+    std::size_t index = 0, count = 0;
+    std::string base;
+};
+
+} // namespace
+
+TEST(SpecFuzz, SampleSpecs)
+{
+    fuzzSpec<checkpoint::SampleSpec>(
+        {"windows=10,len=1000,warmup=500", "windows=3,len=2000"},
+        [](const std::string &t, checkpoint::SampleSpec *v,
+           std::string *e) { return checkpoint::parseSampleSpec(t, v, e); },
+        [](const checkpoint::SampleSpec &v) {
+            return checkpoint::formatSampleSpec(v);
+        });
+}
+
+TEST(SpecFuzz, InjectSpecs)
+{
+    fuzzSpec<inject::StateInjection>(
+        {"rob:12345:17:1000", "cachedata:7:63:0", "tlbtag:0:5:99"},
+        [](const std::string &t, inject::StateInjection *v,
+           std::string *e) { return inject::parseInjectSpec(t, v, e); },
+        [](const inject::StateInjection &v) {
+            return inject::formatInjectSpec(v);
+        });
+}
+
+TEST(SpecFuzz, FaultSpecs)
+{
+    fuzzSpec<runner::FaultInjection>(
+        {"17:segfault:1", "3:panic", "0:hang:2"},
+        [](const std::string &t, runner::FaultInjection *v,
+           std::string *e) { return runner::parseFaultSpec(t, v, e); },
+        [](const runner::FaultInjection &v) {
+            return runner::formatFaultSpec(v);
+        });
+}
+
+TEST(SpecFuzz, CellLists)
+{
+    fuzzSpec<std::vector<std::size_t>>(
+        {"0,3,6", "5", "12,1,400"},
+        [](const std::string &t, std::vector<std::size_t> *v,
+           std::string *e) { return runner::parseCellList(t, v, e); },
+        [](const std::vector<std::size_t> &v) {
+            return runner::formatCellList(v);
+        });
+}
+
+TEST(SpecFuzz, VulnCampaignNames)
+{
+    fuzzSpec<runner::VulnSpec>(
+        {"vuln:sim-alpha:C-Ca:400000:90:7:regfile+rob+cachedata",
+         "vuln:sim-outorder:C-S1:20000:10:0:iq"},
+        [](const std::string &t, runner::VulnSpec *v, std::string *e) {
+            return runner::parseVulnCampaignName(t, v, e);
+        },
+        [](const runner::VulnSpec &v) {
+            return runner::vulnCampaignName(v);
+        });
+}
+
+TEST(SpecFuzz, ShardCampaignNames)
+{
+    fuzzSpec<ShardName>(
+        {"shard:0/3:table3",
+         "shard:2/5:vuln:sim-alpha:C-Ca:400000:90:7:rob"},
+        [](const std::string &t, ShardName *v, std::string *e) {
+            return runner::parseShardCampaignName(t, &v->index, &v->count,
+                                                  &v->base, e);
+        },
+        [](const ShardName &v) {
+            return runner::shardCampaignName(v.base, v.index, v.count);
+        });
+}
 
 TEST(JsonFuzz, LongNestingRunsFailWithoutStackOverflow)
 {

@@ -205,7 +205,8 @@ TEST(ShardedRun, DeclaredFailureIsJournaledAtOnceAndReplayedOnResume)
     const std::string dir = uniqueDir("declare");
     ShardedOptions opts;
     opts.journalPath = dir + "/master.jsonl";
-    opts.declaredPath = dir + "/declared-1.jsonl";
+    opts.scratchDir = dir + "/killed.d";
+    const std::string declared1 = opts.scratchDir + "/declared-1.jsonl";
 
     // Slice 0 never delivers (its worker hung, then the supervisor was
     // killed); slice 1 declares cell 1 and delivers the rest. Cell 0's
@@ -228,8 +229,7 @@ TEST(ShardedRun, DeclaredFailureIsJournaledAtOnceAndReplayedOnResume)
         EXPECT_EQ(out.missing.size(), 6u);
         EXPECT_EQ(out.result.cells[1].errorClass, "crash");
         EXPECT_TRUE(fileLines(opts.journalPath).empty());
-        const std::vector<std::string> declared =
-            fileLines(opts.declaredPath);
+        const std::vector<std::string> declared = fileLines(declared1);
         ASSERT_EQ(declared.size(), 1u);
         declaredLine = declared[0];
         EXPECT_NE(declaredLine.find("signal 11 (drill)"),
@@ -238,9 +238,13 @@ TEST(ShardedRun, DeclaredFailureIsJournaledAtOnceAndReplayedOnResume)
 
     // The resume replays the declared failure: slice 1 is handed only
     // its other cells, and the master ends up complete, in spec order.
+    // Its scratch directory holds the declared journal alone (not the
+    // killed run's arrival journal), so every other cell runs again.
     opts.resume = true;
-    opts.replayPaths = {opts.declaredPath};
-    opts.declaredPath = dir + "/declared-2.jsonl";
+    opts.scratchDir = dir + "/resume.d";
+    std::filesystem::create_directory(opts.scratchDir);
+    std::filesystem::rename(declared1,
+                            opts.scratchDir + "/declared-1.jsonl");
     std::mutex mu;
     std::vector<std::vector<std::size_t>> handed(2);
     ShardedRun run(spec, opts);
@@ -261,7 +265,8 @@ TEST(ShardedRun, DeclaredFailureIsJournaledAtOnceAndReplayedOnResume)
     expected[1] = declaredLine;
     EXPECT_EQ(fileLines(opts.journalPath), expected);
     EXPECT_EQ(out.result.cells[1].errorClass, "crash");
-    EXPECT_FALSE(std::filesystem::exists(opts.declaredPath));
+    EXPECT_FALSE(std::filesystem::exists(opts.scratchDir +
+                                         "/declared-2.jsonl"));
     std::filesystem::remove_all(dir);
 }
 
@@ -441,8 +446,10 @@ TEST(ShardedRun, MasterJournalWinsOverRetainedLinesOnResume)
     ShardedOptions opts;
     opts.journalPath = dir + "/master.jsonl";
     opts.resume = true;
-    opts.replayPaths = {dir + "/declared-1.jsonl",
-                        dir + "/shard-0-try1.jsonl"};
+    opts.scratchDir = dir + "/scratch.d";
+    std::filesystem::create_directory(opts.scratchDir);
+    const std::string declared = opts.scratchDir + "/declared-1.jsonl";
+    const std::string slice = opts.scratchDir + "/shard-0-try1.jsonl";
 
     // An old process run declared cell 0 and left a stale line for
     // cell 1 in its scratch directory; a later run settled both in the
@@ -457,13 +464,11 @@ TEST(ShardedRun, MasterJournalWinsOverRetainedLinesOnResume)
     const std::size_t at = stale.find("\"manifest_hash\":\"");
     ASSERT_NE(at, std::string::npos);
     stale.replace(at + 17, 4, "zzzz");
-    writeLines(opts.replayPaths[0], {journalLine("smoke", crash)});
-    writeLines(opts.replayPaths[1],
-               std::vector<std::string>(reference().begin() + 1,
-                                        reference().end()));
+    writeLines(declared, {journalLine("smoke", crash)});
+    writeLines(slice, std::vector<std::string>(reference().begin() + 1,
+                                               reference().end()));
     {
-        std::ofstream out(opts.replayPaths[1],
-                          std::ios::binary | std::ios::app);
+        std::ofstream out(slice, std::ios::binary | std::ios::app);
         out << stale << '\n';
     }
     writeLines(opts.journalPath, {reference()[0], reference()[1]});

@@ -9,11 +9,18 @@ cmake --build build -j
 cd build
 ctest --output-on-failure -j "$@"
 
+# Every step below works in its own directory under one temp root.
+TMP_ROOT=$(mktemp -d /tmp/simalpha-tier1-XXXXXX)
+trap 'rm -rf "$TMP_ROOT"' EXIT
+stepdir() {
+    mkdir "$TMP_ROOT/$1"
+    echo "$TMP_ROOT/$1"
+}
+
 # Serve smoke: daemon up, one capped campaign through the socket,
 # clean shutdown — the CLI path the ctest suite exercises in-process.
 # Its raw stream is checked against a --jobs 1 daemon's below.
-SERVE_DIR=$(mktemp -d /tmp/simalpha-tier1-serve-XXXXXX)
-trap 'rm -rf "$SERVE_DIR"' EXIT
+SERVE_DIR=$(stepdir serve)
 ./tools/simalpha serve --store "$SERVE_DIR/store" --jobs 2 \
     > "$SERVE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -31,8 +38,7 @@ echo "serve smoke: OK"
 # byte-identical to a --jobs 1 daemon's: every executor releases in
 # spec order. (`submit --out` artifacts would not show it: they are
 # rebuilt in spec order whatever order the stream had.)
-FLEET_DIR=$(mktemp -d /tmp/simalpha-tier1-fleet-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR"' EXIT
+FLEET_DIR=$(stepdir fleet)
 ./tools/simalpha serve --store "$FLEET_DIR/ref" --jobs 1 \
     > "$FLEET_DIR/ref.log" 2>&1 &
 REF_PID=$!
@@ -72,8 +78,7 @@ echo "fleet smoke: OK (serve and 2-worker fleet streams byte-identical)"
 # four pool threads settle in any order, but the executor releases in
 # spec order, so the artifact and the master journal are
 # byte-identical to an in-process --jobs 1 run.
-PROC_DIR=$(mktemp -d /tmp/simalpha-tier1-proc-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR"' EXIT
+PROC_DIR=$(stepdir proc)
 ./tools/simalpha --campaign smoke --isolate=process --shards 3 \
     --out "$PROC_DIR/proc.json" > /dev/null
 ./tools/simalpha --campaign smoke --jobs 4 \
@@ -92,8 +97,7 @@ echo "process smoke: OK (3-shard and --jobs 4 artifacts and journals byte-identi
 # asserting they agree every cycle; the capped Table 3 must come out
 # byte-identical to the fast path. The JSON artifact carries every
 # counter (the CSV only cycles, insts and IPC).
-SLOW_DIR=$(mktemp -d /tmp/simalpha-tier1-slow-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR"' EXIT
+SLOW_DIR=$(stepdir slow)
 ./tools/simalpha --campaign table3 --max-insts 20000 --jobs 2 \
     --no-journal --out "$SLOW_DIR/fast.json" > /dev/null
 SIMALPHA_SLOWPATH=1 ./tools/simalpha --campaign table3 \
@@ -107,8 +111,7 @@ echo "slowpath table3: OK (every counter byte-identical to the fast path)"
 # comes out byte-identical with no store, a cold store, the same store
 # warm, --jobs 4, three worker processes, and the slowpath reference;
 # so are their spec-ordered journals.
-SAMPLE_DIR=$(mktemp -d /tmp/simalpha-tier1-sample-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR"' EXIT
+SAMPLE_DIR=$(stepdir sample)
 sampled() {
     out=$1
     shift
@@ -136,8 +139,7 @@ echo "sampled table3: OK (six modes byte-identical)"
 # program, and each worker process runs its slice as one run; its
 # capped run must be byte-identical at --jobs 1, at --jobs 4 and in
 # three worker processes, artifacts and spec-ordered journals alike.
-T5_DIR=$(mktemp -d /tmp/simalpha-tier1-t5-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR"' EXIT
+T5_DIR=$(stepdir t5)
 table5() {
     out=$1
     shift
@@ -159,8 +161,7 @@ echo "capped table5: OK (--jobs 1, --jobs 4 and 3 worker processes byte-identica
 # At --jobs 1 and --jobs 3 the pooled cores meet different strike
 # histories, so a line a reset missed would show up as different
 # cycles; the artifacts and vulnerability tables must be identical.
-VULN_DIR=$(mktemp -d /tmp/simalpha-tier1-vuln-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$VULN_DIR"' EXIT
+VULN_DIR=$(stepdir vuln)
 for jobs in 1 3; do
     ./tools/simalpha vuln --workload C-Ca --max-insts 800000 --cells 60 \
         --machine sim-alpha --seed 7 --targets cachetag+tlbtag \
@@ -172,28 +173,35 @@ for ext in "" .vuln.json .vuln.csv; do
 done
 echo "tag strikes: OK (--jobs 1 and --jobs 3 byte-identical)"
 
-# RuuCore's ready set against the walk while strikes land: the
-# sim-outorder drill's window, issue-queue, LSQ, rename and register
-# flips, with SIMALPHA_SLOWPATH=1 checking the ready set against the
-# walk in every cycle before each strike (the walk selects after it).
+# Both cores' selects against their slowpath references while strikes
+# land: the window, issue-queue, LSQ, rename and register flips, with
+# SIMALPHA_SLOWPATH=1 checking the ready sets against the original
+# scans and walks in every cycle (RuuCore's walk selects after a
+# strike; AlphaCore rebuilds its ready sets every cycle after one).
 drill() {
-    ./tools/simalpha vuln --workload C-Ca --max-insts 800000 --cells 200 \
-        --machine sim-outorder --seed 7 \
+    machine=$1
+    shift
+    ./tools/simalpha vuln --workload C-Ca --machine "$machine" --seed 7 \
         --targets rob+iq+lsq+renamemap+regfile --jobs 4 --no-journal \
-        --out "$VULN_DIR/$1.json" > /dev/null
+        "$@" > /dev/null
 }
-drill fast
-SIMALPHA_SLOWPATH=1 drill slow
-for ext in "" .vuln.json .vuln.csv; do
-    cmp "$VULN_DIR/fast.json$ext" "$VULN_DIR/slow.json$ext"
+for slow in 0 1; do
+    SIMALPHA_SLOWPATH=$slow drill sim-outorder --max-insts 800000 \
+        --cells 200 --out "$VULN_DIR/outorder$slow.json"
+    SIMALPHA_SLOWPATH=$slow drill sim-alpha --max-insts 400000 \
+        --cells 120 --out "$VULN_DIR/alpha$slow.json"
 done
-echo "outorder drill: OK (slowpath byte-identical)"
+for machine in outorder alpha; do
+    for ext in "" .vuln.json .vuln.csv; do
+        cmp "$VULN_DIR/${machine}0.json$ext" "$VULN_DIR/${machine}1.json$ext"
+    done
+done
+echo "strike drills: OK (sim-outorder and sim-alpha slowpath byte-identical)"
 
 # Bench trajectory: a quick full measurement (every row) written
 # through the trajectory-file writer, then read back by the schema
 # check.
-BENCH_DIR=$(mktemp -d /tmp/simalpha-tier1-bench-XXXXXX)
-trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR" "$PROC_DIR" "$SLOW_DIR" "$SAMPLE_DIR" "$T5_DIR" "$VULN_DIR" "$BENCH_DIR"' EXIT
+BENCH_DIR=$(stepdir bench)
 ./tools/simalpha bench --quick --out "$BENCH_DIR/perf.json" > /dev/null
 ./tools/simalpha bench --check "$BENCH_DIR/perf.json"
 echo "bench quick: OK (measured, written and schema-checked)"
