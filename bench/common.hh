@@ -14,8 +14,9 @@
 #include <memory>
 #include <string>
 
+#include "common/error.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
-#include "common/number.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
 
@@ -30,37 +31,23 @@ class CampaignHarness
         setQuiet(true);
         _opts.jobs = 0;     // all cores
         _opts.cache = true;
-        for (int i = 1; i < argc; i++) {
-            const std::string flag = argv[i];
-            auto next = [&]() -> const char * {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value after %s\n",
-                                 flag.c_str());
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            auto number = [&](auto *out) {
-                const char *text = next();
-                if (!parseNumber(text, out)) {
-                    std::fprintf(stderr, "%s: '%s' is not a number\n",
-                                 flag.c_str(), text);
-                    std::exit(2);
-                }
-            };
-            if (flag == "--store")
-                _opts.storePath = next();
-            else if (flag == "--jobs")
-                number(&_opts.jobs);
-            else if (flag == "--max-insts")
-                number(&_maxInsts);
-            else {
-                std::fprintf(stderr,
-                             "usage: %s [--store DIR] [--jobs N] "
-                             "[--max-insts N]\n",
-                             prog);
-                std::exit(2);
-            }
+        const flags::Command command{
+            "",
+            std::string("usage: ") + prog + " [options]\n",
+            {{"options",
+              {flags::text("--store", "<dir>", &_opts.storePath,
+                           "persistent result store to serve and publish "
+                           "cells"),
+               flags::number("--jobs", "<n>", &_opts.jobs,
+                             "worker threads (0 = all cores; default 0)"),
+               flags::number("--max-insts", "<n>", &_maxInsts,
+                             "cap every cell at n committed instructions")}}}};
+        try {
+            if (!flags::parse(command, argc, argv))
+                std::exit(0);
+        } catch (const ConfigError &e) {
+            std::fprintf(stderr, "%s: %s\n", prog, e.what());
+            std::exit(2);
         }
         _runner = std::make_unique<runner::ExperimentRunner>(_opts);
     }

@@ -58,6 +58,26 @@ targetNameList()
     return enumNameList(kTargets);
 }
 
+bool
+parseTargetList(const std::string &list, std::vector<Target> *out,
+                std::string *error)
+{
+    for (std::size_t start = 0;;) {
+        const std::size_t plus = list.find('+', start);
+        const std::string name = list.substr(start, plus - start);
+        Target target;
+        if (!targetByName(name, &target)) {
+            *error = "unknown target '" + name + "' (targets: " +
+                     targetNameList() + ")";
+            return false;
+        }
+        out->push_back(target);
+        if (plus == std::string::npos)
+            return true;
+        start = plus + 1;
+    }
+}
+
 const std::vector<Target> &
 allTargets()
 {

@@ -57,6 +57,12 @@ bool targetByName(const std::string &name, Target *out);
 /** "regfile, renamemap, ..." — for error messages. */
 std::string targetNameList();
 
+/** Append the targets of a `+`-separated list ("regfile+rob") to
+ *  @p out; false with *error = "unknown target 'x' (targets: ...)" at
+ *  the first name that is none. */
+bool parseTargetList(const std::string &list, std::vector<Target> *out,
+                     std::string *error);
+
 /** Every injectable target, in canonical (enum) order. */
 const std::vector<Target> &allTargets();
 

@@ -322,24 +322,9 @@ parseVulnCampaignName(const std::string &name, VulnSpec *out,
     if (!parseNumber(parts[5], &spec.seed))
         return fail("has a malformed seed");
 
-    const std::string &tlist = parts[6];
-    std::size_t tstart = 0;
-    for (;;) {
-        std::size_t plus = tlist.find('+', tstart);
-        std::string tname =
-            plus == std::string::npos
-                ? tlist.substr(tstart)
-                : tlist.substr(tstart, plus - tstart);
-        inject::Target target;
-        if (!inject::targetByName(tname, &target))
-            return fail("names unknown target '" + tname +
-                        "' (targets: " + inject::targetNameList() +
-                        ")");
-        spec.targets.push_back(target);
-        if (plus == std::string::npos)
-            break;
-        tstart = plus + 1;
-    }
+    std::string terror;
+    if (!inject::parseTargetList(parts[6], &spec.targets, &terror))
+        return fail("names " + terror);
 
     *out = spec;
     return true;

@@ -246,13 +246,6 @@ readJournal(const std::string &path, const std::string &campaign,
     return true;
 }
 
-bool
-journalSyncFromEnv()
-{
-    const char *env = std::getenv("SIMALPHA_JOURNAL_SYNC");
-    return env && env[0] == '1' && env[1] == '\0';
-}
-
 CampaignJournal::~CampaignJournal()
 {
     close();
@@ -272,7 +265,7 @@ CampaignJournal::open(const std::string &path, std::string *error,
                      "' for append: " + std::strerror(errno);
         return false;
     }
-    _sync = sync || journalSyncFromEnv();
+    _sync = sync;
     return true;
 }
 

@@ -21,9 +21,9 @@
  * this process. A process killed *mid-write* (or a power cut) can
  * still leave a torn final line; replay detects the unterminated tail,
  * discards it with a warning, and serves everything before it. Opt-in
- * fsync-per-append (the sync flag, or SIMALPHA_JOURNAL_SYNC=1) extends
- * the guarantee through the OS page cache for campaigns that must
- * survive machine crashes, at the cost of one fsync per cell.
+ * fsync-per-append (the sync flag, --journal-sync) extends the
+ * guarantee through the OS page cache for campaigns that must survive
+ * machine crashes, at the cost of one fsync per cell.
  */
 
 #ifndef SIMALPHA_RUNNER_JOURNAL_HH
@@ -76,11 +76,6 @@ bool readJournal(const std::string &path, const std::string &campaign,
                                           const std::string &line)> &visit,
                  std::string *error);
 
-/** True when fsync-per-append was requested via the environment
- *  (SIMALPHA_JOURNAL_SYNC=1) — the opt-in shard workers and library
- *  callers inherit without any flag plumbing. */
-bool journalSyncFromEnv();
-
 /** Thread-safe append-only writer; one line per completed cell. */
 class CampaignJournal
 {
@@ -90,9 +85,8 @@ class CampaignJournal
     CampaignJournal &operator=(const CampaignJournal &) = delete;
     ~CampaignJournal();
 
-    /** Open @p path for appending. @p sync requests fsync-per-append
-     *  (forced on by SIMALPHA_JOURNAL_SYNC=1 either way). Returns
-     *  false with *error filled if the file cannot be opened. */
+    /** Open @p path for appending. @p sync requests fsync-per-append.
+     *  Returns false with *error filled if the file cannot be opened. */
     bool open(const std::string &path, std::string *error,
               bool sync = false);
 

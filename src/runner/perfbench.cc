@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/flags.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/number.hh"
@@ -479,39 +478,38 @@ runBenchCommand(int argc, char **argv)
     bool cap_explicit = false;
     bool set_baseline = false;
     bool smoke = false;
-
-    for (int i = 1; i < argc; i++) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench: missing value after %s\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            max_insts = kPerfBenchQuickMaxInsts;
-            cap_explicit = true;
-        } else if (std::strcmp(argv[i], "--max-insts") == 0) {
-            max_insts = flagNumber<std::uint64_t>("--max-insts", next());
-            cap_explicit = true;
-        } else if (std::strcmp(argv[i], "--out") == 0)
-            out_path = next();
-        else if (std::strcmp(argv[i], "--check") == 0)
-            check_path = next();
-        else if (std::strcmp(argv[i], "--set-baseline") == 0)
-            set_baseline = true;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else {
-            std::fprintf(
-                stderr,
-                "usage: simalpha bench [--quick] [--max-insts N] "
-                "[--out FILE] [--check FILE] [--set-baseline] "
-                "[--smoke]\n");
-            return 2;
-        }
-    }
+    const flags::Command command{
+        "bench",
+        "usage: simalpha bench [options]\n"
+        "\n"
+        "Times the capped Table 3 rows and records them as `current` in the\n"
+        "trajectory file, keeping its pinned `baseline`.\n",
+        {{"bench options",
+          {{"--quick", "",
+            "cap every cell at " + std::to_string(kPerfBenchQuickMaxInsts) +
+                " instructions",
+            [&](const std::string &) {
+                max_insts = kPerfBenchQuickMaxInsts;
+                cap_explicit = true;
+            }},
+           {"--max-insts", "<n>",
+            "cap every cell at n instructions (default " +
+                std::to_string(kPerfBenchDefaultMaxInsts) + ")",
+            [&](const std::string &v) {
+                max_insts = flagNumber<std::uint64_t>("--max-insts", v);
+                cap_explicit = true;
+            }},
+           flags::text("--out", "<file>", &out_path,
+                       "the trajectory file (default BENCH_perf.json)"),
+           flags::text("--check", "<file>", &check_path,
+                       "check a trajectory file's schema; measure nothing"),
+           flags::toggle("--set-baseline", &set_baseline,
+                         "pin this measurement as the baseline"),
+           flags::toggle("--smoke", &smoke,
+                         "re-time the detailed and emulator rows against the "
+                         "baseline pinned in --out; fail below 0.80x")}}}};
+    if (!flags::parse(command, argc, argv))
+        return 0;
 
     if (!check_path.empty()) {
         std::string error;

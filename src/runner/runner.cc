@@ -791,10 +791,7 @@ ExperimentRunner::run(const CampaignSpec &spec)
     // onCell fires, on the calling thread.
     // Cancelled (Ctrl-C / service cancel): take no new cell, so the
     // cells left unsettled run on a later --resume.
-    auto cancelled = [this] {
-        return (_opts.cancel && *_opts.cancel) ||
-               (_opts.cancelAtomic && _opts.cancelAtomic->load());
-    };
+    auto cancelled = [this] { return _opts.cancel && _opts.cancel->load(); };
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
         MachinePool pool;

@@ -47,7 +47,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -230,24 +229,19 @@ struct RunnerOptions
     std::string journalPath;
     bool resume = false;
 
-    /** fsync the journal after every appended cell (also forced on by
-     *  SIMALPHA_JOURNAL_SYNC=1): the journal survives not just a
-     *  killed process but a crashed machine. */
+    /** fsync the journal after every appended cell: the journal
+     *  survives not just a killed process but a crashed machine. */
     bool journalSync = false;
 
     /**
-     * Cooperative cancellation (the Ctrl-C path): when non-null and
-     * set, no further cell starts executing — already-running cells
-     * finish and are journaled, the rest are left as default results.
-     * The flag is a sig_atomic_t so a signal handler can set it.
+     * Cooperative cancellation (Ctrl-C, a service cancel): when
+     * non-null and set, no further cell starts executing —
+     * already-running cells finish and are journaled, the rest are
+     * left as default results. A signal handler may set it (a
+     * lock-free atomic store is async-signal-safe), and so may another
+     * thread.
      */
-    const volatile std::sig_atomic_t *cancel = nullptr;
-
-    /** Second cancellation source for in-process callers on another
-     *  thread (the campaign service): same semantics as `cancel`, but
-     *  an atomic, so cross-thread cancellation is race-free under
-     *  TSan. Either flag cancels. */
-    const std::atomic<bool> *cancelAtomic = nullptr;
+    const std::atomic<bool> *cancel = nullptr;
 
     /**
      * Result-streaming hook: called once for every cell — computed,

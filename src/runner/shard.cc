@@ -407,14 +407,14 @@ runShardWorker(const ShardWorkerOptions &options)
         return 2;
     std::atomic<bool> stopped{false};
     auto start = [&](std::size_t pos) {
-        if (options.interrupted && *options.interrupted)
+        if (options.interrupted && options.interrupted->load())
             stopped = true;
         else
             journal.appendRaw(heartbeatLine(spec.name, options.cells[pos],
                                             slice.cells[pos].workload));
     };
     std::size_t settled = 0;
-    ro.cancelAtomic = &stopped;
+    ro.cancel = &stopped;
     ro.onCell = [&](const CellResult &r) {
         journal.append(spec.name, r);
         if (++settled < slice.cells.size())

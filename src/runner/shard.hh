@@ -28,7 +28,7 @@
 #ifndef SIMALPHA_RUNNER_SHARD_HH
 #define SIMALPHA_RUNNER_SHARD_HH
 
-#include <csignal>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -171,7 +171,7 @@ struct ShardWorkerOptions
      *  supervisor's --journal-sync). */
     bool journalSync = false;
     /** Set by a signal handler: stop before the next cell, exit 3. */
-    const volatile std::sig_atomic_t *interrupted = nullptr;
+    const std::atomic<bool> *interrupted = nullptr;
 };
 
 /**

@@ -224,13 +224,11 @@ ShardedRun::stopLocked()
 ShardedOutcome
 ShardedRun::run(std::size_t slices, const Transport &transport)
 {
-    // Only this thread reads the cancel flags (one may be a signal
-    // handler's sig_atomic_t); slice threads see stopping().
+    // Only this thread reads the cancel flag; slice threads see
+    // stopping().
     std::unique_lock<std::mutex> lock(_mu);
     auto observeCancel = [&] {
-        if (_out.cancelled ||
-            !((_opts.interrupted && *_opts.interrupted) ||
-              (_opts.cancel && _opts.cancel->load())))
+        if (_out.cancelled || !(_opts.cancel && _opts.cancel->load()))
             return;
         _out.cancelled = true;
         stopLocked();

@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <csignal>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -87,9 +86,9 @@ struct ShardedOptions
      *  the directory. */
     std::string scratchDir;
 
-    /** Cancel flags, read only by the thread inside run(); onCancel
-     *  runs there once when one is first seen. */
-    const volatile std::sig_atomic_t *interrupted = nullptr;
+    /** Cancel flag (a signal handler may set it), read only by the
+     *  thread inside run(); onCancel runs there once when it is first
+     *  seen. */
     const std::atomic<bool> *cancel = nullptr;
     std::function<void()> onCancel;
 

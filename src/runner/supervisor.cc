@@ -25,6 +25,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Worker respawns allowed per shard after a death. */
+constexpr int kMaxRespawns = 2;
+/** How long a SIGTERMed worker gets to drain before the supervisor
+ *  escalates to SIGKILL. */
+constexpr double kTermGraceSeconds = 2.0;
+
 std::string
 cellLabel(const Cell &cell)
 {
@@ -109,8 +115,7 @@ runProcessSlice(const Slice &slice, ShardedRun &run,
     const std::string stem = scratch + "/shard-" +
                              std::to_string(slice.index);
     const std::string log = stem + ".log";
-    const auto grace = std::chrono::duration<double>(
-        std::max(opts.termGraceSeconds, 0.0));
+    const auto grace = std::chrono::duration<double>(kTermGraceSeconds);
     const auto budget = std::chrono::duration<double>(opts.cellTimeout);
 
     auto declare = [&](std::size_t cell, const std::string &errorClass,
@@ -231,7 +236,7 @@ runProcessSlice(const Slice &slice, ShardedRun &run,
         if (left.empty())
             return;
         const int respawnsUsed = tally.spawns - 1;
-        if (respawnsUsed >= opts.maxRespawns) {
+        if (respawnsUsed >= kMaxRespawns) {
             for (std::size_t cell : left)
                 declare(cell, "crash",
                         shard + " worker died " +
@@ -284,8 +289,7 @@ superviseCampaign(const SupervisorOptions &opts)
     so.resume = opts.resume;
     so.scratchDir = scratch;
     so.spreadUnsettled = true;
-    so.interrupted = opts.interrupted;
-    so.cancel = opts.interruptedAtomic;
+    so.cancel = opts.interrupted;
     so.sink = opts.onLine;
     ShardedRun run(spec, so);
 

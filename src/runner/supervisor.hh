@@ -39,7 +39,6 @@
 #define SIMALPHA_RUNNER_SUPERVISOR_HH
 
 #include <atomic>
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -71,15 +70,9 @@ struct SupervisorOptions
 
     /** Per-cell wall-clock budget in seconds (0 = no timeout). */
     double cellTimeout = 0.0;
-    /** Worker respawns allowed per shard after a death. */
-    int maxRespawns = 2;
     /** First respawn delay in seconds; doubles per respawn, with
      *  deterministic per-shard jitter (respawnBackoffSeconds). */
     double backoffSeconds = 0.05;
-    /** How long a SIGTERMed worker gets to drain before the
-     *  supervisor escalates to SIGKILL. Applies both to interrupt
-     *  (Ctrl-C) teardown and to any future cancellation path. */
-    double termGraceSeconds = 2.0;
 
     /** Persistent result store root forwarded to workers (--store);
      *  empty = none. Every shard (and any other campaign pointed at
@@ -110,12 +103,9 @@ struct SupervisorOptions
     std::function<void(const std::string &line, bool ok, bool replayed)>
         onLine;
 
-    /** Set by a signal handler: terminate workers and return early. */
-    const volatile std::sig_atomic_t *interrupted = nullptr;
-    /** Same contract for a cross-thread canceller (a volatile
-     *  sig_atomic_t read is not a synchronized load; threads must use
-     *  this instead). Either flag interrupts the run. */
-    const std::atomic<bool> *interruptedAtomic = nullptr;
+    /** Set by a signal handler or another thread: terminate workers
+     *  and return early. */
+    const std::atomic<bool> *interrupted = nullptr;
 };
 
 struct SupervisorOutcome

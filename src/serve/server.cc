@@ -465,7 +465,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
             so.masterJournalPath = job->journalPath;
             so.resume = true;
             so.journalSync = _opts.journalSync;
-            so.interruptedAtomic = &job->cancel;
+            so.interrupted = &job->cancel;
             so.onLine = append;
             runner::superviseCampaign(so);
         } else {
@@ -476,7 +476,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
             ro.journalPath = job->journalPath;
             ro.resume = true;
             ro.journalSync = _opts.journalSync;
-            ro.cancelAtomic = &job->cancel;
+            ro.cancel = &job->cancel;
             ro.onCell = [&](const runner::CellResult &r) {
                 append(runner::journalLine(job->spec.name, r), r.ok,
                        r.fromJournal || r.fromStore || r.fromCache);
@@ -1023,7 +1023,7 @@ Server::run()
     };
 
     for (;;) {
-        if ((_opts.interrupted && *_opts.interrupted) ||
+        if ((_opts.interrupted && _opts.interrupted->load()) ||
             _shutdownRequested.load())
             startDrain();
 

@@ -52,7 +52,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -146,7 +145,7 @@ struct ServeOptions
     bool journalSync = false;
 
     /** Set by a signal handler: begin drain-then-exit. */
-    const volatile std::sig_atomic_t *interrupted = nullptr;
+    const std::atomic<bool> *interrupted = nullptr;
 
     /** Test hook: while set, the executor picks up no job, so tests
      *  can fill the pending queue deterministically. */

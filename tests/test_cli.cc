@@ -11,6 +11,10 @@
  * Each rejected command line leaves out an argument its command needs,
  * so a binary that accepted the number would stop at that error
  * instead — without naming the flag — rather than run.
+ *
+ * Every entry point parses through one flag table (common/flags), so
+ * each answers --help on stdout with exit 0, rejects an unknown flag
+ * with exit 2, and takes `--name value` and `--name=value` alike.
  */
 
 #include <gtest/gtest.h>
@@ -197,5 +201,67 @@ TEST(CliNumbers, CampaignNameNumbersAreChecked)
         EXPECT_EQ(e.code, 2) << name << "\n" << e.err;
         EXPECT_NE(e.err.find("unknown campaign"), std::string::npos)
             << name << "\n" << e.err;
+    }
+}
+
+// ---------------------------------------------------------------------
+// One flag table per command
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every entry point, with a flag (or, for the driver, a command) its
+ *  help must list. */
+const std::vector<std::pair<std::string, std::string>> kEntryPoints = {
+    {"", "bench"},
+    {"vuln", "--targets"},
+    {"store", "--max-bytes"},
+    {"store gc", "--max-bytes"},
+    {"serve", "--max-pending"},
+    {"fleet", "--redispatch"},
+    {"submit", "--op"},
+    {"bench", "--smoke"}};
+
+} // namespace
+
+TEST(CliFlags, HelpExitsZeroOnStdoutForEveryEntryPoint)
+{
+    for (const auto &[command, listed] : kEntryPoints)
+        for (const char *help : {"--help", "-h"}) {
+            const Exit e = simalpha(command + " " + help);
+            EXPECT_EQ(e.code, 0) << command << " " << help << "\n" << e.err;
+            EXPECT_EQ(e.err, "") << command << " " << help;
+            EXPECT_EQ(e.out.rfind("usage: simalpha", 0), 0u)
+                << command << " " << help << "\n" << e.out;
+            EXPECT_NE(e.out.find(listed), std::string::npos)
+                << command << " " << help << "\n" << e.out;
+        }
+}
+
+TEST(CliFlags, UnknownFlagExitsTwoNamingIt)
+{
+    for (const auto &[command, listed] : kEntryPoints) {
+        const Exit e = simalpha(command + " --no-such-flag");
+        EXPECT_EQ(e.code, 2) << command << "\n" << e.err;
+        EXPECT_NE(e.err.find("option '--no-such-flag'"), std::string::npos)
+            << command << "\n" << e.err;
+    }
+}
+
+TEST(CliFlags, BothValueSpellingsRunTheSmokeCampaign)
+{
+    for (const std::string &spelling :
+         {std::string("--isolate process --shards 2"),
+          std::string("--isolate=process --shards=2"),
+          std::string("--jobs=1")}) {
+        const Exit e = simalpha("--campaign smoke --max-insts 20000 "
+                                "--no-journal " + spelling);
+        EXPECT_EQ(e.code, 0) << spelling << "\n" << e.err;
+        EXPECT_NE(e.out.find("cells       12 (12 ok, 0 failed)"),
+                  std::string::npos)
+            << spelling << "\n" << e.out;
+        EXPECT_EQ(e.out.find("isolation   process") != std::string::npos,
+                  spelling.find("process") != std::string::npos)
+            << spelling << "\n" << e.out;
     }
 }

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the common foundation: statistics, configuration,
- * deterministic RNG, logging counters, and the Ring window container.
+ * deterministic RNG, logging counters, the Ring window container, and
+ * the command-line flag tables.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/error.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/ring.hh"
@@ -296,4 +301,184 @@ TEST(Ring, ElementsStayPutUntilTheRingGrows)
     r.push_back(12);        // a push onto a full ring doubles it
     std::vector<int> all(r.begin(), r.end());
     EXPECT_EQ(all, (std::vector<int>{8, 9, 10, 11, 12}));
+}
+
+// ---------------------------------------------------------------------
+// Flags: one table parses argv and renders the help
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A command with a text flag, two numbers, a switch and a hidden
+ *  flag, bound to this object's fields. */
+struct Demo
+{
+    std::string out, hidden;
+    int jobs = 0;
+    double timeout = 0.0;
+    bool quiet = false;
+
+    flags::Command
+    command()
+    {
+        return {"demo", "usage: demo [options]\n",
+                {{"demo options",
+                  {flags::text("--out", "<file>", &out, "where to write"),
+                   flags::number("--jobs", "<n>", &jobs,
+                                 "worker threads; this help text is long "
+                                 "enough to wrap onto a second line"),
+                   flags::number("--timeout", "<s>", &timeout, "seconds"),
+                   flags::toggle("--quiet", &quiet, "say less"),
+                   flags::text("--hidden", "<x>", &hidden, "")}}},
+                "epilog\n"};
+    }
+};
+
+/** parse() over `demo <args>`. */
+bool
+parseArgs(const flags::Command &command, std::vector<std::string> args)
+{
+    std::vector<char *> argv{const_cast<char *>("demo")};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return flags::parse(command, int(argv.size()), argv.data());
+}
+
+/** The ConfigError parse() throws for @p args; "" when it throws none. */
+std::string
+parseError(const flags::Command &command, std::vector<std::string> args)
+{
+    try {
+        parseArgs(command, std::move(args));
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Flags, BothValueSpellingsParse)
+{
+    Demo d;
+    const flags::Command c = d.command();
+    EXPECT_TRUE(parseArgs(c, {"--out", "a.json", "--jobs", "3", "--quiet"}));
+    EXPECT_EQ(d.out, "a.json");
+    EXPECT_EQ(d.jobs, 3);
+    EXPECT_TRUE(d.quiet);
+
+    // `=` splits at its first occurrence; the rest is the value.
+    EXPECT_TRUE(parseArgs(c, {"--out=b=c.json", "--jobs=4", "--timeout=0.5"}));
+    EXPECT_EQ(d.out, "b=c.json");
+    EXPECT_EQ(d.jobs, 4);
+    EXPECT_EQ(d.timeout, 0.5);
+    EXPECT_TRUE(parseArgs(c, {"--out="}));
+    EXPECT_EQ(d.out, "");
+
+    // A separate value is taken verbatim, even one that looks like a flag.
+    EXPECT_TRUE(parseArgs(c, {"--out", "--quiet"}));
+    EXPECT_EQ(d.out, "--quiet");
+}
+
+TEST(Flags, SwitchGivenAValueIsRejected)
+{
+    Demo d;
+    EXPECT_EQ(parseError(d.command(), {"--quiet=1"}),
+              "--quiet takes no value");
+    EXPECT_EQ(parseError(d.command(), {"--quiet="}),
+              "--quiet takes no value");
+    EXPECT_FALSE(d.quiet);
+}
+
+TEST(Flags, MissingValueAndUnknownFlagAreNamed)
+{
+    Demo d;
+    flags::Command c = d.command();
+    EXPECT_EQ(parseError(c, {"--jobs", "2", "--out"}),
+              "missing value after --out");
+    EXPECT_EQ(parseError(c, {"--bogus"}), "unknown demo option '--bogus'");
+    EXPECT_EQ(parseError(c, {"--bogus=1"}),
+              "unknown demo option '--bogus=1'");
+    EXPECT_EQ(parseError(c, {"stray"}), "unknown demo option 'stray'");
+    EXPECT_EQ(parseError(c, {"-o=1"}), "unknown demo option '-o=1'");
+    c.name.clear();
+    EXPECT_EQ(parseError(c, {"--bogus"}), "unknown option '--bogus'");
+}
+
+TEST(Flags, MalformedNumberIsNamedByItsFlag)
+{
+    Demo d;
+    const flags::Command c = d.command();
+    EXPECT_EQ(parseError(c, {"--jobs", "four"}),
+              "--jobs: 'four' is not a whole number in range");
+    EXPECT_EQ(parseError(c, {"--jobs=1e6"}),
+              "--jobs: '1e6' is not a whole number in range");
+    EXPECT_EQ(parseError(c, {"--timeout", "inf"}),
+              "--timeout: 'inf' is not a finite decimal number");
+    EXPECT_EQ(d.jobs, 0);
+}
+
+TEST(Flags, HelpListsEveryListedFlagAndNoHiddenOne)
+{
+    Demo d;
+    const flags::Command c = d.command();
+    const std::string text = flags::help(c);
+    EXPECT_EQ(text.rfind("usage: demo [options]\n\ndemo options:\n", 0),
+              0u)
+        << text;
+    for (const char *listed :
+         {"  --out <file>        where to write\n", "  --jobs <n>",
+          "  --timeout <s>", "  --quiet             say less\n",
+          "\nepilog\n"})
+        EXPECT_NE(text.find(listed), std::string::npos) << listed;
+    EXPECT_EQ(text.find("--hidden"), std::string::npos) << text;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);)
+        EXPECT_LE(line.size(), 78u) << line;
+
+    // Hidden is not unknown.
+    EXPECT_TRUE(parseArgs(c, {"--hidden", "x"}));
+    EXPECT_EQ(d.hidden, "x");
+
+    // --help and -h print the help and stop before later arguments.
+    for (const char *help : {"--help", "-h"}) {
+        testing::internal::CaptureStdout();
+        EXPECT_FALSE(parseArgs(c, {"--jobs", "7", help, "--bogus"}));
+        EXPECT_EQ(testing::internal::GetCapturedStdout(), text);
+    }
+}
+
+TEST(Flags, MutatedArgvParsesOrThrowsConfigError)
+{
+    Demo d;
+    const flags::Command c = d.command();
+    std::vector<std::string> tokens = {"=",  "0",    "7",    "-1",
+                                       "1e6", "0.5", "inf",  "four",
+                                       "",   "--",   "-",    "x=y",
+                                       "\xff", "99999999999"};
+    for (const flags::Group &g : c.groups)
+        for (const flags::Flag &f : g.flags)
+            tokens.push_back(f.name);
+
+    std::mt19937_64 rng(20011);
+    int accepted = 0, rejected = 0;
+    for (int i = 0; i < 4000; i++) {
+        std::vector<std::string> args;
+        for (std::size_t n = rng() % 6; n; n--) {
+            std::string t = tokens[rng() % tokens.size()];
+            if (rng() % 4 == 0)
+                t += "=" + tokens[rng() % tokens.size()];
+            if (rng() % 8 == 0 && !t.empty())
+                t.erase(rng() % t.size(), 1);
+            args.push_back(t);
+        }
+        try {
+            EXPECT_TRUE(parseArgs(c, args));
+            accepted++;
+        } catch (const ConfigError &) {
+            rejected++;
+        }
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
 }

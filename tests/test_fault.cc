@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -666,7 +667,7 @@ TEST(Journal, CancelFlagSkipsCellsWithoutJournalingThem)
     std::remove(path.c_str());
     CampaignSpec spec = cheapSpec(4);
 
-    volatile std::sig_atomic_t flag = 1;
+    std::atomic<bool> flag{true};
     RunnerOptions opts;
     opts.jobs = 2;
     opts.cache = false;
@@ -680,7 +681,7 @@ TEST(Journal, CancelFlagSkipsCellsWithoutJournalingThem)
     EXPECT_TRUE(readFile(path).empty());
 
     // Resuming with the flag clear runs the whole campaign normally.
-    flag = 0;
+    flag = false;
     RunnerOptions resuming = opts;
     resuming.resume = true;
     CampaignResult result = ExperimentRunner(resuming).run(spec);
@@ -759,7 +760,7 @@ TEST(Journal, TornTailIsDiscardedAndThatCellReExecutes)
     std::remove(path.c_str());
 }
 
-TEST(Journal, SyncFlagAndEnvironmentEnableFsyncPerAppend)
+TEST(Journal, SyncFlagEnablesFsyncPerAppend)
 {
     std::string path = uniquePath("sync");
     std::remove(path.c_str());
@@ -781,18 +782,5 @@ TEST(Journal, SyncFlagAndEnvironmentEnableFsyncPerAppend)
     std::string error;
     ASSERT_TRUE(loadJournal(path, "camp", &replay, &error)) << error;
     EXPECT_EQ(replay.size(), 1u);   // same cell, newest wins
-    std::remove(path.c_str());
-
-    // SIMALPHA_JOURNAL_SYNC=1 forces syncing on without any flag.
-    EXPECT_FALSE(journalSyncFromEnv());
-    ::setenv("SIMALPHA_JOURNAL_SYNC", "1", 1);
-    EXPECT_TRUE(journalSyncFromEnv());
-    {
-        CampaignJournal j;
-        ASSERT_TRUE(j.open(path, &error, false)) << error;
-        EXPECT_TRUE(j.syncing());
-    }
-    ::unsetenv("SIMALPHA_JOURNAL_SYNC");
-    EXPECT_FALSE(journalSyncFromEnv());
     std::remove(path.c_str());
 }

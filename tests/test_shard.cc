@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -460,7 +461,7 @@ TEST(ShardWorker, InterruptedFlagStopsBeforeNextCell)
 {
     std::string path = uniquePath("interrupted");
     std::remove(path.c_str());
-    volatile std::sig_atomic_t flag = 1;
+    std::atomic<bool> flag{true};
 
     ShardWorkerOptions opts;
     opts.campaign = "smoke";

@@ -40,6 +40,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -51,8 +52,8 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "common/error.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
-#include "common/number.hh"
 #include "inject/inject.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
@@ -79,14 +80,16 @@ namespace {
  * Ctrl-C / SIGTERM: the handler only sets a flag; campaign loops and
  * the supervisor poll it between cells, flush what is settled into the
  * journal, reap any workers, and exit 3 — so --resume always picks up
- * where the interrupt landed.
+ * where the interrupt landed. A lock-free atomic store is
+ * async-signal-safe, and threads read the flag without a race.
  */
-volatile std::sig_atomic_t g_interrupted = 0;
+std::atomic<bool> g_interrupted{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
 extern "C" void
 onInterrupt(int)
 {
-    g_interrupted = 1;
+    g_interrupted = true;
 }
 
 void
@@ -119,176 +122,6 @@ machineNames()
     return names;
 }
 
-void
-usage()
-{
-    std::printf(
-        "usage: simalpha --machine <name> --workload <name> [options]\n"
-        "       simalpha --campaign <table> [--jobs N] [--out file]\n"
-        "\n"
-        "options:\n"
-        "  --machine <name>    machine configuration (see --list)\n"
-        "  --workload <name>   bundled workload (see --list)\n"
-        "  --max-insts <n>     stop after n committed instructions\n"
-        "  --stats             dump all event counters after the run\n"
-        "  --manifest          print the full parameter manifest\n"
-        "  --list              list machines and workloads\n"
-        "\n"
-        "campaign mode:\n"
-        "  --campaign <name>   run a whole table grid: table2, table3,\n"
-        "                      table4, table5 (or smoke, a 12-cell\n"
-        "                      capped self-test grid)\n"
-        "  --jobs <n>          worker threads (0 = all cores; default 0)\n"
-        "  --out <file>        write the artifact (.csv = CSV, else\n"
-        "                      JSON; '-' = JSON to stdout)\n"
-        "  --no-cache          disable the (manifest, workload) result\n"
-        "                      cache\n"
-        "  --sample <spec>     sampled execution: windows=N,len=K\n"
-        "                      [,warmup=W]. Each cell fast-forwards\n"
-        "                      functionally, restores N checkpoints,\n"
-        "                      and measures K detailed insts per\n"
-        "                      window (after W warm-up insts); results\n"
-        "                      carry mean IPC +/- a 95%% sampling-error\n"
-        "                      bar. Checkpoints stay in memory, never\n"
-        "                      in --store\n"
-        "  --store <dir>       persistent result store: cells whose\n"
-        "                      identity is already stored are served\n"
-        "                      from disk, new results are published —\n"
-        "                      shared across runs, shards, and\n"
-        "                      isolation modes\n"
-        "  --retries <n>       re-run cells failing with a retryable\n"
-        "                      (transient) class up to n times\n"
-        "  --resume            skip cells already in <out>.journal.jsonl\n"
-        "                      (from an interrupted run of the same\n"
-        "                      campaign)\n"
-        "  --no-journal        do not keep a journal next to --out\n"
-        "  --journal-sync      fsync the journal after every line, so\n"
-        "                      even a machine crash loses no settled\n"
-        "                      cell (also: SIMALPHA_JOURNAL_SYNC=1)\n"
-        "  --max-insts also caps every campaign cell.\n"
-        "\n"
-        "process isolation (crash-proof campaigns):\n"
-        "  --isolate <mode>    thread (default): in-process pool, C++\n"
-        "                      exceptions contained per cell; process:\n"
-        "                      shard over worker processes, so signal\n"
-        "                      deaths, OOM kills, and hangs are also\n"
-        "                      contained per cell\n"
-        "  --shards <n>        worker processes (0 = all cores)\n"
-        "  --cell-timeout <s>  kill a cell exceeding s seconds of\n"
-        "                      wall-clock (0 = no timeout)\n"
-        "  --inject <c:k[:t]>  fault drill: make cell c fail with kind\n"
-        "                      k (panic, stall, throw, abort, segfault,\n"
-        "                      hang) on its first t executions\n"
-        "\n"
-        "vulnerability campaigns (simalpha vuln ...):\n"
-        "  simalpha vuln --workload <name> --max-insts <cap>\n"
-        "                --cells <n> [--machine <name>] [--seed <s>]\n"
-        "                [--targets t1+t2+...] [campaign options]\n"
-        "                      fan n single-bit soft-error injections\n"
-        "                      over the machine's state (regfile,\n"
-        "                      renamemap, rob, lsq, iq, bpred,\n"
-        "                      cachetag, cachedata, tlbtag), classify\n"
-        "                      each against the uninjected golden run\n"
-        "                      (masked, sdc, crash, deadlock, timeout)\n"
-        "                      and print a per-structure vulnerability\n"
-        "                      table; --out also writes\n"
-        "                      <out>.vuln.{json,csv}. The workload\n"
-        "                      must finish under --max-insts. All\n"
-        "                      campaign options (--jobs, --store,\n"
-        "                      --isolate, --resume, ...) apply\n"
-        "\n"
-        "campaign service (simalpha serve / simalpha submit):\n"
-        "  simalpha serve --store <dir> [--listen <addr>]\n"
-        "                 [--jobs N] [--isolate thread|process]\n"
-        "                 [--shards N] [--max-pending N]\n"
-        "                 [--max-clients N] [--max-cells N]\n"
-        "                 [--max-client-cells N] [--drain-timeout s]\n"
-        "                 [--journal-sync]\n"
-        "                      long-running daemon on <addr> (default\n"
-        "                      <store>/serve.sock; tcp:PORT for\n"
-        "                      127.0.0.1 TCP). Streams result lines as\n"
-        "                      cells settle, serves warm cells from\n"
-        "                      the store, journals every job under\n"
-        "                      <store>/serve.d/ so a killed daemon\n"
-        "                      resumes on restart. Full queues reply\n"
-        "                      `busy`; SIGTERM drains then exits\n"
-        "  simalpha fleet --store <dir> --workers <addr>[,...]\n"
-        "                 [--listen <addr>] [--sync]\n"
-        "                 [--worker-timeout s] [--connect-timeout s]\n"
-        "                 [--retries n] [--redispatch n] [--backoff s]\n"
-        "                 [--seed n] [--max-pending N] ...\n"
-        "                      multi-host front-end: speaks the same\n"
-        "                      protocol as serve, but fans each job\n"
-        "                      out across the worker daemons as\n"
-        "                      deterministic shard sub-campaigns and\n"
-        "                      merges the streams back in spec order —\n"
-        "                      clients get bytes identical to a\n"
-        "                      single-host run. A dead worker's shard\n"
-        "                      is re-dispatched (workers resume, never\n"
-        "                      recompute); --sync pre-seeds worker\n"
-        "                      stores and harvests new results back\n"
-        "  simalpha submit --connect <addr> | --store <dir>\n"
-        "                  --campaign <name> [--max-insts n]\n"
-        "                  [--sample spec] [--out file] [--quiet]\n"
-        "                  [--op submit|results|status|cancel|health|\n"
-        "                   shutdown|hello] [--timeout s] [--retries n]\n"
-        "                  [--backoff s] [--seed n] [--client name]\n"
-        "                      submit a campaign and stream its result\n"
-        "                      lines to stdout; retries connect\n"
-        "                      failures, busy rejections, and torn\n"
-        "                      streams with jittered exponential\n"
-        "                      backoff. Resubmitting the same identity\n"
-        "                      attaches to the in-flight job or\n"
-        "                      replays its journal byte-identically\n"
-        "\n"
-        "store maintenance (simalpha store <verb> --store <dir>):\n"
-        "  stats               entry count, bytes, quarantined blobs\n"
-        "  verify              integrity-check every entry; corrupt\n"
-        "                      ones are quarantined (exit 1 if any);\n"
-        "                      --rebuild-index also rebuilds every\n"
-        "                      shard's binary index.bin and reports\n"
-        "                      index-vs-scan agreement\n"
-        "  gc                  evict least-recently-used entries; needs\n"
-        "                      --max-bytes <n> and/or --max-age <secs>\n"
-        "  export --to <f>     dump every entry as JSONL\n"
-        "  import --from <f>   publish a dump into this store\n"
-        "\n"
-        "exit codes: 0 success, 1 failed cells or a failed run,\n"
-        "            2 usage or configuration errors, 3 interrupted\n"
-        "            (journal intact; restart with --resume)\n");
-}
-
-/**
- * The argument cursor every subcommand parses with: @c flag is the
- * argument at hand, value() consumes the one after it (its absence is
- * a usage error naming the flag), and number<T>() reads that value
- * through the one checked parser, common/number.
- */
-struct Args
-{
-    /** Walk argv[first..]: the first next() lands on argv[first]. */
-    Args(int argc_, char **argv_, int first)
-        : argc(argc_), argv(argv_), i(first - 1)
-    {
-    }
-
-    int argc;
-    char **argv;
-    int i;                  ///< index of the argument at hand
-    std::string flag;
-
-    bool next() { return ++i < argc && (flag = argv[i], true); }
-
-    const char *value()
-    {
-        if (i + 1 >= argc)
-            fatal("missing value after %s", flag.c_str());
-        return argv[++i];
-    }
-
-    template <class T> T number() { return flagNumber<T>(flag, value()); }
-};
-
 /** Everything campaign mode parsed off the command line. */
 struct CampaignCli
 {
@@ -297,79 +130,98 @@ struct CampaignCli
     int jobs = 0;
     int shards = 0;
     double cellTimeout = 0.0;
-    bool useCache = true;
+    bool noCache = false;
     std::string storePath;
     std::uint64_t maxInsts = 0;
     checkpoint::SampleSpec sample;
     std::string outPath;
     int retries = 0;
     bool resume = false;
-    bool journal = true;
-    bool journalSync = runner::journalSyncFromEnv();
+    bool noJournal = false;
+    bool journalSync = false;
     std::vector<runner::FaultInjection> faults;
     std::string workerBinary;           ///< for --isolate=process
 };
 
-/** The flags `simalpha --campaign` and `simalpha vuln` share; false
- *  when @p a holds another flag. */
-bool
-parseCampaignFlag(Args &a, CampaignCli &cli)
+/** The flags campaigns and `simalpha serve` share. */
+flags::Group
+isolationFlags(std::string *mode, int *shards)
 {
-    const std::string &f = a.flag;
-    if (f == "--jobs")
-        cli.jobs = a.number<int>();
-    else if (f == "--out")
-        cli.outPath = a.value();
-    else if (f == "--no-cache")
-        cli.useCache = false;
-    else if (f == "--store")
-        cli.storePath = a.value();
-    else if (f == "--retries")
-        cli.retries = a.number<int>();
-    else if (f == "--resume")
-        cli.resume = true;
-    else if (f == "--no-journal")
-        cli.journal = false;
-    else if (f == "--journal-sync")
-        cli.journalSync = true;
-    else if (f == "--isolate")
-        cli.isolate = a.value();
-    else if (f.rfind("--isolate=", 0) == 0)
-        cli.isolate = f.substr(10);
-    else if (f == "--shards")
-        cli.shards = a.number<int>();
-    else if (f == "--cell-timeout")
-        cli.cellTimeout = a.number<double>();
-    else
-        return false;
-    return true;
+    return {"process isolation",
+            {{"--isolate", "<mode>",
+              "thread (default): in-process pool, C++ exceptions contained "
+              "per cell; process: shard over worker processes, so signal "
+              "deaths, OOM kills and hangs are also contained per cell",
+              [mode](const std::string &v) {
+                  if (v != "thread" && v != "process")
+                      fatal("unknown isolation mode '%s' (thread, process)",
+                            v.c_str());
+                  *mode = v;
+              }},
+             flags::number("--shards", "<n>", shards,
+                           "worker processes of --isolate process (0 = all "
+                           "cores)")}};
 }
 
-/** The flags `simalpha serve` and `simalpha fleet` share; false when
- *  @p a holds another flag. */
-bool
-parseDaemonFlag(Args &a, serve::ServeOptions &sopts)
+/** The flags `simalpha --campaign` and `simalpha vuln` share, with
+ *  isolationFlags. */
+flags::Group
+campaignFlags(CampaignCli &cli)
 {
-    const std::string &f = a.flag;
-    if (f == "--store")
-        sopts.storePath = a.value();
-    else if (f == "--listen")
-        sopts.listen = a.value();
-    else if (f == "--max-pending")
-        sopts.maxPending = a.number<std::uint64_t>();
-    else if (f == "--max-clients")
-        sopts.maxClients = a.number<std::uint64_t>();
-    else if (f == "--max-cells")
-        sopts.maxCellsPerCampaign = a.number<std::uint64_t>();
-    else if (f == "--max-client-cells")
-        sopts.maxClientCells = a.number<std::uint64_t>();
-    else if (f == "--drain-timeout")
-        sopts.drainTimeoutSeconds = a.number<double>();
-    else if (f == "--journal-sync")
-        sopts.journalSync = true;
-    else
-        return false;
-    return true;
+    return {"campaign options",
+            {flags::number("--jobs", "<n>", &cli.jobs,
+                           "worker threads (0 = all cores; default 0)"),
+             flags::text("--out", "<file>", &cli.outPath,
+                         "write the artifact (.csv = CSV, else JSON; '-' = "
+                         "JSON to stdout)"),
+             flags::toggle("--no-cache", &cli.noCache,
+                           "disable the (manifest, workload) result cache"),
+             flags::text("--store", "<dir>", &cli.storePath,
+                         "persistent result store: cells whose identity is "
+                         "already stored are served from disk, new results are "
+                         "published; shared across runs, shards and isolation "
+                         "modes"),
+             flags::number("--retries", "<n>", &cli.retries,
+                           "re-run cells failing with a retryable (transient) "
+                           "class up to n times"),
+             flags::toggle("--resume", &cli.resume,
+                           "skip cells already in <out>.journal.jsonl (from an "
+                           "interrupted run of the same campaign)"),
+             flags::toggle("--no-journal", &cli.noJournal,
+                           "do not keep a journal next to --out"),
+             flags::toggle("--journal-sync", &cli.journalSync,
+                           "fsync the journal after every line, so even a "
+                           "machine crash loses no settled cell"),
+             flags::number("--cell-timeout", "<s>", &cli.cellTimeout,
+                           "under --isolate process, kill a cell exceeding s "
+                           "seconds of wall-clock (0 = no timeout)")}};
+}
+
+/** The flags `simalpha serve` and `simalpha fleet` share. */
+flags::Group
+daemonFlags(serve::ServeOptions &sopts)
+{
+    return {"daemon options",
+            {flags::text("--store", "<dir>", &sopts.storePath,
+                         "the daemon's store: results and job journals"),
+             flags::text("--listen", "<addr>", &sopts.listen,
+                         "socket path, or tcp:PORT for 127.0.0.1 TCP (default "
+                         "<store>/serve.sock)"),
+             flags::number("--max-pending", "<n>", &sopts.maxPending,
+                           "queued jobs before a `busy` reply (default 4)"),
+             flags::number("--max-clients", "<n>", &sopts.maxClients,
+                           "open connections (default 32)"),
+             flags::number("--max-cells", "<n>", &sopts.maxCellsPerCampaign,
+                           "cells one campaign may have (0 = unlimited, the "
+                           "default)"),
+             flags::number("--max-client-cells", "<n>", &sopts.maxClientCells,
+                           "cells one connection may submit in its lifetime (0 "
+                           "= unlimited, the default)"),
+             flags::number("--drain-timeout", "<s>", &sopts.drainTimeoutSeconds,
+                           "seconds a drain (SIGTERM, shutdown) waits for the "
+                           "running job before cancelling it (default 10)"),
+             flags::toggle("--journal-sync", &sopts.journalSync,
+                           "fsync job journals after every line")}};
 }
 
 void
@@ -479,14 +331,11 @@ int
 runCampaign(const CampaignCli &cli)
 {
     std::string journal_path;
-    if (cli.journal && !cli.outPath.empty() && cli.outPath != "-")
+    if (!cli.noJournal && !cli.outPath.empty() && cli.outPath != "-")
         journal_path = cli.outPath + ".journal.jsonl";
     else if (cli.resume)
         fatal("--resume needs --out <file> (the journal lives next to "
               "the artifact)");
-    if (cli.isolate != "thread" && cli.isolate != "process")
-        fatal("unknown isolation mode '%s' (thread, process)",
-              cli.isolate.c_str());
 
     runner::CampaignResult result;
     runner::RunSummary summary;
@@ -534,7 +383,7 @@ runCampaign(const CampaignCli &cli)
 
         runner::RunnerOptions opts;
         opts.jobs = cli.jobs;
-        opts.cache = cli.useCache;
+        opts.cache = !cli.noCache;
         opts.storePath = cli.storePath;
         opts.maxRetries = cli.retries;
         opts.faults = cli.faults;
@@ -544,7 +393,7 @@ runCampaign(const CampaignCli &cli)
         opts.cancel = &g_interrupted;
         runner::ExperimentRunner rnr(opts);
         result = rnr.run(spec);
-        interrupted = g_interrupted;
+        interrupted = g_interrupted.load();
         summary.cacheHits = rnr.cacheHits();
         summary.storeEnabled = rnr.storeOpen();
         if (rnr.storeOpen()) {
@@ -612,49 +461,38 @@ runVulnCommand(int argc, char **argv, const char *argv0)
     runner::VulnSpec spec;
     spec.cells = 1000;
     CampaignCli cli;
-
-    for (Args a(argc, argv, 1); a.next();) {
-        const std::string &arg = a.flag;
-        if (parseCampaignFlag(a, cli))
-            continue;
-        if (arg == "--machine") {
-            spec.machine = a.value();
-        } else if (arg == "--workload") {
-            spec.workload = a.value();
-        } else if (arg == "--max-insts") {
-            spec.maxInsts = a.number<std::uint64_t>();
-        } else if (arg == "--cells") {
-            spec.cells = a.number<std::uint64_t>();
-        } else if (arg == "--seed") {
-            spec.seed = a.number<std::uint64_t>();
-        } else if (arg == "--targets") {
-            std::string list = a.value();
-            std::size_t start = 0;
-            for (;;) {
-                std::size_t plus = list.find('+', start);
-                std::string name =
-                    plus == std::string::npos
-                        ? list.substr(start)
-                        : list.substr(start, plus - start);
-                inject::Target target;
-                if (!inject::targetByName(name, &target))
-                    fatal("--targets: unknown target '%s' "
-                          "(targets: %s)",
-                          name.c_str(),
-                          inject::targetNameList().c_str());
-                spec.targets.push_back(target);
-                if (plus == std::string::npos)
-                    break;
-                start = plus + 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            fatal("unknown vuln option '%s'", arg.c_str());
-        }
-    }
+    const flags::Command command{
+        "vuln",
+        "usage: simalpha vuln --workload <name> --max-insts <cap> "
+        "[options]\n"
+        "\n"
+        "Fans single-bit soft-error injections over the machine's state,\n"
+        "classifies each against the uninjected golden run (masked, sdc,\n"
+        "crash, deadlock, timeout) and prints a per-structure vulnerability\n"
+        "table; --out also writes <out>.vuln.{json,csv}.\n",
+        {{"vulnerability campaign",
+          {flags::text("--workload", "<name>", &spec.workload,
+                       "bundled workload; it must finish under --max-insts"),
+           flags::number("--max-insts", "<cap>", &spec.maxInsts,
+                         "committed-instruction cap of the golden run"),
+           flags::number("--cells", "<n>", &spec.cells,
+                         "injections (default 1000)"),
+           flags::text("--machine", "<name>", &spec.machine,
+                       "machine to strike (default " + spec.machine + ")"),
+           flags::number("--seed", "<s>", &spec.seed,
+                         "injection-plan seed (default 0)"),
+           {"--targets", "<t1+t2+...>",
+            "structures to strike, round-robin (default all: " +
+                inject::targetNameList() + ")",
+            [&spec](const std::string &v) {
+                std::string error;
+                if (!inject::parseTargetList(v, &spec.targets, &error))
+                    fatal("--targets: %s", error.c_str());
+            }}}},
+         campaignFlags(cli),
+         isolationFlags(&cli.isolate, &cli.shards)}};
+    if (!flags::parse(command, argc, argv))
+        return 0;
 
     if (spec.workload.empty())
         fatal("vuln needs --workload <name>");
@@ -678,31 +516,40 @@ runVulnCommand(int argc, char **argv, const char *argv0)
  * finds corruption, 2 for usage/config errors (via fatal()).
  */
 int
-runStoreCommand(int argc, char **argv)
+runStoreCommand(int argc, char **argv, const char *)
 {
-    std::string verb = argc >= 2 ? argv[1] : "";
+    // `store --help` has no verb; `store <verb> --help` has one.
+    const bool hasVerb = argc >= 2 && argv[1][0] != '-';
+    const std::string verb = hasVerb ? argv[1] : "";
     std::string root, to_path, from_path;
     std::uint64_t max_bytes = 0;
     double max_age = 0.0;
     bool rebuild_index = false;
-
-    for (Args a(argc, argv, 2); a.next();) {
-        const std::string &arg = a.flag;
-        if (arg == "--store")
-            root = a.value();
-        else if (arg == "--max-bytes")
-            max_bytes = a.number<std::uint64_t>();
-        else if (arg == "--max-age")
-            max_age = a.number<double>();
-        else if (arg == "--to")
-            to_path = a.value();
-        else if (arg == "--from")
-            from_path = a.value();
-        else if (arg == "--rebuild-index")
-            rebuild_index = true;
-        else
-            fatal("unknown store option '%s'", arg.c_str());
-    }
+    const flags::Command command{
+        "store",
+        "usage: simalpha store <verb> --store <dir> [options]\n"
+        "\n"
+        "verbs:\n"
+        "  stats               entry count, bytes, quarantined blobs\n"
+        "  verify              integrity-check every entry; corrupt ones are\n"
+        "                      quarantined (exit 1 if any)\n"
+        "  gc                  evict least-recently-used entries\n"
+        "  export              dump every entry as JSONL\n"
+        "  import              publish a dump into this store\n",
+        {{"store options",
+          {flags::text("--store", "<dir>", &root, "the store's root"),
+           flags::number("--max-bytes", "<n>", &max_bytes,
+                         "gc: evict down to n bytes"),
+           flags::number("--max-age", "<s>", &max_age,
+                         "gc: evict entries unused for s seconds"),
+           flags::text("--to", "<file>", &to_path, "export: the dump to write"),
+           flags::text("--from", "<file>", &from_path,
+                       "import: the dump to publish"),
+           flags::toggle("--rebuild-index", &rebuild_index,
+                         "verify: also rebuild every shard's binary index.bin "
+                         "and report index-vs-scan agreement")}}}};
+    if (!flags::parse(command, argc, argv, hasVerb ? 2 : 1))
+        return 0;
     if (verb.empty())
         fatal("store needs a verb: stats, verify, gc, export, "
               "import");
@@ -810,33 +657,24 @@ int
 runServeCommand(int argc, char **argv, const char *argv0)
 {
     serve::ServeOptions sopts;
-    sopts.journalSync = runner::journalSyncFromEnv();
-
-    for (Args a(argc, argv, 1); a.next();) {
-        const std::string &arg = a.flag;
-        if (parseDaemonFlag(a, sopts))
-            continue;
-        if (arg == "--jobs") {
-            sopts.jobs = a.number<int>();
-        } else if (arg == "--isolate") {
-            sopts.isolate = a.value();
-        } else if (arg.rfind("--isolate=", 0) == 0) {
-            sopts.isolate = arg.substr(10);
-        } else if (arg == "--shards") {
-            sopts.shards = a.number<int>();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            fatal("unknown serve option '%s'", arg.c_str());
-        }
-    }
+    const flags::Command command{
+        "serve",
+        "usage: simalpha serve --store <dir> [options]\n"
+        "\n"
+        "Long-running campaign daemon: streams result lines as cells settle,\n"
+        "serves warm cells from the store and journals every job under\n"
+        "<store>/serve.d/, so a killed daemon resumes on restart. Full queues\n"
+        "reply `busy`; SIGTERM drains, then exits.\n",
+        {{"serve options",
+          {flags::number("--jobs", "<n>", &sopts.jobs,
+                         "runner threads per job (0 = all cores)")}},
+         isolationFlags(&sopts.isolate, &sopts.shards),
+         daemonFlags(sopts)}};
+    if (!flags::parse(command, argc, argv))
+        return 0;
     if (sopts.storePath.empty())
         fatal("serve needs --store <dir> (results, golden references, "
               "and job journals live there)");
-    if (sopts.isolate != "thread" && sopts.isolate != "process")
-        fatal("unknown isolation mode '%s' (thread, process)",
-              sopts.isolate.c_str());
 
     sopts.workerBinary = selfExePath(argv0);
     sopts.interrupted = &g_interrupted;
@@ -871,41 +709,47 @@ runServeCommand(int argc, char **argv, const char *argv0)
  * run). Exit codes as `simalpha serve`.
  */
 int
-runFleetCommand(int argc, char **argv)
+runFleetCommand(int argc, char **argv, const char *)
 {
     serve::ServeOptions sopts;
-    sopts.journalSync = runner::journalSyncFromEnv();
     fleet::FleetOptions fopts;
     fopts.seed = std::uint64_t(::getpid());
     std::string workersText;
-
-    for (Args a(argc, argv, 1); a.next();) {
-        const std::string &arg = a.flag;
-        if (parseDaemonFlag(a, sopts))
-            continue;
-        if (arg == "--workers") {
-            workersText = a.value();
-        } else if (arg == "--sync") {
-            fopts.syncStores = true;
-        } else if (arg == "--worker-timeout") {
-            fopts.workerTimeoutSeconds = a.number<double>();
-        } else if (arg == "--connect-timeout") {
-            fopts.connectTimeoutSeconds = a.number<double>();
-        } else if (arg == "--retries") {
-            fopts.maxRetries = a.number<int>();
-        } else if (arg == "--redispatch") {
-            fopts.maxRedispatch = a.number<int>();
-        } else if (arg == "--backoff") {
-            fopts.backoffSeconds = a.number<double>();
-        } else if (arg == "--seed") {
-            fopts.seed = a.number<std::uint64_t>();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            fatal("unknown fleet option '%s'", arg.c_str());
-        }
-    }
+    const flags::Command command{
+        "fleet",
+        "usage: simalpha fleet --store <dir> --workers <addr>[,...] "
+        "[options]\n"
+        "\n"
+        "Multi-host front end: speaks serve's protocol, but fans each job out\n"
+        "across the worker daemons as deterministic shard sub-campaigns and\n"
+        "merges the streams back in spec order, so clients get the bytes of a\n"
+        "single-host run. A dead worker's shard is re-dispatched (workers\n"
+        "resume, never recompute).\n",
+        {{"fleet options",
+          {flags::text("--workers", "<addr>[,...]", &workersText,
+                       "worker daemon addresses: socket paths or "
+                       "tcp:[HOST:]PORT"),
+           flags::toggle("--sync", &fopts.syncStores,
+                         "pre-seed worker stores and harvest new results back"),
+           flags::number("--worker-timeout", "<s>", &fopts.workerTimeoutSeconds,
+                         "budget of one shard submission attempt (0 = "
+                         "unbounded, the default)"),
+           flags::number("--connect-timeout", "<s>",
+                         &fopts.connectTimeoutSeconds,
+                         "budget of one connect (default 10)"),
+           flags::number("--retries", "<n>", &fopts.maxRetries,
+                         "attempts per shard on one worker after the first "
+                         "(default 3)"),
+           flags::number("--redispatch", "<n>", &fopts.maxRedispatch,
+                         "moves of a shard to another worker (default 2)"),
+           flags::number("--backoff", "<s>", &fopts.backoffSeconds,
+                         "first retry delay, doubling with jitter "
+                         "(default 0.2)"),
+           flags::number("--seed", "<n>", &fopts.seed,
+                         "jitter seed (default: the process id)")}},
+         daemonFlags(sopts)}};
+    if (!flags::parse(command, argc, argv))
+        return 0;
     if (sopts.storePath.empty())
         fatal("fleet needs --store <dir> (the master journals and "
               "synced results live there)");
@@ -969,7 +813,7 @@ runFleetCommand(int argc, char **argv)
  * or cannot be reached after the retry budget.
  */
 int
-runSubmitCommand(int argc, char **argv)
+runSubmitCommand(int argc, char **argv, const char *)
 {
     serve::ClientOptions copts;
     copts.seed = std::uint64_t(::getpid());
@@ -977,42 +821,46 @@ runSubmitCommand(int argc, char **argv)
         sampleStr, clientName;
     std::uint64_t maxInsts = 0;
     bool quiet = false;
-
-    for (Args a(argc, argv, 1); a.next();) {
-        const std::string &arg = a.flag;
-        if (arg == "--connect") {
-            copts.connect = a.value();
-        } else if (arg == "--store") {
-            storePath = a.value();
-        } else if (arg == "--campaign") {
-            campaign = a.value();
-        } else if (arg == "--max-insts") {
-            maxInsts = a.number<std::uint64_t>();
-        } else if (arg == "--sample") {
-            sampleStr = a.value();
-        } else if (arg == "--op") {
-            op = a.value();
-        } else if (arg == "--client") {
-            clientName = a.value();
-        } else if (arg == "--timeout") {
-            copts.timeoutSeconds = a.number<double>();
-        } else if (arg == "--retries") {
-            copts.maxRetries = a.number<int>();
-        } else if (arg == "--backoff") {
-            copts.backoffSeconds = a.number<double>();
-        } else if (arg == "--seed") {
-            copts.seed = a.number<std::uint64_t>();
-        } else if (arg == "--out") {
-            outPath = a.value();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            fatal("unknown submit option '%s'", arg.c_str());
-        }
-    }
+    const flags::Command command{
+        "submit",
+        "usage: simalpha submit --connect <addr> | --store <dir>\n"
+        "                       --campaign <name> [options]\n"
+        "\n"
+        "Submits a campaign and streams its result lines to stdout; retries\n"
+        "connect failures, busy rejections and torn streams with jittered\n"
+        "exponential backoff. Resubmitting an identity attaches to the job in\n"
+        "flight or replays its journal byte-identically.\n",
+        {{"submit options",
+          {flags::text("--connect", "<addr>", &copts.connect,
+                       "daemon address: socket path or tcp:[HOST:]PORT"),
+           flags::text("--store", "<dir>", &storePath,
+                       "connect to the daemon's default socket, "
+                       "<dir>/serve.sock"),
+           flags::text("--campaign", "<name>", &campaign,
+                       "the campaign to run"),
+           flags::number("--max-insts", "<n>", &maxInsts, "cap every cell"),
+           flags::text("--sample", "<spec>", &sampleStr,
+                       "sampled execution (as simalpha --sample)"),
+           flags::text("--op", "<op>", &op,
+                       "submit (default), results, status, cancel, health, "
+                       "shutdown or hello"),
+           flags::text("--client", "<name>", &clientName,
+                       "client name the one-line ops send"),
+           flags::number("--timeout", "<s>", &copts.timeoutSeconds,
+                         "budget of one attempt: connect, request and "
+                         "stream (0 = none, the default)"),
+           flags::number("--retries", "<n>", &copts.maxRetries,
+                         "attempts after the first (default 3)"),
+           flags::number("--backoff", "<s>", &copts.backoffSeconds,
+                         "first retry delay, doubling with jitter "
+                         "(default 0.2)"),
+           flags::number("--seed", "<n>", &copts.seed,
+                         "jitter seed (default: the process id)"),
+           flags::text("--out", "<file>", &outPath,
+                       "also write the campaign's artifact"),
+           flags::toggle("--quiet", &quiet, "do not print result lines")}}}};
+    if (!flags::parse(command, argc, argv))
+        return 0;
     if (copts.connect.empty()) {
         if (storePath.empty())
             fatal("submit needs --connect <addr> or --store <dir> "
@@ -1105,22 +953,37 @@ runSubmitCommand(int argc, char **argv)
     return 0;
 }
 
+/** A `simalpha <name> ...` command: its entry point and help line. */
+struct Subcommand
+{
+    const char *name;
+    const char *about;
+    int (*run)(int argc, char **argv, const char *argv0);
+};
+
+const Subcommand kSubcommands[] = {
+    {"vuln", "soft-error injection campaign and its vulnerability table",
+     runVulnCommand},
+    {"serve", "campaign daemon: journaled jobs over a socket",
+     runServeCommand},
+    {"fleet", "front end fanning jobs out to serve daemons",
+     runFleetCommand},
+    {"submit", "client of serve and fleet", runSubmitCommand},
+    {"store", "result-store stats, verify, gc, export and import",
+     runStoreCommand},
+    {"bench", "perf trajectory: time the capped Table 3 rows",
+     [](int argc, char **argv, const char *) {
+         return runner::runBenchCommand(argc, argv);
+     }},
+};
+
 int
 realMain(int argc, char **argv)
 {
     setQuiet(true);
-    if (argc >= 2 && std::strcmp(argv[1], "store") == 0)
-        return runStoreCommand(argc - 1, argv + 1);
-    if (argc >= 2 && std::strcmp(argv[1], "bench") == 0)
-        return runner::runBenchCommand(argc - 1, argv + 1);
-    if (argc >= 2 && std::strcmp(argv[1], "vuln") == 0)
-        return runVulnCommand(argc - 1, argv + 1, argv[0]);
-    if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
-        return runServeCommand(argc - 1, argv + 1, argv[0]);
-    if (argc >= 2 && std::strcmp(argv[1], "fleet") == 0)
-        return runFleetCommand(argc - 1, argv + 1);
-    if (argc >= 2 && std::strcmp(argv[1], "submit") == 0)
-        return runSubmitCommand(argc - 1, argv + 1);
+    for (const Subcommand &c : kSubcommands)
+        if (argc >= 2 && std::strcmp(argv[1], c.name) == 0)
+            return c.run(argc - 1, argv + 1, argv[0]);
 
     std::string machine_name = "sim-alpha";
     std::optional<std::string> workload_name;
@@ -1133,49 +996,68 @@ realMain(int argc, char **argv)
     bool want_manifest = false;
     bool want_list = false;
 
-    for (Args a(argc, argv, 1); a.next();) {
-        const std::string &arg = a.flag;
-        if (parseCampaignFlag(a, cli))
-            continue;
-        if (arg == "--machine") {
-            machine_name = a.value();
-        } else if (arg == "--workload") {
-            workload_name = a.value();
-        } else if (arg == "--campaign") {
-            campaign_name = a.value();
-        } else if (arg == "--max-insts") {
-            cli.maxInsts = a.number<std::uint64_t>();
-        } else if (arg == "--sample") {
-            std::string error;
-            if (!checkpoint::parseSampleSpec(a.value(), &cli.sample,
-                                             &error))
-                fatal("--sample: %s", error.c_str());
-        } else if (arg == "--inject") {
-            runner::FaultInjection fault;
-            std::string error;
-            if (!runner::parseFaultSpec(a.value(), &fault, &error))
-                fatal("%s", error.c_str());
-            cli.faults.push_back(fault);
-        } else if (arg == "--shard") {
-            shard_mode = true;
-        } else if (arg == "--cells") {
-            shard_cells = a.value();
-        } else if (arg == "--journal") {
-            shard_journal = a.value();
-        } else if (arg == "--stats") {
-            want_stats = true;
-        } else if (arg == "--manifest") {
-            want_manifest = true;
-        } else if (arg == "--list") {
-            want_list = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            fatal("unknown option '%s'", arg.c_str());
-        }
-    }
+    std::string commands =
+        "\ncommands (simalpha <command> --help lists its flags):\n";
+    for (const Subcommand &c : kSubcommands)
+        commands += flags::row(std::string("  ") + c.name, c.about);
+    const flags::Command command{
+        "",
+        "usage: simalpha --machine <name> --workload <name> [options]\n"
+        "       simalpha --campaign <name> [options]\n"
+        "       simalpha <command> [options]\n",
+        {{"options",
+          {flags::text("--machine", "<name>", &machine_name,
+                       "machine configuration (see --list; default sim-alpha)"),
+           {"--workload", "<name>", "bundled workload (see --list)",
+            [&](const std::string &v) { workload_name = v; }},
+           flags::number("--max-insts", "<n>", &cli.maxInsts,
+                         "stop after n committed instructions; also caps every "
+                         "campaign cell"),
+           flags::toggle("--stats", &want_stats,
+                         "dump all event counters after the run"),
+           flags::toggle("--manifest", &want_manifest,
+                         "print the full parameter manifest"),
+           flags::toggle("--list", &want_list, "list machines and workloads"),
+           // Hidden: the worker half of --isolate process, as the
+           // supervisor spawns it.
+           flags::toggle("--shard", &shard_mode, ""),
+           flags::text("--cells", "<list>", &shard_cells, ""),
+           flags::text("--journal", "<path>", &shard_journal, "")}},
+         {"campaign mode",
+          {{"--campaign", "<name>",
+            "run a whole table grid: table2, table3, table4, table5, "
+            "dramsweep (the macro profiles on every DRAM backend), or smoke "
+            "(a 12-cell capped self-test grid)",
+            [&](const std::string &v) { campaign_name = v; }},
+           {"--sample", "<spec>",
+            "sampled execution: windows=N,len=K[,warmup=W]. Each cell "
+            "fast-forwards functionally, restores N checkpoints, and "
+            "measures K detailed insts per window (after W warm-up "
+            "insts); results carry mean IPC +/- a 95% sampling-error "
+            "bar. Checkpoints stay in memory, never in --store",
+            [&](const std::string &v) {
+                std::string error;
+                if (!checkpoint::parseSampleSpec(v, &cli.sample, &error))
+                    fatal("--sample: %s", error.c_str());
+            }},
+           {"--inject", "<c:k[:t]>",
+            "fault drill: make cell c fail with kind k (panic, stall, "
+            "throw, abort, segfault, hang) on its first t executions",
+            [&](const std::string &v) {
+                runner::FaultInjection fault;
+                std::string error;
+                if (!runner::parseFaultSpec(v, &fault, &error))
+                    fatal("%s", error.c_str());
+                cli.faults.push_back(fault);
+            }}}},
+         campaignFlags(cli),
+         isolationFlags(&cli.isolate, &cli.shards)},
+        commands +
+            "\nexit codes: 0 success, 1 failed cells or a failed run,\n"
+            "            2 usage or configuration errors, 3 interrupted\n"
+            "            (journal intact; restart with --resume)\n"};
+    if (!flags::parse(command, argc, argv))
+        return 0;
 
     if (shard_mode) {
         // The hidden worker half of --isolate=process: execute a slice
@@ -1232,7 +1114,7 @@ realMain(int argc, char **argv)
     }
 
     if (!workload_name) {
-        usage();
+        std::fputs(flags::help(command).c_str(), stdout);
         fatal("--workload is required (or use --list)");
     }
 

@@ -212,3 +212,9 @@ echo "bench quick: OK (measured, written and schema-checked)"
 # baseline's, the ratios are reported but not enforced.
 (cd .. && ./build/tools/simalpha bench --smoke)
 echo "bench smoke: OK"
+
+# The least-code aim's measure: the .cc/.hh lines under src/ and
+# tools/, printed last so every run states the size it checked.
+cd ..
+echo "size: $(find src tools \( -name '*.cc' -o -name '*.hh' \) \
+    -exec cat {} + | wc -l) .cc/.hh lines under src/ and tools/"
