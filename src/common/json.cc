@@ -156,6 +156,8 @@ class Parser
         // One allocation each for a plain journal line and its counters.
         out->_members.reserve(16);
         for (;;) {
+            if (++_memberCount > kMaxMembers)
+                return fail("too many members");
             auto &[key, member] = out->_members.emplace_back();
             if (!string(&key))
                 return false;
@@ -253,6 +255,7 @@ class Parser
     const char *const _begin;
     const char *_p;
     const char *const _end;
+    int _memberCount = 0;
 };
 
 bool

@@ -11,6 +11,9 @@
  *
  *  - the top-level value is an object, and objects nest at most
  *    kMaxDepth deep (so hostile input cannot recurse once per byte);
+ *  - a document holds at most kMaxMembers members, counted across all
+ *    of its objects (so a line cannot build many times its own size
+ *    in values, however it nests them);
  *  - values are strings, numbers, booleans and objects — no arrays,
  *    no null;
  *  - strings take what escape() writes plus JSON's other
@@ -48,6 +51,10 @@ std::string escape(const std::string &s);
 /** Deepest object nesting parse() accepts; the top-level object is
  *  depth 1. */
 constexpr int kMaxDepth = 8;
+
+/** Most members parse() builds for one document, over all of its
+ *  objects; the member past it fails the parse. */
+constexpr int kMaxMembers = 4096;
 
 class Value
 {

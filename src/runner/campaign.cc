@@ -409,22 +409,27 @@ namespace {
  *  costs a few copies of itself, not one per level. */
 constexpr int kMaxShardNesting = 2;
 
+/** Unknown fills *reason with the name parser's complaint, or leaves
+ *  it empty for a name no parser claims. */
 CampaignLookup
 lookupCampaign(const std::string &name, std::uint64_t maxCells,
-               CampaignSpec *out, std::uint64_t *cells, int shardLevels)
+               CampaignSpec *out, std::uint64_t *cells, int shardLevels,
+               std::string *reason)
 {
     if (name.rfind("shard:", 0) == 0) {
-        if (shardLevels == kMaxShardNesting)
+        if (shardLevels == kMaxShardNesting) {
+            *reason = "shard: names nest at most " +
+                      std::to_string(kMaxShardNesting) + " deep";
             return CampaignLookup::Unknown;
+        }
         std::size_t index = 0;
         std::size_t count = 0;
         std::string base;
-        std::string error;
-        if (!parseShardCampaignName(name, &index, &count, &base, &error))
+        if (!parseShardCampaignName(name, &index, &count, &base, reason))
             return CampaignLookup::Unknown;
         CampaignSpec whole;
-        const CampaignLookup found =
-            lookupCampaign(base, maxCells, &whole, cells, shardLevels + 1);
+        const CampaignLookup found = lookupCampaign(
+            base, maxCells, &whole, cells, shardLevels + 1, reason);
         if (found != CampaignLookup::Found)
             return found;
         CampaignSpec sliced;
@@ -438,8 +443,7 @@ lookupCampaign(const std::string &name, std::uint64_t maxCells,
     }
     if (name.rfind("vuln:", 0) == 0) {
         VulnSpec spec;
-        std::string error;
-        if (!parseVulnCampaignName(name, &spec, &error))
+        if (!parseVulnCampaignName(name, &spec, reason))
             return CampaignLookup::Unknown;
         if (spec.cells > maxCells) {
             if (cells)
@@ -470,16 +474,28 @@ lookupCampaign(const std::string &name, std::uint64_t maxCells,
 
 CampaignLookup
 campaignByName(const std::string &name, std::uint64_t maxCells,
-               CampaignSpec *out, std::uint64_t *cells)
+               CampaignSpec *out, std::uint64_t *cells, std::string *error)
 {
-    return lookupCampaign(name, maxCells, out, cells, 0);
+    std::string reason;
+    const CampaignLookup found =
+        lookupCampaign(name, maxCells, out, cells, 0, &reason);
+    if (found == CampaignLookup::Unknown && error)
+        *error = "unknown campaign '" + name + "'" +
+                 (reason.empty()
+                      ? " (table2..table5, smoke, dramsweep, a "
+                        "vuln:<machine>:<workload>:<max-insts>:<cells>:"
+                        "<seed>:<targets> spec, or a "
+                        "shard:<i>/<n>:<base> slice)"
+                      : ": " + reason);
+    return found;
 }
 
 bool
-campaignByName(const std::string &name, CampaignSpec *out)
+campaignByName(const std::string &name, CampaignSpec *out,
+               std::string *error)
 {
     return campaignByName(name, std::numeric_limits<std::uint64_t>::max(),
-                          out, nullptr) == CampaignLookup::Found;
+                          out, nullptr, error) == CampaignLookup::Found;
 }
 
 } // namespace runner

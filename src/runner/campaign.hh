@@ -174,8 +174,11 @@ bool parseShardCampaignName(const std::string &name, std::size_t *index,
 
 /** Campaign by name ("table2".."table5", "smoke", "dramsweep", a
  *  "vuln:..." spec, or a "shard:<i>/<n>:<base>" slice, nested at most
- *  twice); false on unknown names. */
-bool campaignByName(const std::string &name, CampaignSpec *out);
+ *  twice); false on unknown names, with *error (may be null) reading
+ *  "unknown campaign '<name>'" and then the name parser's reason or,
+ *  for a name no parser claims, the list of known names. */
+bool campaignByName(const std::string &name, CampaignSpec *out,
+                    std::string *error = nullptr);
 
 /** What the capped campaignByName() made of a name. */
 enum class CampaignLookup { Found, Unknown, OverCap };
@@ -186,10 +189,11 @@ enum class CampaignLookup { Found, Unknown, OverCap };
  *  cap the result is OverCap, with the count in *cells. Under a
  *  "shard:" wrapper that is the whole base's count, since the base is
  *  built before it is sliced. The fixed campaigns are small and always
- *  built; *out is only written on Found. */
+ *  built; *out is only written on Found, *error only on Unknown. */
 CampaignLookup campaignByName(const std::string &name,
                               std::uint64_t maxCells, CampaignSpec *out,
-                              std::uint64_t *cells);
+                              std::uint64_t *cells,
+                              std::string *error = nullptr);
 
 } // namespace runner
 } // namespace simalpha

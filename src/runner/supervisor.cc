@@ -258,9 +258,9 @@ SupervisorOutcome
 superviseCampaign(const SupervisorOptions &opts)
 {
     CampaignSpec spec;
-    if (!campaignByName(opts.campaign, &spec))
-        throw ConfigError("unknown campaign '" + opts.campaign +
-                          "' (table2..table5, smoke, dramsweep)");
+    std::string error;
+    if (!campaignByName(opts.campaign, &spec, &error))
+        throw ConfigError(error);
     if (opts.maxInsts)
         spec = spec.withMaxInsts(opts.maxInsts);
     if (opts.sample.enabled())

@@ -385,11 +385,8 @@ linesToResult(const std::string &campaign, std::uint64_t maxInsts,
               runner::CampaignResult *out, std::string *error)
 {
     runner::CampaignSpec spec;
-    if (!runner::campaignByName(campaign, &spec)) {
-        if (error)
-            *error = "unknown campaign '" + campaign + "'";
+    if (!runner::campaignByName(campaign, &spec, error))
         return false;
-    }
     if (maxInsts)
         spec = spec.withMaxInsts(maxInsts);
     if (!sample.empty()) {

@@ -635,19 +635,15 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
     // cells exhausts the daemon's memory first.
     runner::CampaignSpec spec;
     std::uint64_t declared = 0;
+    std::string lookupError;
     const runner::CampaignLookup found = runner::campaignByName(
-        req.campaign, cellCap(conn, true), &spec, &declared);
+        req.campaign, cellCap(conn, true), &spec, &declared, &lookupError);
     if (found == runner::CampaignLookup::OverCap) {
         rejectOverBudget(conn, declared, true);
         return;
     }
     if (found == runner::CampaignLookup::Unknown) {
-        conn.out += errorLine("unknown_campaign",
-                              "unknown campaign '" + req.campaign +
-                                  "' (table2..table5, smoke, a "
-                                  "vuln:... spec, or a "
-                                  "shard:<i>/<n>:<base> slice)") +
-                    "\n";
+        conn.out += errorLine("unknown_campaign", lookupError) + "\n";
         return;
     }
     checkpoint::SampleSpec sample;

@@ -1,7 +1,5 @@
 #include "store.hh"
 
-#include "index.hh"
-
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
@@ -135,67 +133,12 @@ class ScopedFlock
     int _fd = -1;
 };
 
-/** Read exactly [off, off+len) of @p path via pread(2); false on any
- *  short read (a rewritten or truncated entry — caller falls back). */
-bool
-preadRange(const std::string &path, std::uint64_t off, std::size_t len,
-           std::string *out)
-{
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    out->resize(len);
-    std::size_t got = 0;
-    while (got < len) {
-        ssize_t n = ::pread(fd, out->data() + got, len - got,
-                            off_t(off + got));
-        if (n <= 0)
-            break;
-        got += std::size_t(n);
-    }
-    ::close(fd);
-    return got == len;
-}
-
 bool
 isEntryName(const std::string &name)
 {
     return name.size() == 14 + 5 &&
            name.compare(name.size() - 5, 5, ".json") == 0 &&
            name.find_first_not_of("0123456789abcdef") == 14;
-}
-
-/** Parse 16 lowercase hex digits; false on anything else. */
-bool
-hexToU64(const std::string &hex, std::uint64_t *out)
-{
-    if (hex.size() != 16)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : hex) {
-        v <<= 4;
-        if (c >= '0' && c <= '9')
-            v |= std::uint64_t(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            v |= std::uint64_t(c - 'a' + 10);
-        else
-            return false;
-    }
-    *out = v;
-    return true;
-}
-
-/** The 16-hex key hash an entry path encodes (shard + stem). */
-bool
-entryPathHash(const std::string &path, std::uint64_t *out)
-{
-    fs::path p(path);
-    std::string stem = p.filename().string();
-    if (!isEntryName(stem))
-        return false;
-    return hexToU64(p.parent_path().filename().string() +
-                        stem.substr(0, 14),
-                    out);
 }
 
 /** Every *.json entry path under @p root (unsorted). */
@@ -281,10 +224,10 @@ ResultStore::touchSidecar(const std::string &entry_path)
 }
 
 bool
-ResultStore::readEntry(const std::string &path, std::string *key,
-                       std::string *payload, bool *corrupt,
-                       std::uint32_t *payloadOff)
+ResultStore::readEntryCounted(const std::string &path, std::string *key,
+                              std::string *payload, bool *corrupt) const
 {
+    _entryParses.fetch_add(1);
     *corrupt = false;
     std::string content;
     if (!slurp(path, &content))
@@ -310,43 +253,8 @@ ResultStore::readEntry(const std::string &path, std::string *key,
         *corrupt = true;
         return false;
     }
-    if (payloadOff)
-        *payloadOff = std::uint32_t(nl + 1);
     *payload = std::move(body);
     return true;
-}
-
-bool
-ResultStore::readEntryCounted(const std::string &path, std::string *key,
-                              std::string *payload, bool *corrupt,
-                              std::uint32_t *payloadOff) const
-{
-    _entryParses.fetch_add(1);
-    return readEntry(path, key, payload, corrupt, payloadOff);
-}
-
-std::shared_ptr<const ShardIndex>
-ResultStore::shardIndexFor(const std::string &shard_dir) const
-{
-    std::lock_guard<std::mutex> guard(_indexMu);
-    auto it = _indexes.find(shard_dir);
-    if (it != _indexes.end())
-        return it->second;
-
-    bool corrupt = false;
-    std::shared_ptr<const ShardIndex> idx =
-        ShardIndex::load(shard_dir, &corrupt);
-    if (corrupt) {
-        // Same policy as a corrupt entry: move it aside, don't serve
-        // from it, let the next buildIndexes() replace it.
-        std::string path = shard_dir + "/" + kShardIndexFile;
-        if (std::rename(path.c_str(),
-                        (path + ".corrupt").c_str()) != 0)
-            std::remove(path.c_str());
-        _quarantined.fetch_add(1);
-    }
-    _indexes.emplace(shard_dir, idx);
-    return idx;
 }
 
 bool
@@ -355,30 +263,6 @@ ResultStore::lookup(const std::string &key, std::string *payload)
     if (!isOpen())
         return false;
     std::string path = entryPath(key);
-
-    // Fast path: serve the payload bytes by the shard index's
-    // (offset, length, hash) record — no header parse, no unescaping.
-    // Any disagreement with the file (entry rewritten since the index
-    // was built, quarantined, evicted) drops to the scan path below.
-    std::uint64_t hash = fnv1a64(key);
-    auto idx = shardIndexFor(fs::path(path).parent_path().string());
-    if (idx) {
-        ShardIndex::Record rec;
-        if (idx->find(key, hash, &rec)) {
-            std::string body;
-            if (preadRange(path, rec.payloadOff, rec.payloadLen,
-                           &body) &&
-                fnv1a64(body) == rec.payloadCheck) {
-                _hits.fetch_add(1);
-                _indexHits.fetch_add(1);
-                _bytesRead.fetch_add(body.size());
-                touchSidecar(path);
-                *payload = std::move(body);
-                return true;
-            }
-            _indexStale.fetch_add(1);
-        }
-    }
 
     std::string stored_key, body;
     bool corrupt = false;
@@ -464,8 +348,6 @@ ResultStore::counters() const
     c.bytesRead = _bytesRead.load();
     c.bytesWritten = _bytesWritten.load();
     c.quarantined = _quarantined.load();
-    c.indexHits = _indexHits.load();
-    c.indexStale = _indexStale.load();
     c.entryParses = _entryParses.load();
     return c;
 }
@@ -565,13 +447,10 @@ ResultStore::gc(const GcOptions &options, std::string *error)
         total += e.size;
 
     auto now = fs::file_time_type::clock::now();
-    std::vector<std::string> touched_shards;
     auto removeEntry = [&](const Entry &e) {
         fs::remove(e.path, ec);
         fs::remove(e.path + ".atime", ec);
         fs::remove(e.path + ".lock", ec);
-        touched_shards.push_back(
-            fs::path(e.path).parent_path().string());
         out.removed++;
         out.bytesRemoved += e.size;
         total -= e.size;
@@ -593,22 +472,6 @@ ResultStore::gc(const GcOptions &options, std::string *error)
     for (; i < entries.size(); i++) {
         out.entriesKept++;
         out.bytesKept += entries[i].size;
-    }
-
-    // An index over a shard gc evicted from would serve only stale
-    // fallbacks; drop it (the next buildIndexes() re-creates it) and
-    // forget any cached mapping of it.
-    if (!touched_shards.empty()) {
-        std::sort(touched_shards.begin(), touched_shards.end());
-        touched_shards.erase(std::unique(touched_shards.begin(),
-                                         touched_shards.end()),
-                             touched_shards.end());
-        std::lock_guard<std::mutex> guard(_indexMu);
-        for (const std::string &shard : touched_shards) {
-            fs::remove(shard + "/" + kShardIndexFile, ec);
-            fs::remove(shard + "/" + kShardIndexFile + ".lock", ec);
-            _indexes.erase(shard);
-        }
     }
 
     // Sweep sidecars and locks whose entry is gone (earlier gc kills,
@@ -633,103 +496,6 @@ ResultStore::gc(const GcOptions &options, std::string *error)
         }
     }
     return out;
-}
-
-bool
-ResultStore::buildIndexes(IndexOutcome *outcome, std::string *error)
-{
-    IndexOutcome out;
-    bool ok = true;
-    if (!isOpen()) {
-        if (error)
-            *error = "result store is not open";
-        if (outcome)
-            *outcome = out;
-        return false;
-    }
-
-    std::error_code ec;
-    for (const fs::directory_entry &shard :
-         fs::directory_iterator(_root, ec)) {
-        if (!shard.is_directory(ec))
-            continue;
-        std::string shard_name = shard.path().filename().string();
-        if (shard_name.size() != 2 ||
-            shard_name.find_first_not_of("0123456789abcdef") !=
-                std::string::npos)
-            continue;
-        std::string shard_dir = shard.path().string();
-
-        bool corrupt_index = false;
-        std::unique_ptr<ShardIndex> old =
-            ShardIndex::load(shard_dir, &corrupt_index);
-        if (corrupt_index) {
-            std::string ipath = shard_dir + "/" + kShardIndexFile;
-            if (std::rename(ipath.c_str(),
-                            (ipath + ".corrupt").c_str()) != 0)
-                std::remove(ipath.c_str());
-            _quarantined.fetch_add(1);
-            out.corruptIndexes++;
-        }
-
-        // The one deliberately parse-heavy pass: every valid,
-        // correctly-filed entry in the shard becomes one record.
-        std::vector<IndexEntry> fresh;
-        std::uint64_t agreed_here = 0;
-        for (const fs::directory_entry &file :
-             fs::directory_iterator(shard.path(), ec)) {
-            std::string name = file.path().filename().string();
-            if (!isEntryName(name))
-                continue;
-            std::string path = file.path().string();
-            std::string key, payload;
-            bool corrupt = false;
-            std::uint32_t payload_off = 0;
-            if (!readEntryCounted(path, &key, &payload, &corrupt,
-                                  &payload_off))
-                continue;   // verifyAll owns quarantining; just skip
-            if (entryPath(key) != path)
-                continue;   // misfiled entries are unservable
-            IndexEntry e;
-            e.key = key;
-            e.payloadOff = payload_off;
-            e.payloadLen = std::uint32_t(payload.size());
-            e.payloadCheck = fnv1a64(payload);
-            if (old) {
-                ShardIndex::Record rec;
-                if (old->find(e.key, fnv1a64(e.key), &rec) &&
-                    rec.payloadOff == e.payloadOff &&
-                    rec.payloadLen == e.payloadLen &&
-                    rec.payloadCheck == e.payloadCheck)
-                    agreed_here++;
-            }
-            fresh.push_back(std::move(e));
-        }
-
-        out.agreed += agreed_here;
-        if (old)
-            out.staleDropped += std::uint64_t(old->size()) - agreed_here;
-
-        std::uint64_t record_count = fresh.size();
-        if (!writeShardIndex(shard_dir, std::move(fresh), error)) {
-            ok = false;
-            continue;
-        }
-        if (record_count > 0) {
-            out.shards++;
-            out.entries += record_count;
-        }
-    }
-
-    {
-        // Drop every cached mapping so this handle (and its threads)
-        // see the fresh generation on the next lookup.
-        std::lock_guard<std::mutex> guard(_indexMu);
-        _indexes.clear();
-    }
-    if (outcome)
-        *outcome = out;
-    return ok;
 }
 
 bool
@@ -781,33 +547,9 @@ ResultStore::exportLines(
                 continue;
         }
         std::string key, payload;
-        // Index fast path: the entry's filename is its key hash, so an
-        // indexed shard hands sync pulls key and payload bytes without
-        // a single header parse. Any mismatch falls back to the scan.
-        bool served = false;
-        std::uint64_t hash = 0;
-        if (entryPathHash(entry, &hash)) {
-            auto idx =
-                shardIndexFor(fs::path(entry).parent_path().string());
-            ShardIndex::Record rec;
-            if (idx && idx->findByHash(hash, &rec)) {
-                if (preadRange(entry, rec.payloadOff, rec.payloadLen,
-                               &payload) &&
-                    fnv1a64(payload) == rec.payloadCheck) {
-                    key.assign(rec.key.data(), rec.key.size());
-                    _indexHits.fetch_add(1);
-                    _bytesRead.fetch_add(payload.size());
-                    served = true;
-                } else {
-                    _indexStale.fetch_add(1);
-                }
-            }
-        }
-        if (!served) {
-            bool corrupt = false;
-            if (!readEntryCounted(entry, &key, &payload, &corrupt))
-                continue;   // unreadable or corrupt: not exportable
-        }
+        bool corrupt = false;
+        if (!readEntryCounted(entry, &key, &payload, &corrupt))
+            continue;   // unreadable or corrupt: not exportable
         if (!emit(formatExportLine(key, payload))) {
             if (error)
                 *error = "export aborted by consumer";

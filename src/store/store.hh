@@ -28,17 +28,6 @@
  * descriptor keeps its entry's bytes alive even if gc unlinks the
  * file mid-read.
  *
- * Each shard may additionally carry a binary `index.bin` (see
- * index.hh) built by buildIndexes(). When present and valid, lookups
- * and export walks serve payload bytes by (offset, length, FNV) out of
- * the entry files directly — zero JSON header parsing and zero key
- * unescaping on the warm path. The index is purely an accelerator:
- * entries published after the build, rewritten entries, and corrupt or
- * missing index files all fall back to the scan path transparently
- * (a corrupt index is quarantined as index.bin.corrupt). A handle
- * caches each shard's index for its lifetime; buildIndexes() on the
- * same handle refreshes the cache.
- *
  * The store knows nothing about campaigns or cells: keys and payloads
  * are opaque strings, which keeps this library free of any dependency
  * on the runner (the runner depends on the store, not vice versa).
@@ -50,16 +39,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace simalpha {
 namespace store {
-
-class ShardIndex;
 
 /** Traffic counters of one open store handle (this process's use of
  *  the store, not the store's on-disk contents). */
@@ -71,14 +55,12 @@ struct StoreCounters
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
     std::uint64_t quarantined = 0;
-    /** Hits served straight off a shard index (subset of hits). */
+    /** Always 0: the store has no shard index to hit any more. Kept
+     *  because campaignbench still reads them. */
     std::uint64_t indexHits = 0;
-    /** Index records that no longer matched the entry bytes (the
-     *  lookup fell back to the scan path). */
     std::uint64_t indexStale = 0;
-    /** Full entry-file parses (header decode + key unescape). A warm
-     *  indexed rerun keeps this at zero — the assertion behind the
-     *  "no per-entry JSON parsing" guarantee. */
+    /** Full entry-file parses (header decode + key unescape): one per
+     *  lookup that found a file, per verified entry and per export. */
     std::uint64_t entryParses = 0;
 };
 
@@ -109,23 +91,6 @@ struct GcOptions
     double maxAgeSeconds = 0.0;
 };
 
-/** What buildIndexes() did, including how much of any previous index
- *  generation the fresh scan confirmed. */
-struct IndexOutcome
-{
-    std::uint64_t shards = 0;        ///< index files written
-    std::uint64_t entries = 0;       ///< records across those files
-    /** Records of the previous indexes the rebuild reproduced
-     *  byte-for-byte (key, offsets, payload hash all unchanged). */
-    std::uint64_t agreed = 0;
-    /** Previous-index records the scan contradicted or dropped
-     *  (entry rewritten, quarantined, or gone). */
-    std::uint64_t staleDropped = 0;
-    /** index.bin files that failed validation and were quarantined
-     *  aside as index.bin.corrupt. */
-    std::uint64_t corruptIndexes = 0;
-};
-
 struct GcOutcome
 {
     std::uint64_t scanned = 0;
@@ -139,6 +104,8 @@ class ResultStore
 {
   public:
     ResultStore() = default;
+    /** Out of line on purpose: campaignbench links its timing wrapper
+     *  around this symbol. */
     ~ResultStore();
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
@@ -208,21 +175,6 @@ class ResultStore
     GcOutcome gc(const GcOptions &options, std::string *error);
 
     /**
-     * (Re)build every shard's index.bin from the entries on disk:
-     * each shard is scanned once (this is the one deliberately
-     * parse-heavy operation), records are written sorted by key hash,
-     * and the file is published atomically under an advisory flock on
-     * index.bin.lock. Shards left with no valid entries lose their
-     * index file. Invalid existing indexes are quarantined as
-     * index.bin.corrupt and counted; surviving records are compared
-     * against the fresh scan so callers can report index-vs-scan
-     * agreement. Refreshes this handle's index cache. Returns false
-     * with *error filled on I/O failure (the outcome still reflects
-     * the work done up to that point).
-     */
-    bool buildIndexes(IndexOutcome *outcome, std::string *error);
-
-    /**
      * Serialize every valid entry into @p path as JSONL
      * ({"key":...,"payload":...} per line, written atomically), for
      * moving results between hosts. *exported (may be null) receives
@@ -266,27 +218,12 @@ class ResultStore
     /** <root>/<hh>/<14-hex>.json for @p key. */
     std::string entryPath(const std::string &key) const;
 
-    /** Read + validate one entry file; fills key/payload on success.
-     *  Returns false for unreadable or corrupt entries (*corrupt set
-     *  true when the contents are malformed rather than missing).
-     *  *payloadOff (may be null) receives the payload's byte offset
-     *  within the file — what the shard index records. */
-    static bool readEntry(const std::string &path, std::string *key,
-                          std::string *payload, bool *corrupt,
-                          std::uint32_t *payloadOff = nullptr);
-
-    /** readEntry() plus the entryParses counter — every scan-path
-     *  parse goes through here so the warm-path zero-parse guarantee
-     *  is measurable. */
+    /** Read + validate one entry file, counted in entryParses; fills
+     *  key/payload on success. Returns false for unreadable or corrupt
+     *  entries (*corrupt set true when the contents are malformed
+     *  rather than missing). */
     bool readEntryCounted(const std::string &path, std::string *key,
-                          std::string *payload, bool *corrupt,
-                          std::uint32_t *payloadOff = nullptr) const;
-
-    /** The cached (possibly absent) index of the shard directory
-     *  holding @p entry_path's entries. Loads and validates on first
-     *  use; quarantines a corrupt index file. */
-    std::shared_ptr<const ShardIndex>
-    shardIndexFor(const std::string &shard_dir) const;
+                          std::string *payload, bool *corrupt) const;
 
     /** Move a failed entry aside as <path>.corrupt (best effort). */
     void quarantine(const std::string &path);
@@ -302,16 +239,8 @@ class ResultStore
     mutable std::atomic<std::uint64_t> _bytesRead{0};
     mutable std::atomic<std::uint64_t> _bytesWritten{0};
     mutable std::atomic<std::uint64_t> _quarantined{0};
-    mutable std::atomic<std::uint64_t> _indexHits{0};
-    mutable std::atomic<std::uint64_t> _indexStale{0};
     mutable std::atomic<std::uint64_t> _entryParses{0};
     std::atomic<std::uint64_t> _tmpSeq{0};
-
-    /** Per-shard index cache (shard dir -> loaded index or nullptr for
-     *  "no valid index"), filled lazily, refreshed by buildIndexes(). */
-    mutable std::mutex _indexMu;
-    mutable std::map<std::string, std::shared_ptr<const ShardIndex>>
-        _indexes;
 };
 
 } // namespace store

@@ -204,6 +204,24 @@ TEST(CliNumbers, CampaignNameNumbersAreChecked)
     }
 }
 
+TEST(CliNumbers, UnknownCampaignKeepsTheParsersReasonInEitherIsolation)
+{
+    // Both executors print the one lookup message: the bad name, then
+    // why its parser refused it.
+    const std::string name = "vuln:sim-alpha:C-Ca:1000:2:1:rob+nope";
+    for (const std::string &mode :
+         {std::string(""), std::string("--isolate process --shards 2")}) {
+        const Exit e = simalpha("--campaign '" + name + "' --no-journal " +
+                                mode);
+        EXPECT_EQ(e.code, 2) << mode << "\n" << e.err;
+        EXPECT_NE(e.err.find("unknown campaign '" + name + "': "),
+                  std::string::npos)
+            << mode << "\n" << e.err;
+        EXPECT_NE(e.err.find("unknown target 'nope'"), std::string::npos)
+            << mode << "\n" << e.err;
+    }
+}
+
 // ---------------------------------------------------------------------
 // One flag table per command
 // ---------------------------------------------------------------------

@@ -285,6 +285,55 @@ TEST(JsonReader, ObjectsNestAtMostEightDeep)
     EXPECT_FALSE(parses(nested(9)));
 }
 
+namespace {
+
+/** {"<key>":<member>,...}: @p count members, keys numbered. */
+std::string
+objectOf(int count, const std::string &member)
+{
+    std::string text = "{";
+    for (int i = 0; i < count; i++)
+        text += (i ? ",\"" : "\"") + std::to_string(i) + "\":" + member;
+    return text + "}";
+}
+
+} // namespace
+
+TEST(JsonReader, MembersAreBudgetedPerDocumentNotPerObject)
+{
+    EXPECT_EQ(json::kMaxMembers, 4096);
+    EXPECT_TRUE(parses(objectOf(4096, "1")));
+
+    // The member past the budget fails, named by its byte offset.
+    const std::string over = objectOf(4097, "1");
+    json::Value v;
+    std::string error;
+    EXPECT_FALSE(json::parse(over, &v, &error));
+    const std::size_t last = over.rfind(",\"") + 1;
+    EXPECT_NE(error.find("too many members at byte " +
+                         std::to_string(last)),
+              std::string::npos)
+        << error;
+
+    // Nesting spends the same budget: 63 objects of 64 members are
+    // 4,095 members, 65 of them 4,225.
+    const std::string inner = objectOf(64, "1");
+    EXPECT_TRUE(parses(objectOf(63, inner)));
+    EXPECT_FALSE(parses(objectOf(65, inner)));
+
+    // A sync-sized line of empty members stops at the budget instead
+    // of building a value per six bytes.
+    std::string flood = "{";
+    while (flood.size() + 8 < serve::kMaxSyncLineBytes)
+        flood += "\"\":{},";
+    flood += "\"\":{}}";
+    EXPECT_FALSE(json::parse(flood, &v, &error));
+    EXPECT_NE(error.find("too many members at byte " +
+                         std::to_string(1 + 6 * json::kMaxMembers)),
+              std::string::npos)
+        << error;
+}
+
 TEST(JsonReader, NoArraysAndNoNull)
 {
     EXPECT_FALSE(parses("{\"a\":[]}"));

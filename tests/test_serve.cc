@@ -1350,6 +1350,21 @@ TEST(Serve, HugeShardCountsServeOneSliceAndTheDaemonKeepsAnswering)
         << reply;
 }
 
+TEST(Serve, UnknownCampaignNamesWhyItsParserRefusedIt)
+{
+    TestDaemon daemon("unknownname");
+    ASSERT_TRUE(daemon.start());
+    const std::string name = "vuln:sim-alpha:C-Ca:1000:2:1:rob+nope";
+    SubmitOutcome o = submitCampaign(daemon.client(), name, 0);
+    EXPECT_FALSE(o.ok);
+    EXPECT_EQ(o.errorCode, "unknown_campaign");
+    EXPECT_NE(o.error.find("unknown campaign '" + name + "': "),
+              std::string::npos)
+        << o.error;
+    EXPECT_NE(o.error.find("unknown target 'nope'"), std::string::npos)
+        << o.error;
+}
+
 // ---------------------------------------------------------------
 // Vulnerability names with hostile cell counts
 // ---------------------------------------------------------------

@@ -40,7 +40,6 @@
 #include "runner/runner.hh"
 #include "runner/shard.hh"
 #include "runner/supervisor.hh"
-#include "store/index.hh"
 #include "store/store.hh"
 
 namespace fs = std::filesystem;
@@ -112,6 +111,17 @@ TEST(Store, PublishThenLookupRoundTripsAcrossHandles)
     ASSERT_TRUE(a.publish("key-2", "payload \"two\"\\esc", &error))
         << error;
 
+    // An index.bin an older binary left beside the entries is never
+    // opened: garbage there neither hides an entry nor gets quarantined.
+    std::string shard =
+        fs::path(entryFile(root, "key-1")).parent_path().string();
+    std::string stray = shard + "/index.bin";
+    const std::string garbage = "not an index \x01\x02";
+    {
+        std::ofstream out(stray, std::ios::binary);
+        out << garbage;
+    }
+
     // A completely independent handle (a different process in spirit)
     // sees the same entries — the layout is the index.
     ResultStore b;
@@ -126,11 +136,13 @@ TEST(Store, PublishThenLookupRoundTripsAcrossHandles)
     StoreCounters c = b.counters();
     EXPECT_EQ(c.hits, 2u);
     EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.quarantined, 0u);
     EXPECT_GT(c.bytesRead, 0u);
 
     StoreUsage u = b.usage(&error);
     EXPECT_EQ(u.entries, 2u);
     EXPECT_EQ(u.corrupt, 0u);
+    EXPECT_EQ(slurp(stray), garbage);
     fs::remove_all(root);
 }
 
@@ -882,292 +894,5 @@ TEST(StoreAcceptance, ShardedTable5RerunHitsStoreByteIdentically)
 
     std::remove(journalCold.c_str());
     std::remove(journalWarm.c_str());
-    fs::remove_all(root);
-}
-
-// ---------------------------------------------------------------------
-// Binary shard indexes: lookup without per-entry JSON parsing
-// ---------------------------------------------------------------------
-
-TEST(StoreIndex, IndexedLookupsServeByteIdenticalPayloadsWithoutParsing)
-{
-    std::string root = uniqueDir("idx-serve");
-    std::string error;
-    constexpr int kEntries = 24;    // enough to span several shards
-
-    {
-        ResultStore writer;
-        ASSERT_TRUE(writer.open(root, &error)) << error;
-        for (int i = 0; i < kEntries; i++)
-            ASSERT_TRUE(writer.publish(
-                "idx-key-" + std::to_string(i),
-                "payload \"" + std::to_string(i) + "\"\\esc", &error))
-                << error;
-        store::IndexOutcome o;
-        ASSERT_TRUE(writer.buildIndexes(&o, &error)) << error;
-        EXPECT_EQ(o.entries, std::uint64_t(kEntries));
-        EXPECT_GT(o.shards, 0u);
-        EXPECT_EQ(o.corruptIndexes, 0u);
-    }
-
-    // A fresh handle (a fresh process in spirit): every lookup is
-    // served straight off an index record — zero entry parses.
-    ResultStore reader;
-    ASSERT_TRUE(reader.open(root, &error)) << error;
-    for (int i = 0; i < kEntries; i++) {
-        std::string payload;
-        ASSERT_TRUE(
-            reader.lookup("idx-key-" + std::to_string(i), &payload));
-        EXPECT_EQ(payload,
-                  "payload \"" + std::to_string(i) + "\"\\esc");
-    }
-    StoreCounters c = reader.counters();
-    EXPECT_EQ(c.hits, std::uint64_t(kEntries));
-    EXPECT_EQ(c.indexHits, std::uint64_t(kEntries));
-    EXPECT_EQ(c.entryParses, 0u)
-        << "an indexed warm lookup parsed an entry file";
-    EXPECT_EQ(c.indexStale, 0u);
-    fs::remove_all(root);
-}
-
-TEST(StoreIndex, CorruptIndexIsQuarantinedAndScanStillServes)
-{
-    std::string root = uniqueDir("idx-corrupt");
-    std::string error;
-    {
-        ResultStore writer;
-        ASSERT_TRUE(writer.open(root, &error)) << error;
-        ASSERT_TRUE(writer.publish("k", "the real payload", &error));
-        store::IndexOutcome o;
-        ASSERT_TRUE(writer.buildIndexes(&o, &error)) << error;
-    }
-
-    // Flip a byte inside every index blob (bit rot, torn copy, ...).
-    int indexes = 0;
-    for (const auto &e : fs::recursive_directory_iterator(root))
-        if (e.path().filename() == store::kShardIndexFile) {
-            std::string bytes = slurp(e.path().string());
-            ASSERT_GT(bytes.size(), 33u);
-            bytes[bytes.size() - 1] ^= 0x01;
-            std::ofstream out(e.path(),
-                              std::ios::binary | std::ios::trunc);
-            out << bytes;
-            indexes++;
-        }
-    ASSERT_GT(indexes, 0);
-
-    ResultStore reader;
-    ASSERT_TRUE(reader.open(root, &error)) << error;
-    std::string payload;
-    ASSERT_TRUE(reader.lookup("k", &payload));
-    EXPECT_EQ(payload, "the real payload");    // served by the scan
-    StoreCounters c = reader.counters();
-    EXPECT_EQ(c.hits, 1u);
-    EXPECT_EQ(c.indexHits, 0u);
-    EXPECT_GT(c.entryParses, 0u);
-    EXPECT_EQ(c.quarantined, 1u);
-
-    // The damaged blob sits aside like any corrupt artifact, and a
-    // rebuild writes a fresh working index.
-    bool quarantine_seen = false;
-    for (const auto &e : fs::recursive_directory_iterator(root))
-        if (e.path().filename() ==
-            std::string(store::kShardIndexFile) + ".corrupt")
-            quarantine_seen = true;
-    EXPECT_TRUE(quarantine_seen);
-
-    store::IndexOutcome o;
-    ASSERT_TRUE(reader.buildIndexes(&o, &error)) << error;
-    EXPECT_EQ(o.entries, 1u);
-    std::string again;
-    ASSERT_TRUE(reader.lookup("k", &again));
-    EXPECT_EQ(again, "the real payload");
-    EXPECT_EQ(reader.counters().indexHits, 1u);
-    fs::remove_all(root);
-}
-
-TEST(StoreIndex, RewrittenEntryMakesItsRecordStaleNeverWrong)
-{
-    std::string root = uniqueDir("idx-stale");
-    std::string error;
-    ResultStore s;
-    ASSERT_TRUE(s.open(root, &error)) << error;
-    ASSERT_TRUE(s.publish("k", "old payload", &error));
-    store::IndexOutcome o;
-    ASSERT_TRUE(s.buildIndexes(&o, &error)) << error;
-
-    // Republish after the index was built: the record's payload hash
-    // no longer matches the entry bytes.
-    ASSERT_TRUE(s.publish("k", "replacement payload", &error));
-
-    ResultStore reader;
-    ASSERT_TRUE(reader.open(root, &error)) << error;
-    std::string payload;
-    ASSERT_TRUE(reader.lookup("k", &payload));
-    EXPECT_EQ(payload, "replacement payload")
-        << "a stale index record must never be served";
-    StoreCounters c = reader.counters();
-    EXPECT_EQ(c.indexStale, 1u);
-    EXPECT_GT(c.entryParses, 0u);   // the fallback scan
-
-    // Rebuilding reports the disagreement and self-heals.
-    store::IndexOutcome again;
-    ASSERT_TRUE(reader.buildIndexes(&again, &error)) << error;
-    EXPECT_EQ(again.entries, 1u);
-    EXPECT_EQ(again.agreed, 0u);
-    EXPECT_EQ(again.staleDropped, 1u);
-    ASSERT_TRUE(reader.lookup("k", &payload));
-    EXPECT_EQ(payload, "replacement payload");
-    EXPECT_EQ(reader.counters().indexHits, 1u);
-    fs::remove_all(root);
-}
-
-TEST(StoreIndex, RebuildReportsAgreementAcrossGenerations)
-{
-    std::string root = uniqueDir("idx-agree");
-    std::string error;
-    ResultStore s;
-    ASSERT_TRUE(s.open(root, &error)) << error;
-    for (int i = 0; i < 3; i++)
-        ASSERT_TRUE(s.publish("gen-" + std::to_string(i),
-                              "payload-" + std::to_string(i), &error));
-    store::IndexOutcome first;
-    ASSERT_TRUE(s.buildIndexes(&first, &error)) << error;
-    EXPECT_EQ(first.entries, 3u);
-    EXPECT_EQ(first.agreed, 0u);    // no previous generation
-
-    // One untouched generation later: full agreement.
-    store::IndexOutcome second;
-    ASSERT_TRUE(s.buildIndexes(&second, &error)) << error;
-    EXPECT_EQ(second.entries, 3u);
-    EXPECT_EQ(second.agreed, 3u);
-    EXPECT_EQ(second.staleDropped, 0u);
-
-    // Rewrite one entry, add another: the rebuild confirms the two
-    // untouched records and drops the contradicted one.
-    ASSERT_TRUE(s.publish("gen-1", "a longer replacement", &error));
-    ASSERT_TRUE(s.publish("gen-3", "payload-3", &error));
-    store::IndexOutcome third;
-    ASSERT_TRUE(s.buildIndexes(&third, &error)) << error;
-    EXPECT_EQ(third.entries, 4u);
-    EXPECT_EQ(third.agreed, 2u);
-    EXPECT_EQ(third.staleDropped, 1u);
-    fs::remove_all(root);
-}
-
-TEST(StoreIndex, GcDropsTheIndexOfEveryShardItEvictsFrom)
-{
-    std::string root = uniqueDir("idx-gc");
-    std::string error;
-    ResultStore s;
-    ASSERT_TRUE(s.open(root, &error)) << error;
-    for (int i = 0; i < 8; i++)
-        ASSERT_TRUE(s.publish("gc-" + std::to_string(i),
-                              "payload-" + std::to_string(i), &error));
-    store::IndexOutcome o;
-    ASSERT_TRUE(s.buildIndexes(&o, &error)) << error;
-
-    GcOptions g;
-    g.maxBytes = 1;             // evict everything
-    GcOutcome out = s.gc(g, &error);
-    EXPECT_TRUE(error.empty()) << error;
-    EXPECT_EQ(out.removed, 8u);
-
-    for (const auto &e : fs::recursive_directory_iterator(root))
-        EXPECT_NE(e.path().filename(), store::kShardIndexFile)
-            << "gc left an index over a shard it evicted from: "
-            << e.path();
-
-    // Lookups after the wipe are plain misses, not stale serves.
-    std::string payload;
-    EXPECT_FALSE(s.lookup("gc-0", &payload));
-    fs::remove_all(root);
-}
-
-TEST(StoreIndex, ExportWalksOffTheIndexWithoutParsing)
-{
-    std::string rootA = uniqueDir("idx-exp-a");
-    std::string rootB = uniqueDir("idx-exp-b");
-    std::string dump = testing::TempDir() + "simalpha-idx-dump-" +
-                       std::to_string(::getpid()) + ".jsonl";
-    std::string error;
-    constexpr int kEntries = 10;
-
-    {
-        ResultStore writer;
-        ASSERT_TRUE(writer.open(rootA, &error)) << error;
-        for (int i = 0; i < kEntries; i++)
-            ASSERT_TRUE(writer.publish("exp \"" + std::to_string(i),
-                                       "payload\\" + std::to_string(i),
-                                       &error));
-        store::IndexOutcome o;
-        ASSERT_TRUE(writer.buildIndexes(&o, &error)) << error;
-    }
-
-    ResultStore exporter;
-    ASSERT_TRUE(exporter.open(rootA, &error)) << error;
-    std::uint64_t exported = 0;
-    ASSERT_TRUE(exporter.exportTo(dump, &exported, &error)) << error;
-    EXPECT_EQ(exported, std::uint64_t(kEntries));
-    StoreCounters c = exporter.counters();
-    EXPECT_EQ(c.entryParses, 0u)
-        << "an indexed export parsed an entry file";
-    EXPECT_EQ(c.indexHits, std::uint64_t(kEntries));
-
-    // The index-served dump imports back byte-identically.
-    ResultStore b;
-    ASSERT_TRUE(b.open(rootB, &error)) << error;
-    std::uint64_t imported = 0;
-    ASSERT_TRUE(b.importFrom(dump, &imported, &error)) << error;
-    EXPECT_EQ(imported, std::uint64_t(kEntries));
-    for (int i = 0; i < kEntries; i++) {
-        std::string payload;
-        ASSERT_TRUE(b.lookup("exp \"" + std::to_string(i), &payload));
-        EXPECT_EQ(payload, "payload\\" + std::to_string(i));
-    }
-    std::remove(dump.c_str());
-    fs::remove_all(rootA);
-    fs::remove_all(rootB);
-}
-
-// The tentpole acceptance bar: a warm Table-5 rerun against an indexed
-// store is all hits, all index-served, and parses not a single entry
-// file — the "zero per-entry JSON parsing" guarantee, counter-asserted.
-TEST(StoreAcceptance, WarmIndexedTable5RerunParsesNoEntryFiles)
-{
-    std::string root = uniqueDir("idx-accept");
-    std::string error;
-
-    RunnerOptions ro;
-    ro.jobs = 2;
-    ro.cache = false;
-    ro.storePath = root;
-
-    CampaignSpec spec = table5Campaign().withMaxInsts(2000);
-    ExperimentRunner cold(ro);
-    CampaignResult first = cold.run(spec);
-    ASSERT_EQ(first.errorCount(), 0u);
-
-    {
-        ResultStore indexer;
-        ASSERT_TRUE(indexer.open(root, &error)) << error;
-        store::IndexOutcome o;
-        ASSERT_TRUE(indexer.buildIndexes(&o, &error)) << error;
-        EXPECT_EQ(o.entries, std::uint64_t(first.cells.size()));
-    }
-
-    ExperimentRunner warm(ro);
-    CampaignResult second = warm.run(spec);
-    ASSERT_EQ(second.errorCount(), 0u);
-    EXPECT_EQ(toJson(first), toJson(second));
-
-    StoreCounters c = warm.storeCounters();
-    EXPECT_EQ(c.hits, std::uint64_t(second.cells.size()));
-    EXPECT_EQ(c.misses, 0u);
-    EXPECT_EQ(c.indexHits, c.hits)
-        << "a warm hit bypassed the index";
-    EXPECT_EQ(c.indexStale, 0u);
-    EXPECT_EQ(c.entryParses, 0u)
-        << "the warm rerun parsed an entry file";
     fs::remove_all(root);
 }

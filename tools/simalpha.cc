@@ -372,10 +372,9 @@ runCampaign(const CampaignCli &cli)
                    " timed out)";
     } else {
         runner::CampaignSpec spec;
-        if (!runner::campaignByName(cli.campaign, &spec))
-            fatal("unknown campaign '%s' (table2..table5, smoke, "
-                  "dramsweep, or a vuln:... spec)",
-                  cli.campaign.c_str());
+        std::string error;
+        if (!runner::campaignByName(cli.campaign, &spec, &error))
+            fatal("%s", error.c_str());
         if (cli.maxInsts)
             spec = spec.withMaxInsts(cli.maxInsts);
         if (cli.sample.enabled())
@@ -524,7 +523,6 @@ runStoreCommand(int argc, char **argv, const char *)
     std::string root, to_path, from_path;
     std::uint64_t max_bytes = 0;
     double max_age = 0.0;
-    bool rebuild_index = false;
     const flags::Command command{
         "store",
         "usage: simalpha store <verb> --store <dir> [options]\n"
@@ -544,10 +542,7 @@ runStoreCommand(int argc, char **argv, const char *)
                          "gc: evict entries unused for s seconds"),
            flags::text("--to", "<file>", &to_path, "export: the dump to write"),
            flags::text("--from", "<file>", &from_path,
-                       "import: the dump to publish"),
-           flags::toggle("--rebuild-index", &rebuild_index,
-                         "verify: also rebuild every shard's binary index.bin "
-                         "and report index-vs-scan agreement")}}}};
+                       "import: the dump to publish")}}}};
     if (!flags::parse(command, argc, argv, hasVerb ? 2 : 1))
         return 0;
     if (verb.empty())
@@ -585,21 +580,6 @@ runStoreCommand(int argc, char **argv, const char *)
         if (u.corrupt)
             std::printf("quarantine  %llu blob(s) on disk\n",
                         (unsigned long long)u.corrupt);
-        if (rebuild_index) {
-            store::IndexOutcome o;
-            if (!s.buildIndexes(&o, &error))
-                fatal("%s", error.c_str());
-            std::printf("indexed     %llu entries across %llu "
-                        "shard index(es)\n",
-                        (unsigned long long)o.entries,
-                        (unsigned long long)o.shards);
-            std::printf("agreement   %llu record(s) confirmed, "
-                        "%llu stale dropped, %llu corrupt "
-                        "index(es) quarantined\n",
-                        (unsigned long long)o.agreed,
-                        (unsigned long long)o.staleDropped,
-                        (unsigned long long)o.corruptIndexes);
-        }
         return corrupt.empty() ? 0 : 1;
     }
     if (verb == "gc") {

@@ -134,6 +134,28 @@ for mode in cold warm jobs4 proc slow; do
 done
 echo "sampled table3: OK (six modes byte-identical)"
 
+# Store round trip: the store the sampled runs filled verifies clean,
+# exports, and imports into a fresh store that exports the same bytes
+# (export walks entries in sorted path order); a sampled run served by
+# the imported store is byte-identical to the reference.
+store() {
+    verb=$1
+    shift
+    ./tools/simalpha store "$verb" "$@" > /dev/null
+}
+store verify --store "$SAMPLE_DIR/store"
+store export --store "$SAMPLE_DIR/store" --to "$SAMPLE_DIR/dump.jsonl"
+store import --store "$SAMPLE_DIR/imported-store" \
+    --from "$SAMPLE_DIR/dump.jsonl"
+store export --store "$SAMPLE_DIR/imported-store" \
+    --to "$SAMPLE_DIR/redump.jsonl"
+cmp "$SAMPLE_DIR/dump.jsonl" "$SAMPLE_DIR/redump.jsonl"
+sampled imported --jobs 1 --store "$SAMPLE_DIR/imported-store"
+cmp "$SAMPLE_DIR/ref.json" "$SAMPLE_DIR/imported.json"
+cmp "$SAMPLE_DIR/ref.json.journal.jsonl" \
+    "$SAMPLE_DIR/imported.json.journal.jsonl"
+echo "store round trip: OK (verify clean, export/import/export identical, imported store serves byte-identically)"
+
 # Shared workloads: the cells of one run share one program per
 # workload. Table 5 is config-major, so every pool thread shares every
 # program, and each worker process runs its slice as one run; its
