@@ -91,17 +91,6 @@ warnImpl(const char *fmt, ...)
     va_end(args);
 }
 
-void
-informImpl(const char *fmt, ...)
-{
-    if (quiet_mode.load(std::memory_order_relaxed))
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
 std::uint64_t
 warnCount()
 {

@@ -10,7 +10,6 @@
  * fatal():  a user error (bad configuration, invalid argument); throws
  *           ConfigError.
  * warn():   functionality that may not be modeled exactly right.
- * inform(): status messages with no connotation of incorrectness.
  *
  * Library code installs no handlers: exceptions propagate to the
  * campaign layer (per-cell containment) or to the top-level driver in
@@ -34,12 +33,11 @@ namespace simalpha {
     __attribute__((format(printf, 3, 4)));
 
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Number of warnings emitted so far (for tests). */
 std::uint64_t warnCount();
 
-/** Suppress warn()/inform() output (benches keep their tables clean). */
+/** Suppress warn() output (benches keep their tables clean). */
 void setQuiet(bool quiet);
 
 } // namespace simalpha
@@ -47,7 +45,6 @@ void setQuiet(bool quiet);
 #define panic(...) ::simalpha::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fatal(...) ::simalpha::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define warn(...) ::simalpha::warnImpl(__VA_ARGS__)
-#define inform(...) ::simalpha::informImpl(__VA_ARGS__)
 
 /**
  * Assert a simulator invariant; violation is a modeling bug -> panic.

@@ -59,7 +59,6 @@ class Distribution
     double mean() const;
     std::uint64_t overflow() const { return _overflow; }
     std::uint64_t bucketCount(std::size_t i) const { return _buckets.at(i); }
-    std::size_t numBuckets() const { return _buckets.size(); }
 
   private:
     std::uint64_t _min;

@@ -48,10 +48,6 @@ class RenameUnit
     int freeIntRegs() const { return int(_freeInt.size()); }
     int freeFpRegs() const { return int(_freeFp.size()); }
 
-    /** Total physical registers of each class. */
-    int totalInt() const { return _totalInt; }
-    int totalFp() const { return _totalFp; }
-
     /**
      * Soft-error injection: corrupt one rename-map entry. The flipped
      * mapping is folded back into the entry's register class, so every

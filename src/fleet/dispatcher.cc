@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/campaign.hh"
 #include "runner/sharded.hh"
 #include "serve/client.hh"
 #include "serve/proto.hh"
@@ -50,7 +49,9 @@ Dispatcher::start(std::string *error)
 serve::JobExecutor
 Dispatcher::executor()
 {
-    return [this](const serve::JobWork &work) { execute(work); };
+    return [this](const runner::LaunchOptions &launch) {
+        return execute(launch);
+    };
 }
 
 bool
@@ -95,17 +96,17 @@ Dispatcher::syncAll(const std::string &root,
     }
 }
 
-void
-Dispatcher::execute(const serve::JobWork &work)
+runner::LaunchOutcome
+Dispatcher::execute(const runner::LaunchOptions &launch)
 {
-    const runner::CampaignSpec &spec = *work.spec;
+    const runner::CampaignSpec spec = runner::launchSpec(launch);
     {
         std::lock_guard<std::mutex> lock(_mu);
         _stats.jobs++;
     }
     const std::string sampleText =
-        work.sample.enabled()
-            ? checkpoint::formatSampleSpec(work.sample)
+        launch.sample.enabled()
+            ? checkpoint::formatSampleSpec(launch.sample)
             : std::string();
     std::size_t sliceCount = 0;
 
@@ -115,16 +116,16 @@ Dispatcher::execute(const serve::JobWork &work)
     // the subscribers in spec order — the order a single-host
     // `--jobs 1` run settles in, whatever order workers deliver in.
     runner::ShardedOptions so;
-    so.journalPath = work.journalPath;
-    so.journalSync = _opts.journalSync;
+    so.journalPath = launch.journalPath;
+    so.journalSync = launch.journalSync;
     so.resume = true;
-    so.cancel = work.cancel;
+    so.cancel = launch.cancel;
     so.sink = [&](const std::string &line, bool ok, bool replayed) {
-        work.emit(line, ok, replayed);
+        launch.onLine(line, ok, replayed);
         std::lock_guard<std::mutex> lock(_mu);
         (replayed ? _stats.cellsReplayed : _stats.cellsMerged)++;
     };
-    // The server only flips work.cancel; forward a protocol cancel for
+    // The server only flips launch.cancel; forward a protocol cancel for
     // every slice identity so the workers' streams settle promptly.
     so.onCancel = [&] {
         for (std::size_t w : _registry.liveWorkers()) {
@@ -135,8 +136,8 @@ Dispatcher::execute(const serve::JobWork &work)
                 serve::Request req;
                 req.op = "cancel";
                 req.campaign = runner::shardCampaignName(
-                    work.campaign, i, sliceCount);
-                req.maxInsts = work.maxInsts;
+                    launch.campaign, i, sliceCount);
+                req.maxInsts = launch.maxInsts;
                 req.sample = sampleText;
                 std::string reply, cerror;
                 serve::requestOnce(copts, serve::requestLine(req),
@@ -145,18 +146,19 @@ Dispatcher::execute(const serve::JobWork &work)
         }
     };
     runner::ShardedRun run(spec, so);
+    runner::LaunchOutcome out;
     if (run.unsettled() == 0)
-        return;     // fully replayed: nothing to probe or dispatch
+        return out;     // fully replayed: nothing to probe or dispatch
 
     // Fresh probe brings restarted workers back before partitioning.
     _registry.probeAll();
     const std::vector<std::size_t> live = _registry.liveWorkers();
     if (live.empty())
         throw std::runtime_error("no live workers for campaign '" +
-                                 work.campaign + "'");
+                                 launch.campaign + "'");
 
     if (_opts.syncStores)
-        syncAll(work.storePath, live, 0);
+        syncAll(launch.storePath, live, 0);
 
     const auto startedAt = std::chrono::steady_clock::now();
 
@@ -172,7 +174,7 @@ Dispatcher::execute(const serve::JobWork &work)
     auto transport = [&](const runner::Slice &slice,
                          runner::ShardedRun &r, std::string *error) {
         const std::string shardName = runner::shardCampaignName(
-            work.campaign, slice.index, slice.count);
+            launch.campaign, slice.index, slice.count);
         std::string lastError = "never dispatched";
         std::size_t rotation = slice.index;     // start on "its" worker
         for (int dispatch = 0;
@@ -195,7 +197,7 @@ Dispatcher::execute(const serve::JobWork &work)
             copts.backoffSeconds = _opts.backoffSeconds;
             std::uint64_t delivered = 0;
             const serve::SubmitOutcome o = serve::submitCampaign(
-                copts, shardName, work.maxInsts, sampleText, false,
+                copts, shardName, launch.maxInsts, sampleText, false,
                 [&](const std::string &line) {
                     delivered++;
                     r.deliver(line);
@@ -229,7 +231,7 @@ Dispatcher::execute(const serve::JobWork &work)
     const runner::ShardedOutcome done = run.run(sliceCount, transport);
 
     if (done.cancelled)
-        return;     // the server settles the job as cancelled
+        return out;     // the server settles the job as cancelled
     if (!done.failure.empty())
         throw std::runtime_error(done.failure);
     if (!done.missing.empty()) {
@@ -248,9 +250,10 @@ Dispatcher::execute(const serve::JobWork &work)
             std::chrono::duration_cast<std::chrono::seconds>(
                 std::chrono::steady_clock::now() - startedAt)
                 .count();
-        syncAll(work.storePath, _registry.liveWorkers(),
+        syncAll(launch.storePath, _registry.liveWorkers(),
                 std::uint64_t(elapsed) + 120);
     }
+    return out;
 }
 
 FleetStats

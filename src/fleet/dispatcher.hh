@@ -6,9 +6,9 @@
  * The dispatcher *is* a serve::Server — clients connect, submit, and
  * stream results exactly as against a single daemon — whose accepted
  * jobs run through Dispatcher::execute() (the serve::JobExecutor
- * hook) instead of the local runner. execute() is the serve-socket
- * transport of runner::ShardedRun, which owns replay, partitioning,
- * the merge barrier and the master journal:
+ * hook) instead of runner::launchCampaign(). execute() is the
+ * serve-socket transport of runner::ShardedRun, which owns replay,
+ * partitioning, the merge barrier and the master journal:
  *
  *   1. replay: the job's master journal under <store>/serve.d/ is
  *      replayed first (newest line per cell, manifest-checked), so a
@@ -81,9 +81,6 @@ struct FleetOptions
     int maxRedispatch = 2;
     double backoffSeconds = 0.2;
     std::uint64_t seed = 0;
-
-    /** fsync the master journal per merged line. */
-    bool journalSync = false;
 };
 
 /** Cumulative dispatcher statistics. */
@@ -113,9 +110,11 @@ class Dispatcher
 
     /** Run one accepted job across the fleet: a runner::ShardedRun
      *  whose transport dispatches each slice to a worker (plus store
-     *  sync). Throws on unrecoverable failure — the server marks the
-     *  job failed; settled cells stay journaled. */
-    void execute(const serve::JobWork &work);
+     *  sync), streaming through launch.onLine with replayed lines as
+     *  served. The outcome is empty: the lines are the result. Throws
+     *  on unrecoverable failure — the server marks the job failed;
+     *  settled cells stay journaled. */
+    runner::LaunchOutcome execute(const runner::LaunchOptions &launch);
 
     FleetStats stats() const;
     std::vector<WorkerStatus> workers() const;

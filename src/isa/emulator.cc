@@ -387,28 +387,10 @@ Emulator::readIntReg(int i) const
     return reg(intReg(i));
 }
 
-RegVal
-Emulator::readFpRaw(int i) const
-{
-    return reg(fpReg(i));
-}
-
 double
 Emulator::readFpReg(int i) const
 {
     return asDouble(reg(fpReg(i)));
-}
-
-void
-Emulator::writeIntReg(int i, RegVal v)
-{
-    setReg(intReg(i), v);
-}
-
-void
-Emulator::writeFpReg(int i, double v)
-{
-    setReg(fpReg(i), asBits(v));
 }
 
 Checkpoint
@@ -631,7 +613,6 @@ Emulator::runBatch(std::uint64_t max_insts)
     std::uint64_t n = 0;
     const DecodedInst *d = nullptr;
 
-#if defined(__GNUC__) || defined(__clang__)
     // Computed-goto dispatch: one indirect jump per instruction, no
     // bounds-checked switch and no per-step record materialization.
     // Order must match the Op enumeration exactly.
@@ -811,21 +792,6 @@ L_done:
 #undef SIMALPHA_FALL
 #undef SIMALPHA_TAKEN
 #undef SIMALPHA_JUMP
-
-#else
-    // Portable fallback: the predecoded single-step path in a loop.
-    (void)regs;
-    (void)dec;
-    (void)ntext;
-    (void)ip;
-    (void)pc;
-    (void)d;
-    while (n < max_insts && !_halted) {
-        stepFast();
-        ++n;
-    }
-    return n;
-#endif
 }
 
 ExecutedInst

@@ -165,7 +165,7 @@ class Emulator
 
     /**
      * Architecturally execute up to `max_insts` instructions through the
-     * predecoded batch dispatcher (computed goto on GNU compilers),
+     * predecoded batch dispatcher (computed goto),
      * without materializing per-instruction records — the fast-forward
      * path for checkpoint collection and `--sample` runs. Stops early at
      * Halt. State afterwards is byte-identical to calling step() the
@@ -181,10 +181,7 @@ class Emulator
     InstSeq instsExecuted() const { return _seq; }
 
     RegVal readIntReg(int i) const;
-    RegVal readFpRaw(int i) const;
     double readFpReg(int i) const;
-    void writeIntReg(int i, RegVal v);
-    void writeFpReg(int i, double v);
 
     /**
      * XOR one bit of an architectural register (soft-error
@@ -232,7 +229,10 @@ class Emulator
     /** The original fully-generic switch interpreter, retained as the
      *  SIMALPHA_SLOWPATH=1 reference; asserts decode equivalence. */
     ExecutedInst stepSlow();
-    std::uint64_t runBatch(std::uint64_t max_insts);
+    /** Aligned to a cache line, so the computed-goto loop's layout, and
+     *  with it the fast-forward speed, does not move with the size of
+     *  unrelated code linked ahead of it. */
+    [[gnu::aligned(64)]] std::uint64_t runBatch(std::uint64_t max_insts);
 
     const Program &_prog;
     SparseMemory _mem;

@@ -155,12 +155,6 @@ class Cache : public MemLevel
 
     std::uint64_t hits() const { return _hits.value(); }
     std::uint64_t misses() const { return _misses.value(); }
-    double
-    missRate() const
-    {
-        std::uint64_t total = hits() + misses();
-        return total ? double(misses()) / double(total) : 0.0;
-    }
 
   private:
     struct Line

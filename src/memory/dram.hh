@@ -151,9 +151,6 @@ class OpenPageDram : public DramBackend
 
     const char *backendName() const override { return "openpage"; }
 
-    std::uint64_t bankConflicts() const { return _conflicts.value(); }
-    std::uint64_t promotions() const { return _promotions.value(); }
-
     void
     reset() override
     {

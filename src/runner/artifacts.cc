@@ -317,24 +317,35 @@ aggregateByMachine(const CampaignResult &result)
     return out;
 }
 
+namespace {
+
+/** The run was given a store and kept it open. */
+bool
+storeEnabled(const LaunchOptions &o, const LaunchOutcome &s)
+{
+    return !o.storePath.empty() && !s.storeDegraded;
+}
+
 std::string
-toSummaryJson(const RunSummary &s)
+toSummaryJson(const LaunchOptions &o, const LaunchOutcome &s)
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"campaign\": \"" << json::escape(s.campaign) << "\",\n";
-    os << "  \"cells\": " << s.cells << ",\n";
-    os << "  \"ok\": " << s.cellsOk << ",\n";
-    os << "  \"failed\": " << s.cellsFailed << ",\n";
+    os << "  \"campaign\": \"" << json::escape(s.result.campaign)
+       << "\",\n";
+    os << "  \"cells\": " << s.result.cells.size() << ",\n";
+    os << "  \"ok\": " << s.result.okCount() << ",\n";
+    os << "  \"failed\": " << s.result.errorCount() << ",\n";
     os << "  \"cache_hits\": " << s.cacheHits << ",\n";
     os << "  \"store\": {\n";
-    os << "    \"enabled\": " << (s.storeEnabled ? "true" : "false")
+    os << "    \"enabled\": " << (storeEnabled(o, s) ? "true" : "false")
        << ",\n";
-    os << "    \"path\": \"" << json::escape(s.storePath) << "\",\n";
-    os << "    \"hits\": " << s.store.hits << ",\n";
-    os << "    \"misses\": " << s.store.misses << ",\n";
-    os << "    \"bytes_read\": " << s.store.bytesRead << ",\n";
-    os << "    \"bytes_written\": " << s.store.bytesWritten << ",\n";
+    os << "    \"path\": \"" << json::escape(o.storePath) << "\",\n";
+    os << "    \"hits\": " << s.storeTraffic.hits << ",\n";
+    os << "    \"misses\": " << s.storeTraffic.misses << ",\n";
+    os << "    \"bytes_read\": " << s.storeTraffic.bytesRead << ",\n";
+    os << "    \"bytes_written\": " << s.storeTraffic.bytesWritten
+       << ",\n";
     os << "    \"shards\": [";
     for (std::size_t i = 0; i < s.shardStore.size(); i++) {
         const StoreTraffic &t = s.shardStore[i];
@@ -351,20 +362,20 @@ toSummaryJson(const RunSummary &s)
 }
 
 std::string
-toSummaryCsv(const RunSummary &s)
+toSummaryCsv(const LaunchOptions &o, const LaunchOutcome &s)
 {
     std::ostringstream os;
     os << "metric,value\n";
-    os << "campaign," << s.campaign << "\n";
-    os << "cells," << s.cells << "\n";
-    os << "ok," << s.cellsOk << "\n";
-    os << "failed," << s.cellsFailed << "\n";
+    os << "campaign," << s.result.campaign << "\n";
+    os << "cells," << s.result.cells.size() << "\n";
+    os << "ok," << s.result.okCount() << "\n";
+    os << "failed," << s.result.errorCount() << "\n";
     os << "cache_hits," << s.cacheHits << "\n";
-    os << "store_enabled," << (s.storeEnabled ? 1 : 0) << "\n";
-    os << "store_hits," << s.store.hits << "\n";
-    os << "store_misses," << s.store.misses << "\n";
-    os << "store_bytes_read," << s.store.bytesRead << "\n";
-    os << "store_bytes_written," << s.store.bytesWritten << "\n";
+    os << "store_enabled," << (storeEnabled(o, s) ? 1 : 0) << "\n";
+    os << "store_hits," << s.storeTraffic.hits << "\n";
+    os << "store_misses," << s.storeTraffic.misses << "\n";
+    os << "store_bytes_read," << s.storeTraffic.bytesRead << "\n";
+    os << "store_bytes_written," << s.storeTraffic.bytesWritten << "\n";
     for (std::size_t i = 0; i < s.shardStore.size(); i++) {
         const StoreTraffic &t = s.shardStore[i];
         os << "shard" << i << "_store_hits," << t.hits << "\n";
@@ -377,15 +388,18 @@ toSummaryCsv(const RunSummary &s)
     return os.str();
 }
 
+} // namespace
+
 bool
-writeSummaryArtifacts(const RunSummary &summary,
+writeSummaryArtifacts(const LaunchOptions &options,
+                      const LaunchOutcome &outcome,
                       const std::string &artifactPath,
                       std::string *error)
 {
     return writeFileAtomic(artifactPath + ".summary.json",
-                           toSummaryJson(summary), error) &&
+                           toSummaryJson(options, outcome), error) &&
            writeFileAtomic(artifactPath + ".summary.csv",
-                           toSummaryCsv(summary), error);
+                           toSummaryCsv(options, outcome), error);
 }
 
 } // namespace runner

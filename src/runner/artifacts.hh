@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "runner/runner.hh"
-#include "runner/shard.hh"
+#include "runner/launch.hh"
 
 namespace simalpha {
 namespace runner {
@@ -85,44 +84,18 @@ std::vector<MachineAggregate>
 aggregateByMachine(const CampaignResult &result);
 
 /**
- * Run-level observability — cache and persistent-store traffic — for
- * one campaign invocation. Deliberately written as *sidecar* artifacts
- * (<out>.summary.json / <out>.summary.csv) rather than folded into the
- * main artifact: traffic differs between a cold and a warm store, and
- * the cell-results artifact must stay byte-identical between them.
+ * Run-level observability — cell counts, cache and persistent-store
+ * traffic — of one campaign run, @p outcome of launching @p options:
+ * written as <artifactPath>.summary.json (canonical JSON) and
+ * <artifactPath>.summary.csv (metric,value, one per-shard row per
+ * traffic counter), both atomic. Deliberately *sidecar* artifacts
+ * rather than folded into the main artifact: traffic differs between
+ * a cold and a warm store, and the cell-results artifact must stay
+ * byte-identical between them. Returns false with *error filled on
+ * the first I/O failure.
  */
-struct RunSummary
-{
-    std::string campaign;
-    std::size_t cells = 0;
-    std::size_t cellsOk = 0;
-    std::size_t cellsFailed = 0;
-
-    /** In-memory result-cache hits (thread isolation only). */
-    std::uint64_t cacheHits = 0;
-
-    bool storeEnabled = false;
-    std::string storePath;
-    /** Store traffic of the whole run (all threads / all shards). */
-    StoreTraffic store;
-    /** Per-shard traffic, indexed by shard id (process isolation
-     *  only; empty otherwise). */
-    std::vector<StoreTraffic> shardStore;
-};
-
-/** Render a run summary as canonical JSON. */
-std::string toSummaryJson(const RunSummary &summary);
-
-/** Render a run summary as metric,value CSV (one per-shard row per
- *  traffic counter). */
-std::string toSummaryCsv(const RunSummary &summary);
-
-/**
- * Write <artifactPath>.summary.json and <artifactPath>.summary.csv
- * (both atomic). Returns false with *error filled on the first I/O
- * failure.
- */
-bool writeSummaryArtifacts(const RunSummary &summary,
+bool writeSummaryArtifacts(const LaunchOptions &options,
+                           const LaunchOutcome &outcome,
                            const std::string &artifactPath,
                            std::string *error);
 

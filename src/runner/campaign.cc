@@ -1,7 +1,5 @@
 #include "campaign.hh"
 
-#include <limits>
-
 #include "common/number.hh"
 #include "runner/shard.hh"
 #include "validate/manifest.hh"
@@ -290,7 +288,7 @@ parseVulnCampaignName(const std::string &name, VulnSpec *out,
 {
     auto fail = [&](const std::string &why) {
         if (error)
-            *error = "vulnerability campaign '" + name + "' " + why +
+            *error = "vulnerability campaign " + why +
                      " (expected vuln:<machine>:<workload>:<max-insts>"
                      ":<cells>:<seed>:<target>[+<target>...])";
         return false;
@@ -367,7 +365,7 @@ parseShardCampaignName(const std::string &name, std::size_t *index,
 {
     auto fail = [&](const std::string &why) {
         if (error)
-            *error = "bad shard campaign '" + name + "': " + why;
+            *error = why;
         return false;
     };
     if (name.rfind("shard:", 0) != 0)
@@ -496,6 +494,21 @@ campaignByName(const std::string &name, CampaignSpec *out,
 {
     return campaignByName(name, std::numeric_limits<std::uint64_t>::max(),
                           out, nullptr, error) == CampaignLookup::Found;
+}
+
+CampaignLookup
+deriveCampaign(const std::string &name, std::uint64_t maxInsts,
+               const checkpoint::SampleSpec &sample, CampaignSpec *out,
+               std::string *error, std::uint64_t maxCells,
+               std::uint64_t *cells)
+{
+    const CampaignLookup found =
+        campaignByName(name, maxCells, out, cells, error);
+    if (found == CampaignLookup::Found && maxInsts)
+        *out = out->withMaxInsts(maxInsts);
+    if (found == CampaignLookup::Found && sample.enabled())
+        *out = out->withSampling(sample);
+    return found;
 }
 
 } // namespace runner

@@ -15,6 +15,7 @@
 #define SIMALPHA_RUNNER_CAMPAIGN_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,8 @@ struct VulnSpec
 /** "vuln:<machine>:<workload>:<maxInsts>:<cells>:<seed>:<t1+t2+..>". */
 std::string vulnCampaignName(const VulnSpec &spec);
 
-/** Parse vulnCampaignName() output; false with *error filled. */
+/** Parse vulnCampaignName() output; false with *error filled with
+ *  the reason, which leaves the name to the caller. */
 bool parseVulnCampaignName(const std::string &name, VulnSpec *out,
                            std::string *error);
 
@@ -167,7 +169,8 @@ CampaignSpec vulnCampaign(const VulnSpec &spec);
 std::string shardCampaignName(const std::string &base, std::size_t index,
                               std::size_t count);
 
-/** Parse shardCampaignName() output; false with *error filled. */
+/** Parse shardCampaignName() output; false with *error filled with
+ *  the reason, which leaves the name to the caller. */
 bool parseShardCampaignName(const std::string &name, std::size_t *index,
                             std::size_t *count, std::string *base,
                             std::string *error);
@@ -194,6 +197,17 @@ CampaignLookup campaignByName(const std::string &name,
                               std::uint64_t maxCells, CampaignSpec *out,
                               std::uint64_t *cells,
                               std::string *error = nullptr);
+
+/** The one derivation of a run's spec from its description: the
+ *  capped campaignByName(), then @p maxInsts (when nonzero) and
+ *  @p sample (when enabled) applied to every cell of a Found spec. */
+CampaignLookup
+deriveCampaign(const std::string &name, std::uint64_t maxInsts,
+               const checkpoint::SampleSpec &sample, CampaignSpec *out,
+               std::string *error = nullptr,
+               std::uint64_t maxCells =
+                   std::numeric_limits<std::uint64_t>::max(),
+               std::uint64_t *cells = nullptr);
 
 } // namespace runner
 } // namespace simalpha

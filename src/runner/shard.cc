@@ -8,6 +8,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "common/error.hh"
 #include "common/json.hh"
 #include "common/names.hh"
 #include "common/number.hh"
@@ -366,15 +367,10 @@ mergeShardJournals(const CampaignSpec &spec,
 }
 
 int
-runShardWorker(const ShardWorkerOptions &options)
+runShardWorker(const LaunchOptions &options,
+               const std::vector<std::size_t> &cells)
 {
-    CampaignSpec spec;
-    if (!campaignByName(options.campaign, &spec))
-        return 2;
-    if (options.maxInsts)
-        spec = spec.withMaxInsts(options.maxInsts);
-    if (options.sample.enabled())
-        spec = spec.withSampling(options.sample);
+    const CampaignSpec spec = launchSpec(options);
 
     // The slice runs as one sub-spec through one runner, so its cells
     // share one program and one sampled-window set per workload, as in
@@ -388,10 +384,14 @@ runShardWorker(const ShardWorkerOptions &options)
     ro.storePath = options.storePath;
     ro.maxRetries = options.maxRetries;
     ro.faults = options.faults;
-    ro.campaignIndices = options.cells;
-    for (std::size_t index : options.cells) {
+    ro.campaignIndices = cells;
+    for (std::size_t index : cells) {
         if (index >= spec.cells.size())
-            return 2;
+            throw ConfigError("cell " + std::to_string(index) +
+                              " is out of range for campaign '" +
+                              options.campaign + "' (" +
+                              std::to_string(spec.cells.size()) +
+                              " cells)");
         slice.cells.push_back(spec.cells[index]);
     }
 
@@ -403,14 +403,15 @@ runShardWorker(const ShardWorkerOptions &options)
     // interrupt flag is read only before a heartbeat: once set, no
     // further cell starts.
     CampaignJournal journal;
-    if (!journal.open(options.journalPath, nullptr, options.journalSync))
-        return 2;
+    std::string error;
+    if (!journal.open(options.journalPath, &error, options.journalSync))
+        throw ConfigError(error);
     std::atomic<bool> stopped{false};
     auto start = [&](std::size_t pos) {
-        if (options.interrupted && options.interrupted->load())
+        if (options.cancel && options.cancel->load())
             stopped = true;
         else
-            journal.appendRaw(heartbeatLine(spec.name, options.cells[pos],
+            journal.appendRaw(heartbeatLine(spec.name, cells[pos],
                                             slice.cells[pos].workload));
     };
     std::size_t settled = 0;

@@ -28,12 +28,11 @@
 #ifndef SIMALPHA_RUNNER_SHARD_HH
 #define SIMALPHA_RUNNER_SHARD_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "runner/runner.hh"
+#include "runner/launch.hh"
 
 namespace simalpha {
 namespace runner {
@@ -75,15 +74,6 @@ std::string heartbeatLine(const std::string &campaign,
 bool parseHeartbeatLine(const std::string &line,
                         const std::string &campaign,
                         std::size_t *cellIndex);
-
-/** A worker's (or supervisor's aggregated) persistent-store traffic. */
-struct StoreTraffic
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t bytesRead = 0;
-    std::uint64_t bytesWritten = 0;
-};
 
 /** The store-traffic summary line a worker appends (and flushes) to
  *  its journal when it finishes (or is interrupted mid-) slice, so the
@@ -150,38 +140,21 @@ void mergeShardJournals(const CampaignSpec &spec,
                         std::vector<std::string> *lines = nullptr,
                         const std::vector<std::string> *hashes = nullptr);
 
-/** What `simalpha --shard` executes. */
-struct ShardWorkerOptions
-{
-    std::string campaign;               ///< campaign name (re-derived)
-    std::vector<std::size_t> cells;     ///< campaign cell indices
-    std::string journalPath;            ///< this shard's journal
-    std::uint64_t maxInsts = 0;         ///< cap forwarded from the CLI
-    checkpoint::SampleSpec sample;      ///< sampling spec, forwarded
-    int maxRetries = 0;                 ///< per-cell retry budget
-    /** Persistent result store shared with the supervisor and every
-     *  sibling shard (empty = none): cells whose identity is already
-     *  stored are served instead of recomputed, and a store-summary
-     *  line reports this worker's hit counts. */
-    std::string storePath;
-    /** Fault plan in campaign cell indices (the slice's runner reads
-     *  them through RunnerOptions::campaignIndices). */
-    std::vector<FaultInjection> faults;
-    /** fsync the shard journal after every line (forwarded by the
-     *  supervisor's --journal-sync). */
-    bool journalSync = false;
-    /** Set by a signal handler: stop before the next cell, exit 3. */
-    const std::atomic<bool> *interrupted = nullptr;
-};
-
 /**
- * Worker entry point: run the slice serially as one
- * ExperimentRunner::run (so its cells share one program per workload),
- * heartbeat + journal each cell. Returns a process exit code (0 done,
- * 2 bad campaign/options, 3 interrupted). Crash faults never return at
- * all — that is the point.
+ * What `simalpha --shard` executes: campaign cells @p cells of the run
+ * @p options describes, serially as one ExperimentRunner::run (so its
+ * cells share one program per workload), with a heartbeat before and
+ * a journal line after each cell in options.journalPath, the slice
+ * journal. With a store, a store-summary line reports this worker's
+ * hit counts; faults keep their campaign indices
+ * (RunnerOptions::campaignIndices); the cancel flag stops it before
+ * the next cell. Returns a process exit code (0 done, 3 cancelled);
+ * throws ConfigError naming an unknown campaign, a cell out of range
+ * or a journal that would not open. Crash faults never return at all
+ * — that is the point.
  */
-int runShardWorker(const ShardWorkerOptions &options);
+int runShardWorker(const LaunchOptions &options,
+                   const std::vector<std::size_t> &cells);
 
 } // namespace runner
 } // namespace simalpha

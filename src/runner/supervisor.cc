@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/error.hh"
+#include "runner/shard.hh"
 #include "runner/sharded.hh"
 
 extern char **environ;
@@ -44,7 +45,7 @@ cellLabel(const Cell &cell)
 /** Spawn `simalpha --shard` for @p cells, journaling into @p journal
  *  and logging into @p log; -1 when posix_spawn fails. */
 pid_t
-spawnWorker(const SupervisorOptions &opts,
+spawnWorker(const LaunchOptions &opts,
             const std::vector<std::size_t> &cells,
             const std::string &journal, const std::string &log)
 {
@@ -107,7 +108,7 @@ struct SliceTally
  */
 void
 runProcessSlice(const Slice &slice, ShardedRun &run,
-                const SupervisorOptions &opts, const std::string &scratch,
+                const LaunchOptions &opts, const std::string &scratch,
                 SliceTally &tally)
 {
     const CampaignSpec &spec = run.spec();
@@ -254,17 +255,10 @@ runProcessSlice(const Slice &slice, ShardedRun &run,
 
 } // namespace
 
-SupervisorOutcome
-superviseCampaign(const SupervisorOptions &opts)
+LaunchOutcome
+superviseCampaign(const LaunchOptions &opts)
 {
-    CampaignSpec spec;
-    std::string error;
-    if (!campaignByName(opts.campaign, &spec, &error))
-        throw ConfigError(error);
-    if (opts.maxInsts)
-        spec = spec.withMaxInsts(opts.maxInsts);
-    if (opts.sample.enabled())
-        spec = spec.withSampling(opts.sample);
+    const CampaignSpec spec = launchSpec(opts);
     if (opts.workerBinary.empty() ||
         ::access(opts.workerBinary.c_str(), X_OK) != 0)
         throw ConfigError("worker binary '" + opts.workerBinary +
@@ -273,10 +267,8 @@ superviseCampaign(const SupervisorOptions &opts)
     // Scratch directory for slice journals, declared failures and
     // worker logs; the run creates it, replays or deletes what a
     // killed run kept there, and removes it once healthy.
-    std::string scratch = opts.scratchDir;
-    if (scratch.empty() && !opts.masterJournalPath.empty())
-        scratch = opts.masterJournalPath + ".shards.d";
-    if (scratch.empty()) {
+    std::string scratch = opts.journalPath + ".shards.d";
+    if (opts.journalPath.empty()) {
         char tmpl[] = "/tmp/simalpha-shards-XXXXXX";
         if (!::mkdtemp(tmpl))
             throw ConfigError("cannot create scratch directory for "
@@ -284,12 +276,12 @@ superviseCampaign(const SupervisorOptions &opts)
         scratch = tmpl;
     }
     ShardedOptions so;
-    so.journalPath = opts.masterJournalPath;
+    so.journalPath = opts.journalPath;
     so.journalSync = opts.journalSync;
     so.resume = opts.resume;
     so.scratchDir = scratch;
     so.spreadUnsettled = true;
-    so.cancel = opts.interrupted;
+    so.cancel = opts.cancel;
     so.sink = opts.onLine;
     ShardedRun run(spec, so);
 
@@ -310,7 +302,7 @@ superviseCampaign(const SupervisorOptions &opts)
     if (!done.failure.empty())
         throw std::runtime_error(done.failure);
 
-    SupervisorOutcome out;
+    LaunchOutcome out;
     out.result = std::move(done.result);
     out.interrupted = done.cancelled;
     out.replayedCells = done.replayed;

@@ -384,21 +384,18 @@ linesToResult(const std::string &campaign, std::uint64_t maxInsts,
               const std::vector<std::string> &lines,
               runner::CampaignResult *out, std::string *error)
 {
-    runner::CampaignSpec spec;
-    if (!runner::campaignByName(campaign, &spec, error))
+    checkpoint::SampleSpec s;
+    std::string serror;
+    if (!sample.empty() &&
+        !checkpoint::parseSampleSpec(sample, &s, &serror)) {
+        if (error)
+            *error = "sample: " + serror;
         return false;
-    if (maxInsts)
-        spec = spec.withMaxInsts(maxInsts);
-    if (!sample.empty()) {
-        checkpoint::SampleSpec s;
-        std::string serror;
-        if (!checkpoint::parseSampleSpec(sample, &s, &serror)) {
-            if (error)
-                *error = "sample: " + serror;
-            return false;
-        }
-        spec = spec.withSampling(s);
     }
+    runner::CampaignSpec spec;
+    if (runner::deriveCampaign(campaign, maxInsts, s, &spec, error) !=
+        runner::CampaignLookup::Found)
+        return false;
 
     std::unordered_map<std::string, runner::CellResult> byKey;
     for (const std::string &line : lines) {

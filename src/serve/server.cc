@@ -19,10 +19,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "runner/journal.hh"
-#include "runner/runner.hh"
 #include "runner/shard.hh"
-#include "runner/supervisor.hh"
 #include "store/store.hh"
 
 namespace simalpha {
@@ -120,7 +117,10 @@ struct Server::Job
     std::string key;
     std::string id;
     std::string campaign;
-    runner::CampaignSpec spec;      ///< with cap/sampling applied
+    /** Cells of the derived spec; the executor derives the spec
+     *  again from the identity, so no job holds one while queued or
+     *  retained. */
+    std::size_t cells = 0;
     std::uint64_t maxInsts = 0;     ///< as submitted (job identity)
     checkpoint::SampleSpec sample;  ///< as submitted (job identity)
     std::string journalPath;
@@ -421,12 +421,27 @@ Server::executorLoop()
 void
 Server::runJob(const std::shared_ptr<Job> &job)
 {
+    // Every job runs with resume against its own journal, so a
+    // restarted daemon replays what a killed one settled.
+    runner::LaunchOptions launch;
+    launch.campaign = job->campaign;
+    launch.maxInsts = job->maxInsts;
+    launch.sample = job->sample;
+    launch.isolate = _opts.isolate;
+    launch.jobs = _opts.jobs;
+    launch.shards = _opts.shards;
+    launch.workerBinary = _opts.workerBinary;
+    launch.storePath = _opts.storePath;
+    launch.journalPath = job->journalPath;
+    launch.resume = true;
+    launch.journalSync = _opts.journalSync;
+    launch.cancel = &job->cancel;
     // Every settled cell — computed, store/cache hit, or replayed
     // from the job journal of a killed daemon — lands here as the
     // verbatim line bytes the journal holds, then fans out to every
     // subscriber via the wake pipe.
-    auto append = [this, &job](const std::string &line, bool ok,
-                               bool served) {
+    launch.onLine = [this, &job](const std::string &line, bool ok,
+                                 bool served) {
         {
             std::lock_guard<std::mutex> lock(_state->mu);
             job->lines.push_back(line);
@@ -443,50 +458,9 @@ Server::runJob(const std::shared_ptr<Job> &job)
     };
 
     try {
-        if (_opts.executor) {
-            JobWork work;
-            work.campaign = job->campaign;
-            work.spec = &job->spec;
-            work.maxInsts = job->maxInsts;
-            work.sample = job->sample;
-            work.journalPath = job->journalPath;
-            work.storePath = _opts.storePath;
-            work.cancel = &job->cancel;
-            work.emit = append;
-            _opts.executor(work);
-        } else if (_opts.isolate == "process") {
-            runner::SupervisorOptions so;
-            so.campaign = job->campaign;
-            so.maxInsts = job->maxInsts;
-            so.sample = job->sample;
-            so.shards = _opts.shards;
-            so.workerBinary = _opts.workerBinary;
-            so.storePath = _opts.storePath;
-            so.masterJournalPath = job->journalPath;
-            so.resume = true;
-            so.journalSync = _opts.journalSync;
-            so.interrupted = &job->cancel;
-            so.onLine = append;
-            runner::superviseCampaign(so);
-        } else {
-            runner::RunnerOptions ro;
-            ro.jobs = _opts.jobs;
-            ro.cache = true;
-            ro.storePath = _opts.storePath;
-            ro.journalPath = job->journalPath;
-            ro.resume = true;
-            ro.journalSync = _opts.journalSync;
-            ro.cancel = &job->cancel;
-            ro.onCell = [&](const runner::CellResult &r) {
-                append(runner::journalLine(job->spec.name, r), r.ok,
-                       r.fromJournal || r.fromStore || r.fromCache);
-            };
-            runner::ExperimentRunner rnr(ro);
-            rnr.run(job->spec);
-            if (!_opts.storePath.empty() && !rnr.storeOpen()) {
-                std::lock_guard<std::mutex> lock(_state->mu);
-                _state->storeDegraded = true;
-            }
+        if (_opts.executor(launch).storeDegraded) {
+            std::lock_guard<std::mutex> lock(_state->mu);
+            _state->storeDegraded = true;
         }
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(_state->mu);
@@ -556,9 +530,8 @@ Server::flushConn(Conn &conn)
             if (job.failed)
                 conn.out +=
                     errorLine("job_failed", job.failError) + "\n";
-            conn.out += doneLine(job.campaign, job.id,
-                                 job.spec.cells.size(), job.okCells,
-                                 job.failedCells,
+            conn.out += doneLine(job.campaign, job.id, job.cells,
+                                 job.okCells, job.failedCells,
                                  job.failed      ? "failed"
                                  : job.cancelled ? "cancelled"
                                                  : "complete") +
@@ -632,12 +605,19 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
 
     // A vuln: name states its cell count: hold it to the budgets
     // before a single cell is built, or one name asking for a billion
-    // cells exhausts the daemon's memory first.
+    // cells exhausts the daemon's memory first. A bad campaign is
+    // named before a bad sample.
+    checkpoint::SampleSpec sample;
+    std::string serror;
+    const bool sampleOk =
+        req.sample.empty() ||
+        checkpoint::parseSampleSpec(req.sample, &sample, &serror);
     runner::CampaignSpec spec;
     std::uint64_t declared = 0;
     std::string lookupError;
-    const runner::CampaignLookup found = runner::campaignByName(
-        req.campaign, cellCap(conn, true), &spec, &declared, &lookupError);
+    const runner::CampaignLookup found = runner::deriveCampaign(
+        req.campaign, req.maxInsts, sample, &spec, &lookupError,
+        cellCap(conn, true), &declared);
     if (found == runner::CampaignLookup::OverCap) {
         rejectOverBudget(conn, declared, true);
         return;
@@ -646,20 +626,10 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
         conn.out += errorLine("unknown_campaign", lookupError) + "\n";
         return;
     }
-    checkpoint::SampleSpec sample;
-    if (!req.sample.empty()) {
-        std::string serror;
-        if (!checkpoint::parseSampleSpec(req.sample, &sample,
-                                         &serror)) {
-            conn.out +=
-                errorLine("bad_request", "sample: " + serror) + "\n";
-            return;
-        }
+    if (!sampleOk) {
+        conn.out += errorLine("bad_request", "sample: " + serror) + "\n";
+        return;
     }
-    if (req.maxInsts)
-        spec = spec.withMaxInsts(req.maxInsts);
-    if (sample.enabled())
-        spec = spec.withSampling(sample);
 
     const std::string key = jobKey(req.campaign, req.maxInsts, sample);
     const std::string id = jobIdFromKey(key);
@@ -698,7 +668,7 @@ Server::handleSubmit(Conn &conn, const Request &req, bool allowRun)
             job->key = key;
             job->id = id;
             job->campaign = req.campaign;
-            job->spec = std::move(spec);
+            job->cells = cells;
             job->maxInsts = req.maxInsts;
             job->sample = sample;
             job->journalPath =
@@ -951,24 +921,18 @@ Server::handleLine(Conn &conn, const std::string &line)
                 : job->cancelled                 ? "cancelled"
                                                  : "done";
             conn.out += statusLine(req.campaign, id, state,
-                                   job->lines.size(),
-                                   job->spec.cells.size()) +
+                                   job->lines.size(), job->cells) +
                         "\n";
             return;
         }
         runner::CampaignSpec spec;
         std::uint64_t declared = 0;
-        const runner::CampaignLookup found = runner::campaignByName(
-            req.campaign, cellCap(conn, false), &spec, &declared);
-        if (found == runner::CampaignLookup::OverCap) {
+        if (runner::deriveCampaign(req.campaign, req.maxInsts, sample,
+                                   &spec, nullptr, cellCap(conn, false),
+                                   &declared) ==
+            runner::CampaignLookup::OverCap) {
             rejectOverBudget(conn, declared, false);
             return;
-        }
-        if (found == runner::CampaignLookup::Found) {
-            if (req.maxInsts)
-                spec = spec.withMaxInsts(req.maxInsts);
-            if (sample.enabled())
-                spec = spec.withSampling(sample);
         }
         const std::string path = jobJournalPath(_opts.storePath, id);
         if (::access(path.c_str(), F_OK) != 0) {

@@ -3,11 +3,12 @@
  * `simalpha serve` — a long-running, crash-tolerant campaign service.
  *
  * One daemon owns a persistent result store and accepts campaign
- * submissions over a Unix-domain socket (or TCP), multiplexing them
- * onto the in-process ExperimentRunner pool or the process-isolation
- * supervisor. Every job runs with resume semantics against its own
- * append-only journal under <store>/serve.d/, which makes the four
- * interesting cases one code path:
+ * submissions over a Unix-domain socket (or TCP), running each as one
+ * run description through ServeOptions::executor (by default
+ * runner::launchCampaign: the in-process ExperimentRunner pool or the
+ * process-isolation supervisor). Every job runs with resume semantics
+ * against its own append-only journal under <store>/serve.d/, which
+ * makes the four interesting cases one code path:
  *
  *   cold submit      journal empty, every cell computes, lines stream
  *                    in spec order as they settle;
@@ -41,7 +42,7 @@
  *                    fsync per line); SIGTERM drains with a deadline.
  *
  * Threading: one poll(2) I/O thread (the caller of run()) owns every
- * socket; one executor thread owns the runner. They share a single
+ * socket; one executor thread runs jobs. They share a single
  * mutex-guarded state block and wake each other through a self-pipe —
  * no lock is ever held across a blocking syscall or a cell execution.
  */
@@ -63,7 +64,7 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/campaign.hh"
+#include "runner/launch.hh"
 #include "serve/proto.hh"
 
 namespace simalpha {
@@ -75,34 +76,17 @@ class ResultStore;
 namespace serve {
 
 /**
- * One accepted job handed to a custom executor: everything the
- * built-in runner would have used — submitted identity, derived spec,
- * journal path, cancel flag — plus the sink every settled cell's
- * verbatim journal line goes through. The fleet dispatcher is the
- * intended customer: it receives exactly the job Server::runJob would
- * have run locally and executes it across workers instead, inheriting
- * the server's admission control, idempotent attach/replay,
- * streaming, and drain behaviour unchanged.
+ * Runs one accepted job to completion; throwing marks the job failed.
+ * Server::runJob describes every job as one runner::LaunchOptions —
+ * submitted identity, the daemon's isolation, store and journal
+ * settings, the job's journal, cancel flag and line sink — and hands
+ * it here. The default is runner::launchCampaign(); the fleet
+ * dispatcher runs the same description across workers instead,
+ * inheriting the server's admission control, idempotent
+ * attach/replay, streaming, and drain behaviour unchanged.
  */
-struct JobWork
-{
-    std::string campaign;          ///< as submitted (job identity)
-    /** Derived spec with cap/sampling applied; valid for the call. */
-    const runner::CampaignSpec *spec = nullptr;
-    std::uint64_t maxInsts = 0;    ///< as submitted (job identity)
-    checkpoint::SampleSpec sample; ///< as submitted (job identity)
-    std::string journalPath;       ///< append-only job journal (resume)
-    std::string storePath;
-    const std::atomic<bool> *cancel = nullptr;
-    /** Settled-cell sink: verbatim journal-line bytes, whether the
-     *  cell succeeded, and whether it was served (journal/store/warm
-     *  worker) rather than computed. */
-    std::function<void(const std::string &line, bool ok, bool served)>
-        emit;
-};
-
-/** Runs one job to completion; throwing marks the job failed. */
-using JobExecutor = std::function<void(const JobWork &)>;
+using JobExecutor =
+    std::function<runner::LaunchOutcome(const runner::LaunchOptions &)>;
 
 struct ServeOptions
 {
@@ -151,10 +135,9 @@ struct ServeOptions
      *  can fill the pending queue deterministically. */
     const std::atomic<bool> *testHoldExecutor = nullptr;
 
-    /** When set, accepted jobs run through this instead of the
-     *  built-in runner/supervisor — the hook the fleet dispatcher
-     *  plugs into. */
-    JobExecutor executor;
+    /** What runs accepted jobs — the hook the fleet dispatcher plugs
+     *  into. */
+    JobExecutor executor = runner::launchCampaign;
 };
 
 /** Cumulative daemon statistics (health replies and tests). */

@@ -223,6 +223,63 @@ TEST(CliNumbers, UnknownCampaignKeepsTheParsersReasonInEitherIsolation)
 }
 
 // ---------------------------------------------------------------------
+// Campaign errors say what is wrong, once
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        n++;
+    return n;
+}
+
+} // namespace
+
+TEST(CliErrors, UnknownCampaignNamesTheNameOnce)
+{
+    // The lookup names the campaign; the parser's reason leaves it out.
+    for (const std::string &name :
+         {std::string("vuln:sim-alpha:C-Ca:1000:2:1:rob+nope"),
+          std::string("shard:5/5:smoke"),
+          std::string("shard:0/2:vuln:sim-alpha:C-Ca:1000:2:1:rob+nope")}) {
+        const Exit e = simalpha("--campaign '" + name + "' --no-journal");
+        EXPECT_EQ(e.code, 2) << name << "\n" << e.err;
+        EXPECT_EQ(occurrences(e.err, name), 1u) << name << "\n" << e.err;
+    }
+}
+
+TEST(CliErrors, ShardWorkerSaysWhyItRefused)
+{
+    const std::string journal = testing::TempDir() + "simalpha-cli-shard-" +
+                                std::to_string(::getpid()) + ".jsonl";
+    const Exit bad = simalpha(
+        "--shard --campaign 'vuln:sim-alpha:C-Ca:1000:2:1:rob+nope' "
+        "--cells 0 --journal '" + journal + "'");
+    EXPECT_EQ(bad.code, 2) << bad.err;
+    EXPECT_NE(bad.err.find("nope"), std::string::npos) << bad.err;
+
+    const Exit range = simalpha("--shard --campaign smoke --cells 12 "
+                                "--journal '" + journal + "'");
+    EXPECT_EQ(range.code, 2) << range.err;
+    EXPECT_NE(range.err.find("cell 12 is out of range"), std::string::npos)
+        << range.err;
+
+    const Exit unopenable = simalpha(
+        "--shard --campaign smoke --cells 0 --journal '" + journal +
+        ".d/missing/shard.jsonl'");
+    EXPECT_EQ(unopenable.code, 2) << unopenable.err;
+    EXPECT_NE(unopenable.err.find("cannot open journal"), std::string::npos)
+        << unopenable.err;
+    std::remove(journal.c_str());
+}
+
+// ---------------------------------------------------------------------
 // One flag table per command
 // ---------------------------------------------------------------------
 

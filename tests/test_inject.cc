@@ -565,14 +565,14 @@ TEST(VulnProc, ShardedWarmAndResumedRunsAreByteIdentical)
     fs::create_directories(root);
 
     // Cold run under process isolation, 3 shards.
-    SupervisorOptions po;
+    LaunchOptions po;
     po.campaign = spec.name;
     po.shards = 3;
     po.workerBinary = SIMALPHA_BIN;
     po.storePath = store;
     po.backoffSeconds = 0.01;
-    po.masterJournalPath = root + "/master.journal";
-    SupervisorOutcome cold = superviseCampaign(po);
+    po.journalPath = root + "/master.journal";
+    LaunchOutcome cold = superviseCampaign(po);
     ASSERT_FALSE(cold.interrupted);
     ASSERT_EQ(cold.result.errorCount(), 0u);
     std::string ref = toJson(cold.result);
@@ -590,7 +590,7 @@ TEST(VulnProc, ShardedWarmAndResumedRunsAreByteIdentical)
     // Resume from the master journal: everything replays, nothing
     // recomputes, bytes identical.
     po.resume = true;
-    SupervisorOutcome resumed = superviseCampaign(po);
+    LaunchOutcome resumed = superviseCampaign(po);
     ASSERT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.replayedCells, spec.cells.size());
     EXPECT_EQ(toJson(resumed.result), ref);

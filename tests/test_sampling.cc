@@ -616,13 +616,13 @@ TEST(SampledProc, ProcessIsolationMatchesThreadRunner)
     std::string ref = toJson(thread.run(
         smokeCampaign().withSampling(sample)));
 
-    SupervisorOptions opts;
+    LaunchOptions opts;
     opts.campaign = "smoke";
     opts.sample = sample;
     opts.shards = 2;
     opts.workerBinary = SIMALPHA_BIN;
     opts.backoffSeconds = 0.01;
-    SupervisorOutcome proc = superviseCampaign(opts);
+    LaunchOutcome proc = superviseCampaign(opts);
     ASSERT_FALSE(proc.interrupted);
     ASSERT_EQ(proc.result.errorCount(), 0u);
     EXPECT_EQ(toJson(proc.result), ref);

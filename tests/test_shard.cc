@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
 #include "runner/journal.hh"
@@ -338,11 +339,11 @@ TEST(ShardWorker, SliceJournalAlternatesHeartbeatAndResult)
     std::string path = uniquePath("worker");
     std::remove(path.c_str());
 
-    ShardWorkerOptions opts;
+    LaunchOptions opts;
     opts.campaign = "smoke";
-    opts.cells = {0, 3, 6};
+    const std::vector<std::size_t> cells = {0, 3, 6};
     opts.journalPath = path;
-    EXPECT_EQ(runShardWorker(opts), 0);
+    EXPECT_EQ(runShardWorker(opts, cells), 0);
 
     CampaignSpec spec = smokeCampaign();
     std::istringstream lines(readFile(path));
@@ -360,21 +361,21 @@ TEST(ShardWorker, SliceJournalAlternatesHeartbeatAndResult)
             FAIL() << "unparseable journal line: " << line;
     }
     // Strict alternation: every cell announces itself before running.
-    EXPECT_EQ(started, opts.cells);
-    EXPECT_EQ(settled.size(), opts.cells.size());
+    EXPECT_EQ(started, cells);
+    EXPECT_EQ(settled.size(), cells.size());
 
     // And the merge of that journal equals an in-process run of the
     // same cells, byte for byte.
     CampaignResult merged;
     std::vector<std::size_t> missing;
     mergeShardJournals(spec, {path}, &merged, &missing);
-    EXPECT_EQ(missing.size(), spec.cells.size() - opts.cells.size());
+    EXPECT_EQ(missing.size(), spec.cells.size() - cells.size());
 
     RunnerOptions ro;
     ro.jobs = 1;
     ro.cache = false;
     CampaignResult direct = ExperimentRunner(ro).run(spec);
-    for (std::size_t index : opts.cells)
+    for (std::size_t index : cells)
         EXPECT_EQ(journalLine("smoke", merged.cells[index]),
                   journalLine("smoke", direct.cells[index]))
             << "cell " << index;
@@ -396,13 +397,13 @@ TEST(ShardWorker, FaultsAndRetriesFollowTheirCampaignIndex)
     panic.cellIndex = 6;
     panic.kind = FaultInjection::Kind::Panic;
 
-    ShardWorkerOptions opts;
+    LaunchOptions opts;
     opts.campaign = "smoke";
-    opts.cells = {0, 3, 6};
+    const std::vector<std::size_t> cells = {0, 3, 6};
     opts.journalPath = path;
     opts.maxRetries = 1;
     opts.faults = {transient, panic};
-    EXPECT_EQ(runShardWorker(opts), 0);
+    EXPECT_EQ(runShardWorker(opts, cells), 0);
 
     std::istringstream lines(readFile(path));
     std::string line;
@@ -422,8 +423,8 @@ TEST(ShardWorker, FaultsAndRetriesFollowTheirCampaignIndex)
             FAIL() << "unparseable journal line: " << line;
         }
     }
-    EXPECT_EQ(started, opts.cells);
-    ASSERT_EQ(settled.size(), opts.cells.size());
+    EXPECT_EQ(started, cells);
+    ASSERT_EQ(settled.size(), cells.size());
 
     // Cell 3 threw once and passed on its retry; cell 0 ran clean.
     // Both are byte-identical to a fault-free --jobs 1 run.
@@ -434,8 +435,8 @@ TEST(ShardWorker, FaultsAndRetriesFollowTheirCampaignIndex)
     CampaignResult direct = ExperimentRunner(ro).run(spec);
     for (std::size_t i : {0, 1})
         EXPECT_EQ(journalLine("smoke", settled[i]),
-                  journalLine("smoke", direct.cells[opts.cells[i]]))
-            << "cell " << opts.cells[i];
+                  journalLine("smoke", direct.cells[cells[i]]))
+            << "cell " << cells[i];
     EXPECT_FALSE(settled[2].ok);
     EXPECT_EQ(settled[2].errorClass, "invariant");
     EXPECT_EQ(settled[2].cell.workload, spec.cells[6].workload);
@@ -445,15 +446,14 @@ TEST(ShardWorker, FaultsAndRetriesFollowTheirCampaignIndex)
 TEST(ShardWorker, BadOptionsReturnConfigExitCode)
 {
     std::string path = uniquePath("badopts");
-    ShardWorkerOptions opts;
+    LaunchOptions opts;
     opts.campaign = "no-such-campaign";
-    opts.cells = {0};
     opts.journalPath = path;
-    EXPECT_EQ(runShardWorker(opts), 2);
+    EXPECT_THROW(runShardWorker(opts, {0}), ConfigError);
 
     opts.campaign = "smoke";
-    opts.cells = {9999};    // out of range for the 12-cell smoke grid
-    EXPECT_EQ(runShardWorker(opts), 2);
+    // out of range for the 12-cell smoke grid
+    EXPECT_THROW(runShardWorker(opts, {9999}), ConfigError);
     std::remove(path.c_str());
 }
 
@@ -463,12 +463,11 @@ TEST(ShardWorker, InterruptedFlagStopsBeforeNextCell)
     std::remove(path.c_str());
     std::atomic<bool> flag{true};
 
-    ShardWorkerOptions opts;
+    LaunchOptions opts;
     opts.campaign = "smoke";
-    opts.cells = {0, 1};
     opts.journalPath = path;
-    opts.interrupted = &flag;
-    EXPECT_EQ(runShardWorker(opts), 3);
+    opts.cancel = &flag;
+    EXPECT_EQ(runShardWorker(opts, {0, 1}), 3);
     // Pre-set flag: nothing ran, nothing was journaled — the
     // supervisor treats these cells as simply not attempted.
     EXPECT_TRUE(readFile(path).empty());

@@ -854,7 +854,7 @@ TEST(StoreAcceptance, ShardedTable5RerunHitsStoreByteIdentically)
     std::string journalCold = uniqueDir("accept-jc") + ".jsonl";
     std::string journalWarm = uniqueDir("accept-jw") + ".jsonl";
 
-    SupervisorOptions opts;
+    LaunchOptions opts;
     opts.campaign = "table5";
     opts.maxInsts = 2000;   // keep the drill seconds, not minutes
     opts.shards = 2;
@@ -862,8 +862,8 @@ TEST(StoreAcceptance, ShardedTable5RerunHitsStoreByteIdentically)
     opts.storePath = root;
     opts.backoffSeconds = 0.01;
 
-    opts.masterJournalPath = journalCold;
-    SupervisorOutcome cold = superviseCampaign(opts);
+    opts.journalPath = journalCold;
+    LaunchOutcome cold = superviseCampaign(opts);
     ASSERT_FALSE(cold.interrupted);
     ASSERT_EQ(cold.result.errorCount(), 0u);
     std::size_t cells = cold.result.cells.size();
@@ -872,8 +872,8 @@ TEST(StoreAcceptance, ShardedTable5RerunHitsStoreByteIdentically)
     EXPECT_EQ(cold.storeTraffic.misses, cells);
     EXPECT_GT(cold.storeTraffic.bytesWritten, 0u);
 
-    opts.masterJournalPath = journalWarm;
-    SupervisorOutcome warm = superviseCampaign(opts);
+    opts.journalPath = journalWarm;
+    LaunchOutcome warm = superviseCampaign(opts);
     ASSERT_FALSE(warm.interrupted);
     ASSERT_EQ(warm.result.errorCount(), 0u);
 

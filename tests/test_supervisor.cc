@@ -65,21 +65,21 @@ uniquePath(const std::string &stem)
 
 /** Baseline options: supervise the smoke campaign with the real
  *  binary, journaling into @p journal. */
-SupervisorOptions
+LaunchOptions
 smokeOptions(const std::string &journal, int shards = 3)
 {
-    SupervisorOptions opts;
+    LaunchOptions opts;
     opts.campaign = "smoke";
     opts.shards = shards;
     opts.workerBinary = SIMALPHA_BIN;
-    opts.masterJournalPath = journal;
+    opts.journalPath = journal;
     opts.backoffSeconds = 0.01;     // keep respawn drills fast
     return opts;
 }
 
 /** Remove the master journal and any retained post-mortem scratch. */
 void
-cleanup(const std::string &journal, const SupervisorOutcome &outcome)
+cleanup(const std::string &journal, const LaunchOutcome &outcome)
 {
     if (!outcome.scratchRetained.empty())
         std::system(
@@ -116,7 +116,7 @@ TEST(Supervisor, FaultFreeShardedRunIsByteIdenticalToInProcess)
 {
     std::string journal = uniquePath("clean");
     std::remove(journal.c_str());
-    SupervisorOutcome outcome =
+    LaunchOutcome outcome =
         superviseCampaign(smokeOptions(journal));
 
     EXPECT_FALSE(outcome.interrupted);
@@ -140,10 +140,10 @@ TEST(Supervisor, InjectedSegfaultIsContainedToItsCell)
     std::remove(journal.c_str());
     constexpr std::size_t kPoison = 4;
 
-    SupervisorOptions opts = smokeOptions(journal);
+    LaunchOptions opts = smokeOptions(journal);
     opts.faults.push_back(
         {kPoison, FaultInjection::Kind::Segfault, -1});
-    SupervisorOutcome outcome = superviseCampaign(opts);
+    LaunchOutcome outcome = superviseCampaign(opts);
 
     EXPECT_EQ(outcome.crashedCells, 1u);
     EXPECT_EQ(outcome.respawns, 1);
@@ -167,9 +167,9 @@ TEST(Supervisor, InjectedAbortIsContainedToItsCell)
 {
     std::string journal = uniquePath("abort");
     std::remove(journal.c_str());
-    SupervisorOptions opts = smokeOptions(journal);
+    LaunchOptions opts = smokeOptions(journal);
     opts.faults.push_back({7, FaultInjection::Kind::Abort, -1});
-    SupervisorOutcome outcome = superviseCampaign(opts);
+    LaunchOutcome outcome = superviseCampaign(opts);
 
     EXPECT_EQ(outcome.crashedCells, 1u);
     const CellResult &poison = outcome.result.cells[7];
@@ -187,10 +187,10 @@ TEST(Supervisor, HangIsKilledByCellTimeoutAndShardRecovers)
     std::remove(journal.c_str());
     constexpr std::size_t kPoison = 3;
 
-    SupervisorOptions opts = smokeOptions(journal, /*shards=*/2);
+    LaunchOptions opts = smokeOptions(journal, /*shards=*/2);
     opts.cellTimeout = 0.5;
     opts.faults.push_back({kPoison, FaultInjection::Kind::Hang, -1});
-    SupervisorOutcome outcome = superviseCampaign(opts);
+    LaunchOutcome outcome = superviseCampaign(opts);
 
     EXPECT_EQ(outcome.timedOutCells, 1u);
     EXPECT_EQ(outcome.crashedCells, 0u);
@@ -216,12 +216,12 @@ TEST(Supervisor, RespawnBudgetExhaustedGivesUpOnRemainingCells)
     // One shard, segfaults at cells 0, 4 and 8: three worker deaths
     // burn the default respawn budget (2), so the cells after the
     // third poison are given up, not retried forever.
-    SupervisorOptions opts = smokeOptions(journal, /*shards=*/1);
+    LaunchOptions opts = smokeOptions(journal, /*shards=*/1);
     for (std::size_t cell : {std::size_t(0), std::size_t(4),
                              std::size_t(8)})
         opts.faults.push_back(
             {cell, FaultInjection::Kind::Segfault, -1});
-    SupervisorOutcome outcome = superviseCampaign(opts);
+    LaunchOutcome outcome = superviseCampaign(opts);
 
     EXPECT_EQ(outcome.spawns, 3);       // initial + 2 respawns
     EXPECT_EQ(outcome.respawns, 2);
@@ -245,17 +245,17 @@ TEST(Supervisor, ResumeReplaysCrashedCellsFromMasterJournal)
     std::string journal = uniquePath("resume");
     std::remove(journal.c_str());
 
-    SupervisorOptions faulty = smokeOptions(journal);
+    LaunchOptions faulty = smokeOptions(journal);
     faulty.faults.push_back({5, FaultInjection::Kind::Segfault, -1});
-    SupervisorOutcome first = superviseCampaign(faulty);
+    LaunchOutcome first = superviseCampaign(faulty);
     EXPECT_EQ(first.crashedCells, 1u);
     std::string firstJson = toJson(first.result);
 
     // Resuming without the fault plan must replay the recorded crash,
     // not silently heal it — and touch no worker at all.
-    SupervisorOptions resuming = smokeOptions(journal);
+    LaunchOptions resuming = smokeOptions(journal);
     resuming.resume = true;
-    SupervisorOutcome second = superviseCampaign(resuming);
+    LaunchOutcome second = superviseCampaign(resuming);
     EXPECT_EQ(second.replayedCells, 12u);
     EXPECT_EQ(second.spawns, 0);
     EXPECT_FALSE(second.result.cells[5].ok);
@@ -289,9 +289,9 @@ TEST(Supervisor, InjectedPanicLineMatchesTheInProcessRun)
 
     std::string journal = uniquePath("panic-line");
     std::remove(journal.c_str());
-    SupervisorOptions opts = smokeOptions(journal);
+    LaunchOptions opts = smokeOptions(journal);
     opts.faults = {panic};
-    SupervisorOutcome outcome = superviseCampaign(opts);
+    LaunchOutcome outcome = superviseCampaign(opts);
     cleanup(journal, outcome);
     ASSERT_EQ(outcome.result.cells.size(), direct.cells.size());
     EXPECT_EQ(journalLine("smoke", outcome.result.cells[7]),
@@ -301,11 +301,11 @@ TEST(Supervisor, InjectedPanicLineMatchesTheInProcessRun)
 
 TEST(Supervisor, UnusableOptionsThrowConfigError)
 {
-    SupervisorOptions unknown = smokeOptions(uniquePath("opts"));
+    LaunchOptions unknown = smokeOptions(uniquePath("opts"));
     unknown.campaign = "table99";
     EXPECT_THROW(superviseCampaign(unknown), ConfigError);
 
-    SupervisorOptions nobinary = smokeOptions(uniquePath("opts"));
+    LaunchOptions nobinary = smokeOptions(uniquePath("opts"));
     nobinary.workerBinary = "/no/such/simalpha";
     EXPECT_THROW(superviseCampaign(nobinary), ConfigError);
 }

@@ -57,11 +57,9 @@
 #include "inject/inject.hh"
 #include "runner/artifacts.hh"
 #include "runner/campaign.hh"
-#include "runner/journal.hh"
+#include "runner/launch.hh"
 #include "runner/perfbench.hh"
-#include "runner/runner.hh"
 #include "runner/shard.hh"
-#include "runner/supervisor.hh"
 #include "fleet/dispatcher.hh"
 #include "fleet/registry.hh"
 #include "serve/client.hh"
@@ -122,25 +120,13 @@ machineNames()
     return names;
 }
 
-/** Everything campaign mode parsed off the command line. */
+/** Everything campaign mode parsed off the command line: the run
+ *  and where its artifact and journal go. */
 struct CampaignCli
 {
-    std::string campaign;
-    std::string isolate = "thread";     ///< "thread" or "process"
-    int jobs = 0;
-    int shards = 0;
-    double cellTimeout = 0.0;
-    bool noCache = false;
-    std::string storePath;
-    std::uint64_t maxInsts = 0;
-    checkpoint::SampleSpec sample;
+    runner::LaunchOptions launch;
     std::string outPath;
-    int retries = 0;
-    bool resume = false;
     bool noJournal = false;
-    bool journalSync = false;
-    std::vector<runner::FaultInjection> faults;
-    std::string workerBinary;           ///< for --isolate=process
 };
 
 /** The flags campaigns and `simalpha serve` share. */
@@ -168,31 +154,33 @@ isolationFlags(std::string *mode, int *shards)
 flags::Group
 campaignFlags(CampaignCli &cli)
 {
+    runner::LaunchOptions &launch = cli.launch;
     return {"campaign options",
-            {flags::number("--jobs", "<n>", &cli.jobs,
+            {flags::number("--jobs", "<n>", &launch.jobs,
                            "worker threads (0 = all cores; default 0)"),
              flags::text("--out", "<file>", &cli.outPath,
                          "write the artifact (.csv = CSV, else JSON; '-' = "
                          "JSON to stdout)"),
-             flags::toggle("--no-cache", &cli.noCache,
-                           "disable the (manifest, workload) result cache"),
-             flags::text("--store", "<dir>", &cli.storePath,
+             {"--no-cache", "",
+              "disable the (manifest, workload) result cache",
+              [&launch](const std::string &) { launch.cache = false; }},
+             flags::text("--store", "<dir>", &launch.storePath,
                          "persistent result store: cells whose identity is "
                          "already stored are served from disk, new results are "
                          "published; shared across runs, shards and isolation "
                          "modes"),
-             flags::number("--retries", "<n>", &cli.retries,
+             flags::number("--retries", "<n>", &launch.maxRetries,
                            "re-run cells failing with a retryable (transient) "
                            "class up to n times"),
-             flags::toggle("--resume", &cli.resume,
+             flags::toggle("--resume", &launch.resume,
                            "skip cells already in <out>.journal.jsonl (from an "
                            "interrupted run of the same campaign)"),
              flags::toggle("--no-journal", &cli.noJournal,
                            "do not keep a journal next to --out"),
-             flags::toggle("--journal-sync", &cli.journalSync,
+             flags::toggle("--journal-sync", &launch.journalSync,
                            "fsync the journal after every line, so even a "
                            "machine crash loses no settled cell"),
-             flags::number("--cell-timeout", "<s>", &cli.cellTimeout,
+             flags::number("--cell-timeout", "<s>", &launch.cellTimeout,
                            "under --isolate process, kill a cell exceeding s "
                            "seconds of wall-clock (0 = no timeout)")}};
 }
@@ -248,13 +236,14 @@ printCampaignSummary(const runner::CampaignResult &result)
  *  for stdout artifacts, best-effort otherwise (the cell results are
  *  the deliverable; traffic counters are observability). */
 void
-writeRunSummary(const runner::RunSummary &summary,
+writeRunSummary(const runner::LaunchOptions &launch,
+                const runner::LaunchOutcome &outcome,
                 const std::string &out_path)
 {
     if (out_path.empty() || out_path == "-")
         return;
     std::string error;
-    if (!runner::writeSummaryArtifacts(summary, out_path, &error))
+    if (!runner::writeSummaryArtifacts(launch, outcome, out_path, &error))
         warn("%s (run summary not written)", error.c_str());
 }
 
@@ -323,95 +312,29 @@ emitVulnTable(const runner::CampaignResult &result,
 }
 
 /**
- * Campaign mode under either isolation: the in-process runner or the
- * process supervisor produces the result, and one report, run summary
- * and artifact follow from it.
+ * Campaign mode under either isolation: launchCampaign() produces the
+ * result, and one report, run summary and artifact follow from it.
  */
 int
-runCampaign(const CampaignCli &cli)
+runCampaign(CampaignCli &cli)
 {
-    std::string journal_path;
+    runner::LaunchOptions &launch = cli.launch;
     if (!cli.noJournal && !cli.outPath.empty() && cli.outPath != "-")
-        journal_path = cli.outPath + ".journal.jsonl";
-    else if (cli.resume)
+        launch.journalPath = cli.outPath + ".journal.jsonl";
+    else if (launch.resume)
         fatal("--resume needs --out <file> (the journal lives next to "
               "the artifact)");
+    launch.cancel = &g_interrupted;
+    const runner::LaunchOutcome o = runner::launchCampaign(launch);
+    const runner::CampaignResult &result = o.result;
 
-    runner::CampaignResult result;
-    runner::RunSummary summary;
-    std::string modeLine, postMortem;
-    std::size_t resumed = 0;
-    bool interrupted = false;
-    if (cli.isolate == "process") {
-        runner::SupervisorOptions opts;
-        opts.campaign = cli.campaign;
-        opts.maxInsts = cli.maxInsts;
-        opts.sample = cli.sample;
-        opts.shards = cli.shards;
-        opts.workerBinary = cli.workerBinary;
-        opts.cellTimeout = cli.cellTimeout;
-        opts.storePath = cli.storePath;
-        opts.maxRetries = cli.retries;
-        opts.faults = cli.faults;
-        opts.masterJournalPath = journal_path;
-        opts.resume = cli.resume;
-        opts.journalSync = cli.journalSync;
-        opts.interrupted = &g_interrupted;
-        runner::SupervisorOutcome o = runner::superviseCampaign(opts);
-        interrupted = o.interrupted;
-        result = std::move(o.result);
-        summary.storeEnabled = !cli.storePath.empty();
-        summary.store = o.storeTraffic;
-        summary.shardStore = o.shardStore;
-        resumed = o.replayedCells;
-        postMortem = o.scratchRetained;
-        modeLine = "isolation   process (" + std::to_string(o.spawns) +
-                   " spawns, " + std::to_string(o.respawns) +
-                   " respawns, " + std::to_string(o.crashedCells) +
-                   " crashed, " + std::to_string(o.timedOutCells) +
-                   " timed out)";
-    } else {
-        runner::CampaignSpec spec;
-        std::string error;
-        if (!runner::campaignByName(cli.campaign, &spec, &error))
-            fatal("%s", error.c_str());
-        if (cli.maxInsts)
-            spec = spec.withMaxInsts(cli.maxInsts);
-        if (cli.sample.enabled())
-            spec = spec.withSampling(cli.sample);
-
-        runner::RunnerOptions opts;
-        opts.jobs = cli.jobs;
-        opts.cache = !cli.noCache;
-        opts.storePath = cli.storePath;
-        opts.maxRetries = cli.retries;
-        opts.faults = cli.faults;
-        opts.journalPath = journal_path;
-        opts.resume = cli.resume && !journal_path.empty();
-        opts.journalSync = cli.journalSync;
-        opts.cancel = &g_interrupted;
-        runner::ExperimentRunner rnr(opts);
-        result = rnr.run(spec);
-        interrupted = g_interrupted.load();
-        summary.cacheHits = rnr.cacheHits();
-        summary.storeEnabled = rnr.storeOpen();
-        if (rnr.storeOpen()) {
-            store::StoreCounters c = rnr.storeCounters();
-            summary.store = {c.hits, c.misses, c.bytesRead,
-                             c.bytesWritten};
-        }
-        for (const runner::CellResult &r : result.cells)
-            resumed += r.fromJournal;
-        modeLine = "cache hits  " + std::to_string(rnr.cacheHits());
-    }
-
-    if (interrupted) {
+    if (o.interrupted) {
         std::fprintf(stderr,
                      "simalpha: interrupted; %s; restart with "
                      "--resume to continue\n",
-                     journal_path.empty()
+                     launch.journalPath.empty()
                          ? "no journal was kept (use --out)"
-                         : ("journal flushed to " + journal_path)
+                         : ("journal flushed to " + launch.journalPath)
                                .c_str());
         return 3;
     }
@@ -420,31 +343,29 @@ runCampaign(const CampaignCli &cli)
     std::printf("cells       %zu (%zu ok, %zu failed)\n",
                 result.cells.size(), result.okCount(),
                 result.errorCount());
-    std::printf("%s\n", modeLine.c_str());
-    if (summary.storeEnabled) {
-        printStoreTraffic(summary.store, cli.storePath);
-        for (std::size_t s = 0; s < summary.shardStore.size(); s++)
+    if (launch.isolate == "process")
+        std::printf("isolation   process (%d spawns, %d respawns, %zu "
+                    "crashed, %zu timed out)\n",
+                    o.spawns, o.respawns, o.crashedCells, o.timedOutCells);
+    else
+        std::printf("cache hits  %llu\n", (unsigned long long)o.cacheHits);
+    if (!launch.storePath.empty() && !o.storeDegraded) {
+        printStoreTraffic(o.storeTraffic, launch.storePath);
+        for (std::size_t s = 0; s < o.shardStore.size(); s++)
             std::printf("  shard %-3zu %llu hits, %llu misses\n", s,
-                        (unsigned long long)summary.shardStore[s].hits,
-                        (unsigned long long)
-                            summary.shardStore[s].misses);
+                        (unsigned long long)o.shardStore[s].hits,
+                        (unsigned long long)o.shardStore[s].misses);
     }
-    if (cli.resume)
-        std::printf("resumed     %zu cells from %s\n", resumed,
-                    journal_path.c_str());
-    if (!postMortem.empty())
+    if (launch.resume)
+        std::printf("resumed     %zu cells from %s\n", o.replayedCells,
+                    launch.journalPath.c_str());
+    if (!o.scratchRetained.empty())
         std::printf("post-mortem %s (worker logs and shard "
                     "journals)\n",
-                    postMortem.c_str());
+                    o.scratchRetained.c_str());
     printCampaignSummary(result);
     emitVulnTable(result, cli.outPath);
-
-    summary.campaign = result.campaign;
-    summary.cells = result.cells.size();
-    summary.cellsOk = result.okCount();
-    summary.cellsFailed = result.errorCount();
-    summary.storePath = cli.storePath;
-    writeRunSummary(summary, cli.outPath);
+    writeRunSummary(launch, o, cli.outPath);
     return writeCampaignArtifact(result, cli.outPath);
 }
 
@@ -489,7 +410,7 @@ runVulnCommand(int argc, char **argv, const char *argv0)
                     fatal("--targets: %s", error.c_str());
             }}}},
          campaignFlags(cli),
-         isolationFlags(&cli.isolate, &cli.shards)}};
+         isolationFlags(&cli.launch.isolate, &cli.launch.shards)}};
     if (!flags::parse(command, argc, argv))
         return 0;
 
@@ -501,10 +422,10 @@ runVulnCommand(int argc, char **argv, const char *argv0)
     if (!spec.cells)
         fatal("vuln needs --cells > 0");
 
-    // The cap lives inside the campaign name; cli.maxInsts stays 0 so
-    // no layer re-applies it on top.
-    cli.campaign = runner::vulnCampaignName(spec);
-    cli.workerBinary = selfExePath(argv0);
+    // The cap lives inside the campaign name; launch.maxInsts stays 0
+    // so no layer re-applies it on top.
+    cli.launch.campaign = runner::vulnCampaignName(spec);
+    cli.launch.workerBinary = selfExePath(argv0);
     installInterruptHandlers();
     return runCampaign(cli);
 }
@@ -739,7 +660,6 @@ runFleetCommand(int argc, char **argv, const char *)
     std::string error;
     if (!fleet::parseWorkerList(workersText, &fopts.workers, &error))
         fatal("--workers: %s", error.c_str());
-    fopts.journalSync = sopts.journalSync;
 
     fleet::Dispatcher dispatcher(fopts);
     if (!dispatcher.start(&error))
@@ -990,7 +910,7 @@ realMain(int argc, char **argv)
                        "machine configuration (see --list; default sim-alpha)"),
            {"--workload", "<name>", "bundled workload (see --list)",
             [&](const std::string &v) { workload_name = v; }},
-           flags::number("--max-insts", "<n>", &cli.maxInsts,
+           flags::number("--max-insts", "<n>", &cli.launch.maxInsts,
                          "stop after n committed instructions; also caps every "
                          "campaign cell"),
            flags::toggle("--stats", &want_stats,
@@ -1017,7 +937,8 @@ realMain(int argc, char **argv)
             "bar. Checkpoints stay in memory, never in --store",
             [&](const std::string &v) {
                 std::string error;
-                if (!checkpoint::parseSampleSpec(v, &cli.sample, &error))
+                if (!checkpoint::parseSampleSpec(v, &cli.launch.sample,
+                                                 &error))
                     fatal("--sample: %s", error.c_str());
             }},
            {"--inject", "<c:k[:t]>",
@@ -1028,10 +949,10 @@ realMain(int argc, char **argv)
                 std::string error;
                 if (!runner::parseFaultSpec(v, &fault, &error))
                     fatal("%s", error.c_str());
-                cli.faults.push_back(fault);
+                cli.launch.faults.push_back(fault);
             }}}},
          campaignFlags(cli),
-         isolationFlags(&cli.isolate, &cli.shards)},
+         isolationFlags(&cli.launch.isolate, &cli.launch.shards)},
         commands +
             "\nexit codes: 0 success, 1 failed cells or a failed run,\n"
             "            2 usage or configuration errors, 3 interrupted\n"
@@ -1039,37 +960,28 @@ realMain(int argc, char **argv)
     if (!flags::parse(command, argc, argv))
         return 0;
 
+    if (campaign_name)
+        cli.launch.campaign = *campaign_name;
     if (shard_mode) {
         // The hidden worker half of --isolate=process: execute a slice
         // of a named campaign, heartbeat + journal every cell. No
         // artifact, no summary — the supervisor owns those.
         if (!campaign_name)
             fatal("--shard needs --campaign <name>");
-        runner::ShardWorkerOptions wopts;
-        wopts.campaign = *campaign_name;
+        std::vector<std::size_t> cells;
         std::string error;
-        if (!runner::parseCellList(shard_cells, &wopts.cells, &error))
+        if (!runner::parseCellList(shard_cells, &cells, &error))
             fatal("--shard: %s", error.c_str());
         if (shard_journal.empty())
             fatal("--shard needs --journal <path>");
-        wopts.journalPath = shard_journal;
-        wopts.maxInsts = cli.maxInsts;
-        wopts.sample = cli.sample;
-        wopts.storePath = cli.storePath;
-        wopts.maxRetries = cli.retries;
-        wopts.faults = cli.faults;
-        wopts.journalSync = cli.journalSync;
-        wopts.interrupted = &g_interrupted;
+        cli.launch.journalPath = shard_journal;
+        cli.launch.cancel = &g_interrupted;
         installInterruptHandlers();
-        int code = runShardWorker(wopts);
-        if (code == 2)
-            fatal("--shard: bad campaign, cell list, or journal");
-        return code;
+        return runner::runShardWorker(cli.launch, cells);
     }
 
     if (campaign_name) {
-        cli.campaign = *campaign_name;
-        cli.workerBinary = selfExePath(argv[0]);
+        cli.launch.workerBinary = selfExePath(argv[0]);
         installInterruptHandlers();
         return runCampaign(cli);
     }
@@ -1104,7 +1016,7 @@ realMain(int argc, char **argv)
               workload_name->c_str());
 
     auto machine = makeMachine(machine_name);
-    RunResult r = machine->run(prog, cli.maxInsts);
+    RunResult r = machine->run(prog, cli.launch.maxInsts);
 
     std::printf("machine   %s\n", r.machine.c_str());
     std::printf("workload  %s\n", r.program.c_str());

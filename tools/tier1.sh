@@ -74,6 +74,22 @@ cmp "$FLEET_DIR/ref.jsonl" "$SERVE_DIR/serve.jsonl"
 cmp "$FLEET_DIR/ref.jsonl" "$FLEET_DIR/fleet.jsonl"
 echo "fleet smoke: OK (serve and 2-worker fleet streams byte-identical)"
 
+# Serve under process isolation: each job runs on two `--shard` worker
+# processes, whose lines the supervisor releases in spec order, so the
+# raw stream matches the --jobs 1 daemon's as well.
+SPROC_DIR=$(stepdir serve-proc)
+./tools/simalpha serve --store "$SPROC_DIR/store" --isolate process \
+    --shards 2 > "$SPROC_DIR/serve.log" 2>&1 &
+SPROC_PID=$!
+sleep 1
+./tools/simalpha submit --store "$SPROC_DIR/store" --campaign smoke \
+    --max-insts 20000 --timeout 120 > "$SPROC_DIR/serve.jsonl"
+./tools/simalpha submit --store "$SPROC_DIR/store" --op shutdown \
+    > /dev/null
+wait "$SPROC_PID"
+cmp "$FLEET_DIR/ref.jsonl" "$SPROC_DIR/serve.jsonl"
+echo "serve process smoke: OK (2 worker processes, stream byte-identical)"
+
 # Process isolation and the thread pool: three worker processes or
 # four pool threads settle in any order, but the executor releases in
 # spec order, so the artifact and the master journal are
